@@ -22,6 +22,7 @@ from .errors import (
     NotRealizable,
     OutOfInterval,
     PlanNotOptimal,
+    SolverFailure,
     TreeOTError,
 )
 from .metric_tree import (

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import MarginalMismatch, NonUnitMeasure, OutOfInterval
+from .errors import MarginalMismatch, NonUnitMeasure, OutOfInterval, SolverFailure
 from .metric_tree import MetricTree, TreeEnd, TreePoint
 from .dynamics import DynamicalPlan, pushforward_at
 from .transport import solve_transport, wasserstein2
@@ -255,7 +255,7 @@ def _certified_branch_exit(tree, mu: DynamicalPlan, sigma: DynamicalPlan) -> flo
         if _affine_beyond(tree, mu, sigma, t):
             return t
         t = 2.0 * t + 1.0
-    raise RuntimeError("could not certify a branch-exit time")
+    raise SolverFailure("could not certify a branch-exit time")
 
 
 def _affine_beyond(tree, mu, sigma, t: float) -> bool:

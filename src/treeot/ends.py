@@ -21,7 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import DiagonalMass, MarginalMismatch, NotAntipodal, NotRealizable
+from .errors import (
+    DiagonalMass, MarginalMismatch, NotAntipodal, NotRealizable, SolverFailure,
+)
 from .metric_tree import MetricTree, TreeEnd, gromov_product
 from .boundary import ConeMeasure, asymptotic_measure
 from .dynamics import DynamicalPlan, antagonist_pairs, pushforward_at
@@ -296,17 +298,17 @@ def construct_geodesic(
 
 def _certify_constructed(tree, plan, nu_minus, nu_plus, d0_value) -> None:
     if any(abs(g.speed - 1.0) > 1e-9 for g, _ in plan.atoms):
-        raise RuntimeError("constructed plan has a non-unit speed")
+        raise SolverFailure("constructed plan has a non-unit speed")
     if antagonist_pairs(plan):
-        raise RuntimeError("constructed plan contains antagonist geodesics")
+        raise SolverFailure("constructed plan contains antagonist geodesics")
     for direction, bm in ((-1, nu_minus), (+1, nu_plus)):
         got = asymptotic_measure(plan, direction)
         want = bm.to_cone(tree)
         if not _cone_close(got, want):
-            raise RuntimeError("constructed plan's ends do not match the inputs")
+            raise SolverFailure("constructed plan's ends do not match the inputs")
     m0 = pushforward_at(plan, 0.0).second_moment(tree)
     if abs(m0 - (-d0_value)) > 1e-9 * (1.0 + abs(d0_value)):
-        raise RuntimeError("second moment does not match the -D0^2 optimum")
+        raise SolverFailure("second moment does not match the -D0^2 optimum")
 
 
 def _cone_close(a: ConeMeasure, b: ConeMeasure, tol: float = 1e-9) -> bool:

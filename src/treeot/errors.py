@@ -74,3 +74,9 @@ class NotRealizable(TreeOTError):
 class InconsistentData(TreeOTError):
     """Radon data does not come from any vertex function (re-transform of the
     reconstruction disagrees with the input)."""
+
+
+class SolverFailure(TreeOTError):
+    """An internal solver or self-check failed: the transport simplex did not
+    converge, its dual certificate does not hold, or a constructed result
+    fails its own verification."""

@@ -1,11 +1,16 @@
 """Exact discrete quadratic optimal transport on a metric tree.
 
-The solver is a transportation simplex (network simplex on the bipartite
-transportation polytope) written here rather than delegated to a library:
-it must handle negative costs (the boundary problem of the ends module uses
-cost -D0^2), keep dual variables for an optimality certificate, and pivot
-deterministically (Bland's rule, lexicographic preference) so that outputs
-are byte-stable.  Instances are desk scale, so clarity beats asymptotics.
+The solver is a network simplex on the bipartite transportation problem,
+written here rather than delegated to a library: it must handle negative
+costs (the boundary problem of the ends module uses cost -D0^2), keep dual
+variables for an optimality certificate, and pivot deterministically so that
+outputs are byte-stable.  The basis is a spanning tree over rows and columns
+with parent and depth arrays; the entering cell's cycle is found by walking
+up to the lowest common ancestor, and after a pivot only the potentials of
+the re-hung subtree are updated.  The entering cell has the most negative
+reduced cost (lowest (i, j) on ties); the leaving cell is the last blocking
+cell met from the cycle's apex, which keeps the basis strongly feasible
+(Cunningham 1976) and rules out cycling without any random choice.
 
 Cyclical monotonicity is certified by searching the support pairs for a
 negative improvement cycle: a plan is optimal for a cost iff no finite
@@ -22,7 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import MarginalMismatch
+from .errors import MarginalMismatch, SolverFailure
 from .metric_tree import MetricTree, TreePoint
 
 MASS_TOL = 1e-9
@@ -125,6 +130,8 @@ class SimplexSolution(NamedTuple):
     cells: dict  # (i, j) -> mass, basic cells only
     u: list[float]
     v: list[float]
+    pivots: int = 0
+    degenerate_pivots: int = 0  # pivots that moved no mass
 
 
 def transportation_simplex(
@@ -132,133 +139,124 @@ def transportation_simplex(
 ) -> SimplexSolution:
     """Minimize sum x_ij c_ij over the transportation polytope.
 
-    Costs may be negative.  Entering variable: first cell in lexicographic
-    (i, j) order with reduced cost below -1e-12; leaving variable: first
-    minimizer of the ratio test (Bland's rule, no cycling).  The returned
-    duals satisfy u_i + v_j = c_ij on the basis.
+    Network simplex on a spanning tree whose nodes are the rows 0..m-1 and
+    the columns m..m+n-1, rooted at column 0.  Costs may be negative.
+    Entering cell: most negative reduced cost below -1e-12 (relative to the
+    cost scale), lowest (i, j) on ties.  Leaving cell: the last blocking
+    cell met when the cycle is traversed from its apex along the entering
+    cell, which keeps the basis strongly feasible (Cunningham 1976) and so
+    rules out cycling.  The returned duals satisfy u_i + v_j = c_ij on the
+    basis; demands must be positive for the anti-cycling guarantee.
     """
     m, n = len(supply), len(demand)
     a = [float(s) for s in supply]
-    total_a = sum(a)
-    total_b = sum(demand)
-    scale = total_a / total_b
+    scale = sum(a) / sum(demand)
     b = [float(d) * scale for d in demand]
 
-    # Northwest-corner initial basis: exactly m + n - 1 cells.
-    x: dict = {}
-    basis: list[tuple[int, int]] = []
-    i = j = 0
+    # Node k != root hangs from parent[k] by the basic cell joining them,
+    # which carries flow[k]; pot holds u (rows) then v (columns).
+    root = m
+    parent = [root] + [-1] * (m + n - 1)
+    flow = [0.0] * (m + n)
+    depth = [0] * (m + n)
+    pot = [0.0] * (m + n)
+
+    # Northwest-corner basis.  A column is entered only from a row with mass
+    # left (the last row takes what the columns still need), so every
+    # column's cell carries positive flow and zero-flow cells hang a row
+    # from its parent column: the basis is strongly feasible.
+    i = j = node = 0
     while True:
-        q = max(0.0, min(a[i], b[j]))
-        x[(i, j)] = q
-        basis.append((i, j))
+        q = b[j] if i == m - 1 else a[i] if j == n - 1 else min(a[i], b[j])
+        flow[node] = q = max(0.0, q)
         a[i] -= q
         b[j] -= q
         if i == m - 1 and j == n - 1:
             break
-        if i == m - 1:
-            j += 1
-        elif j == n - 1:
+        if j == n - 1 or (i < m - 1 and a[i] <= b[j]):
             i += 1
-        elif a[i] <= b[j]:
-            i += 1
+            parent[i] = m + j
+            node = i
         else:
             j += 1
+            node = m + j
+            parent[node] = i
+    children = [[] for _ in range(m + n)]
+    for k in range(m + n):
+        if k != root:
+            children[parent[k]].append(k)
 
-    cscale = max((abs(c) for row in cost for c in row), default=0.0)
-    eps_pivot = 1e-12 * (1.0 + cscale)
-    max_iter = 2000 * (m + n) + 1000
-    for _ in range(max_iter):
-        u, v = _duals(m, n, cost, basis)
-        entering = None
-        for ii in range(m):
-            ui = u[ii]
-            for jj in range(n):
-                if (ii, jj) not in x and cost[ii][jj] - ui - v[jj] < -eps_pivot:
-                    entering = (ii, jj)
-                    break
-            if entering is not None:
-                break
-        if entering is None:
+    def hang(stack):
+        # depth and potential of every node below the stack, from its parent's
+        while stack:
+            k = stack.pop()
+            p = parent[k]
+            depth[k] = depth[p] + 1
+            pot[k] = (cost[k][p - m] if k < m else cost[p][k - m]) - pot[p]
+            stack.extend(children[k])
+
+    hang(list(children[root]))
+    eps = 1e-12 * (1.0 + max((abs(c) for row in cost for c in row), default=0.0))
+    pivots = degenerate = 0
+    while True:
+        # Price every cell; strict comparisons keep the lowest (i, j) on ties.
+        v = pot[m:]
+        best, enter = -eps, None
+        for i in range(m):
+            red = [c - vj for c, vj in zip(cost[i], v)]
+            low = min(red)
+            if low - pot[i] < best:
+                best, enter = low - pot[i], (i, red.index(low))
+        if enter is None:
             break
-        cycle = _basis_cycle(m, n, basis, entering)
-        minus = cycle[1::2]
-        theta = min(x[c] for c in minus)
-        leaving = min(c for c in minus if x[c] <= theta + 0.0)
-        for k, c in enumerate(cycle):
-            if k % 2 == 0:
-                x[c] = x.get(c, 0.0) + theta
+        if pivots == 2000 * (m + n) + 1000:
+            raise SolverFailure("transportation simplex did not converge")
+        pivots += 1
+
+        # The cycle: both ends of the entering cell up to their apex.
+        i, j = enter
+        up_row, up_col = [], []
+        k, l = i, m + j
+        while k != l:
+            if depth[k] >= depth[l]:
+                up_row.append(k)
+                k = parent[k]
             else:
-                x[c] = max(0.0, x[c] - theta)
-        del x[leaving]
-        basis.remove(leaving)
-        basis.append(entering)
-        basis.sort()
-    else:
-        raise RuntimeError("transportation simplex did not converge")
+                up_col.append(l)
+                l = parent[l]
+        # Mass leaves cells hanging a row on the row side and a column on
+        # the column side; ties go to the cell met last from the apex.
+        theta, out, side = math.inf, None, None
+        for k in up_row:
+            if k < m and flow[k] < theta:
+                theta, out, side = flow[k], k, up_row
+        for k in up_col:
+            if k >= m and flow[k] <= theta:
+                theta, out, side = flow[k], k, up_col
+        for k in up_row:
+            flow[k] += -theta if k < m else theta
+        for k in up_col:
+            flow[k] += theta if k < m else -theta
+        degenerate += theta == 0.0
 
-    u, v = _duals(m, n, cost, basis)
-    value = sum(q * cost[i][j] for (i, j), q in x.items())
-    return SimplexSolution(value, x, u, v)
+        # Cut the leaving cell and re-hang its side from the entering cell,
+        # reversing the path between them; only that subtree's potentials move.
+        prev, carried = (m + j if side is up_row else i), theta
+        for k in side[: side.index(out) + 1]:
+            children[parent[k]].remove(k)
+            children[prev].append(k)
+            parent[k] = prev
+            flow[k], carried = carried, flow[k]
+            prev = k
+        hang([side[0]])
 
-
-def _duals(m, n, cost, basis):
-    u = [None] * m
-    v = [None] * n
-    u[0] = 0.0
-    rows = {i: [] for i in range(m)}
-    cols = {j: [] for j in range(n)}
-    for (i, j) in basis:
-        rows[i].append(j)
-        cols[j].append(i)
-    stack = [("r", 0)]
-    while stack:
-        kind, k = stack.pop()
-        if kind == "r":
-            for j in rows[k]:
-                if v[j] is None:
-                    v[j] = cost[k][j] - u[k]
-                    stack.append(("c", j))
-        else:
-            for i in cols[k]:
-                if u[i] is None:
-                    u[i] = cost[i][k] - v[k]
-                    stack.append(("r", i))
-    if any(w is None for w in u) or any(w is None for w in v):
-        raise RuntimeError("degenerate basis is not a spanning tree")
-    return u, v
-
-
-def _basis_cycle(m, n, basis, entering):
-    """Unique alternating cycle created by adding `entering` to the basis
-    spanning tree, returned as cells starting with `entering`."""
-    adj: dict = {}
-    for (i, j) in basis:
-        adj.setdefault(("r", i), []).append(("c", j))
-        adj.setdefault(("c", j), []).append(("r", i))
-    start = ("r", entering[0])
-    goal = ("c", entering[1])
-    prev = {start: None}
-    queue = [start]
-    while queue:
-        node = queue.pop(0)
-        if node == goal:
-            break
-        for nxt in adj.get(node, []):
-            if nxt not in prev:
-                prev[nxt] = node
-                queue.append(nxt)
-    path = [goal]
-    while path[-1] != start:
-        path.append(prev[path[-1]])
-    path.reverse()  # r i0, c j1, r i1, ..., c entering[1]
-    cells = [entering]
-    for a, bnode in zip(path, path[1:]):
-        if a[0] == "r":
-            cells.append((a[1], bnode[1]))
-        else:
-            cells.append((bnode[1], a[1]))
-    return cells
+    cells = {
+        ((k, parent[k] - m) if k < m else (parent[k], k - m)): flow[k]
+        for k in range(m + n)
+        if k != root
+    }
+    value = sum(q * cost[i][j] for (i, j), q in cells.items())
+    return SimplexSolution(value, cells, pot[:m], pot[m:], pivots, degenerate)
 
 
 class W2Result(NamedTuple):
@@ -272,9 +270,13 @@ def solve_transport(
     cost_fn: Callable,
 ) -> tuple[float, list[tuple[int, int, float]], SimplexSolution]:
     """Generic exact transport between two atom lists; returns the optimal
-    value, index-level entries and the raw simplex solution."""
+    value, index-level entries and the raw simplex solution.
+
+    Optimality is certified on the same cost matrix before returning (see
+    certify_duals)."""
     cost = [[cost_fn(p, q) for q in targets] for p in sources]
     sol = transportation_simplex(source_masses, target_masses, cost)
+    certify_duals(cost, sol)
     entries = [
         (i, j, q) for (i, j), q in sorted(sol.cells.items()) if q > _ZERO_MASS
     ]
@@ -287,14 +289,14 @@ def wasserstein2(tree: MetricTree, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
     Optimality is certified by dual feasibility before returning: the duals
     of the final basis must satisfy u_i + v_j <= c_ij + 1e-7 everywhere and
     complementary slackness on the support.  Ties between optimal plans are
-    broken by the solver's lexicographic pivoting; the returned plan is
+    broken by the solver's deterministic pivoting; the returned plan is
     deterministic but not mathematically canonical.
     """
     xs, ms = mu.points(), mu.masses()
     ys, ns = nu.points(), nu.masses()
-    cost_fn = lambda p, q: tree.distance(p, q) ** 2
-    value, entries, sol = solve_transport(xs, ms, ys, ns, cost_fn)
-    certify_duals([[cost_fn(p, q) for q in ys] for p in xs], sol)
+    value, entries, sol = solve_transport(
+        xs, ms, ys, ns, lambda p, q: tree.distance(p, q) ** 2
+    )
     plan = TransportPlan(
         tuple((xs[i], ys[j], q) for i, j, q in entries),
         potentials=(tuple(sol.u), tuple(sol.v)),
@@ -310,10 +312,10 @@ def certify_duals(cost, sol: SimplexSolution, tol: float = 1e-7) -> None:
     for i, ui in enumerate(sol.u):
         for j, vj in enumerate(sol.v):
             if ui + vj > cost[i][j] + tol * scale:
-                raise RuntimeError("dual feasibility violated: plan not optimal")
+                raise SolverFailure("dual feasibility violated: plan not optimal")
     for (i, j), q in sol.cells.items():
         if q > _ZERO_MASS and abs(cost[i][j] - sol.u[i] - sol.v[j]) > tol * scale:
-            raise RuntimeError("complementary slackness violated")
+            raise SolverFailure("complementary slackness violated")
 
 
 # -- cyclical monotonicity ----------------------------------------------------

@@ -403,3 +403,29 @@ def test_cli_exit_codes(files, tmp_path):
     out = cli("validate", "--tree", triangle)
     assert out.returncode == 1
     assert json.loads(out.stderr)["error"] == "MalformedTree"
+
+
+def test_cli_solver_failure_is_typed(files, monkeypatch, capsys):
+    # A solver returning infeasible duals must fail the certificate and end
+    # as a JSON domain error (exit 1), not a traceback.
+    from treeot import cli as treeot_cli
+    from treeot import transport
+
+    real = transport.transportation_simplex
+
+    def bad_duals(*args):
+        sol = real(*args)
+        return sol._replace(u=[ui + 1.0 for ui in sol.u])
+
+    monkeypatch.setattr(transport, "transportation_simplex", bad_duals)
+    tree = files("t.json", TRIPOD_JSON)
+    mu = files("mu.json", {"atoms": [{"point": {"vertex": "a"}, "mass": "1"}]})
+    nu = files("nu.json", {"atoms": [{"point": {"vertex": "b"}, "mass": "1"}]})
+    assert treeot_cli.run(["w2", "--tree", tree, "--mu", mu, "--nu", nu]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "Traceback" not in out.err
+    assert json.loads(out.err) == {
+        "error": "SolverFailure",
+        "message": "dual feasibility violated: plan not optimal",
+    }

@@ -1,12 +1,14 @@
-"""Exact transport tests: solver against the permutation oracle, metric
-axioms at desk scale, cyclical monotonicity certificates."""
+"""Exact transport tests: solver against the permutation oracle and HiGHS,
+metric axioms at desk scale, cyclical monotonicity certificates."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 import treeot as T
 from treeot.errors import MarginalMismatch
-from treeot.transport import transportation_simplex
+from treeot.transport import certify_duals, transportation_simplex
 
 import helpers
 
@@ -95,13 +97,116 @@ def test_simplex_negative_costs():
         n = int(rng.integers(2, 6))
         cost = rng.uniform(-5.0, 5.0, size=(n, n))
         sol = transportation_simplex([1.0 / n] * n, [1.0 / n] * n, cost.tolist())
-        import itertools
-
         best = min(
             sum(cost[i][p[i]] for i in range(n)) / n
             for p in itertools.permutations(range(n))
         )
         assert sol.value == pytest.approx(best, abs=1e-9)
+
+
+def _solve_checked(supply, demand, cost):
+    """Solve and check the result: a spanning-tree basis of nonnegative cells
+    with the right marginals, the certified duals and the stated value."""
+    m, n = len(supply), len(demand)
+    sol = transportation_simplex(supply, demand, cost)
+    assert len(sol.cells) == m + n - 1
+    assert all(q >= 0.0 for q in sol.cells.values())
+    rows, cols = [0.0] * m, [0.0] * n
+    for (i, j), q in sol.cells.items():
+        rows[i] += q
+        cols[j] += q
+    scale = sum(supply) / sum(demand)
+    assert rows == pytest.approx(supply, abs=1e-12)
+    assert cols == pytest.approx([d * scale for d in demand], abs=1e-12)
+    certify_duals(cost, sol)
+    value = sum(q * cost[i][j] for (i, j), q in sol.cells.items())
+    assert sol.value == pytest.approx(value, abs=1e-12)
+    assert 0 <= sol.degenerate_pivots <= sol.pivots
+    return sol
+
+
+def _random_masses(rng, k):
+    w = rng.uniform(0.05, 1.0, size=k)
+    return (w / w.sum()).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33])
+def test_simplex_degenerate_uniform_signed(n):
+    # uniform marginals make every basis highly degenerate
+    rng = np.random.default_rng(100 + n)
+    cost = rng.uniform(-5.0, 5.0, size=(n, n)).tolist()
+    _solve_checked([1.0 / n] * n, [1.0 / n] * n, cost)
+
+
+def test_simplex_uniform_pivot_bound():
+    # first-improving pricing with Bland's rule takes 10257 pivots here, this rule 390
+    n = 60
+    rng = np.random.default_rng(61)
+    cost = rng.uniform(-5.0, 5.0, size=(n, n)).tolist()
+    sol = _solve_checked([1.0 / n] * n, [1.0 / n] * n, cost)
+    assert sol.pivots <= 1000
+    assert sol.degenerate_pivots > 0
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 6), (6, 1), (1, 40), (40, 1), (3, 11), (17, 5)])
+def test_simplex_rectangular(m, n):
+    rng = np.random.default_rng(7 * m + n)
+    cost = rng.uniform(-3.0, 3.0, size=(m, n)).tolist()
+    sol = _solve_checked(_random_masses(rng, m), _random_masses(rng, n), cost)
+    if m == 1 or n == 1:
+        assert sol.pivots == 0  # the only feasible plan is the initial one
+
+
+def test_simplex_zero_supply_rows():
+    cost = [[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]]
+    sol = _solve_checked([0.5, 0.0, 0.5], [0.5, 0.5], cost)
+    assert sol.value == pytest.approx(0.5, abs=1e-12)
+
+
+def test_simplex_matches_highs():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(67)
+    shapes = [(2, 2), (5, 3), (4, 9), (12, 12), (25, 25), (30, 18), (60, 60)]
+    for m, n in shapes:
+        for uniform in (False, True):
+            if uniform:
+                supply, demand = [1.0 / m] * m, [1.0 / n] * n
+            else:
+                supply, demand = _random_masses(rng, m), _random_masses(rng, n)
+            cost = rng.uniform(-5.0, 5.0, size=(m, n))
+            sol = _solve_checked(supply, demand, cost.tolist())
+            a_eq = np.vstack(
+                [np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))]
+            )
+            ref = optimize.linprog(
+                cost.ravel(), A_eq=a_eq, b_eq=supply + demand, method="highs"
+            )
+            assert ref.status == 0
+            assert sol.value == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+
+
+def test_simplex_pinned_tie_breaks():
+    # Tied optima: the chosen plans are part of the output contract.
+    def support(sol):
+        return sorted((c, round(q, 12)) for c, q in sol.cells.items() if q > 1e-12)
+
+    diag = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    sol = transportation_simplex([0.25] * 4, [0.25] * 4, diag)
+    assert support(sol) == [((0, 3), 0.25), ((1, 0), 0.25), ((2, 1), 0.25), ((3, 2), 0.25)]
+    cyclic = [[0.0, 1.0, 0.0], [2.0, 1.0, 0.0], [0.0, 2.0, 1.0]]
+    sol = transportation_simplex([1 / 3] * 3, [1 / 3] * 3, cyclic)
+    third = round(1 / 3, 12)
+    assert support(sol) == [((0, 1), third), ((1, 2), third), ((2, 0), third)]
+
+
+def test_certify_duals_rejects_bad_duals():
+    cost = [[0.0, 1.0], [1.0, 0.0]]
+    sol = transportation_simplex([0.5, 0.5], [0.5, 0.5], cost)
+    certify_duals(cost, sol)
+    with pytest.raises(T.SolverFailure):
+        certify_duals(cost, sol._replace(u=[ui + 1.0 for ui in sol.u]))
+    with pytest.raises(T.SolverFailure):
+        certify_duals(cost, sol._replace(u=[ui - 1.0 for ui in sol.u]))
 
 
 # -- cyclical monotonicity -------------------------------------------------------
@@ -189,3 +294,4 @@ def test_tripod_non_uniqueness_witness(tripod):
     nu = T.DiscreteMeasure.from_atoms(tripod, [(y, 0.5), (z, 0.5)])
     solved = T.wasserstein2(tripod, mu, nu)
     assert solved.distance**2 == pytest.approx(p1.cost(d2), abs=1e-12)
+    assert solved.plan.entries == p1.entries  # pinned tie-break
