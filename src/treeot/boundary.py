@@ -7,11 +7,12 @@ rays to the same end differ by |s - t|, rays to distinct ends by s + t.
 
 The asymptotic distance between two ray curves in Wasserstein space is
 W(mu_t, sigma_t) / t as t grows.  In a tree every pairwise distance between
-support rays becomes an exactly affine function of t once all finite branch
-structure has been exited, so instead of only sampling the ratio we certify
-its exact limit: measure the affine slopes of the pairwise distances beyond
-the branch-exit time and solve one more transport problem with those slopes
-as the cost.  The asymptotic formula says this limit equals the cone
+support rays becomes an exactly affine function of t once every ray has
+passed its last vertex and every two atoms on a common end have crossed (a
+closed-form branch-exit time), so instead of only sampling the ratio we
+certify its exact limit: measure the affine slopes of the pairwise distances
+beyond the branch-exit time and solve one more transport problem with those
+slopes as the cost.  The asymptotic formula says this limit equals the cone
 Wasserstein distance of the two asymptotic measures.
 """
 
@@ -21,10 +22,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import MarginalMismatch, NonUnitMeasure, OutOfInterval, SolverFailure
+from .errors import MarginalMismatch, NonUnitMeasure, OutOfInterval
 from .metric_tree import MetricTree, TreeEnd, TreePoint
 from .dynamics import DynamicalPlan, pushforward_at
-from .transport import solve_transport, wasserstein2
+from .transport import MASS_TOL, _merge_atoms, solve_transport, wasserstein2
 
 _ZERO = 1e-12
 
@@ -43,8 +44,7 @@ class ConeMeasure:
 
     @staticmethod
     def from_atoms(tree: MetricTree, atoms) -> "ConeMeasure":
-        merged: dict[ConeAtomKey, float] = {}
-        order: list[ConeAtomKey] = []
+        keyed = []
         for end, speed, mass in atoms:
             speed = float(speed)
             if speed <= _ZERO:
@@ -54,15 +54,11 @@ class ConeMeasure:
                     raise MarginalMismatch("moving cone atom needs an end")
                 tree.end(end.edge)  # validates
                 key = (end, speed)
-            if key not in merged:
-                merged[key] = 0.0
-                order.append(key)
-            merged[key] += float(mass)
-        kept = [(e, s, merged[(e, s)]) for e, s in order if merged[(e, s)] > _ZERO]
-        total = sum(m for _, _, m in kept)
-        if abs(total - 1.0) > 1e-9:
+            keyed.append((key, mass))
+        kept, total = _merge_atoms(keyed)
+        if abs(total - 1.0) > MASS_TOL:
             raise MarginalMismatch(f"cone masses sum to {total}, expected 1")
-        return ConeMeasure(tuple(kept))
+        return ConeMeasure(tuple((e, s, m) for (e, s), m in kept))
 
     def quadratic_mean(self) -> float:
         return sum(m * s * s for _, s, m in self.atoms)
@@ -207,7 +203,7 @@ def asymptotic_formula_check(
         ).distance
         rows.append((t, d / t))
 
-    t_exit = _certified_branch_exit(tree, mu, sigma)
+    t_exit = _certified_branch_exit(mu, sigma)
     slopes = [
         [
             tree.distance(g.evaluate(t_exit + 1.0), h.evaluate(t_exit + 1.0))
@@ -243,27 +239,39 @@ def asymptotic_formula_check(
     )
 
 
-def _certified_branch_exit(tree, mu: DynamicalPlan, sigma: DynamicalPlan) -> float:
-    """Smallest verified time beyond which every pairwise distance between
-    support geodesics of the two plans is affine in t."""
+def _certified_branch_exit(mu: DynamicalPlan, sigma: DynamicalPlan) -> float:
+    """Time beyond which every distance between a support ray of mu and one
+    of sigma is affine in t, in closed form.
+
+    Such a distance can kink only while a ray still passes vertices, or when
+    two atoms on one infinite edge pass each other.  The exit is therefore
+    the latest of 1, each moving ray's time at its last vertex, and the
+    crossing time of every pair on a common infinite edge.
+    """
     t = 1.0
     for plan in (mu, sigma):
         for g, _ in plan.atoms:
             if g.speed > _ZERO:
-                t = max(t, (g.nodes[-1][0] - g.nodes[0][0]) / g.speed)
-    for _ in range(80):
-        if _affine_beyond(tree, mu, sigma, t):
-            return t
-        t = 2.0 * t + 1.0
-    raise SolverFailure("could not certify a branch-exit time")
-
-
-def _affine_beyond(tree, mu, sigma, t: float) -> bool:
+                t = max(t, g.t_origin + g.nodes[-1][0] / g.speed)
+    tails = [_tail(h) for h, _ in sigma.atoms]
     for g, _ in mu.atoms:
-        for h, _ in sigma.atoms:
-            d0 = tree.distance(g.evaluate(t), h.evaluate(t))
-            d1 = tree.distance(g.evaluate(t + 1.0), h.evaluate(t + 1.0))
-            d2 = tree.distance(g.evaluate(t + 2.0), h.evaluate(t + 2.0))
-            if abs(d0 + d2 - 2.0 * d1) > 1e-9 * (1.0 + abs(d1)):
-                return False
-    return True
+        a = _tail(g)
+        for b in tails:
+            if a is not None and b is not None and a[0] == b[0] and a[2] != b[2]:
+                t = max(t, (b[1] - a[1]) / (a[2] - b[2]))
+    return t
+
+
+def _tail(g) -> tuple[str, float, float] | None:
+    """(edge, c, s) when g ends up on an infinite edge at offset c + s*t,
+    once past its last vertex; a constant atom on an infinite edge counts as
+    speed 0.  None for a constant atom anywhere else."""
+    if g.speed > _ZERO:
+        eid = g.pos_end.edge
+        last = g.nodes[-1][1]  # the end's vertex, or the start on the end's edge
+        base = last.offset if last.edge == eid else 0.0
+        return eid, base - g.nodes[-1][0] - g.speed * g.t_origin, g.speed
+    p = g.nodes[0][1]
+    if p.edge is not None and g.tree.edges[p.edge].infinite:
+        return p.edge, p.offset, 0.0
+    return None

@@ -30,8 +30,10 @@ from .errors import (
 )
 from .metric_tree import MetricTree, TreeGeodesic, TreePoint, project_to_geodesic, TOL
 from .transport import (
+    MASS_TOL,
     DiscreteMeasure,
     TransportPlan,
+    _merge_atoms,
     is_cyclically_monotone,
     wasserstein2,
 )
@@ -50,18 +52,10 @@ class DynamicalPlan:
 
     @staticmethod
     def from_atoms(tree: MetricTree, atoms) -> "DynamicalPlan":
-        merged: dict = {}
-        order = []
-        for g, m in atoms:
-            if g not in merged:
-                merged[g] = 0.0
-                order.append(g)
-            merged[g] += float(m)
-        kept = [(g, merged[g]) for g in order if merged[g] > _ZERO_MASS]
+        kept, total = _merge_atoms(atoms)
         if not kept:
             raise MarginalMismatch("plan has no mass")
-        total = sum(m for _, m in kept)
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > MASS_TOL:
             raise MarginalMismatch(f"plan masses sum to {total}, expected 1")
         g0 = kept[0][0]
         t0, t1, kind = g0.t0, g0.t1, g0.interval_kind

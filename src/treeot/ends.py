@@ -27,9 +27,8 @@ from .errors import (
 from .metric_tree import MetricTree, TreeEnd, gromov_product
 from .boundary import ConeMeasure, asymptotic_measure
 from .dynamics import DynamicalPlan, antagonist_pairs, pushforward_at
-from .transport import solve_transport
+from .transport import MASS_TOL, _merge_atoms, solve_transport
 
-_ZERO = 1e-12
 NEUTRAL_TOL = 1e-12
 
 # Divergence verdict thresholds for generated families: the exponent-3
@@ -48,17 +47,8 @@ class BoundaryMeasure:
 
     @staticmethod
     def from_atoms(tree: MetricTree, atoms) -> "BoundaryMeasure":
-        merged: dict[TreeEnd, float] = {}
-        order = []
-        for end, mass in atoms:
-            tree.end(end.edge)  # validates
-            if end not in merged:
-                merged[end] = 0.0
-                order.append(end)
-            merged[end] += float(mass)
-        kept = [(e, merged[e]) for e in order if merged[e] > _ZERO]
-        total = sum(m for _, m in kept)
-        if abs(total - 1.0) > 1e-9:
+        kept, total = _merge_atoms((tree.end(e.edge), m) for e, m in atoms)
+        if abs(total - 1.0) > MASS_TOL:
             raise MarginalMismatch(f"masses sum to {total}, expected 1")
         return BoundaryMeasure(tuple(kept))
 
@@ -132,42 +122,18 @@ def flow_table(
     the realizability sum (the base-point-facing passage is discounted).
 
     For the canonical orientation of a finite edge, the flow is the signed
-    end mass of nu = nu+ - nu- in the far component; one post-order pass of
+    end mass of nu = nu+ - nu- in the far component; the tree's one pass of
     rooted subtree sums yields all of them (linear in the tree size).
     """
     anti = is_antipodal(tree, nu_minus, nu_plus)
     if not anti.antipodal:
         raise NotAntipodal(f"supports share ends {anti.common_ends}")
-    nu: dict[TreeEnd, float] = {}
+    nu: dict[str, float] = {}
     for e, m in nu_plus.atoms:
-        nu[e] = nu.get(e, 0.0) + m
+        nu[e.edge] = nu.get(e.edge, 0.0) + m
     for e, m in nu_minus.atoms:
-        nu[e] = nu.get(e, 0.0) - m
-
-    # signed end mass below each vertex, in the rooted copy of the tree
-    own = {
-        v: sum(
-            nu.get(TreeEnd(eid), 0.0)
-            for eid in tree.incident_edges(v)
-            if tree.edges[eid].infinite
-        )
-        for v in tree.vertices
-    }
-    below = dict(own)
-    for v in sorted(tree.vertices, key=lambda w: -tree._depth[w]):
-        pe = tree.parent_edge(v)
-        if pe is not None:
-            parent = tree._parent[v][0]
-            below[parent] += below[v]
-
-    edge_flow: dict[str, float] = {}
-    for eid, e in tree.edges.items():
-        if e.infinite:
-            edge_flow[eid] = nu.get(TreeEnd(eid), 0.0)
-        elif tree.parent_edge(e.ends[1]) == eid:
-            edge_flow[eid] = below[e.ends[1]]
-        else:
-            edge_flow[eid] = -below[e.ends[0]]
+        nu[e.edge] = nu.get(e.edge, 0.0) - m
+    edge_flow = tree.mass_beyond({}, nu)
 
     # Aggregation is exact; the neutral tolerance only affects sign labels.
     vertex_flow: dict[str, float] = {}

@@ -11,6 +11,13 @@ operations are pure functions over an immutable, validated tree:
 - nearest-point projection onto a geodesic,
 - perpendicular vertex sets of a flag (vertex with two incident edges).
 
+The constructor walks the finite edges once, depth first from the root (the
+base point, or the first endpoint of its edge), and every structure query
+reads that rooted copy: parent pointers and depths for LCA and paths, root
+distances for base-point distances, a preorder with subtree sizes for the
+components of X minus a vertex, and reverse-preorder subtree sums for the
+mass beyond every edge (flows, the Radon transform).
+
 Numeric conventions: 64-bit floats, comparison tolerance 1e-9, snapping of
 arc arithmetic dust at 1e-12.
 """
@@ -18,7 +25,6 @@ arc arithmetic dust at 1e-12.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -144,27 +150,6 @@ class MetricTree:
                 incident[v].append(eid)
         self._incident = {v: tuple(sorted(es)) for v, es in incident.items()}
 
-        # Finite edges must form a spanning tree of the vertices.
-        acyclic = n_finite == len(self._vertices) - 1
-        seen = {self._vertices[0]}
-        queue = deque(seen)
-        while queue:
-            v = queue.popleft()
-            for eid in self._incident[v]:
-                e = self._edges[eid]
-                if e.infinite:
-                    continue
-                w = e.ends[1] if e.ends[0] == v else e.ends[0]
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        connected = len(seen) == len(self._vertices)
-        if not connected or not acyclic:
-            raise MalformedTree(
-                "graph is not a tree "
-                f"(connected={connected}, acyclic={acyclic})"
-            )
-
         leaves = tuple(v for v in self._vertices if len(self._incident[v]) == 1)
         val2 = tuple(v for v in self._vertices if len(self._incident[v]) == 2)
         infs = tuple(sorted(e.id for e in self._edges.values() if e.infinite))
@@ -177,8 +162,14 @@ class MetricTree:
             else self._edges[self.basepoint.edge].ends[0]
         )
         self._build_rooted()
-        self._subtree_cache: dict[tuple[str, str], frozenset[str]] = {}
-        self._bp_dist: dict[str, float] | None = None
+        # Finite edges must form a spanning tree of the vertices.
+        acyclic = n_finite == len(self._vertices) - 1
+        connected = len(self._order) == len(self._vertices)
+        if not connected or not acyclic:
+            raise MalformedTree(
+                "graph is not a tree "
+                f"(connected={connected}, acyclic={acyclic})"
+            )
         self.generated_by = None  # set by generators (see ends.comb_generator)
 
     # -- structure ----------------------------------------------------------
@@ -222,12 +213,22 @@ class MetricTree:
         return self.edge(end.edge).ends[0]
 
     def _build_rooted(self) -> None:
-        parent: dict[str, tuple[str, str] | None] = {self._root: None}
-        depth = {self._root: 0}
-        dist = {self._root: 0.0}
-        queue = deque([self._root])
-        while queue:
-            v = queue.popleft()
+        """The one traversal of the finite edges: an iterative depth-first
+        pass from the root (comb truncations are paths tens of thousands of
+        vertices deep, too deep for recursion).  It records each vertex's
+        parent (vertex, edge), depth and distance to the root, a preorder in
+        which every rooted subtree is one contiguous slice, and the subtree
+        sizes.  Vertices it does not reach are missing from the preorder,
+        which is how the constructor sees a disconnected graph."""
+        root = self._root
+        parent: dict[str, tuple[str, str] | None] = {root: None}
+        depth = {root: 0}
+        dist = {root: 0.0}
+        order: list[str] = []
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
             for eid in self._incident[v]:
                 e = self._edges[eid]
                 if e.infinite:
@@ -237,10 +238,18 @@ class MetricTree:
                     parent[w] = (v, eid)
                     depth[w] = depth[v] + 1
                     dist[w] = dist[v] + e.length
-                    queue.append(w)
+                    stack.append(w)
+        size = dict.fromkeys(order, 1)
+        for v in reversed(order):
+            p = parent[v]
+            if p is not None:
+                size[p[0]] += size[v]
         self._parent = parent
         self._depth = depth
         self._dist_root = dist
+        self._order = order
+        self._pre = {v: i for i, v in enumerate(order)}
+        self._size = size
 
     # -- points -------------------------------------------------------------
 
@@ -314,24 +323,22 @@ class MetricTree:
         return up + [a] + down[::-1]
 
     def basepoint_distances(self) -> dict[str, float]:
-        """Distance from every vertex to the base point, computed by one
-        breadth-first sweep and cached (the realizability sum is linear in
-        the vertex count thanks to this)."""
-        if self._bp_dist is None:
-            dist = {v: c for v, c in self._exits(self.basepoint)}
-            queue = deque(dist)
-            while queue:
-                v = queue.popleft()
-                for eid in self._incident[v]:
-                    e = self._edges[eid]
-                    if e.infinite:
-                        continue
-                    w = e.ends[1] if e.ends[0] == v else e.ends[0]
-                    if w not in dist:
-                        dist[w] = dist[v] + e.length
-                        queue.append(w)
-            self._bp_dist = dist
-        return self._bp_dist
+        """Distance from every vertex to the base point, read off the root
+        distances: the root is the base point or the first endpoint of its
+        edge, so only the base point's offset along that edge is added (or,
+        beyond the edge's far endpoint, taken away)."""
+        bp = self.basepoint
+        if bp.is_vertex():
+            return dict(self._dist_root)
+        e = self._edges[bp.edge]
+        off = bp.offset
+        if e.infinite:
+            return {v: d + off for v, d in self._dist_root.items()}
+        far = e.ends[1]
+        return {
+            v: d - off if self._in_subtree(v, far) else d + off
+            for v, d in self._dist_root.items()
+        }
 
     def parent_edge(self, v: str) -> str | None:
         """Edge from v toward the root (None at the root)."""
@@ -390,74 +397,64 @@ class MetricTree:
             nodes.append((total, q))
         return nodes
 
-    def direction_from(self, v: str, target: TreePoint) -> str | None:
-        """First edge on the path from vertex v toward target (None if the
-        target is v itself)."""
-        target = self.canonical_point(target)
-        if target.is_vertex():
-            if target.vertex == v:
-                return None
-            path = self.vertex_path(v, target.vertex)
-            return self._edge_between_vertices(path[0], path[1])
-        e = self._edges[target.edge]
-        if v in e.ends:
-            return e.id
-        best = None
-        for b, cb in self._exits(target):
-            d = cb + self.vertex_distance(b, v)
-            if best is None or d < best[0]:
-                best = (d, b)
-        return self.direction_from(v, self.vertex_point(best[1]))
+    # -- component bookkeeping (perpendiculars, Radon, flows) -----------------
 
-    def _edge_between_vertices(self, u: str, v: str) -> str:
-        pu = self._parent[u]
-        if pu is not None and pu[0] == v:
-            return pu[1]
-        pv = self._parent[v]
-        if pv is not None and pv[0] == u:
-            return pv[1]
-        raise MalformedTree(f"vertices {u!r}, {v!r} are not adjacent")
+    def _in_subtree(self, v: str, top: str) -> bool:
+        """Whether v lies in the rooted subtree of top (top included)."""
+        i = self._pre[top]
+        return i <= self._pre[v] < i + self._size[top]
 
-    # -- component bookkeeping (perpendiculars, Radon) ------------------------
+    def _child_endpoint(self, e: Edge) -> str:
+        """The endpoint of a finite edge farther from the root."""
+        return e.ends[1] if self._parent[e.ends[1]] == (e.ends[0], e.id) else e.ends[0]
 
     def subtree_vertices(self, x: str, via_edge: str) -> frozenset[str]:
-        """Vertices of the component of X minus x entered through via_edge."""
-        key = (x, via_edge)
-        cached = self._subtree_cache.get(key)
-        if cached is not None:
-            return cached
+        """Vertices of the component of X minus x entered through via_edge:
+        a slice of the preorder when via_edge leads away from the root, the
+        complement of x's rooted subtree when it leads toward it."""
         e = self.edge(via_edge)
+        if x not in e.ends:
+            raise MalformedTree(f"edge {via_edge!r} is not incident to {x!r}")
         if e.infinite:
-            result = frozenset()
-        else:
-            start = e.ends[1] if e.ends[0] == x else e.ends[0]
-            seen = {start}
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for eid in self._incident[v]:
-                    g = self._edges[eid]
-                    if g.infinite:
-                        continue
-                    w = g.ends[1] if g.ends[0] == v else g.ends[0]
-                    if w != x and w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            result = frozenset(seen)
-        self._subtree_cache[key] = result
-        return result
+            return frozenset()
+        child = self._child_endpoint(e)
+        i, n = self._pre[child], self._size[child]
+        if child != x:
+            return frozenset(self._order[i:i + n])
+        return frozenset(self._order[:i] + self._order[i + n:])
 
-    def subtree_ends(self, x: str, via_edge: str) -> frozenset[TreeEnd]:
-        """Boundary ends lying in the component of X minus x through via_edge."""
-        e = self.edge(via_edge)
-        if e.infinite:
-            return frozenset({TreeEnd(via_edge)})
-        out = set()
-        for v in self.subtree_vertices(x, via_edge):
-            for eid in self._incident[v]:
-                if self._edges[eid].infinite:
-                    out.add(TreeEnd(eid))
-        return frozenset(out)
+    def mass_beyond(
+        self, vertex_mass: Mapping[str, float], edge_mass: Mapping[str, float]
+    ) -> dict[str, float]:
+        """Mass beyond every edge in its canonical orientation.
+
+        For a finite edge this is the mass of the component of X minus its
+        first stored endpoint that contains the edge; for an infinite edge it
+        is the edge's own mass.  Masses sit on vertices and on edges (an edge
+        mass counts inside every component containing that edge's interior).
+        One pass over the vertices in reverse preorder sums the rooted
+        subtrees; an edge pointing toward the root gets the total minus the
+        subtree behind it.
+        """
+        below = {v: float(vertex_mass.get(v, 0.0)) for v in self._order}
+        for eid, m in edge_mass.items():
+            e = self.edge(eid)
+            below[e.ends[0] if e.infinite else self._child_endpoint(e)] += m
+        for v in reversed(self._order):
+            p = self._parent[v]
+            if p is not None:
+                below[p[0]] += below[v]
+        total = below[self._root]
+        out: dict[str, float] = {}
+        for eid, e in self._edges.items():
+            own = float(edge_mass.get(eid, 0.0))
+            if e.infinite:
+                out[eid] = own
+            elif self._child_endpoint(e) == e.ends[1]:
+                out[eid] = below[e.ends[1]]
+            else:
+                out[eid] = total - below[e.ends[0]] + own
+        return out
 
     def extension_walk(
         self, start: str, via_edge: str

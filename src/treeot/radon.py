@@ -13,6 +13,10 @@ which follows from counting how many flags at x see each vertex.  These
 operations require a tree without leaves and without valency-2 vertices
 (the graph description is then the unique one of the metric space).
 
+The forward transform costs O(#flags): a perpendicular sum is the total
+minus the masses of the two components of X minus x entered through e and
+f, and the tree's one pass of rooted subtree sums gives every such mass.
+
 Inversion is carried out in exact rational arithmetic so integer data round
 trips with zero error; the supplied total mass keeps the operation total.
 """
@@ -30,10 +34,9 @@ from .metric_tree import (
     TreeEnd,
     TreeGeodesic,
     TreePoint,
-    perpendicular,
     project_to_geodesic,
 )
-from .transport import DiscreteMeasure, _merge_point_atoms
+from .transport import DiscreteMeasure, _merge_atoms
 
 _ZERO = 1e-12
 
@@ -112,14 +115,29 @@ def radon_measure(
 
 def combinatorial_radon(tree: MetricTree, h: VertexFunction) -> dict[Flag, float]:
     """Flag data of a vertex function: for each flag, the sum of h over the
-    perpendicular vertex set."""
+    perpendicular vertex set, in O(#flags) from rooted subtree sums."""
     require_radon_tree(tree)
-    hmap = h.as_dict()
-    out = {}
-    for flag in all_flags(tree):
-        perp = perpendicular(tree, flag.vertex, *flag.edges)
-        out[flag] = sum(hmap.get(v, 0.0) for v in perp)
-    return out
+    return _perpendicular_sums(tree, h.as_dict(), {})
+
+
+def _perpendicular_sums(
+    tree: MetricTree, vertex_mass: Mapping[str, float], edge_mass: Mapping[str, float]
+) -> dict[Flag, float]:
+    """For every flag (x, ef), the mass off the two components of X minus x
+    entered through e and f: the total minus two component masses, each of
+    them the mass beyond an edge in one of its two orientations."""
+    beyond = tree.mass_beyond(vertex_mass, edge_mass)
+    total = sum(vertex_mass.values()) + sum(edge_mass.values())
+
+    def through(x: str, g: str) -> float:
+        if tree.edges[g].ends[0] == x:
+            return beyond[g]
+        return total - beyond[g] + edge_mass.get(g, 0.0)
+
+    return {
+        flag: total - through(flag.vertex, flag.edges[0]) - through(flag.vertex, flag.edges[1])
+        for flag in all_flags(tree)
+    }
 
 
 def radon_invert(
@@ -259,20 +277,20 @@ def measure_radon_roundtrip(tree: MetricTree, mu: DiscreteMeasure) -> RoundtripR
         for p, m in proj.atoms:
             if p.edge == eid:
                 interior.append((p, m))
-    interior = _merge_point_atoms(tree, interior)
+    interior, _ = _merge_atoms(interior)
     interior_total = sum(m for _, m in interior)
+
+    on_edge: dict[str, float] = {}
+    for p, m in interior:
+        on_edge[p.edge] = on_edge.get(p.edge, 0.0) + m
+    hidden = _perpendicular_sums(tree, {}, on_edge)
 
     flag_data: dict[Flag, float] = {}
     for flag in all_flags(tree):
         g = geodesic_through_flag(tree, flag)
         proj = radon_measure(tree, mu, g)
         mass_at_x = proj.mass_at(tree.vertex_point(flag.vertex))
-        hidden = 0.0
-        for p, m in interior:
-            toward = tree.direction_from(flag.vertex, p)
-            if toward is not None and toward not in flag.edges:
-                hidden += m
-        flag_data[flag] = mass_at_x - hidden
+        flag_data[flag] = mass_at_x - hidden[flag]
 
     h = radon_invert(tree, flag_data, 1.0 - interior_total)
     atoms = list(interior)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,24 +34,23 @@ MASS_TOL = 1e-9
 _ZERO_MASS = 1e-12
 
 
-def _merge_point_atoms(
-    tree: MetricTree, atoms: Sequence[tuple[TreePoint, float]]
-) -> list[tuple[TreePoint, float]]:
-    """Canonicalize points, merge coincident atoms, drop zero masses."""
+def _merge_atoms(atoms: Iterable[tuple[Hashable, float]]) -> tuple[list, float]:
+    """Merge atoms with equal keys (first-seen order) and drop the dust, the
+    merged masses at or below 1e-12.
+
+    Returns the kept (key, mass) pairs and the total mass taken *before* the
+    dust is dropped, which is what a measure's constructor checks against 1:
+    a measure spread over many tiny atoms can shed more than its tolerance
+    as dust.  A merged mass below -1e-12 is not dust and raises.
+    """
     merged: dict = {}
-    order: list = []
-    for p, m in atoms:
-        p = tree.canonical_point(p)
-        m = float(m)
-        if p not in merged:
-            merged[p] = 0.0
-            order.append(p)
-        merged[p] += m
-    out = []
-    for p in order:
-        if merged[p] > _ZERO_MASS:
-            out.append((p, merged[p]))
-    return out
+    for key, m in atoms:
+        merged[key] = merged.get(key, 0.0) + float(m)
+    for key, m in merged.items():
+        if m < -_ZERO_MASS:
+            raise MarginalMismatch(f"negative mass {m} at {key!r}")
+    total = sum(merged.values())
+    return [(k, m) for k, m in merged.items() if m > _ZERO_MASS], total
 
 
 @dataclass(frozen=True)
@@ -62,11 +61,10 @@ class DiscreteMeasure:
 
     @staticmethod
     def from_atoms(tree: MetricTree, atoms) -> "DiscreteMeasure":
-        merged = _merge_point_atoms(tree, atoms)
-        total = sum(m for _, m in merged)
+        kept, total = _merge_atoms((tree.canonical_point(p), m) for p, m in atoms)
         if abs(total - 1.0) > MASS_TOL:
             raise MarginalMismatch(f"masses sum to {total}, expected 1")
-        return DiscreteMeasure(tuple(merged))
+        return DiscreteMeasure(tuple(kept))
 
     @staticmethod
     def dirac(tree: MetricTree, p: TreePoint) -> "DiscreteMeasure":

@@ -57,6 +57,29 @@ def random_radon_tree(rng, n_vertices: int) -> T.MetricTree:
     return T.MetricTree(names, edges, bp)
 
 
+def random_cubic_tree(rng, n_vertices: int) -> T.MetricTree:
+    """Random tree in which every vertex has valency exactly 3: each new
+    vertex hangs off an earlier one with a free slot, and the remaining
+    slots are filled with infinite edges."""
+    names = [f"w{i:03d}" for i in range(n_vertices)]
+    valency = [0] * n_vertices
+    edges = []
+    for i in range(1, n_vertices):
+        free = [j for j in range(i) if valency[j] < 3]
+        parent = free[int(rng.integers(0, len(free)))]
+        valency[parent] += 1
+        valency[i] += 1
+        length = float(rng.uniform(0.2, 2.0))
+        edges.append((f"e{i:03d}", (names[parent], names[i]), length))
+    k = 0
+    for i, v in enumerate(names):
+        for _ in range(3 - valency[i]):
+            edges.append((f"r{k:03d}", (v,), math.inf))
+            k += 1
+    bp = names[int(rng.integers(0, n_vertices))]
+    return T.MetricTree(names, edges, bp)
+
+
 def random_point(rng, tree: T.MetricTree, max_ray_offset: float = 3.0) -> T.TreePoint:
     if rng.random() < 0.4:
         v = tree.vertices[int(rng.integers(0, len(tree.vertices)))]
@@ -140,6 +163,37 @@ def bfs_distance(tree: T.MetricTree, p: T.TreePoint, q: T.TreePoint) -> float:
     return min(
         ca + vdist(a, b) + cb for a, ca in exits(p) for b, cb in exits(q)
     )
+
+
+def component_vertices(tree: T.MetricTree, x: str, via: str) -> set[str]:
+    """Vertices of the component of X minus x entered through edge `via`,
+    by breadth-first search over the edge list that never re-enters x."""
+    e = tree.edges[via]
+    if e.infinite:
+        return set()
+    start = e.ends[1] if e.ends[0] == x else e.ends[0]
+    seen = {start}
+    dq = deque([start])
+    while dq:
+        w = dq.popleft()
+        for eid in tree.incident_edges(w):
+            g = tree.edges[eid]
+            if g.infinite:
+                continue
+            u = g.ends[1] if g.ends[0] == w else g.ends[0]
+            if u != x and u not in seen:
+                seen.add(u)
+                dq.append(u)
+    return seen
+
+
+def perpendicular_set(tree: T.MetricTree, x: str, e: str, f: str) -> set[str]:
+    """x together with the components off x through edges other than e, f."""
+    out = {x}
+    for g in tree.incident_edges(x):
+        if g not in (e, f):
+            out |= component_vertices(tree, x, g)
+    return out
 
 
 def permutation_cost(tree, xs, ys) -> float:

@@ -189,6 +189,26 @@ def test_star3_ratio_exactly_sqrt2(star3):
     assert report.monotone
 
 
+def test_branch_exit_covers_crossing_on_one_end(star3):
+    # both rays run out along r1; their distance |10 - t| kinks at t = 10
+    o = star3.vertex_point("o")
+    mu = T.DynamicalPlan.from_atoms(star3, [(star3.ray_to_end(o, star3.end("r1"), 2.0), 1.0)])
+    far = star3.edge_point("r1", 10.0)
+    sigma = T.DynamicalPlan.from_atoms(
+        star3, [(star3.ray_to_end(far, star3.end("r1"), 1.0), 1.0)]
+    )
+    report = T.asymptotic_formula_check(star3, mu, sigma, t_grid=(1.0, 10.0, 100.0))
+    assert report.branch_exit >= 10.0
+    assert report.certified_limit == 1.0
+    assert report.target == 1.0
+    # a constant atom sitting on r1 counts as speed 0: |t - 10| again
+    mu = T.DynamicalPlan.from_atoms(star3, [(star3.ray_to_end(o, star3.end("r1"), 1.0), 1.0)])
+    sigma = T.DynamicalPlan.from_atoms(star3, [(star3.constant_geodesic(far, 0.0, math.inf), 1.0)])
+    report = T.asymptotic_formula_check(star3, mu, sigma, t_grid=(1.0, 10.0, 100.0))
+    assert report.branch_exit >= 10.0
+    assert report.certified_limit == 1.0
+
+
 def test_identical_plans_ratio_zero(star3):
     mu = _unit_pair_plan(star3)
     report = T.asymptotic_formula_check(star3, mu, mu, t_grid=(1.0, 10.0, 100.0))

@@ -324,3 +324,52 @@ def test_perpendicular_flag_validation(barbell):
         T.perpendicular(barbell, "u", "r1", "r1")
     with pytest.raises(FlagInvalid):
         T.perpendicular(barbell, "u", "r1", "r3")
+
+
+def test_subtree_and_perpendicular_on_deep_comb():
+    comb = T.comb_generator(4096, 3.0).tree
+    names = comb.vertices
+    edges = [(e.id, e.ends, e.length) for e in comb.edges.values()]
+    # rooted at the first vertex, and again at a middle one, so that a
+    # component toward the root lies on both sides of the preorder
+    trees = (comb, T.MetricTree(names, edges, names[1500]))
+    xs = (names[0], names[1], names[1500], names[2047], names[-2], names[-1])
+    for tree in trees:
+        for x in xs:
+            inc = tree.incident_edges(x)
+            for g in inc:
+                want = helpers.component_vertices(tree, x, g)
+                assert tree.subtree_vertices(x, g) == want
+            for i, e in enumerate(inc):
+                for f in inc[i + 1:]:
+                    want = helpers.perpendicular_set(tree, x, e, f)
+                    assert T.perpendicular(tree, x, e, f) == want
+
+
+def test_subtree_vertices_rejects_edge_not_at_vertex(barbell):
+    with pytest.raises(MalformedTree):
+        barbell.subtree_vertices("u", "r3")
+
+
+# -- base-point distances ------------------------------------------------------------
+
+
+def test_basepoint_distances_match_distance():
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        tree = helpers.random_tree(rng, 12, 3)
+        edges = [(e.id, e.ends, e.length) for e in tree.edges.values()]
+        finite = sorted(e.id for e in tree.edges.values() if not e.infinite)
+        fe = tree.edges[finite[int(rng.integers(0, len(finite)))]]
+        basepoints = [
+            tree.vertex_point(tree.vertices[int(rng.integers(0, 12))]),
+            tree.edge_point(fe.id, float(rng.uniform(0.05, 0.95)) * fe.length),
+            tree.edge_point(tree.report.infinite_edges[0], float(rng.uniform(0.1, 5.0))),
+        ]
+        for bp in basepoints:
+            rebased = T.MetricTree(tree.vertices, edges, bp)
+            dist = rebased.basepoint_distances()
+            assert set(dist) == set(tree.vertices)
+            for v in tree.vertices:
+                want = rebased.distance(rebased.basepoint, rebased.vertex_point(v))
+                assert dist[v] == pytest.approx(want, abs=1e-12)

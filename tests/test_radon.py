@@ -62,6 +62,28 @@ def test_radon_rejects_valency_two():
         T.combinatorial_radon(tree, h)
 
 
+def test_forward_matches_perpendicular_sums():
+    """Subtree-sum transform against the set-based sum over each flag's
+    perpendicular: equal on integer data, within 1e-12 * (1 + sum |h|) on
+    float data (the two sum in different orders)."""
+    rng = np.random.default_rng(173)
+    for n in (1, 2, 5, 17, 60, 150):
+        tree = helpers.random_cubic_tree(rng, n)
+        ints = {v: float(rng.integers(-50, 51)) for v in tree.vertices}
+        floats = {v: float(rng.normal()) for v in tree.vertices}
+        for values, exact in ((ints, True), (floats, False)):
+            data = T.combinatorial_radon(tree, T.VertexFunction.from_mapping(tree, values))
+            assert len(data) == 3 * n  # three flags at every cubic vertex
+            tol = 1e-12 * (1.0 + sum(abs(h) for h in values.values()))
+            for flag, got in data.items():
+                perp = helpers.perpendicular_set(tree, flag.vertex, *flag.edges)
+                want = sum(values[v] for v in perp)
+                if exact:
+                    assert got == want
+                else:
+                    assert abs(got - want) <= tol
+
+
 # -- inversion ----------------------------------------------------------------------
 
 

@@ -338,6 +338,14 @@ def test_cli_comb(files):
     assert len(doc["partial_sums"]) == 13
 
 
+def test_cli_deep_comb_sheds_dust_and_diverges():
+    # the deepest teeth carry less than 1e-12 each; together they hold more
+    # than the 1e-9 mass tolerance, so the total is checked before they go
+    out = cli("comb", "--depth", "16384", "--exponent", "3")
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert json.loads(out.stdout)["verdict"] == "DIVERGES"
+
+
 def test_cli_w2_output_feeds_certify_plan(files, tmp_path):
     tree = files("t.json", TRIPOD_JSON)
     mu = files("mu.json", {"atoms": [{"point": {"vertex": "a"}, "mass": "1"}]})

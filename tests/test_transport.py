@@ -79,6 +79,20 @@ def test_zero_mass_atoms_dropped(tripod):
     assert len(mu.atoms) == 1
 
 
+def test_dust_counts_toward_the_total(star3):
+    # 20000 atoms of 1e-13 are dropped, but their 2e-9 belongs to the total
+    dust = [(star3.edge_point("r1", float(k)), 1e-13) for k in range(1, 20001)]
+    mu = T.DiscreteMeasure.from_atoms(star3, dust + [(star3.vertex_point("o"), 1.0 - 2e-9)])
+    assert mu.atoms == ((star3.vertex_point("o"), 1.0 - 2e-9),)
+
+
+def test_negative_mass_rejected(tripod):
+    with pytest.raises(MarginalMismatch):
+        T.DiscreteMeasure.from_atoms(
+            tripod, [(tripod.vertex_point("a"), 1.5), (tripod.vertex_point("b"), -0.5)]
+        )
+
+
 def test_coincident_atoms_merge(tripod):
     mu = T.DiscreteMeasure.from_atoms(
         tripod,
