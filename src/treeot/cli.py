@@ -19,7 +19,7 @@ import sys
 
 from . import serialization as io
 from .boundary import asymptotic_formula_check, w_infinity
-from .dynamics import interpolate, is_optimal_dynamical
+from .dynamics import interpolate, is_optimal_dynamical, projection_monotone
 from .ends import comb_generator, construct_geodesic, flow_table, realizability_sum
 from .errors import TreeOTError
 from .radon import combinatorial_radon, radon_invert, VertexFunction
@@ -86,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     tree_arg = ("--tree", {"required": True, "help": "tree JSON file"})
+    deprecated = "deprecated: the check always covers every cycle length"
     add("validate", "structural report of a tree", tree_arg)
     add(
         "distance", "distance between two points", tree_arg,
@@ -105,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     add(
         "certify-plan", "optimality certificates for a plan", tree_arg,
         ("--plan", {"required": True, "help": "transport or dynamical plan JSON"}),
-        ("--full", {"action": "store_true", "help": "check all cycle lengths"}),
-        ("--max-cycle", {"type": int, "default": None}),
+        ("--full", {"action": "store_true", "help": deprecated}),
+        ("--max-cycle", {"type": int, "default": None, "help": deprecated}),
     )
     add(
         "asymptotic", "ratio table for two ray plans (CSV)", tree_arg,
@@ -227,17 +228,19 @@ def _dispatch(args) -> str:
         if isinstance(doc, dict) and "interval" in doc:
             dyn = io.dynamical_plan_from_json(tree, doc)
             cert = is_optimal_dynamical(tree, dyn)
+            # antagonism decides optimality on complete plans only; a segment
+            # plan is optimal iff its endpoint coupling is cyclically monotone
+            optimal = cert.passed if dyn.kind != "segment" else projection_monotone(
+                tree, dyn, [(dyn.t0, dyn.t1)])
             return io.dumps(
                 {
                     "kind": "dynamical",
-                    "optimal": cert.passed,
+                    "optimal": optimal,
                     "antagonist_pairs": [list(w) for w in cert.witnesses],
                 }
             )
         plan = io.plan_from_json(tree, doc)
-        cert = is_cyclically_monotone(
-            tree, plan, max_cycle=args.max_cycle, full=args.full
-        )
+        cert = is_cyclically_monotone(tree, plan)
         return io.dumps(
             {
                 "kind": "transport",

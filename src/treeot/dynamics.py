@@ -97,14 +97,14 @@ def interpolate(
     """Displacement interpolation on [0, 1] of an optimal plan between mu0
     and mu1 (solved internally when not supplied).
 
-    A supplied plan must be optimal; this is certified by the full cyclical
+    A supplied plan must be optimal; this is certified by the cyclical
     monotonicity check and PlanNotOptimal is raised on failure.
     """
     if plan is None:
         plan = wasserstein2(tree, mu0, mu1).plan
     else:
         plan.check_marginals(mu0, mu1)
-        cert = is_cyclically_monotone(tree, plan, full=True)
+        cert = is_cyclically_monotone(tree, plan)
         if not cert.passed:
             raise PlanNotOptimal(
                 f"improvement {cert.improvement:.3e} on cycle {cert.witness}"
@@ -229,7 +229,7 @@ def projection_monotone(
         proj = TransportPlan(
             tuple((g.evaluate(s), g.evaluate(t), m) for g, m in plan.atoms)
         )
-        if not is_cyclically_monotone(tree, proj, full=True).passed:
+        if not is_cyclically_monotone(tree, proj).passed:
             return False
     return True
 

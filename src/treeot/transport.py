@@ -15,8 +15,8 @@ cell met from the cycle's apex, which keeps the basis strongly feasible
 Cyclical monotonicity is certified by searching the support pairs for a
 negative improvement cycle: a plan is optimal for a cost iff no finite
 family of its pairs can lower the total cost by shifting targets along a
-cycle.  The search is a min-plus power iteration over the improvement
-matrix, which detects a violating cycle of length <= max_cycle exactly.
+cycle.  The search is Bellman-Ford over the improvement matrix: it ends
+with potentials that re-check in O(k^2), or with a simple violating cycle.
 """
 
 from __future__ import annotations
@@ -324,7 +324,7 @@ class MonotonicityCertificate:
     passed: bool
     max_cycle: int
     witness: tuple[int, ...] | None  # indices into the plan's entries
-    improvement: float  # most negative cycle value found (0 when passed)
+    improvement: float  # the witness cycle's weight (0 when passed)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -333,72 +333,68 @@ class MonotonicityCertificate:
 def min_improvement_cycle(
     weights: np.ndarray, max_cycle: int
 ) -> tuple[float, tuple[int, ...] | None]:
-    """Most negative closed walk of length <= max_cycle in the complete
-    digraph with arc weights w[e, f], plus a witness cycle.
+    """Negative cycle of the complete digraph with arc weights w[e, f]:
+    (0.0, None) when there is none, else (its weight, a simple witness).
 
     w[e, f] is the cost change of redirecting entry e's mass to entry f's
-    target; a negative cycle is exactly a violation of cyclical monotonicity.
-    At the smallest violating length the walk is automatically simple (a
-    shorter negative sub-cycle would have been detected first).
+    target.  Bellman-Ford from a virtual source relaxes a node only when it
+    gains more than MASS_TOL / k.  "None" is returned only after the
+    potentials re-check w[e, f] >= phi_f - phi_e - MASS_TOL / k on every
+    pair, so no cycle weighs less than -MASS_TOL.  A node still relaxing in
+    round k leads back onto a predecessor cycle lighter than -MASS_TOL / k,
+    given in shift order from its lowest index.  max_cycle < 2 means no
+    cycle; otherwise every length is searched.
     """
     k = weights.shape[0]
     if k == 0 or max_cycle < 2:
         return 0.0, None
-    dist = weights.copy()  # walks of length 1; their diagonal is 0 by design
-    args: dict[int, np.ndarray] = {}
-    for step in range(2, max_cycle + 1):
-        stacked = dist[:, :, None] + weights[None, :, :]
-        args[step] = np.argmin(stacked, axis=1)
-        dist = np.min(stacked, axis=1)
-        diag = np.diagonal(dist)
-        best = float(np.min(diag))
-        if best < -MASS_TOL:
-            e = int(np.argmin(diag))
-            return best, tuple(_unwind_cycle(args, e, step))
-    return 0.0, None
+    slack = MASS_TOL / k
+    phi = np.zeros(k)
+    pred = np.full(k, -1)
+    for _ in range(k):
+        cand = phi[:, None] + weights
+        best = cand.min(axis=0)
+        relaxed = best < phi - slack
+        if not relaxed.any():
+            if np.all(weights >= phi[None, :] - phi[:, None] - slack):
+                return 0.0, None
+            raise SolverFailure("cycle search potentials fail their re-check")
+        phi = np.where(relaxed, best, phi)
+        pred = np.where(relaxed, cand.argmin(axis=0), pred)
 
-
-def _unwind_cycle(args: dict, e: int, length: int) -> list[int]:
-    """Recover the node sequence of the closed walk found at `length`."""
-    tail = []
-    f = e
-    while length >= 2:
-        mid = int(args[length][e, f])
-        tail.append(mid)
-        f = mid
-        length -= 1
-    return [e] + tail[::-1]
+    pred = pred.tolist()
+    e = int(np.argmax(relaxed))  # relaxed in round k
+    for _ in range(k):
+        e = pred[e]
+    cycle = [e]
+    while pred[cycle[-1]] != e:
+        cycle.append(pred[cycle[-1]])
+    cycle.reverse()  # predecessors run against the shift order
+    low = cycle.index(min(cycle))
+    cycle = cycle[low:] + cycle[:low]
+    weight = sum(float(weights[a, b]) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    if weight >= 0.0:
+        raise SolverFailure("cycle search returned a non-negative cycle")
+    return weight, tuple(cycle)
 
 
 def is_cyclically_monotone(
-    tree: MetricTree,
-    plan: TransportPlan,
-    max_cycle: int | None = None,
-    full: bool = False,
-    cost_fn: Callable | None = None,
+    tree: MetricTree, plan: TransportPlan, full: bool = True
 ) -> MonotonicityCertificate:
-    """Certify that no cycle of support pairs of length <= max_cycle can
-    lower the total cost by shifting targets (cost d^2 by default).
+    """Certify that no cycle of support pairs can lower the total d^2 cost
+    by shifting targets, whatever the cycle's length.
 
-    max_cycle defaults to min(support size, 8); pass full=True for the
-    complete check up to the support size.  A failing certificate carries a
-    witness cycle of entry indices: shifting each listed entry's target to
-    the next one strictly improves the cost.
+    A failing certificate carries a simple witness cycle of entry indices:
+    shifting each listed entry's target to the next one strictly improves
+    the cost.  max_cycle is the support size; full is deprecated and ignored.
     """
     k = len(plan.entries)
     if k == 0:
         return MonotonicityCertificate(True, 0, None, 0.0)
-    if full or max_cycle is None:
-        max_cycle = k if full else min(k, 8)
-    max_cycle = min(max_cycle, k)
-    if cost_fn is None:
-        cost_fn = lambda p, q: tree.distance(p, q) ** 2
-    w = np.empty((k, k))
-    for e, (xe, ye, _) in enumerate(plan.entries):
-        base = cost_fn(xe, ye)
-        for f, (_, yf, _) in enumerate(plan.entries):
-            w[e, f] = cost_fn(xe, yf) - base
-    best, witness = min_improvement_cycle(w, max_cycle)
+    ys = [y for _, y, _ in plan.entries]
+    cost = np.array([[tree.distance(x, y) ** 2 for y in ys] for x, _, _ in plan.entries])
+    w = cost - np.diagonal(cost)[:, None]
+    best, witness = min_improvement_cycle(w, k)
     if witness is None:
-        return MonotonicityCertificate(True, max_cycle, None, 0.0)
-    return MonotonicityCertificate(False, max_cycle, witness, best)
+        return MonotonicityCertificate(True, k, None, 0.0)
+    return MonotonicityCertificate(False, k, witness, best)

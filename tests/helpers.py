@@ -208,6 +208,20 @@ def permutation_cost(tree, xs, ys) -> float:
     return best / n
 
 
+def simple_cycles(k: int):
+    """Every simple cycle of the complete digraph on 0..k-1, once each, as
+    a node tuple starting at its lowest node."""
+    for start in range(k):
+        rest = range(start + 1, k)
+        for length in range(1, k - start):
+            for tail in itertools.permutations(rest, length):
+                yield (start,) + tail
+
+
+def cycle_weight(w, cycle) -> float:
+    return sum(float(w[a, b]) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+
+
 def dense_projection(tree, y, gamma, step: float = 1e-3) -> float:
     """Distance from y to a dense sample of the locus (projection oracle)."""
     lo, hi = gamma.arc_bounds()

@@ -4,11 +4,15 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import treeot as T
 from treeot import serialization as io
+
+import helpers
 
 TRIPOD_JSON = {
     "vertices": ["o", "a", "b", "c"],
@@ -364,6 +368,103 @@ def test_cli_w2_output_feeds_certify_plan(files, tmp_path):
     out = cli("certify-plan", "--tree", tree, "--plan", str(plan_path), "--full")
     assert out.returncode == 0
     assert json.loads(out.stdout)["cyclically_monotone"] is True
+
+
+ALIGNED_JSON = {
+    "vertices": ["y2", "y", "y1"],
+    "edges": [
+        {"id": "e1", "ends": ["y2", "y"], "length": "1"},
+        {"id": "e2", "ends": ["y", "y1"], "length": "1"},
+    ],
+    "basepoint": {"vertex": "y"},
+}
+
+
+def test_cli_certify_plan_checks_every_cycle_length(files, capsys):
+    # y2 -> y1 and y -> y is beaten by the 2-cycle y2 -> y, y -> y1 (gain 2);
+    # --full and --max-cycle are deprecated and change no output byte.
+    from treeot import cli as treeot_cli
+
+    tree = files("t.json", ALIGNED_JSON)
+    plan = files(
+        "plan.json",
+        {
+            "entries": [
+                {"source": {"vertex": "y2"}, "target": {"vertex": "y1"}, "mass": "0.5"},
+                {"source": {"vertex": "y"}, "target": {"vertex": "y"}, "mass": "0.5"},
+            ]
+        },
+    )
+    outputs = []
+    for extra in ([], ["--full"], ["--max-cycle", "3"], ["--max-cycle", "1"],
+                  ["--max-cycle", "0"], ["--max-cycle", "-3"]):
+        argv = ["certify-plan", "--tree", tree, "--plan", plan, *extra]
+        assert treeot_cli.run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(set(outputs)) == 1
+    doc = json.loads(outputs[0])
+    assert doc["cyclically_monotone"] is False
+    assert doc["witness"] == [0, 1]
+    assert doc["improvement"] == "-2.000000000000"
+    assert doc["max_cycle"] == 2
+
+
+def test_cli_certify_plan_segment_optimal_despite_antagonism(files, capsys):
+    # a -> q and q -> b cross the edge p-q in opposite directions, yet the
+    # plan is the unique optimum (cost 121 against 200 for a -> b, q -> q):
+    # on a segment plan the endpoint coupling decides, not antagonism.
+    from treeot import cli as treeot_cli
+
+    tree = files(
+        "t.json",
+        {
+            "vertices": ["p", "a", "b", "q"],
+            "edges": [
+                {"id": "ea", "ends": ["p", "a"], "length": "10"},
+                {"id": "eb", "ends": ["p", "b"], "length": "10"},
+                {"id": "eq", "ends": ["p", "q"], "length": "1"},
+            ],
+            "basepoint": {"vertex": "p"},
+        },
+    )
+    atoms = lambda *vs: {"atoms": [{"point": {"vertex": v}, "mass": "0.5"} for v in vs]}
+    mu, nu = files("mu.json", atoms("a", "q")), files("nu.json", atoms("q", "b"))
+    assert treeot_cli.run(["interpolate", "--tree", tree, "--mu", mu, "--nu", nu]) == 0
+    dyn = files("dyn.json", json.loads(capsys.readouterr().out))
+    assert treeot_cli.run(["certify-plan", "--tree", tree, "--plan", dyn]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["antagonist_pairs"] == [[0, 1, "eq"]]
+    assert doc["optimal"] is True
+
+
+def test_cli_round_trip_at_scale(tmp_path):
+    # w2 -> interpolate --plan -> certify-plan on 100 atoms per side, every
+    # file read back through the CLI's own readers (inputs at 12 decimals).
+    from treeot import cli as treeot_cli
+
+    rng = np.random.default_rng(67)
+    tree = helpers.random_tree(rng, 300, 3)
+    mu = helpers.random_measure(rng, tree, 100)
+    nu = helpers.random_measure(rng, tree, 100)
+    path = {name: str(tmp_path / f"{name}.json") for name in
+            ("tree", "mu", "nu", "w2", "plan", "dyn", "cert", "dyn_cert")}
+    for name, doc in (("tree", io.tree_to_json(tree)), ("mu", io.measure_to_json(mu)),
+                      ("nu", io.measure_to_json(nu))):
+        Path(path[name]).write_text(json.dumps(doc))
+
+    def run(*argv, out):
+        assert treeot_cli.run([*argv, "--tree", path["tree"], "--out", path[out]]) == 0
+        return json.loads(Path(path[out]).read_text())
+
+    w2 = run("w2", "--mu", path["mu"], "--nu", path["nu"], out="w2")
+    Path(path["plan"]).write_text(json.dumps(w2["plan"]))
+    assert len(w2["plan"]) >= 100
+    run("interpolate", "--mu", path["mu"], "--nu", path["nu"], "--plan", path["plan"],
+        out="dyn")
+    cert = run("certify-plan", "--plan", path["plan"], "--full", out="cert")
+    assert cert["cyclically_monotone"] is True
+    assert cert["max_cycle"] == len(w2["plan"])
+    assert run("certify-plan", "--plan", path["dyn"], out="dyn_cert")["optimal"] is True
 
 
 def test_cli_determinism(files):

@@ -8,7 +8,7 @@ import pytest
 
 import treeot as T
 from treeot.errors import MarginalMismatch
-from treeot.transport import certify_duals, transportation_simplex
+from treeot.transport import certify_duals, min_improvement_cycle, transportation_simplex
 
 import helpers
 
@@ -264,12 +264,48 @@ def test_single_entry_plan_passes(tripod):
     assert T.is_cyclically_monotone(tripod, plan, full=True).passed
 
 
-def test_max_cycle_default_bound(tripod):
-    plan = T.TransportPlan(
-        ((tripod.vertex_point("a"), tripod.vertex_point("b"), 1.0),)
-    )
-    cert = T.is_cyclically_monotone(tripod, plan)
-    assert cert.max_cycle == 1  # min(support size, 8)
+def test_max_cycle_default_bound():
+    rng = np.random.default_rng(59)
+    tree = helpers.random_tree(rng, 30, 2)
+    mu = helpers.random_measure(rng, tree, 10)
+    nu = helpers.random_measure(rng, tree, 10)
+    plan = T.wasserstein2(tree, mu, nu).plan
+    assert len(plan.entries) > 8
+    cert = T.is_cyclically_monotone(tree, plan)
+    assert cert.passed
+    assert cert.max_cycle == len(plan.entries)  # every cycle length
+
+
+def test_cycle_search_matches_simple_cycle_enumeration():
+    # Integer weights: ties at zero abound and no cycle weighs in (-1, 0),
+    # so the verdict must be exactly "some simple cycle is negative".
+    rng = np.random.default_rng(61)
+    fails = 0
+    for _ in range(400):
+        k = int(rng.integers(2, 8))
+        w = rng.integers(-2, 4, size=(k, k)).astype(float)
+        np.fill_diagonal(w, 0.0)
+        negative = any(helpers.cycle_weight(w, c) < 0 for c in helpers.simple_cycles(k))
+        best, witness = min_improvement_cycle(w, k)
+        assert (witness is not None) == negative
+        if witness is None:
+            assert best == 0.0
+            continue
+        fails += 1
+        assert len(set(witness)) == len(witness) >= 2
+        assert helpers.cycle_weight(w, witness) == best < 0
+    assert 50 < fails < 350
+
+
+def test_cycle_search_finds_the_cycle_through_every_entry():
+    k = 9
+    w = np.full((k, k), 10.0)
+    np.fill_diagonal(w, 0.0)
+    for i in range(k):
+        w[i, (i + 1) % k] = -1.0
+    best, witness = min_improvement_cycle(w, k)
+    assert witness == tuple(range(k))
+    assert best == -9.0
 
 
 def test_corrupted_plans_fail():
