@@ -19,7 +19,7 @@ import sys
 
 from . import serialization as io
 from .boundary import asymptotic_formula_check, w_infinity
-from .dynamics import interpolate, is_optimal_dynamical, projection_monotone
+from .dynamics import interpolate, is_optimal_dynamical
 from .ends import comb_generator, construct_geodesic, flow_table, realizability_sum
 from .errors import TreeOTError
 from .radon import combinatorial_radon, radon_invert, VertexFunction
@@ -228,14 +228,10 @@ def _dispatch(args) -> str:
         if isinstance(doc, dict) and "interval" in doc:
             dyn = io.dynamical_plan_from_json(tree, doc)
             cert = is_optimal_dynamical(tree, dyn)
-            # antagonism decides optimality on complete plans only; a segment
-            # plan is optimal iff its endpoint coupling is cyclically monotone
-            optimal = cert.passed if dyn.kind != "segment" else projection_monotone(
-                tree, dyn, [(dyn.t0, dyn.t1)])
             return io.dumps(
                 {
                     "kind": "dynamical",
-                    "optimal": optimal,
+                    "optimal": cert.passed,
                     "antagonist_pairs": [list(w) for w in cert.witnesses],
                 }
             )

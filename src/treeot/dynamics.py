@@ -5,20 +5,20 @@ parameter interval (a segment, a ray, or the whole line).  Its time-t
 pushforward is a discrete measure on the tree, and pushing a whole family
 of times gives the curve in Wasserstein space the plan represents.
 
-Optimality bookkeeping is tree flavored: two geodesics are antagonist when
-they run through a common edge portion in opposite directions.  For plans
-supported on unit-speed complete geodesics this is exactly the negation of
-cyclical monotonicity; on bounded segments the antagonist certificate is the
-structural check, cross-validated against cyclical monotonicity of sampled
-two-time projections (the equivalence can fail on segment plans whose
-antagonist overlap is paid for outside the interval, so the random suites
-stay in the generic regime).
+Optimality has one rule per kind of plan.  A segment plan is optimal iff
+its endpoint coupling (the projection at its two end times) is cyclically
+monotone.  Ray and complete plans are decided by antagonism: two geodesics
+are antagonist when they run through a common edge portion in opposite
+directions, and for plans on unit-speed complete geodesics this is exactly
+the negation of cyclical monotonicity.  Antagonist pairs are reported as
+witnesses for every kind; on a segment plan they are not a verdict, since
+an overlap crossed in opposite directions can be paid for outside it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import (
@@ -28,7 +28,14 @@ from .errors import (
     OutOfInterval,
     PlanNotOptimal,
 )
-from .metric_tree import MetricTree, TreeGeodesic, TreePoint, project_to_geodesic, TOL
+from .metric_tree import (
+    _SNAP,
+    MetricTree,
+    TreeGeodesic,
+    TreePoint,
+    project_to_geodesic,
+    TOL,
+)
 from .transport import (
     MASS_TOL,
     DiscreteMeasure,
@@ -98,11 +105,16 @@ def interpolate(
     and mu1 (solved internally when not supplied).
 
     A supplied plan must be optimal; this is certified by the cyclical
-    monotonicity check and PlanNotOptimal is raised on failure.
+    monotonicity check and PlanNotOptimal is raised on failure.  Its points
+    are first snapped to the atoms they stand for (see _snap), so a plan
+    printed at 12 decimals reads back onto measures given at more.
     """
     if plan is None:
         plan = wasserstein2(tree, mu0, mu1).plan
     else:
+        plan = replace(plan, entries=tuple(
+            (_snap(x, mu0.atoms), _snap(y, mu1.atoms), m) for x, y, m in plan.entries
+        ))
         plan.check_marginals(mu0, mu1)
         cert = is_cyclically_monotone(tree, plan)
         if not cert.passed:
@@ -113,6 +125,15 @@ def interpolate(
         tree,
         [(tree.geodesic_segment(x, y, 0.0, 1.0), m) for x, y, m in plan.entries],
     )
+
+
+def _snap(p: TreePoint, atoms) -> TreePoint:
+    """The atom on p's edge nearest to p within _SNAP, or p itself when
+    there is none (check_marginals then rejects it)."""
+    if p.edge is None:
+        return p
+    near = [q for q, _ in atoms if q.edge == p.edge and abs(q.offset - p.offset) <= _SNAP]
+    return min(near, key=lambda q: abs(q.offset - p.offset), default=p)
 
 
 # -- lifting -------------------------------------------------------------------
@@ -209,14 +230,19 @@ class OptimalityCertificate:
 
 
 def is_optimal_dynamical(tree: MetricTree, plan: DynamicalPlan) -> OptimalityCertificate:
-    """PASS iff the plan's support carries no antagonist pair.
+    """Optimality of a dynamical plan, with its antagonist pairs as witnesses.
 
-    For unit-speed complete plans this is equivalent to optimality (cyclical
-    monotonicity of every two-time projection); segment suites cross-check
-    it against is_cyclically_monotone of sampled projections.
+    A segment plan passes iff its endpoint coupling is cyclically monotone;
+    a ray or complete plan passes iff its support carries no antagonist
+    pair (for unit-speed complete plans this is equivalent to cyclical
+    monotonicity of every two-time projection).
     """
     witnesses = tuple(antagonist_pairs(plan))
-    return OptimalityCertificate(not witnesses, witnesses)
+    if plan.kind == "segment":
+        passed = projection_monotone(tree, plan, [(plan.t0, plan.t1)])
+    else:
+        passed = not witnesses
+    return OptimalityCertificate(passed, witnesses)
 
 
 def projection_monotone(
@@ -257,47 +283,20 @@ def extend_from_dirac(tree: MetricTree, segment_plan: DynamicalPlan) -> Dynamica
 
 
 def _extend_geodesic(tree: MetricTree, g: TreeGeodesic) -> TreeGeodesic:
+    """The ray from g's start through g's far point to the end ahead of it."""
+    start = g.nodes[0][1]
     if g.is_constant:
-        return tree.constant_geodesic(g.nodes[0][1], 0.0, math.inf)
-    nodes = list(g.nodes)
-    s_far, far = nodes[-1]
-    last_edge = g._spans[-1]
-    if not far.is_vertex():
-        # finish crossing the current edge first
-        e = tree.edge(last_edge)
-        prev_off = g._offset_on(nodes[-2][1], last_edge)
-        if far.offset > prev_off:
-            if e.infinite:
-                return TreeGeodesic(
-                    tree, g.speed, g.t0, math.inf, g.t_origin,
-                    tuple(nodes[:-1]), g.neg_end, tree.end(last_edge),
-                )
-            step = e.length - far.offset
-            v = e.ends[1]
-        else:
-            step = far.offset
-            v = e.ends[0]
-        nodes.append((s_far + step, tree.vertex_point(v)))
-        s_far += step
-        far = tree.vertex_point(v)
+        return tree.constant_geodesic(start, 0.0, math.inf)
+    far = g.nodes[-1][1]
+    eid, _, _, direction = g.traversals()[-1]
+    e = tree.edge(eid)
+    if not far.is_vertex() and direction > 0:
+        # still heading for the edge's second endpoint, or out to its end
+        end = tree.extension_walk(e.ends[0], eid)
     else:
-        v = far.vertex
-    onward = [eid for eid in tree.incident_edges(v) if eid != last_edge]
-    if not onward:
-        raise LeafyTree(f"extension stuck at leaf {v!r}")
-    steps, end = tree.extension_walk(v, onward[0])
-    s = s_far
-    for eid, nxt in steps:
-        s += tree.edge(eid).length
-        nodes.append((s, tree.vertex_point(nxt)))
-    # drop duplicate node when the segment already stopped at a vertex
-    dedup = [nodes[0]]
-    for sn, pn in nodes[1:]:
-        if pn != dedup[-1][1]:
-            dedup.append((sn, pn))
-    return TreeGeodesic(
-        tree, g.speed, g.t0, math.inf, g.t_origin, tuple(dedup), g.neg_end, end
-    )
+        v = far.vertex if far.is_vertex() else e.ends[0]
+        end = tree.extension_walk(v, tree.onward_edge(v, eid))
+    return tree.ray_to_end(start, end, g.speed)
 
 
 def dirac_interpolation(

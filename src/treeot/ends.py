@@ -27,7 +27,7 @@ from .errors import (
 from .metric_tree import MetricTree, TreeEnd, gromov_product
 from .boundary import ConeMeasure, asymptotic_measure
 from .dynamics import DynamicalPlan, antagonist_pairs, pushforward_at
-from .transport import MASS_TOL, _merge_atoms, solve_transport
+from .transport import _ZERO_MASS, MASS_TOL, _merge_atoms, solve_transport
 
 NEUTRAL_TOL = 1e-12
 
@@ -332,13 +332,19 @@ class CombFamily:
 
     def partial_sum(self, depth: int) -> float:
         """Sum of specific flows times squared base distance for the depth
-        truncation, from the flow definition via suffix sums."""
+        truncation, from the flow definition via suffix sums.  Normalized
+        tooth masses at or below 1e-12 are dropped, as the generated
+        boundary measures drop them, so the sum is the one read off the
+        generated tree."""
         raw = self.tooth_masses(depth)
         z_minus = sum(raw[n - 1] for n in range(1, depth + 1, 2))
         z_plus = sum(raw[n - 1] for n in range(2, depth + 1, 2))
+        masses = [
+            raw[n - 1] / (z_plus if n % 2 == 0 else z_minus) for n in range(1, depth + 1)
+        ]
         signed = [
-            (raw[n - 1] / z_plus) if n % 2 == 0 else -(raw[n - 1] / z_minus)
-            for n in range(1, depth + 1)
+            0.0 if m <= _ZERO_MASS else m if n % 2 == 0 else -m
+            for n, m in enumerate(masses, 1)
         ]
         suffix = [0.0] * (depth + 2)  # suffix[n] = sum_{k >= n} signed[k-1]
         for n in range(depth, 0, -1):

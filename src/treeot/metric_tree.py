@@ -5,7 +5,8 @@ two endpoints and a positive length; edges with a single endpoint are the
 infinite ones and each of them carries exactly one boundary end.  All
 operations are pure functions over an immutable, validated tree:
 
-- path metric and explicit path loci (LCA over a rooted copy of the tree),
+- path metric (LCA over a rooted copy of the tree) and explicit path loci:
+  one walk up the parent pointers gives every locus with its edges,
 - geodesic segments, rays to an end, bi-infinite geodesics between ends,
 - the base-to-geodesic distance of two ends (Gromov product),
 - nearest-point projection onto a geodesic,
@@ -307,21 +308,6 @@ class MetricTree:
         a = self.lca(u, v)
         return self._dist_root[u] + self._dist_root[v] - 2.0 * self._dist_root[a]
 
-    def vertex_path(self, u: str, v: str) -> list[str]:
-        """Ordered vertex sequence of the path u .. v (inclusive)."""
-        a = self.lca(u, v)
-        up = []
-        w = u
-        while w != a:
-            up.append(w)
-            w = self._parent[w][0]
-        down = []
-        w = v
-        while w != a:
-            down.append(w)
-            w = self._parent[w][0]
-        return up + [a] + down[::-1]
-
     def basepoint_distances(self) -> dict[str, float]:
         """Distance from every vertex to the base point, read off the root
         distances: the root is the base point or the first endpoint of its
@@ -367,15 +353,22 @@ class MetricTree:
                     best = d
         return best
 
-    def path_nodes(self, p: TreePoint, q: TreePoint) -> list[tuple[float, TreePoint]]:
-        """Nodes of the locus from p to q: every vertex on the path plus the
-        two endpoints, with arc-length coordinates (0 at p)."""
+    def path_nodes(
+        self, p: TreePoint, q: TreePoint
+    ) -> tuple[list[tuple[float, TreePoint]], list[str]]:
+        """The locus from p to q: its nodes (every vertex on the path plus the
+        two endpoints, with arc-length coordinates, 0 at p) and the edge of
+        each step between consecutive nodes.
+
+        After the best pair of exit vertices is chosen, one walk up the
+        parent pointers, stepping the deeper side until both sides meet at
+        their LCA, gives the vertices and the edges between them."""
         p = self.canonical_point(p)
         q = self.canonical_point(q)
         if p == q:
-            return [(0.0, p)]
+            return [(0.0, p)], []
         if p.edge is not None and p.edge == q.edge:
-            return [(0.0, p), (abs(p.offset - q.offset), q)]
+            return [(0.0, p), (abs(p.offset - q.offset), q)], [p.edge]
         best = None
         for a, ca in self._exits(p):
             for b, cb in self._exits(q):
@@ -383,19 +376,33 @@ class MetricTree:
                 if best is None or d < best[0]:
                     best = (d, a, ca, b, cb)
         total, a, ca, b, cb = best
+        depth, parent, dist = self._depth, self._parent, self._dist_root
+        up, up_edges, down, down_edges = [a], [], [b], []
+        while up[-1] != down[-1]:
+            if depth[up[-1]] >= depth[down[-1]]:
+                w, eid = parent[up[-1]]
+                up.append(w)
+                up_edges.append(eid)
+            else:
+                w, eid = parent[down[-1]]
+                down.append(w)
+                down_edges.append(eid)
+        path = up + down[-2::-1]
+        spans = up_edges + down_edges[::-1]
         nodes: list[tuple[float, TreePoint]] = []
         if not p.is_vertex():
             nodes.append((0.0, p))
+            spans.insert(0, p.edge)
         s = ca
-        prev = None
-        for w in self.vertex_path(a, b):
-            if prev is not None:
-                s += self.vertex_distance(prev, w)
-            nodes.append((s, self.vertex_point(w)))
-            prev = w
+        nodes.append((s, TreePoint(vertex=a)))
+        for prev, w in zip(path, path[1:]):
+            upper = w if depth[w] < depth[prev] else prev
+            s += dist[prev] + dist[w] - 2.0 * dist[upper]
+            nodes.append((s, TreePoint(vertex=w)))
         if not q.is_vertex():
             nodes.append((total, q))
-        return nodes
+            spans.append(q.edge)
+        return nodes, spans
 
     # -- component bookkeeping (perpendiculars, Radon, flows) -----------------
 
@@ -456,30 +463,23 @@ class MetricTree:
                 out[eid] = total - below[e.ends[0]] + own
         return out
 
-    def extension_walk(
-        self, start: str, via_edge: str
-    ) -> tuple[list[tuple[str, str]], TreeEnd]:
-        """Follow the path leaving `start` through `via_edge`, continuing at
-        each vertex along the lowest-id edge other than the one just used,
-        until an infinite edge is reached.
+    def onward_edge(self, v: str, came_by: str) -> str:
+        """The edge by which a path entering vertex v through came_by is
+        continued: the lowest-id other edge at v.  A leaf raises LeafyTree."""
+        for eid in self.incident_edges(v):
+            if eid != came_by:
+                return eid
+        raise LeafyTree(f"extension stuck at leaf {v!r}")
 
-        Returns the finite steps crossed as (edge id, vertex reached) pairs
-        and the end of the final infinite edge.  Dead ends raise LeafyTree;
-        they cannot occur on leaf-free trees.
-        """
-        eid = via_edge
-        v = start
-        steps: list[tuple[str, str]] = []
-        while True:
-            e = self.edge(eid)
-            if e.infinite:
-                return steps, TreeEnd(eid)
+    def extension_walk(self, start: str, via_edge: str) -> TreeEnd:
+        """The end reached by leaving `start` through `via_edge` and going
+        on at every vertex along its onward edge, until an infinite edge."""
+        eid, v = via_edge, start
+        while not self.edge(eid).infinite:
+            e = self._edges[eid]
             v = e.ends[1] if e.ends[0] == v else e.ends[0]
-            steps.append((eid, v))
-            onward = [g for g in self.incident_edges(v) if g != eid]
-            if not onward:
-                raise LeafyTree(f"extension stuck at leaf {v!r}")
-            eid = onward[0]
+            eid = self.onward_edge(v, eid)
+        return TreeEnd(eid)
 
     # -- geodesic constructors ------------------------------------------------
 
@@ -489,7 +489,7 @@ class MetricTree:
         p = self.canonical_point(p)
         return TreeGeodesic(
             self, 0.0, t0, t1, t0 if math.isfinite(t0) else 0.0,
-            ((0.0, p),), None, None,
+            ((0.0, p),), (), None, None,
         )
 
     def geodesic_segment(
@@ -501,9 +501,9 @@ class MetricTree:
         q = self.canonical_point(q)
         if p == q:
             return self.constant_geodesic(p, t0, t1)
-        nodes = self.path_nodes(p, q)
+        nodes, spans = self.path_nodes(p, q)
         speed = nodes[-1][0] / (t1 - t0)
-        return TreeGeodesic(self, speed, t0, t1, t0, tuple(nodes), None, None)
+        return TreeGeodesic(self, speed, t0, t1, t0, nodes, spans, None, None)
 
     def ray_to_end(self, p: TreePoint, end: TreeEnd, speed: float) -> "TreeGeodesic":
         p = self.canonical_point(p)
@@ -513,11 +513,11 @@ class MetricTree:
         if speed == 0.0:
             return self.constant_geodesic(p, 0.0, math.inf)
         if p.edge == end.edge:
-            nodes = [(0.0, p)]
+            nodes, spans = [(0.0, p)], []
         else:
-            nodes = self.path_nodes(p, self.vertex_point(e.ends[0]))
+            nodes, spans = self.path_nodes(p, self.vertex_point(e.ends[0]))
         return TreeGeodesic(
-            self, float(speed), 0.0, math.inf, 0.0, tuple(nodes), None, end
+            self, float(speed), 0.0, math.inf, 0.0, nodes, spans, None, end
         )
 
     def geodesic_between_ends(
@@ -537,9 +537,9 @@ class MetricTree:
             raise EqualEnds(f"both ends are {xi!r}")
         u = self.end_attachment(xi)
         v = self.end_attachment(zeta)
-        nodes = self.path_nodes(self.vertex_point(u), self.vertex_point(v))
+        nodes, spans = self.path_nodes(self.vertex_point(u), self.vertex_point(v))
         prov = TreeGeodesic(
-            self, float(speed), -math.inf, math.inf, 0.0, tuple(nodes), xi, zeta
+            self, float(speed), -math.inf, math.inf, 0.0, nodes, spans, xi, zeta
         )
         if anchor is None:
             anchor_pt = project_to_geodesic(self, self.basepoint, prov)
@@ -552,7 +552,7 @@ class MetricTree:
             raise MalformedTree("anchor does not lie on the geodesic locus")
         shifted = tuple((s - s_a, pt) for s, pt in nodes)
         return TreeGeodesic(
-            self, float(speed), -math.inf, math.inf, t_a, shifted, xi, zeta
+            self, float(speed), -math.inf, math.inf, t_a, shifted, spans, xi, zeta
         )
 
 
@@ -560,28 +560,27 @@ class TreeGeodesic:
     """Constant-speed globally minimizing curve in the tree.
 
     The locus is stored as arc-parametrized nodes (every vertex on the path
-    plus finite endpoints) together with an optional boundary end on each
-    open side; ``s(t) = speed * (t - t_origin)``.
+    plus finite endpoints), the edge of each step between consecutive nodes
+    (``spans``), and an optional boundary end on each open side;
+    ``s(t) = speed * (t - t_origin)``.  Geodesics are built by the tree's
+    constructors, which read the nodes and spans off ``path_nodes``.
     """
 
     __slots__ = (
         "tree", "speed", "t0", "t1", "t_origin",
-        "nodes", "neg_end", "pos_end", "_spans",
+        "nodes", "spans", "neg_end", "pos_end",
     )
 
-    def __init__(self, tree, speed, t0, t1, t_origin, nodes, neg_end, pos_end):
+    def __init__(self, tree, speed, t0, t1, t_origin, nodes, spans, neg_end, pos_end):
         self.tree = tree
         self.speed = float(speed)
         self.t0 = float(t0)
         self.t1 = float(t1)
         self.t_origin = float(t_origin)
         self.nodes = tuple(nodes)
+        self.spans = tuple(spans)
         self.neg_end = neg_end
         self.pos_end = pos_end
-        spans = []
-        for (sa, pa), (sb, pb) in zip(self.nodes, self.nodes[1:]):
-            spans.append(self._common_edge(pa, pb))
-        self._spans = tuple(spans)
 
     # -- identity -------------------------------------------------------------
 
@@ -622,19 +621,6 @@ class TreeGeodesic:
 
     # -- geometry ---------------------------------------------------------------
 
-    def _common_edge(self, pa: TreePoint, pb: TreePoint) -> str:
-        tree = self.tree
-        ea = (
-            set(tree.incident_edges(pa.vertex)) if pa.is_vertex() else {pa.edge}
-        )
-        eb = (
-            set(tree.incident_edges(pb.vertex)) if pb.is_vertex() else {pb.edge}
-        )
-        common = ea & eb
-        if len(common) != 1:
-            raise MalformedTree(f"no unique edge between {pa!r} and {pb!r}")
-        return next(iter(common))
-
     def _offset_on(self, p: TreePoint, eid: str) -> float:
         e = self.tree.edge(eid)
         if p.is_vertex():
@@ -673,7 +659,7 @@ class TreeGeodesic:
             return pa
         if sb - s <= _SNAP:
             return pb
-        eid = self._spans[lo]
+        eid = self.spans[lo]
         oa = self._offset_on(pa, eid)
         ob = self._offset_on(pb, eid)
         off = oa + (s - sa) * (1.0 if ob > oa else -1.0)
@@ -698,7 +684,7 @@ class TreeGeodesic:
                 return s
         if p.edge is None:
             return None
-        for i, eid in enumerate(self._spans):
+        for i, eid in enumerate(self.spans):
             if eid != p.edge:
                 continue
             sa, pa = self.nodes[i]
@@ -730,7 +716,7 @@ class TreeGeodesic:
         if self.neg_end is not None:
             base = self._offset_on(self.nodes[0][1], self.neg_end.edge)
             out.append((self.neg_end.edge, base, math.inf, -1))
-        for i, eid in enumerate(self._spans):
+        for i, eid in enumerate(self.spans):
             oa = self._offset_on(self.nodes[i][1], eid)
             ob = self._offset_on(self.nodes[i + 1][1], eid)
             out.append((eid, min(oa, ob), max(oa, ob), 1 if ob > oa else -1))

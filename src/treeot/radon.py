@@ -23,19 +23,12 @@ trips with zero error; the supplied total mass keeps the operation total.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import ConstantGeodesic, FlagInvalid, InconsistentData, MalformedForRadon
-from .metric_tree import (
-    MetricTree,
-    TreeEnd,
-    TreeGeodesic,
-    TreePoint,
-    project_to_geodesic,
-)
+from .metric_tree import MetricTree, TreeGeodesic, TreePoint, project_to_geodesic
 from .transport import DiscreteMeasure, _merge_atoms
 
 _ZERO = 1e-12
@@ -180,66 +173,30 @@ def radon_invert(
 
 
 def geodesic_through_flag(tree: MetricTree, flag: Flag) -> TreeGeodesic:
-    """A complete unit geodesic whose locus runs through both edges of the
-    flag at its vertex, extended outward along lowest edge ids."""
-    e_neg, e_pos = flag.edges
+    """The complete unit geodesic through both edges of the flag, at the
+    flag's vertex at time 0: its two ends are reached by leaving the vertex
+    through each edge and going on along lowest edge ids."""
     x = flag.vertex
-    neg_nodes, neg_end = _half_locus(tree, x, e_neg)
-    pos_nodes, pos_end = _half_locus(tree, x, e_pos)
-    nodes = [(-s, p) for s, p in reversed(neg_nodes)]
-    nodes.append((0.0, tree.vertex_point(x)))
-    nodes.extend(pos_nodes)
-    return TreeGeodesic(tree, 1.0, -math.inf, math.inf, 0.0, tuple(nodes), neg_end, pos_end)
-
-
-def geodesic_through_edge(tree: MetricTree, eid: str) -> TreeGeodesic:
-    """A complete unit geodesic containing the whole edge, extended outward
-    along lowest edge ids (tie-break rule of the reconstruction)."""
-    e = tree.edge(eid)
-    x = e.ends[0]
-    if e.infinite:
-        neg_nodes, neg_end = _half_locus(tree, x, _lowest_other(tree, x, eid))
-        nodes = [(-s, p) for s, p in reversed(neg_nodes)]
-        nodes.append((0.0, tree.vertex_point(x)))
-        return TreeGeodesic(
-            tree, 1.0, -math.inf, math.inf, 0.0, tuple(nodes), neg_end, TreeEnd(eid)
-        )
-    far = e.ends[1]
-    neg_nodes, neg_end = _half_locus(tree, x, _lowest_other(tree, x, eid))
-    pos_nodes, pos_end = _half_locus(tree, far, _lowest_other(tree, far, eid))
-    nodes = [(-s, p) for s, p in reversed(neg_nodes)]
-    nodes.append((0.0, tree.vertex_point(x)))
-    nodes.extend((e.length + s, p) for s, p in [(0.0, tree.vertex_point(far))] + pos_nodes)
-    # drop the duplicated far vertex introduced above
-    dedup = [nodes[0]]
-    for s, p in nodes[1:]:
-        if p != dedup[-1][1]:
-            dedup.append((s, p))
-    return TreeGeodesic(
-        tree, 1.0, -math.inf, math.inf, 0.0, tuple(dedup), neg_end, pos_end
+    e_neg, e_pos = flag.edges
+    return tree.geodesic_between_ends(
+        tree.extension_walk(x, e_neg),
+        tree.extension_walk(x, e_pos),
+        anchor=tree.vertex_point(x),
     )
 
 
-def _lowest_other(tree: MetricTree, x: str, eid: str) -> str:
-    others = [g for g in tree.incident_edges(x) if g != eid]
-    if not others:
-        raise MalformedForRadon(f"vertex {x!r} is a leaf")
-    return others[0]
-
-
-def _half_locus(tree: MetricTree, x: str, via: str):
-    """Nodes (arc from x, vertex point) strictly beyond x when walking out
-    through `via` to an end, plus the end."""
-    e = tree.edge(via)
-    if e.infinite:
-        return [], tree.end(via)
-    steps, end = tree.extension_walk(x, via)
-    nodes = []
-    s = 0.0
-    for eid, v in steps:
-        s += tree.edge(eid).length
-        nodes.append((s, tree.vertex_point(v)))
-    return nodes, end
+def geodesic_through_edge(tree: MetricTree, eid: str) -> TreeGeodesic:
+    """The complete unit geodesic containing the whole edge, at the edge's
+    first endpoint x at time 0 and running toward the edge: it leaves x
+    through the edge on one side and through x's onward edge on the other,
+    each continued along lowest edge ids (tie-break rule of the
+    reconstruction)."""
+    x = tree.edge(eid).ends[0]
+    return tree.geodesic_between_ends(
+        tree.extension_walk(x, tree.onward_edge(x, eid)),
+        tree.extension_walk(x, eid),
+        anchor=tree.vertex_point(x),
+    )
 
 
 # -- full measure reconstruction ---------------------------------------------------

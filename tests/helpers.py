@@ -196,6 +196,25 @@ def perpendicular_set(tree: T.MetricTree, x: str, e: str, f: str) -> set[str]:
     return out
 
 
+def common_edge(tree: T.MetricTree, pa: T.TreePoint, pb: T.TreePoint) -> str:
+    """The one edge joining two consecutive locus nodes, from their incident
+    edge sets (an interior point's set is its own edge)."""
+    ea = set(tree.incident_edges(pa.vertex)) if pa.is_vertex() else {pa.edge}
+    eb = set(tree.incident_edges(pb.vertex)) if pb.is_vertex() else {pb.edge}
+    common = ea & eb
+    assert len(common) == 1, f"no unique edge between {pa!r} and {pb!r}"
+    return next(iter(common))
+
+
+def assert_spans(tree: T.MetricTree, gamma: T.TreeGeodesic) -> None:
+    """Every span of gamma is the edge common_edge finds between its two
+    nodes, and every step's arc length is their breadth-first distance."""
+    steps = list(zip(gamma.nodes, gamma.nodes[1:]))
+    assert gamma.spans == tuple(common_edge(tree, pa, pb) for (_, pa), (_, pb) in steps)
+    for (sa, pa), (sb, pb) in steps:
+        assert abs((sb - sa) - bfs_distance(tree, pa, pb)) <= 1e-12
+
+
 def permutation_cost(tree, xs, ys) -> float:
     """Minimal quadratic cost over permutation couplings of two uniform
     n-point configurations."""

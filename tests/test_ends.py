@@ -187,6 +187,15 @@ def test_comb_family_matches_flow_table():
         )
 
 
+def test_comb_family_matches_flow_table_past_the_dust():
+    # at depth 16384 the deepest teeth normalize to masses below 1e-12; the
+    # family drops them as the generated boundary measures do
+    inst = T.comb_generator(16384, 3.0)
+    table = T.flow_table(inst.tree, inst.nu_minus, inst.nu_plus)
+    value = T.realizability_sum(inst.tree, table).value
+    assert value == pytest.approx(inst.tree.generated_by.partial_sum(16384), abs=1e-12)
+
+
 def test_comb_criteria_diverge_together():
     # on every truncation the -D0^2 optimum equals minus the realizability
     # sum, so the two divergence criteria grow in lockstep with depth

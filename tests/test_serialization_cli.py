@@ -437,6 +437,29 @@ def test_cli_certify_plan_segment_optimal_despite_antagonism(files, capsys):
     assert doc["optimal"] is True
 
 
+def test_cli_plan_feeds_interpolate_past_12_decimals(files, capsys):
+    # w2 prints the offset 0.1234567890123456 at 12 decimals; interpolate
+    # snaps the printed point back onto the input's atom
+    from treeot import cli as treeot_cli
+
+    tree = files("t.json", TRIPOD_JSON)
+    mu = files("mu.json", {"atoms": [
+        {"point": {"edge": "ea", "offset": "0.1234567890123456"}, "mass": "0.5"},
+        {"point": {"vertex": "b"}, "mass": "0.5"},
+    ]})
+    nu = files("nu.json", {"atoms": [
+        {"point": {"vertex": "c"}, "mass": "0.5"},
+        {"point": {"edge": "eb", "offset": "0.25"}, "mass": "0.5"},
+    ]})
+    assert treeot_cli.run(["w2", "--tree", tree, "--mu", mu, "--nu", nu]) == 0
+    plan = files("plan.json", json.loads(capsys.readouterr().out)["plan"])
+    assert treeot_cli.run(["interpolate", "--tree", tree, "--mu", mu, "--nu", nu]) == 0
+    solved = capsys.readouterr().out
+    argv = ["interpolate", "--tree", tree, "--mu", mu, "--nu", nu, "--plan", plan]
+    assert treeot_cli.run(argv) == 0
+    assert capsys.readouterr().out == solved
+
+
 def test_cli_round_trip_at_scale(tmp_path):
     # w2 -> interpolate --plan -> certify-plan on 100 atoms per side, every
     # file read back through the CLI's own readers (inputs at 12 decimals).
