@@ -204,14 +204,13 @@ def asymptotic_formula_check(
         rows.append((t, d / t))
 
     t_exit = _certified_branch_exit(mu, sigma)
-    slopes = [
-        [
-            tree.distance(g.evaluate(t_exit + 1.0), h.evaluate(t_exit + 1.0))
-            - tree.distance(g.evaluate(t_exit), h.evaluate(t_exit))
-            for h, _ in sigma.atoms
-        ]
-        for g, _ in mu.atoms
-    ]
+    far, near = (
+        tree.distance_matrix(
+            [g.evaluate(t) for g, _ in mu.atoms], [h.evaluate(t) for h, _ in sigma.atoms]
+        )
+        for t in (t_exit + 1.0, t_exit)
+    )
+    slopes = [[a - b for a, b in zip(fr, nr)] for fr, nr in zip(far, near)]
     value, _, _ = solve_transport(
         range(len(mu.atoms)), [m for _, m in mu.atoms],
         range(len(sigma.atoms)), [m for _, m in sigma.atoms],

@@ -5,8 +5,10 @@ two endpoints and a positive length; edges with a single endpoint are the
 infinite ones and each of them carries exactly one boundary end.  All
 operations are pure functions over an immutable, validated tree:
 
-- path metric (LCA over a rooted copy of the tree) and explicit path loci:
-  one walk up the parent pointers gives every locus with its edges,
+- path metric: a sparse table of range minima over the rooted preorder,
+  built on the first query, answers every LCA in O(1);
+  ``distance_matrix`` is the batched entry point, and one walk up the
+  parent pointers gives every explicit path locus with its edges,
 - geodesic segments, rays to an end, bi-infinite geodesics between ends,
 - the base-to-geodesic distance of two ends (Gromov product),
 - nearest-point projection onto a geodesic,
@@ -14,10 +16,11 @@ operations are pure functions over an immutable, validated tree:
 
 The constructor walks the finite edges once, depth first from the root (the
 base point, or the first endpoint of its edge), and every structure query
-reads that rooted copy: parent pointers and depths for LCA and paths, root
-distances for base-point distances, a preorder with subtree sizes for the
-components of X minus a vertex, and reverse-preorder subtree sums for the
-mass beyond every edge (flows, the Radon transform).
+reads that rooted copy: parent pointers and depths for paths, depths along
+the preorder for the LCA table, root distances for base-point distances, a
+preorder with subtree sizes for the components of X minus a vertex, and
+reverse-preorder subtree sums for the mass beyond every edge (flows, the
+Radon transform).
 
 Numeric conventions: 64-bit floats, comparison tolerance 1e-9, snapping of
 arc arithmetic dust at 1e-12.
@@ -251,6 +254,28 @@ class MetricTree:
         self._order = order
         self._pre = {v: i for i, v in enumerate(order)}
         self._size = size
+        self._lca_table: list[list[int]] | None = None
+
+    def _build_lca_table(self) -> list[list[int]]:
+        """Sparse table of range minima over the preorder (Bender and
+        Farach-Colton, "The LCA problem revisited"), built on the first LCA
+        query so that trees never queried do not pay for it.
+
+        Position i holds depth * n + (preorder position of its parent), and
+        row k the minimum over positions i .. i + 2^k - 1.  For vertices at
+        positions i < j, the shallowest vertices at positions i+1 .. j are
+        children of the LCA (the one leading to j, or any sibling of it), so
+        the minimum's remainder mod n is the LCA's position."""
+        n, pre, depth, parent = len(self._order), self._pre, self._depth, self._parent
+        row = [0] + [depth[v] * n + pre[parent[v][0]] for v in self._order[1:]]
+        table = [row]
+        half = 1
+        while 2 * half <= n:
+            row = list(map(min, row, row[half:]))
+            table.append(row)
+            half *= 2
+        self._lca_table = table
+        return table
 
     # -- points -------------------------------------------------------------
 
@@ -291,18 +316,24 @@ class MetricTree:
 
     # -- path metric ---------------------------------------------------------
 
+    def _lca_position(self, i: int, j: int) -> int:
+        """Preorder position of the LCA of the vertices at positions i, j."""
+        if i == j:
+            return i
+        if i > j:
+            i, j = j, i
+        table = self._lca_table or self._build_lca_table()
+        k = (j - i).bit_length() - 1
+        row = table[k]
+        a, b = row[i + 1], row[j + 1 - (1 << k)]
+        return (a if a < b else b) % len(self._order)
+
     def lca(self, u: str, v: str) -> str:
-        du, dv = self._depth[u], self._depth[v]
-        while du > dv:
-            u = self._parent[u][0]
-            du -= 1
-        while dv > du:
-            v = self._parent[v][0]
-            dv -= 1
-        while u != v:
-            u = self._parent[u][0]
-            v = self._parent[v][0]
-        return u
+        try:
+            i, j = self._pre[u], self._pre[v]
+        except KeyError as exc:
+            raise MalformedTree(f"unknown vertex {exc.args[0]!r}") from None
+        return self._order[self._lca_position(i, j)]
 
     def vertex_distance(self, u: str, v: str) -> float:
         a = self.lca(u, v)
@@ -352,6 +383,52 @@ class MetricTree:
                 if d < best:
                     best = d
         return best
+
+    def distance_matrix(
+        self, xs: Sequence[TreePoint], ys: Sequence[TreePoint]
+    ) -> list[list[float]]:
+        """``distance(x, y)`` for every x in xs (rows) and y in ys (columns),
+        bit for bit.
+
+        Each point is canonicalised and its exits read once, and each
+        distinct pair of exit vertices is answered once; every entry then
+        takes the same minimum over exits as ``distance``, summed the same
+        way."""
+        px = [self.canonical_point(p) for p in xs]
+        py = [self.canonical_point(q) for q in ys]
+        ex = [self._exits(p) for p in px]
+        ey = [self._exits(q) for q in py]
+        pre, order, dist = self._pre, self._order, self._dist_root
+        # vd[a][at[b]] = vertex_distance(a, b) for exit vertices a of xs, b of ys
+        at = {b: k for k, b in enumerate(dict.fromkeys(b for e in ey for b, _ in e))}
+        b_exits = [(pre[b], dist[b]) for b in at]
+        vd: dict[str, list[float]] = {}
+        for e in ex:
+            for a, _ in e:
+                if a not in vd:
+                    i, da = pre[a], dist[a]
+                    vd[a] = [
+                        da + db - 2.0 * dist[order[self._lca_position(i, j)]]
+                        for j, db in b_exits
+                    ]
+        ey = [[(at[b], cb) for b, cb in e] for e in ey]
+        out = []
+        for p, pe in zip(px, ex):
+            rows = [(vd[a], ca) for a, ca in pe]
+            line = []
+            for q, qe in zip(py, ey):
+                if p.edge is not None and p.edge == q.edge:
+                    line.append(abs(p.offset - q.offset))
+                    continue
+                best = math.inf
+                for row, ca in rows:
+                    for k, cb in qe:
+                        d = ca + row[k] + cb
+                        if d < best:
+                            best = d
+                line.append(best)
+            out.append(line)
+        return out
 
     def path_nodes(
         self, p: TreePoint, q: TreePoint

@@ -292,8 +292,9 @@ def wasserstein2(tree: MetricTree, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
     """
     xs, ms = mu.points(), mu.masses()
     ys, ns = nu.points(), nu.masses()
+    cost = [[d ** 2 for d in row] for row in tree.distance_matrix(xs, ys)]
     value, entries, sol = solve_transport(
-        xs, ms, ys, ns, lambda p, q: tree.distance(p, q) ** 2
+        range(len(xs)), ms, range(len(ys)), ns, lambda i, j: cost[i][j]
     )
     plan = TransportPlan(
         tuple((xs[i], ys[j], q) for i, j, q in entries),
@@ -391,8 +392,8 @@ def is_cyclically_monotone(
     k = len(plan.entries)
     if k == 0:
         return MonotonicityCertificate(True, 0, None, 0.0)
-    ys = [y for _, y, _ in plan.entries]
-    cost = np.array([[tree.distance(x, y) ** 2 for y in ys] for x, _, _ in plan.entries])
+    d = tree.distance_matrix([x for x, _, _ in plan.entries], [y for _, y, _ in plan.entries])
+    cost = np.array([[v ** 2 for v in row] for row in d])
     w = cost - np.diagonal(cost)[:, None]
     best, witness = min_improvement_cycle(w, k)
     if witness is None:

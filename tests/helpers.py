@@ -165,6 +165,29 @@ def bfs_distance(tree: T.MetricTree, p: T.TreePoint, q: T.TreePoint) -> float:
     )
 
 
+def parent_vertex(tree: T.MetricTree, v: str) -> str | None:
+    """The other endpoint of v's edge toward the root (None at the root)."""
+    eid = tree.parent_edge(v)
+    if eid is None:
+        return None
+    a, b = tree.edges[eid].ends
+    return a if b == v else b
+
+
+def naive_lca(tree: T.MetricTree, u: str, v: str) -> str:
+    """Lowest common ancestor by walking parent edges up to the root: the
+    first vertex on v's root path that also lies on u's."""
+
+    def root_path(w):
+        path = [w]
+        while (w := parent_vertex(tree, w)) is not None:
+            path.append(w)
+        return path
+
+    on_u = set(root_path(u))
+    return next(w for w in root_path(v) if w in on_u)
+
+
 def component_vertices(tree: T.MetricTree, x: str, via: str) -> set[str]:
     """Vertices of the component of X minus x entered through edge `via`,
     by breadth-first search over the edge list that never re-enters x."""

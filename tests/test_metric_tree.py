@@ -87,6 +87,112 @@ def test_distance_matches_bfs_oracle():
             )
 
 
+# -- LCA table and batched distances ------------------------------------------
+
+
+def _rebased(tree, basepoint):
+    edges = [(e.id, e.ends, e.length) for e in tree.edges.values()]
+    return T.MetricTree(tree.vertices, edges, basepoint)
+
+
+def _lca_pairs(rng, tree):
+    """u == v, root, ancestor/descendant, sibling and random vertex pairs."""
+    names = tree.vertices
+    parent = {v: helpers.parent_vertex(tree, v) for v in names}
+    root = next(v for v, p in parent.items() if p is None)
+    del parent[root]
+    children = {}
+    for v, p in parent.items():
+        children.setdefault(p, []).append(v)
+    pairs = [(v, v) for v in names[:5]] + [(root, v) for v in names[:5]]
+    for v in list(parent)[:20]:
+        pairs += [(v, parent[v]), (parent[v], v), (v, root)]
+    for kids in children.values():
+        if len(kids) > 1:
+            pairs += [(kids[0], kids[1]), (kids[-1], kids[0])]
+    for _ in range(40):
+        pairs.append(tuple(names[int(i)] for i in rng.integers(0, len(names), 2)))
+    return pairs
+
+
+def test_lca_matches_parent_walk_on_random_trees():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 5, 8, 17, 40, 130):
+        tree = helpers.random_tree(rng, n, 2)
+        for u, v in _lca_pairs(rng, tree):
+            assert tree.lca(u, v) == helpers.naive_lca(tree, u, v)
+            assert tree.lca(v, u) == tree.lca(u, v)
+
+
+def test_lca_matches_parent_walk_on_deep_comb():
+    comb = T.comb_generator(4096, 3.0).tree
+    names = comb.vertices
+    rng = np.random.default_rng(43)
+    # rooted at the first vertex (a path: every pair is ancestor and
+    # descendant) and at a middle one (pairs on both sides meet at the root)
+    for tree in (comb, _rebased(comb, names[1500])):
+        pairs = _lca_pairs(rng, tree) + [
+            (names[0], names[-1]), (names[-1], names[0]), (names[1499], names[1501]),
+            (names[0], names[4095]), (names[2047], names[2048]),
+        ]
+        for u, v in pairs:
+            assert tree.lca(u, v) == helpers.naive_lca(tree, u, v)
+
+
+def test_lca_and_vertex_distance_reject_unknown_vertex(tripod):
+    for u, v in (("nope", "a"), ("a", "nope"), ("nope", "nope")):
+        with pytest.raises(MalformedTree, match="nope"):
+            tripod.lca(u, v)
+        with pytest.raises(MalformedTree, match="nope"):
+            tripod.vertex_distance(u, v)
+
+
+def test_distance_matrix_equals_distance_exactly():
+    rng = np.random.default_rng(47)
+    for trial in range(12):
+        tree = helpers.random_tree(rng, int(rng.integers(1, 30)), int(rng.integers(1, 4)))
+        finite = sorted(e.id for e in tree.edges.values() if not e.infinite)
+        if finite and trial % 2:
+            fe = tree.edges[finite[int(rng.integers(0, len(finite)))]]
+            tree = _rebased(tree, tree.edge_point(fe.id, 0.5 * fe.length))
+        pts = [tree.vertex_point(v) for v in tree.vertices[:4]]
+        pts += [helpers.random_point(rng, tree) for _ in range(12)]
+        for eid in (finite[:2] + list(tree.report.infinite_edges[:1])):
+            e = tree.edges[eid]
+            top = e.length if not e.infinite else 4.0
+            # several points on one edge, so that same-edge pairs occur, and
+            # a point given at offset 0, which canonicalises to a vertex
+            pts += [tree.edge_point(eid, float(s) * top) for s in rng.uniform(0, 1, 3)]
+            pts.append(T.TreePoint(edge=eid, offset=0.0))
+        rng.shuffle(pts)
+        xs, ys = pts[: len(pts) // 2 + 1], pts[len(pts) // 3:]
+        got = tree.distance_matrix(xs, ys)
+        assert got == [[tree.distance(x, y) for y in ys] for x in xs]
+        assert tree.distance_matrix(xs, []) == [[] for _ in xs]
+        assert tree.distance_matrix([], ys) == []
+
+
+def test_deep_comb_distances_are_exact():
+    tree = T.comb_generator(16384, 3.0).tree
+    rng = np.random.default_rng(53)
+    pairs = [(1, 16384), (16384, 1), (8192, 8193), (5, 5)]
+    pairs += [tuple(int(i) for i in rng.integers(1, 16385, 2)) for _ in range(200)]
+    vertex = lambda a: tree.vertex_point(f"v{a:05d}")
+    for a, b in pairs:
+        assert tree.distance(vertex(a), vertex(b)) == float(abs(a - b))
+    # points on the teeth, at integer offsets: every sum stays exact
+    xs = [tree.edge_point(f"t{a:05d}", a % 7 + 1.0) for a, _ in pairs]
+    ys = [vertex(b) for _, b in pairs] + [tree.edge_point(f"t{b:05d}", 3.0) for _, b in pairs]
+    got = tree.distance_matrix(xs, ys)
+    n = len(pairs)
+    for i, (a, _) in enumerate(pairs):
+        off = a % 7 + 1.0
+        for j, (_, b) in enumerate(pairs):
+            assert got[i][j] == off + abs(a - b)
+            want = abs(off - 3.0) if a == b else off + abs(a - b) + 3.0
+            assert got[i][n + j] == want
+
+
 def test_four_point_condition():
     rng = np.random.default_rng(11)
     for _ in range(20):
