@@ -22,7 +22,7 @@ from .boundary import asymptotic_formula_check, w_infinity
 from .dynamics import interpolate, is_optimal_dynamical
 from .ends import comb_generator, construct_geodesic, flow_table, realizability_sum
 from .errors import TreeOTError
-from .radon import combinatorial_radon, radon_invert, VertexFunction
+from .radon import combinatorial_radon, radon_invert
 from .transport import is_cyclically_monotone, wasserstein2
 
 logger = logging.getLogger("treeot")
@@ -290,10 +290,7 @@ def _dispatch(args) -> str:
         return io.dumps(io.dynamical_plan_to_json(plan))
 
     if cmd == "radon":
-        doc = _load_json(args.function)
-        h = VertexFunction.from_mapping(
-            tree, {v: io.parse_number(x) for v, x in doc["values"].items()}
-        )
+        h = io.vertex_function_from_json(tree, _load_json(args.function))
         data = combinatorial_radon(tree, h)
         return io.dumps(
             {"data": io.radon_data_to_json(data), "total": io.fmt_exact(h.total)}

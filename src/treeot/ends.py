@@ -328,7 +328,22 @@ class CombFamily:
     max_doublings: int = 12
 
     def tooth_masses(self, depth: int) -> list[float]:
-        return [float(n) ** (-self.mass_exponent) for n in range(1, depth + 1)]
+        """Tooth masses of the depth truncation, normalized per parity.
+
+        Raises ValueError when a parity's normaliser is zero, infinite or
+        NaN (depth < 2, or an exponent too large in magnitude or not finite).
+        """
+        try:
+            raw = [float(n) ** (-self.mass_exponent) for n in range(1, depth + 1)]
+        except OverflowError:  # n^(-exponent) beyond the largest float
+            raw = [math.inf]
+        z_minus, z_plus = sum(raw[0::2]), sum(raw[1::2])
+        if not (0.0 < z_minus < math.inf and 0.0 < z_plus < math.inf):
+            raise ValueError(
+                f"comb mass exponent {self.mass_exponent} leaves a parity "
+                f"normaliser at depth {depth} zero or not finite"
+            )
+        return [m / (z_minus if n % 2 else z_plus) for n, m in enumerate(raw, 1)]
 
     def partial_sum(self, depth: int) -> float:
         """Sum of specific flows times squared base distance for the depth
@@ -336,12 +351,9 @@ class CombFamily:
         tooth masses at or below 1e-12 are dropped, as the generated
         boundary measures drop them, so the sum is the one read off the
         generated tree."""
-        raw = self.tooth_masses(depth)
-        z_minus = sum(raw[n - 1] for n in range(1, depth + 1, 2))
-        z_plus = sum(raw[n - 1] for n in range(2, depth + 1, 2))
-        masses = [
-            raw[n - 1] / (z_plus if n % 2 == 0 else z_minus) for n in range(1, depth + 1)
-        ]
+        if depth < 2:
+            return 0.0
+        masses = self.tooth_masses(depth)
         signed = [
             0.0 if m <= _ZERO_MASS else m if n % 2 == 0 else -m
             for n, m in enumerate(masses, 1)
@@ -370,10 +382,15 @@ def comb_generator(depth: int, mass_exponent: float) -> CombInstance:
     """Depth truncation of the comb family.
 
     Needs depth >= 2 so that both parities carry mass; a one-tooth comb
-    would leave the even-parity measure empty.
+    would leave the even-parity measure empty.  The exponent must be finite
+    and leave both parities' normalisers positive and finite.
     """
     if depth < 2:
         raise ValueError("comb needs depth >= 2 to populate both measures")
+    if not math.isfinite(mass_exponent):
+        raise ValueError(f"comb mass exponent {mass_exponent} is not finite")
+    family = CombFamily(float(mass_exponent), depth)
+    masses = family.tooth_masses(depth)
     width = len(str(depth))
     vname = lambda n: f"v{n:0{width}d}"
     vertices = [vname(n) for n in range(1, depth + 1)]
@@ -383,18 +400,8 @@ def comb_generator(depth: int, mass_exponent: float) -> CombInstance:
     for n in range(1, depth + 1):
         edges.append((f"t{n:0{width}d}", (vname(n),), math.inf))
     tree = MetricTree(vertices, edges, vname(1))
-    tree.generated_by = CombFamily(float(mass_exponent), depth)
-
-    family = tree.generated_by
-    raw = family.tooth_masses(depth)
-    minus_atoms = [
-        (TreeEnd(f"t{n:0{width}d}"), raw[n - 1]) for n in range(1, depth + 1, 2)
-    ]
-    plus_atoms = [
-        (TreeEnd(f"t{n:0{width}d}"), raw[n - 1]) for n in range(2, depth + 1, 2)
-    ]
-    zm = sum(m for _, m in minus_atoms)
-    zp = sum(m for _, m in plus_atoms)
-    nu_minus = BoundaryMeasure.from_atoms(tree, [(e, m / zm) for e, m in minus_atoms])
-    nu_plus = BoundaryMeasure.from_atoms(tree, [(e, m / zp) for e, m in plus_atoms])
+    tree.generated_by = family
+    tooth = lambda n: (TreeEnd(f"t{n:0{width}d}"), masses[n - 1])
+    nu_minus = BoundaryMeasure.from_atoms(tree, [tooth(n) for n in range(1, depth + 1, 2)])
+    nu_plus = BoundaryMeasure.from_atoms(tree, [tooth(n) for n in range(2, depth + 1, 2)])
     return CombInstance(tree, nu_minus, nu_plus)

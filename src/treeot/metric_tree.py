@@ -287,6 +287,8 @@ class MetricTree:
     def edge_point(self, eid: str, offset: float) -> TreePoint:
         e = self.edge(eid)
         offset = float(offset)
+        if not math.isfinite(offset):
+            raise MalformedTree(f"offset {offset} on edge {eid!r} is not finite")
         if offset < -_SNAP or (not e.infinite and offset > e.length + _SNAP):
             raise MalformedTree(
                 f"offset {offset} outside edge {eid!r} of length {e.length}"

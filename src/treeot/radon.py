@@ -23,6 +23,7 @@ trips with zero error; the supplied total mass keeps the operation total.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -141,9 +142,12 @@ def radon_invert(
     Exact rational arithmetic end to end: binary floats convert losslessly
     to fractions, so integer-valued inputs reconstruct with zero error.  The
     reconstruction is re-transformed and compared against the input; any
-    disagreement beyond 1e-7 raises InconsistentData.
+    disagreement beyond 1e-7 raises InconsistentData, and so does a NaN or
+    infinite value, which no vertex function transforms to.
     """
     require_radon_tree(tree)
+    if not all(math.isfinite(v) for v in (total, *data.values())):
+        raise InconsistentData("Radon data and total must be finite")
     total_f = Fraction(total)
     values: dict[str, float] = {}
     for x in tree.vertices:

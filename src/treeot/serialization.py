@@ -5,6 +5,11 @@ outputs always emit strings (12 decimal places for computed floats, bare
 integers for exactly integral values such as inverted Radon data, "inf"
 for infinite lengths).  Dumps are deterministic: sorted keys, fixed
 separators, fixed formatting, so identical inputs give identical bytes.
+
+Readers check the shape of what they index: an object where an object is
+expected, a list where a list is, a string for every name.  A wrong shape
+raises ValueError, a parse error like malformed JSON, never a TypeError
+from deep inside the library.
 """
 
 from __future__ import annotations
@@ -37,6 +42,26 @@ def fmt_exact(x: float) -> str:
     return fmt(x)
 
 
+_SHAPES = {dict: "a JSON object", list: "a JSON array", str: "a string"}
+
+
+def _shaped(value: Any, kind: type, what: str) -> Any:
+    """value, checked to be a dict, list or str (see _SHAPES)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_SHAPES[kind]}, got {json.dumps(value)[:40]}")
+    return value
+
+
+def _field(doc: Any, key: str, kind: type) -> Any:
+    """doc[key] of a JSON object doc, checked to be a dict, list or str."""
+    return _shaped(_shaped(doc, dict, f"the parent of {key!r}")[key], kind, repr(key))
+
+
+def _names(doc: Any, key: str) -> list[str]:
+    """doc[key]: a list of strings."""
+    return [_shaped(v, str, f"an entry of {key!r}") for v in _field(doc, key, list)]
+
+
 def parse_number(v: Any) -> float:
     if isinstance(v, (int, float)):
         return float(v)
@@ -58,17 +83,18 @@ def parse_number(v: Any) -> float:
 
 def tree_from_json(doc: dict) -> MetricTree:
     edges = [
-        (e["id"], tuple(e["ends"]), parse_number(e["length"]))
-        for e in doc["edges"]
+        (_field(e, "id", str), tuple(_names(e, "ends")), parse_number(e["length"]))
+        for e in _field(doc, "edges", list)
     ]
-    tree = MetricTree(doc["vertices"], edges, _point_placeholder(doc["basepoint"]))
-    return tree
+    return MetricTree(
+        _names(doc, "vertices"), edges, _point_placeholder(_field(doc, "basepoint", dict))
+    )
 
 
 def _point_placeholder(doc: dict) -> TreePoint:
-    if "vertex" in doc:
-        return TreePoint(vertex=doc["vertex"])
-    return TreePoint(edge=doc["edge"], offset=parse_number(doc["offset"]))
+    if "vertex" in _shaped(doc, dict, "a point"):
+        return TreePoint(vertex=_field(doc, "vertex", str))
+    return TreePoint(edge=_field(doc, "edge", str), offset=parse_number(doc["offset"]))
 
 
 def point_from_json(tree: MetricTree, doc: dict) -> TreePoint:
@@ -104,9 +130,14 @@ def measure_from_json(tree: MetricTree, doc: dict) -> DiscreteMeasure:
         tree,
         [
             (point_from_json(tree, a["point"]), parse_number(a["mass"]))
-            for a in doc["atoms"]
+            for a in _atoms(doc)
         ],
     )
+
+
+def _atoms(doc: Any) -> list[dict]:
+    """doc["atoms"]: a list of objects."""
+    return [_shaped(a, dict, "an atom") for a in _field(doc, "atoms", list)]
 
 
 def measure_to_json(mu: DiscreteMeasure) -> dict:
@@ -118,11 +149,11 @@ def measure_to_json(mu: DiscreteMeasure) -> dict:
 
 
 def plan_from_json(tree: MetricTree, doc) -> TransportPlan:
-    rows = doc if isinstance(doc, list) else doc["entries"]
+    rows = doc if isinstance(doc, list) else _field(doc, "entries", list)
     return TransportPlan(
         tuple(
             (
-                point_from_json(tree, e["source"]),
+                point_from_json(tree, _shaped(e, dict, "a plan entry")["source"]),
                 point_from_json(tree, e["target"]),
                 parse_number(e["mass"]),
             )
@@ -179,7 +210,7 @@ def geodesic_to_json(g: TreeGeodesic) -> dict:
 
 
 def geodesic_from_json(tree: MetricTree, doc: dict) -> TreeGeodesic:
-    kind = doc["kind"]
+    kind = _field(doc, "kind", str)
     if kind == "constant":
         return tree.constant_geodesic(
             point_from_json(tree, doc["point"]),
@@ -196,13 +227,13 @@ def geodesic_from_json(tree: MetricTree, doc: dict) -> TreeGeodesic:
     if kind == "ray":
         return tree.ray_to_end(
             point_from_json(tree, doc["start"]),
-            tree.end(doc["end"]),
+            tree.end(_field(doc, "end", str)),
             parse_number(doc["speed"]),
         )
     if kind == "complete":
         return tree.geodesic_between_ends(
-            tree.end(doc["neg_end"]),
-            tree.end(doc["pos_end"]),
+            tree.end(_field(doc, "neg_end", str)),
+            tree.end(_field(doc, "pos_end", str)),
             speed=parse_number(doc["speed"]),
             anchor=point_from_json(tree, doc["anchor"]),
             anchor_time=parse_number(doc["anchor_time"]),
@@ -225,7 +256,7 @@ def dynamical_plan_from_json(tree: MetricTree, doc: dict) -> DynamicalPlan:
         tree,
         [
             (geodesic_from_json(tree, a["geodesic"]), parse_number(a["mass"]))
-            for a in doc["atoms"]
+            for a in _atoms(doc)
         ],
     )
 
@@ -236,7 +267,7 @@ def dynamical_plan_from_json(tree: MetricTree, doc: dict) -> DynamicalPlan:
 def boundary_measure_from_json(tree: MetricTree, doc: dict) -> BoundaryMeasure:
     return BoundaryMeasure.from_atoms(
         tree,
-        [(tree.end(a["end"]), parse_number(a["mass"])) for a in doc["atoms"]],
+        [(tree.end(_field(a, "end", str)), parse_number(a["mass"])) for a in _atoms(doc)],
     )
 
 
@@ -248,9 +279,9 @@ def boundary_measure_to_json(bm: BoundaryMeasure) -> dict:
 
 def cone_measure_from_json(tree: MetricTree, doc: dict) -> ConeMeasure:
     atoms = []
-    for a in doc["atoms"]:
+    for a in _atoms(doc):
         end = a.get("end")
-        end = None if end in (None, "apex") else tree.end(end)
+        end = None if end in (None, "apex") else tree.end(_shaped(end, str, "'end'"))
         atoms.append((end, parse_number(a["speed"]), parse_number(a["mass"])))
     return ConeMeasure.from_atoms(tree, atoms)
 
@@ -297,9 +328,9 @@ def flow_table_to_json(tree: MetricTree, table: FlowTable) -> dict:
 
 def radon_data_from_json(tree: MetricTree, doc: list) -> dict[Flag, float]:
     data = {}
-    for row in doc:
-        e, f = row["edges"]
-        data[Flag.make(tree, row["vertex"], e, f)] = parse_number(row["value"])
+    for row in _shaped(doc, list, "radon data"):
+        e, f = _names(row, "edges")
+        data[Flag.make(tree, _field(row, "vertex", str), e, f)] = parse_number(row["value"])
     return data
 
 
@@ -314,6 +345,11 @@ def radon_data_to_json(data: dict[Flag, float]) -> list:
             }
         )
     return rows
+
+
+def vertex_function_from_json(tree: MetricTree, doc: dict) -> VertexFunction:
+    values = _field(doc, "values", dict)
+    return VertexFunction.from_mapping(tree, {v: parse_number(x) for v, x in values.items()})
 
 
 def vertex_function_to_json(h: VertexFunction) -> dict:

@@ -17,6 +17,9 @@ negative improvement cycle: a plan is optimal for a cost iff no finite
 family of its pairs can lower the total cost by shifting targets along a
 cycle.  The search is Bellman-Ford over the improvement matrix: it ends
 with potentials that re-check in O(k^2), or with a simple violating cycle.
+It is the only numpy code in the package, so numpy is imported inside the
+two functions that run it: importing treeot, and every computation without
+a cycle search, never loads numpy.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import MarginalMismatch, SolverFailure
 from .metric_tree import MetricTree, TreePoint
@@ -41,11 +42,15 @@ def _merge_atoms(atoms: Iterable[tuple[Hashable, float]]) -> tuple[list, float]:
     Returns the kept (key, mass) pairs and the total mass taken *before* the
     dust is dropped, which is what a measure's constructor checks against 1:
     a measure spread over many tiny atoms can shed more than its tolerance
-    as dust.  A merged mass below -1e-12 is not dust and raises.
+    as dust.  A merged mass below -1e-12 is not dust and raises, and so does
+    a NaN or infinite mass, which no comparison would catch.
     """
     merged: dict = {}
     for key, m in atoms:
-        merged[key] = merged.get(key, 0.0) + float(m)
+        m = float(m)
+        if not math.isfinite(m):
+            raise MarginalMismatch(f"non-finite mass {m} at {key!r}")
+        merged[key] = merged.get(key, 0.0) + m
     for key, m in merged.items():
         if m < -_ZERO_MASS:
             raise MarginalMismatch(f"negative mass {m} at {key!r}")
@@ -346,6 +351,8 @@ def min_improvement_cycle(
     given in shift order from its lowest index.  max_cycle < 2 means no
     cycle; otherwise every length is searched.
     """
+    import numpy as np
+
     k = weights.shape[0]
     if k == 0 or max_cycle < 2:
         return 0.0, None
@@ -392,6 +399,8 @@ def is_cyclically_monotone(
     k = len(plan.entries)
     if k == 0:
         return MonotonicityCertificate(True, 0, None, 0.0)
+    import numpy as np
+
     d = tree.distance_matrix([x for x, _, _ in plan.entries], [y for _, y, _ in plan.entries])
     cost = np.array([[v ** 2 for v in row] for row in d])
     w = cost - np.diagonal(cost)[:, None]

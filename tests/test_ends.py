@@ -235,6 +235,13 @@ def test_comb_rejects_depth_one():
         T.comb_generator(1, 3.0)
 
 
+@pytest.mark.parametrize("exponent", [math.inf, -math.inf, math.nan, 1e308, -2000.0])
+def test_comb_rejects_exponents_that_do_not_normalize(exponent):
+    # 1e308 underflows every even tooth to 0, -2000 overflows n^2000
+    with pytest.raises(ValueError):
+        T.comb_generator(10, exponent)
+
+
 # -- the -D0^2 transport problem -----------------------------------------------------------
 
 

@@ -66,6 +66,16 @@ def test_self_loop_rejected():
         T.MetricTree(["a"], [("e1", ("a", "a"), 1.0)], "a")
 
 
+@pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+def test_non_finite_offset_rejected(tripod, star3, offset):
+    with pytest.raises(MalformedTree):
+        tripod.edge_point("ea", offset)
+    with pytest.raises(MalformedTree):
+        star3.edge_point("r1", offset)
+    with pytest.raises(MalformedTree):
+        star3.canonical_point(T.TreePoint(edge="r1", offset=offset))
+
+
 # -- distance ---------------------------------------------------------------
 
 

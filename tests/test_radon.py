@@ -156,6 +156,17 @@ def test_inversion_rejects_inconsistent_data(barbell):
         T.radon_invert(barbell, data, 7.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_inversion_rejects_non_finite_data(barbell, bad):
+    h = T.VertexFunction.from_mapping(barbell, {"u": 2.0, "v": 5.0})
+    data = T.combinatorial_radon(barbell, h)
+    data[_flag(barbell, "u", "r1", "r2")] = bad
+    with pytest.raises(InconsistentData):
+        T.radon_invert(barbell, data, 7.0)
+    with pytest.raises(InconsistentData):
+        T.radon_invert(barbell, T.combinatorial_radon(barbell, h), bad)
+
+
 def test_inversion_rejects_missing_flag(barbell):
     h = T.VertexFunction.from_mapping(barbell, {"u": 2.0, "v": 5.0})
     data = T.combinatorial_radon(barbell, h)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -561,3 +562,86 @@ def test_cli_solver_failure_is_typed(files, monkeypatch, capsys):
         "error": "SolverFailure",
         "message": "dual feasibility violated: plan not optimal",
     }
+
+
+# -- malformed inputs end as typed errors ----------------------------------------------
+
+AT_A = {"atoms": [{"point": {"vertex": "a"}, "mass": "1"}]}
+AT_B = {"atoms": [{"point": {"vertex": "b"}, "mass": "1"}]}
+ON_R1 = {"atoms": [{"end": "r1", "mass": "1"}]}
+RAY_AT_5 = {"interval": {"kind": "ray", "t0": "0", "t1": "inf"}, "atoms": [{"geodesic": 5, "mass": "1"}]}
+SEGMENT_AT_5 = {"interval": {"kind": "segment", "t0": "0", "t1": "1"}, "atoms": [{"geodesic": 5, "mass": "1"}]}
+
+# name: (subcommand, tree, options); a str option is passed inline, any
+# other value is written to a file whose path is passed.
+WRONG_SHAPES = {
+    "tree is a list": ("validate", [1, 2], {}),
+    "vertex name is a list": ("validate", {**TRIPOD_JSON, "vertices": [["o"], "a", "b", "c"]}, {}),
+    "edge id is a number": (
+        "validate", {**TRIPOD_JSON, "edges": [{"id": 5, "ends": ["o", "a"], "length": "1"}]}, {},
+    ),
+    "atoms is a string": ("w2", TRIPOD_JSON, {"--mu": {"atoms": "x"}, "--nu": AT_B}),
+    "point is a string": ("w2", TRIPOD_JSON, {"--mu": {"atoms": [{"point": "a", "mass": "1"}]}, "--nu": AT_B}),
+    "inline point is a list": ("distance", TRIPOD_JSON, {"--p": "[1]", "--q": '{"vertex":"a"}'}),
+    "function values is a list": ("radon", BARBELL_JSON, {"--function": {"values": [1, 2]}}),
+    "radon data is a list of numbers": ("radon-invert", BARBELL_JSON, {"--data": [1, 2], "--total": "0"}),
+    "plan is a list of numbers": ("certify-plan", TRIPOD_JSON, {"--plan": [1, 2]}),
+    "dynamical geodesic is a number": ("certify-plan", TRIPOD_JSON, {"--plan": SEGMENT_AT_5}),
+    "ray geodesic is a number": ("asymptotic", STAR3_JSON, {"--mu": RAY_AT_5, "--sigma": RAY_AT_5}),
+    "boundary end is a list": (
+        "flows", STAR3_JSON, {"--minus": {"atoms": [{"end": ["r1"], "mass": "1"}]}, "--plus": ON_R1},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+def test_cli_wrong_json_shape_is_a_parse_error(files, case):
+    command, tree, options = WRONG_SHAPES[case]
+    argv = [command, "--tree", files("t.json", tree)]
+    for k, (flag, value) in enumerate(options.items()):
+        argv += [flag, value if isinstance(value, str) else files(f"in{k}.json", value)]
+    out = cli(*argv)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("input error: ")
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "mu", [{"atoms": [{"point": {"vertex": "a"}, "mass": "nan"}, {"point": {"vertex": "b"}, "mass": "1"}]},
+           {"atoms": [{"point": {"vertex": "a"}, "mass": "nan"}]}],
+)
+def test_cli_nan_mass_is_a_domain_error(files, mu):
+    tree = files("t.json", TRIPOD_JSON)
+    out = cli("w2", "--tree", tree, "--mu", files("mu.json", mu), "--nu", files("nu.json", AT_B))
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert json.loads(out.stderr)["error"] == "MarginalMismatch"
+
+
+def test_cli_nan_offset_is_a_domain_error(files):
+    tree = files("t.json", TRIPOD_JSON)
+    out = cli("distance", "--tree", tree, "--p", '{"edge":"ea","offset":"nan"}', "--q", '{"vertex":"a"}')
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert json.loads(out.stderr)["error"] == "MalformedTree"
+
+
+@pytest.mark.parametrize("exponent", ["inf", "1e308", "nan"])
+def test_cli_comb_non_finite_exponent_is_a_usage_error(exponent):
+    out = cli("comb", "--depth", "10", "--exponent", exponent)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("input error: ")
+
+
+def test_import_loads_no_numpy():
+    # numpy is loaded by the cyclical-monotonicity search only; this process
+    # has numpy already, so the import is checked in a fresh interpreter.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", "import treeot, treeot.cli, sys; assert 'numpy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr

@@ -2,6 +2,7 @@
 metric axioms at desk scale, cyclical monotonicity certificates."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -91,6 +92,18 @@ def test_negative_mass_rejected(tripod):
         T.DiscreteMeasure.from_atoms(
             tripod, [(tripod.vertex_point("a"), 1.5), (tripod.vertex_point("b"), -0.5)]
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_mass_rejected(tripod, star3, bad):
+    # NaN fails every comparison, so neither the total nor the dust check
+    # would notice it; every measure constructor merges through one check.
+    with pytest.raises(MarginalMismatch):
+        T.DiscreteMeasure.from_atoms(
+            tripod, [(tripod.vertex_point("a"), bad), (tripod.vertex_point("b"), 1.0)]
+        )
+    with pytest.raises(MarginalMismatch):
+        T.BoundaryMeasure.from_atoms(star3, [(star3.end("r1"), bad), (star3.end("r2"), 1.0)])
 
 
 def test_coincident_atoms_merge(tripod):
