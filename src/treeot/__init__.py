@@ -16,6 +16,7 @@ from .errors import (
     MalformedForRadon,
     MalformedTree,
     MarginalMismatch,
+    NonFiniteValue,
     NonUnitMeasure,
     NotAntipodal,
     NotDiracBased,

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 from .errors import MarginalMismatch, NonUnitMeasure, OutOfInterval
 from .metric_tree import MetricTree, TreeEnd, TreePoint
 from .dynamics import DynamicalPlan, pushforward_at
-from .transport import MASS_TOL, _merge_atoms, solve_transport, wasserstein2
+from .transport import MASS_TOL, _merge_atoms, solve_transport, squares_in_range, wasserstein2
 
 _ZERO = 1e-12
 
@@ -47,6 +47,8 @@ class ConeMeasure:
         keyed = []
         for end, speed, mass in atoms:
             speed = float(speed)
+            if not math.isfinite(speed):
+                raise MarginalMismatch(f"non-finite cone speed {speed}")
             if speed <= _ZERO:
                 key: ConeAtomKey = (None, 0.0)
             else:
@@ -91,10 +93,11 @@ class WInfinityResult(NamedTuple):
 def w_infinity(tree: MetricTree, nu1: ConeMeasure, nu2: ConeMeasure) -> WInfinityResult:
     """Exact transport between cone measures for the squared cone metric."""
     ka, kb = nu1.keys(), nu2.keys()
-    value, entries, _ = solve_transport(
-        ka, nu1.masses(), kb, nu2.masses(),
-        lambda p, q: d_infinity(tree, p, q) ** 2,
-    )
+    with squares_in_range("cone distance"):
+        value, entries, _ = solve_transport(
+            ka, nu1.masses(), kb, nu2.masses(),
+            lambda p, q: d_infinity(tree, p, q) ** 2,
+        )
     return WInfinityResult(
         math.sqrt(max(0.0, value)),
         tuple((ka[i], kb[j], q) for i, j, q in entries),
@@ -211,11 +214,12 @@ def asymptotic_formula_check(
         for t in (t_exit + 1.0, t_exit)
     )
     slopes = [[a - b for a, b in zip(fr, nr)] for fr, nr in zip(far, near)]
-    value, _, _ = solve_transport(
-        range(len(mu.atoms)), [m for _, m in mu.atoms],
-        range(len(sigma.atoms)), [m for _, m in sigma.atoms],
-        lambda i, j: slopes[i][j] ** 2,
-    )
+    with squares_in_range("slope"):
+        value, _, _ = solve_transport(
+            range(len(mu.atoms)), [m for _, m in mu.atoms],
+            range(len(sigma.atoms)), [m for _, m in sigma.atoms],
+            lambda i, j: slopes[i][j] ** 2,
+        )
     certified = math.sqrt(max(0.0, value))
 
     w_a = wasserstein2(

@@ -27,7 +27,7 @@ from .errors import (
 from .metric_tree import MetricTree, TreeEnd, gromov_product
 from .boundary import ConeMeasure, asymptotic_measure
 from .dynamics import DynamicalPlan, antagonist_pairs, pushforward_at
-from .transport import _ZERO_MASS, MASS_TOL, _merge_atoms, solve_transport
+from .transport import _ZERO_MASS, MASS_TOL, _merge_atoms, solve_transport, squares_in_range
 
 NEUTRAL_TOL = 1e-12
 
@@ -176,9 +176,10 @@ def realizability_sum(tree: MetricTree, flow: FlowTable) -> RealizabilityResult:
     is a statement about the truncations up to the sampled depth only.
     """
     bp_dist = tree.basepoint_distances()
-    value = sum(
-        flow.specific_flow[x] * bp_dist[x] ** 2 for x in tree.vertices
-    )
+    with squares_in_range("base-point distance"):
+        value = sum(
+            flow.specific_flow[x] * bp_dist[x] ** 2 for x in tree.vertices
+        )
     family = tree.generated_by
     if family is None:
         return RealizabilityResult(value, "FINITE")
@@ -226,11 +227,12 @@ def d0_transport(
             d0[(xi, zeta)] = gromov_product(tree, xi, zeta)
     if any(math.isinf(v) for v in d0.values()):
         raise DiagonalMass("a support pair joins an end to itself")
-    value, idx_entries, _ = solve_transport(
-        xs, [m for _, m in nu_minus.atoms],
-        ys, [m for _, m in nu_plus.atoms],
-        lambda p, q: -(d0[(p, q)] ** 2),
-    )
+    with squares_in_range("D0"):
+        value, idx_entries, _ = solve_transport(
+            xs, [m for _, m in nu_minus.atoms],
+            ys, [m for _, m in nu_plus.atoms],
+            lambda p, q: -(d0[(p, q)] ** 2),
+        )
     return D0Result(value, tuple((xs[i], ys[j], q) for i, j, q in idx_entries))
 
 

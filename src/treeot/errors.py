@@ -76,6 +76,11 @@ class InconsistentData(TreeOTError):
     reconstruction disagrees with the input)."""
 
 
+class NonFiniteValue(TreeOTError):
+    """A number that must be finite is NaN or infinite, or the square of a
+    distance or speed exceeds the float range."""
+
+
 class SolverFailure(TreeOTError):
     """An internal solver or self-check failed: the transport simplex did not
     converge, its dual certificate does not hold, or a constructed result

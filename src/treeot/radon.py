@@ -28,7 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import ConstantGeodesic, FlagInvalid, InconsistentData, MalformedForRadon
+from .errors import (
+    ConstantGeodesic, FlagInvalid, InconsistentData, MalformedForRadon, NonFiniteValue,
+)
 from .metric_tree import MetricTree, TreeGeodesic, TreePoint, project_to_geodesic
 from .transport import DiscreteMeasure, _merge_atoms
 
@@ -62,8 +64,10 @@ class VertexFunction:
     @staticmethod
     def from_mapping(tree: MetricTree, values: Mapping[str, float]) -> "VertexFunction":
         items = tuple(sorted((v, float(h)) for v, h in values.items()))
-        for v, _ in items:
+        for v, h in items:
             tree.vertex_point(v)  # validates
+            if not math.isfinite(h):
+                raise NonFiniteValue(f"non-finite value {h} at vertex {v!r}")
         return VertexFunction(items, sum(h for _, h in items))
 
     def get(self, v: str) -> float:

@@ -7,10 +7,13 @@ variables for an optimality certificate, and pivot deterministically so that
 outputs are byte-stable.  The basis is a spanning tree over rows and columns
 with parent and depth arrays; the entering cell's cycle is found by walking
 up to the lowest common ancestor, and after a pivot only the potentials of
-the re-hung subtree are updated.  The entering cell has the most negative
-reduced cost (lowest (i, j) on ties); the leaving cell is the last blocking
-cell met from the cycle's apex, which keeps the basis strongly feasible
-(Cunningham 1976) and rules out cycling without any random choice.
+the re-hung subtree are updated.  Pricing is block search (as in LEMON and
+Bonneel et al. 2011): each pass prices blocks of about sqrt(m n) cells,
+whole rows at a time from a cursor that persists across pivots, and the
+most negative cell of the first block holding an improving one enters.  The
+leaving cell is the last blocking cell met from the cycle's apex, which
+keeps the basis strongly feasible (Cunningham 1976) and rules out cycling
+without any random choice.
 
 Cyclical monotonicity is certified by searching the support pairs for a
 negative improvement cycle: a plan is optimal for a cost iff no finite
@@ -25,10 +28,12 @@ a cycle search, never loads numpy.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import sub
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from .errors import MarginalMismatch, SolverFailure
+from .errors import MarginalMismatch, NonFiniteValue, SolverFailure
 from .metric_tree import MetricTree, TreePoint
 
 MASS_TOL = 1e-9
@@ -56,6 +61,16 @@ def _merge_atoms(atoms: Iterable[tuple[Hashable, float]]) -> tuple[list, float]:
             raise MarginalMismatch(f"negative mass {m} at {key!r}")
     total = sum(merged.values())
     return [(k, m) for k, m in merged.items() if m > _ZERO_MASS], total
+
+
+@contextmanager
+def squares_in_range(what: str):
+    """Turn the OverflowError of squaring a float beyond about 1.3e154 into
+    NonFiniteValue; the squares themselves stay `x ** 2`."""
+    try:
+        yield
+    except OverflowError:
+        raise NonFiniteValue(f"a squared {what} exceeds the float range") from None
 
 
 @dataclass(frozen=True)
@@ -135,6 +150,7 @@ class SimplexSolution(NamedTuple):
     v: list[float]
     pivots: int = 0
     degenerate_pivots: int = 0  # pivots that moved no mass
+    priced: int = 0  # cells read by the pricing passes
 
 
 def transportation_simplex(
@@ -143,15 +159,27 @@ def transportation_simplex(
     """Minimize sum x_ij c_ij over the transportation polytope.
 
     Network simplex on a spanning tree whose nodes are the rows 0..m-1 and
-    the columns m..m+n-1, rooted at column 0.  Costs may be negative.
-    Entering cell: most negative reduced cost below -1e-12 (relative to the
-    cost scale), lowest (i, j) on ties.  Leaving cell: the last blocking
+    the columns m..m+n-1, rooted at column 0.  Costs may be negative; a NaN
+    or infinite cost raises SolverFailure.  Entering cell, by block search:
+    a pass prices blocks of max(1, isqrt(m n) // n) whole rows, cyclically
+    from a row cursor that persists across pivots, and stops after the first
+    block holding a reduced cost below -1e-12 (relative to the cost scale);
+    the most negative cell priced in the pass enters, the first row priced
+    and then the lowest j winning ties.  A pass that prices all m rows
+    without a candidate proves optimality.  Leaving cell: the last blocking
     cell met when the cycle is traversed from its apex along the entering
     cell, which keeps the basis strongly feasible (Cunningham 1976) and so
     rules out cycling.  The returned duals satisfy u_i + v_j = c_ij on the
     basis; demands must be positive for the anti-cycling guarantee.
+    `priced` counts the cells the pricing passes read.
     """
     m, n = len(supply), len(demand)
+    # The pricing tolerance scales with the largest |cost|; the same pass
+    # rejects NaN (which fails c == c) and infinite costs.
+    big = max((abs(c) if c == c else math.inf for row in cost for c in row), default=0.0)
+    if big == math.inf:
+        raise SolverFailure("non-finite cost")
+    eps = 1e-12 * (1.0 + big)
     a = [float(s) for s in supply]
     scale = sum(a) / sum(demand)
     b = [float(d) * scale for d in demand]
@@ -199,25 +227,31 @@ def transportation_simplex(
             stack.extend(children[k])
 
     hang(list(children[root]))
-    eps = 1e-12 * (1.0 + max((abs(c) for row in cost for c in row), default=0.0))
-    pivots = degenerate = 0
+    # Block search (see the docstring).  The potentials do not change within
+    # a pass, so a pass that wraps all m rows without a candidate proves
+    # optimality exactly as a full scan would.
+    block = max(1, math.isqrt(m * n) // n)
+    cursor = pivots = degenerate = priced = 0
     while True:
-        # Price every cell; strict comparisons keep the lowest (i, j) on ties.
         v = pot[m:]
-        best, enter = -eps, None
-        for i in range(m):
-            red = [c - vj for c, vj in zip(cost[i], v)]
-            low = min(red)
+        best, row, i = -eps, -1, cursor
+        for scanned in range(1, m + 1):
+            low = min(map(sub, cost[i], v))
             if low - pot[i] < best:
-                best, enter = low - pot[i], (i, red.index(low))
-        if enter is None:
+                best, row, row_low = low - pot[i], i, low
+            i = i + 1 if i + 1 < m else 0
+            if row >= 0 and scanned % block == 0:
+                break
+        cursor = i
+        priced += scanned * n
+        if row < 0:
             break
         if pivots == 2000 * (m + n) + 1000:
             raise SolverFailure("transportation simplex did not converge")
         pivots += 1
 
         # The cycle: both ends of the entering cell up to their apex.
-        i, j = enter
+        i, j = row, list(map(sub, cost[row], v)).index(row_low)
         up_row, up_col = [], []
         k, l = i, m + j
         while k != l:
@@ -259,7 +293,7 @@ def transportation_simplex(
         if k != root
     }
     value = sum(q * cost[i][j] for (i, j), q in cells.items())
-    return SimplexSolution(value, cells, pot[:m], pot[m:], pivots, degenerate)
+    return SimplexSolution(value, cells, pot[:m], pot[m:], pivots, degenerate, priced)
 
 
 class W2Result(NamedTuple):
@@ -297,7 +331,8 @@ def wasserstein2(tree: MetricTree, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
     """
     xs, ms = mu.points(), mu.masses()
     ys, ns = nu.points(), nu.masses()
-    cost = [[d ** 2 for d in row] for row in tree.distance_matrix(xs, ys)]
+    with squares_in_range("distance"):
+        cost = [[d ** 2 for d in row] for row in tree.distance_matrix(xs, ys)]
     value, entries, sol = solve_transport(
         range(len(xs)), ms, range(len(ys)), ns, lambda i, j: cost[i][j]
     )
@@ -402,7 +437,8 @@ def is_cyclically_monotone(
     import numpy as np
 
     d = tree.distance_matrix([x for x, _, _ in plan.entries], [y for _, y, _ in plan.entries])
-    cost = np.array([[v ** 2 for v in row] for row in d])
+    with squares_in_range("distance"):
+        cost = np.array([[v ** 2 for v in row] for row in d])
     w = cost - np.diagonal(cost)[:, None]
     best, witness = min_improvement_cycle(w, k)
     if witness is None:

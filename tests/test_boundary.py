@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import treeot as T
-from treeot.errors import NonUnitMeasure, OutOfInterval
+from treeot.errors import MarginalMismatch, NonFiniteValue, NonUnitMeasure, OutOfInterval
 
 import helpers
 
@@ -59,6 +59,19 @@ def test_w_infinity_sqrt2(star3):
         star3, [(star3.end("r1"), 1.0, 0.5), (star3.end("r2"), 1.0, 0.5)]
     )
     assert T.w_infinity(star3, nu1, nu2).distance == pytest.approx(math.sqrt(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cone_measure_rejects_non_finite_speed(star3, bad):
+    with pytest.raises(MarginalMismatch):
+        T.ConeMeasure.from_atoms(star3, [(star3.end("r1"), bad, 0.5), (star3.end("r2"), 1.0, 0.5)])
+
+
+def test_w_infinity_overflowing_square_is_a_domain_error(star3):
+    nu1 = T.ConeMeasure.from_atoms(star3, [(star3.end("r1"), 1e308, 1.0)])
+    nu2 = T.ConeMeasure.from_atoms(star3, [(star3.end("r1"), 1.0, 1.0)])
+    with pytest.raises(NonFiniteValue):
+        T.w_infinity(star3, nu1, nu2)
 
 
 def test_w_infinity_identical_zero(star3):

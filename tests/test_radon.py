@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import treeot as T
-from treeot.errors import ConstantGeodesic, InconsistentData, MalformedForRadon
+from treeot.errors import ConstantGeodesic, InconsistentData, MalformedForRadon, NonFiniteValue
 from treeot.radon import geodesic_through_edge, geodesic_through_flag
 
 import helpers
@@ -165,6 +165,12 @@ def test_inversion_rejects_non_finite_data(barbell, bad):
         T.radon_invert(barbell, data, 7.0)
     with pytest.raises(InconsistentData):
         T.radon_invert(barbell, T.combinatorial_radon(barbell, h), bad)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_vertex_function_rejects_non_finite_value(barbell, bad):
+    with pytest.raises(NonFiniteValue):
+        T.VertexFunction.from_mapping(barbell, {"u": 2.0, "v": bad})
 
 
 def test_inversion_rejects_missing_flag(barbell):

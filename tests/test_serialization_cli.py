@@ -634,6 +634,55 @@ def test_cli_comb_non_finite_exponent_is_a_usage_error(exponent):
     assert out.stderr.startswith("input error: ")
 
 
+def _domain_error(out) -> dict:
+    """The CLI exited 1 with a JSON error object and nothing else."""
+    assert out.returncode == 1, out.stderr
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    return json.loads(out.stderr)
+
+
+def _cone(*atoms):
+    return {"atoms": [{"end": e, "speed": s, "mass": m} for e, s, m in atoms]}
+
+
+def test_cli_w_infinity_nan_speed_is_a_domain_error(files):
+    tree = files("t.json", STAR3_JSON)
+    nu1 = files("nu1.json", _cone(("r1", "nan", "0.5"), ("r2", "1", "0.5")))
+    nu2 = files("nu2.json", _cone(("r1", "1", "1")))
+    assert _domain_error(cli("w-infinity", "--tree", tree, "--nu1", nu1, "--nu2", nu2))["error"] == "MarginalMismatch"
+
+
+def test_cli_radon_nan_value_is_a_domain_error(files):
+    tree = files("t.json", BARBELL_JSON)
+    h = files("h.json", {"values": {"u": "2", "v": "nan"}})
+    assert _domain_error(cli("radon", "--tree", tree, "--function", h))["error"] == "NonFiniteValue"
+
+
+def test_cli_infinite_cost_is_a_solver_failure(files):
+    # 1e308 + 1e308 is an infinite cone distance, whose square is inf: the
+    # solver rejects the cost rather than return a plan for it.
+    tree = files("t.json", STAR3_JSON)
+    nu1 = files("nu1.json", _cone(("r1", "1e308", "1")))
+    nu2 = files("nu2.json", _cone(("r2", "1e308", "1")))
+    err = _domain_error(cli("w-infinity", "--tree", tree, "--nu1", nu1, "--nu2", nu2))
+    assert err == {"error": "SolverFailure", "message": "non-finite cost"}
+
+
+def test_cli_w2_overflowing_square_is_a_domain_error(files):
+    long_leg = {**TRIPOD_JSON, "edges": [{"id": "ea", "ends": ["o", "a"], "length": "1e308"}] + TRIPOD_JSON["edges"][1:]}
+    tree = files("t.json", long_leg)
+    mu, nu = files("mu.json", AT_A), files("nu.json", AT_B)
+    assert _domain_error(cli("w2", "--tree", tree, "--mu", mu, "--nu", nu))["error"] == "NonFiniteValue"
+
+
+def test_cli_w_infinity_overflowing_square_is_a_domain_error(files):
+    tree = files("t.json", STAR3_JSON)
+    nu1 = files("nu1.json", _cone(("r1", "1e308", "1")))
+    nu2 = files("nu2.json", _cone(("r1", "1", "1")))
+    assert _domain_error(cli("w-infinity", "--tree", tree, "--nu1", nu1, "--nu2", nu2))["error"] == "NonFiniteValue"
+
+
 def test_import_loads_no_numpy():
     # numpy is loaded by the cyclical-monotonicity search only; this process
     # has numpy already, so the import is checked in a fresh interpreter.

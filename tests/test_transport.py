@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import treeot as T
-from treeot.errors import MarginalMismatch
+from treeot.errors import MarginalMismatch, NonFiniteValue
 from treeot.transport import certify_duals, min_improvement_cycle, transportation_simplex
 
 import helpers
@@ -149,6 +149,7 @@ def _solve_checked(supply, demand, cost):
     value = sum(q * cost[i][j] for (i, j), q in sol.cells.items())
     assert sol.value == pytest.approx(value, abs=1e-12)
     assert 0 <= sol.degenerate_pivots <= sol.pivots
+    assert sol.priced >= m * n  # the last pass prices every cell
     return sol
 
 
@@ -166,7 +167,8 @@ def test_simplex_degenerate_uniform_signed(n):
 
 
 def test_simplex_uniform_pivot_bound():
-    # first-improving pricing with Bland's rule takes 10257 pivots here, this rule 390
+    # first-improving pricing with Bland's rule takes 10257 pivots here, the
+    # most-negative full scan 390 and block search 666
     n = 60
     rng = np.random.default_rng(61)
     cost = rng.uniform(-5.0, 5.0, size=(n, n)).tolist()
@@ -190,8 +192,23 @@ def test_simplex_zero_supply_rows():
     assert sol.value == pytest.approx(0.5, abs=1e-12)
 
 
-def test_simplex_matches_highs():
+def _highs_value(supply, demand, cost):
+    """Optimal value of the transportation LP by scipy's HiGHS."""
     optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    m, n = len(supply), len(demand)
+    a_eq = sparse.vstack(
+        [sparse.kron(sparse.eye(m), np.ones((1, n))), sparse.kron(np.ones((1, m)), sparse.eye(n))]
+    )
+    ref = optimize.linprog(
+        np.ravel(cost), A_eq=a_eq.tocsr(), b_eq=list(supply) + list(demand), method="highs"
+    )
+    assert ref.status == 0
+    return ref.fun
+
+
+def test_simplex_matches_highs():
+    pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(67)
     shapes = [(2, 2), (5, 3), (4, 9), (12, 12), (25, 25), (30, 18), (60, 60)]
     for m, n in shapes:
@@ -202,14 +219,66 @@ def test_simplex_matches_highs():
                 supply, demand = _random_masses(rng, m), _random_masses(rng, n)
             cost = rng.uniform(-5.0, 5.0, size=(m, n))
             sol = _solve_checked(supply, demand, cost.tolist())
-            a_eq = np.vstack(
-                [np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))]
-            )
-            ref = optimize.linprog(
-                cost.ravel(), A_eq=a_eq, b_eq=supply + demand, method="highs"
-            )
-            assert ref.status == 0
-            assert sol.value == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+            ref = _highs_value(supply, demand, cost)
+            assert sol.value == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "m,n,counts", [(200, 5, [(498, 26230), (647, 27940)]), (120, 8, [(370, 15192), (467, 20016)])]
+)
+def test_simplex_multi_row_blocks_match_highs(m, n, counts):
+    # A pricing block is isqrt(m * n) // n whole rows: 6 rows at 200x5, 3 at
+    # 120x8, so the passes stop at block ends inside the matrix.  The pivot
+    # and priced-cell counts pin the block size and the pass rule, which
+    # decide the plan among tied optima.
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(m + n)
+    for uniform, (pivots, priced) in zip((False, True), counts):
+        if uniform:
+            supply, demand = [1.0 / m] * m, [1.0 / n] * n
+        else:
+            supply, demand = _random_masses(rng, m), _random_masses(rng, n)
+        cost = rng.uniform(-5.0, 5.0, size=(m, n))
+        sol = _solve_checked(supply, demand, cost.tolist())
+        assert (sol.pivots, sol.priced) == (pivots, priced)
+        assert sol.value == pytest.approx(_highs_value(supply, demand, cost), rel=1e-9, abs=1e-12)
+
+
+def test_simplex_pricing_wraps_to_the_row_before_the_cursor():
+    # The northwest corner leaves row 0 with two improving cells and row 1
+    # with none.  The first pass enters (0, 1) and moves the cursor to row 1;
+    # then (0, 2) is the only improving cell, so the second pass must scan
+    # row 1 and wrap round to row 0.  A third full pass proves optimality.
+    cost = [[4.0, 3.0, 3.0], [2.0, 4.0, 4.0]]
+    supply, demand = [0.5, 0.5], [0.5, 1 / 6, 1 / 3]
+    sol = _solve_checked(supply, demand, cost)
+    assert sol.pivots == 2
+    assert sol.priced == 3 + 6 + 6
+    assert sol.value == pytest.approx(2.5, abs=1e-12)
+    assert sol.value == pytest.approx(_highs_value(supply, demand, cost), abs=1e-12)
+
+
+def _uniform_200():
+    n = 200
+    cost = np.random.default_rng(200).uniform(-5.0, 5.0, size=(n, n))
+    return [1.0 / n] * n, [1.0 / n] * n, cost
+
+
+def test_simplex_200_uniform_matches_highs():
+    pytest.importorskip("scipy.optimize")
+    supply, demand, cost = _uniform_200()
+    sol = _solve_checked(supply, demand, cost.tolist())
+    # block search takes 4109 pivots here, the most-negative full scan 2036
+    assert sol.pivots <= 6000
+    assert sol.value == pytest.approx(_highs_value(supply, demand, cost), rel=1e-9, abs=1e-12)
+
+
+def test_simplex_200_uniform_prices_few_cells():
+    # A full scan per pivot reads m * n = 40000 cells each time, about 8e7
+    # in all; block search reads about 1.26e6.
+    supply, demand, cost = _uniform_200()
+    sol = _solve_checked(supply, demand, cost.tolist())
+    assert sol.priced < 5_000_000
 
 
 def test_simplex_pinned_tie_breaks():
@@ -223,7 +292,43 @@ def test_simplex_pinned_tie_breaks():
     cyclic = [[0.0, 1.0, 0.0], [2.0, 1.0, 0.0], [0.0, 2.0, 1.0]]
     sol = transportation_simplex([1 / 3] * 3, [1 / 3] * 3, cyclic)
     third = round(1 / 3, 12)
-    assert support(sol) == [((0, 1), third), ((1, 2), third), ((2, 0), third)]
+    # Both (0,1),(1,2),(2,0) and (0,2),(1,1),(2,0) cost 1/3.  A 3x3 block is
+    # one row, so the first improving row after the cursor enters rather than
+    # the most negative cell of the matrix; that pivots to the second optimum,
+    # the plan Bland's rule chose, where the full scan reached the first.
+    assert support(sol) == [((0, 2), third), ((1, 1), third), ((2, 0), third)]
+    # From the northwest corner, row 0 prices -1 at columns 2 and 3; the
+    # lower column enters.
+    sol = transportation_simplex([0.5] * 2, [0.25] * 4, [[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 1.0, 1.0]])
+    assert sol.pivots == 1
+    assert support(sol) == [((0, 0), 0.25), ((0, 2), 0.25), ((1, 1), 0.25), ((1, 3), 0.25)]
+    # An 8x2 block is two rows.  From the northwest corner, rows 0 and 1 of
+    # the first block both price -2 at column 1; the first row scanned enters.
+    rows = [[2.0, 2.0], [0.0, 0.0], [0.0, 2.0], [0.0, 1.0], [0.0, 2.0], [1.0, 0.0], [2.0, 2.0], [2.0, 2.0]]
+    sol = transportation_simplex([0.125] * 8, [0.5] * 2, rows)
+    assert sol.pivots == 1
+    assert support(sol) == [((0, 1), 0.125), ((1, 0), 0.125), ((2, 0), 0.125), ((3, 0), 0.125),
+                            ((4, 0), 0.125), ((5, 1), 0.125), ((6, 1), 0.125), ((7, 1), 0.125)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_simplex_rejects_non_finite_cost(bad):
+    # The NaN is not the first cost, where max() would ignore it.
+    cost = [[0.0, 1.0], [1.0, bad]]
+    with pytest.raises(T.SolverFailure, match="non-finite cost"):
+        transportation_simplex([0.5, 0.5], [0.5, 0.5], cost)
+
+
+def test_overflowing_squared_distance_is_a_domain_error():
+    # 1e308 is a finite length, but its square is not a float.
+    path = T.MetricTree(["a", "b"], [("e", ("a", "b"), 1e308)], "a")
+    mu = T.DiscreteMeasure.dirac(path, path.vertex_point("a"))
+    nu = T.DiscreteMeasure.dirac(path, path.vertex_point("b"))
+    with pytest.raises(NonFiniteValue):
+        T.wasserstein2(path, mu, nu)
+    plan = T.TransportPlan(((path.vertex_point("a"), path.vertex_point("b"), 1.0),))
+    with pytest.raises(NonFiniteValue):
+        T.is_cyclically_monotone(path, plan)
 
 
 def test_certify_duals_rejects_bad_duals():
