@@ -77,8 +77,9 @@ class InconsistentData(TreeOTError):
 
 
 class NonFiniteValue(TreeOTError):
-    """A number that must be finite is NaN or infinite, or the square of a
-    distance or speed exceeds the float range."""
+    """A number that must be finite is NaN or infinite, a distance between
+    two points overflows, or the square of a distance or speed exceeds the
+    float range."""
 
 
 class SolverFailure(TreeOTError):

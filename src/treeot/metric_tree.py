@@ -38,6 +38,7 @@ from .errors import (
     FlagInvalid,
     LeafyTree,
     MalformedTree,
+    NonFiniteValue,
     OutOfInterval,
 )
 
@@ -384,6 +385,8 @@ class MetricTree:
                 d = ca + self.vertex_distance(a, b) + cb
                 if d < best:
                     best = d
+        if best == math.inf:
+            raise NonFiniteValue(f"distance from {p} to {q} overflows the float range")
         return best
 
     def distance_matrix(
@@ -395,7 +398,8 @@ class MetricTree:
         Each point is canonicalised and its exits read once, and each
         distinct pair of exit vertices is answered once; every entry then
         takes the same minimum over exits as ``distance``, summed the same
-        way."""
+        way.  A distance that overflows to inf raises NonFiniteValue, as in
+        ``distance``."""
         px = [self.canonical_point(p) for p in xs]
         py = [self.canonical_point(q) for q in ys]
         ex = [self._exits(p) for p in px]
@@ -429,6 +433,9 @@ class MetricTree:
                         if d < best:
                             best = d
                 line.append(best)
+            if math.inf in line:
+                q = py[line.index(math.inf)]
+                raise NonFiniteValue(f"distance from {p} to {q} overflows the float range")
             out.append(line)
         return out
 

@@ -18,8 +18,11 @@ without any random choice.
 Cyclical monotonicity is certified by searching the support pairs for a
 negative improvement cycle: a plan is optimal for a cost iff no finite
 family of its pairs can lower the total cost by shifting targets along a
-cycle.  The search is Bellman-Ford over the improvement matrix: it ends
-with potentials that re-check in O(k^2), or with a simple violating cycle.
+cycle.  The improvement matrix over the k entries is gathered from one
+distance matrix over the plan's distinct sources and targets, which the
+entries repeat.  The search is Bellman-Ford over that matrix: it ends with
+potentials that re-check in O(k^2), or, as soon as a round closes a cycle
+in the predecessor graph, with that cycle as a simple violating witness.
 It is the only numpy code in the package, so numpy is imported inside the
 two functions that run it: importing treeot, and every computation without
 a cycle search, never loads numpy.
@@ -371,6 +374,23 @@ class MonotonicityCertificate:
         return self.passed
 
 
+def _predecessor_cycle(pred: list[int], starts: list[int], seen: list[int], stamp: int) -> int:
+    """A node on a cycle of the predecessor graph reached from `starts`, or
+    -1.  A cycle closed in the last round passes through a node relaxed in
+    it, so the walks start only there.  Walk i stamps the nodes it passes
+    with stamp + i.  It stops at the virtual source, whose stamp no walk
+    reaches, at a node an earlier walk of this call stamped, or back on its
+    own path, which is a cycle; stamps below `stamp` are left by earlier
+    calls.  Each node is passed at most once per call."""
+    for walk, e in enumerate(starts, stamp):
+        while seen[e] < stamp:
+            seen[e] = walk
+            e = pred[e]
+        if seen[e] == walk:
+            return e
+    return -1
+
+
 def min_improvement_cycle(
     weights: np.ndarray, max_cycle: int
 ) -> tuple[float, tuple[int, ...] | None]:
@@ -379,12 +399,15 @@ def min_improvement_cycle(
 
     w[e, f] is the cost change of redirecting entry e's mass to entry f's
     target.  Bellman-Ford from a virtual source relaxes a node only when it
-    gains more than MASS_TOL / k.  "None" is returned only after the
-    potentials re-check w[e, f] >= phi_f - phi_e - MASS_TOL / k on every
-    pair, so no cycle weighs less than -MASS_TOL.  A node still relaxing in
-    round k leads back onto a predecessor cycle lighter than -MASS_TOL / k,
-    given in shift order from its lowest index.  max_cycle < 2 means no
-    cycle; otherwise every length is searched.
+    gains more than MASS_TOL / k, for at most k rounds.  "None" is returned
+    only after the potentials re-check w[e, f] >= phi_f - phi_e - MASS_TOL / k
+    on every pair, so no cycle weighs less than -MASS_TOL.  After each round
+    the predecessor graph is walked from the nodes that round relaxed, and
+    the search stops at the first cycle found there: each of its arcs was
+    set by a relaxation gaining more than MASS_TOL / k, so it weighs less
+    than -MASS_TOL / k.  It is given in shift order from its lowest index,
+    with its weight recomputed from w.  max_cycle < 2 means no cycle;
+    otherwise every length is searched.
     """
     import numpy as np
 
@@ -392,26 +415,33 @@ def min_improvement_cycle(
     if k == 0 or max_cycle < 2:
         return 0.0, None
     slack = MASS_TOL / k
+    nodes = np.arange(k)
+    into = np.ascontiguousarray(weights.T)  # into[f, e] = w[e, f]: minima along rows
     phi = np.zeros(k)
-    pred = np.full(k, -1)
-    for _ in range(k):
-        cand = phi[:, None] + weights
-        best = cand.min(axis=0)
+    pred = np.full(k, k)  # k is the virtual source
+    seen = [0] * k + [k * k + 1]  # walk stamps; the source's is above all of them
+    for r in range(k):
+        cand = into + phi
+        arg = cand.argmin(axis=1)
+        best = cand[nodes, arg]
         relaxed = best < phi - slack
-        if not relaxed.any():
+        moved = np.flatnonzero(relaxed)
+        if not moved.size:
             if np.all(weights >= phi[None, :] - phi[:, None] - slack):
                 return 0.0, None
             raise SolverFailure("cycle search potentials fail their re-check")
         phi = np.where(relaxed, best, phi)
-        pred = np.where(relaxed, cand.argmin(axis=0), pred)
+        pred = np.where(relaxed, arg, pred)
+        links = pred.tolist()
+        e = _predecessor_cycle(links, moved.tolist(), seen, r * k + 1)
+        if e >= 0:
+            break
+    else:
+        raise SolverFailure("cycle search still relaxing without a cycle")
 
-    pred = pred.tolist()
-    e = int(np.argmax(relaxed))  # relaxed in round k
-    for _ in range(k):
-        e = pred[e]
     cycle = [e]
-    while pred[cycle[-1]] != e:
-        cycle.append(pred[cycle[-1]])
+    while links[cycle[-1]] != e:
+        cycle.append(links[cycle[-1]])
     cycle.reverse()  # predecessors run against the shift order
     low = cycle.index(min(cycle))
     cycle = cycle[low:] + cycle[:low]
@@ -430,15 +460,28 @@ def is_cyclically_monotone(
     A failing certificate carries a simple witness cycle of entry indices:
     shifting each listed entry's target to the next one strictly improves
     the cost.  max_cycle is the support size; full is deprecated and ignored.
+
+    Distances are computed once per distinct source and target, in
+    first-seen order and keyed as given (points equal only after
+    canonicalisation stay separate keys, with equal distances), and squared
+    there; the k x k cost matrix over the entries is gathered from them by
+    index, so every weight is the float a per-entry matrix would hold.  The
+    search stops at the first cycle of its predecessor graph (see
+    min_improvement_cycle).
     """
     k = len(plan.entries)
     if k == 0:
         return MonotonicityCertificate(True, 0, None, 0.0)
     import numpy as np
 
-    d = tree.distance_matrix([x for x, _, _ in plan.entries], [y for _, y, _ in plan.entries])
+    xs: dict = {}
+    ys: dict = {}
+    si = [xs.setdefault(x, len(xs)) for x, _, _ in plan.entries]
+    ti = [ys.setdefault(y, len(ys)) for _, y, _ in plan.entries]
+    d = tree.distance_matrix(list(xs), list(ys))
     with squares_in_range("distance"):
-        cost = np.array([[v ** 2 for v in row] for row in d])
+        sq = np.array([[v ** 2 for v in row] for row in d])
+    cost = sq[np.ix_(si, ti)]
     w = cost - np.diagonal(cost)[:, None]
     best, witness = min_improvement_cycle(w, k)
     if witness is None:

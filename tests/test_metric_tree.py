@@ -15,6 +15,7 @@ from treeot.errors import (
     EqualEnds,
     FlagInvalid,
     MalformedTree,
+    NonFiniteValue,
     OutOfInterval,
 )
 
@@ -180,6 +181,29 @@ def test_distance_matrix_equals_distance_exactly():
         assert got == [[tree.distance(x, y) for y in ys] for x in xs]
         assert tree.distance_matrix(xs, []) == [[] for _ in xs]
         assert tree.distance_matrix([], ys) == []
+
+
+def test_overflowing_distance_is_a_domain_error(star3):
+    # Both edges are finite, but 1e308 + 1e308 is not a float.
+    path = T.MetricTree(
+        ["a", "b", "c"], [("e1", ("a", "b"), 1e308), ("e2", ("b", "c"), 1e308)], "a"
+    )
+    a, b, c = (path.vertex_point(v) for v in "abc")
+    assert path.distance(a, b) == 1e308
+    assert path.distance_matrix([a], [b, a]) == [[1e308, 0.0]]
+    with pytest.raises(NonFiniteValue):
+        path.distance(a, c)
+    with pytest.raises(NonFiniteValue):
+        path.distance(c, a)
+    with pytest.raises(NonFiniteValue):
+        path.distance_matrix([a, b], [b, c])
+    # two finite points far out on two rays
+    far1, far2 = star3.edge_point("r1", 1e308), star3.edge_point("r2", 1e308)
+    assert star3.distance(far1, star3.edge_point("r1", 1.0)) == 1e308 - 1.0
+    with pytest.raises(NonFiniteValue):
+        star3.distance(far1, far2)
+    with pytest.raises(NonFiniteValue):
+        star3.distance_matrix([far2], [far1])
 
 
 def test_deep_comb_distances_are_exact():

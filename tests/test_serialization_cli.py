@@ -683,6 +683,24 @@ def test_cli_w_infinity_overflowing_square_is_a_domain_error(files):
     assert _domain_error(cli("w-infinity", "--tree", tree, "--nu1", nu1, "--nu2", nu2))["error"] == "NonFiniteValue"
 
 
+def test_cli_overflowing_distance_is_a_domain_error(files):
+    # Two finite edges of 1e308: the distance from a to c overflows.
+    path = {
+        "vertices": ["a", "b", "c"],
+        "edges": [
+            {"id": "e1", "ends": ["a", "b"], "length": "1e308"},
+            {"id": "e2", "ends": ["b", "c"], "length": "1e308"},
+        ],
+        "basepoint": {"vertex": "a"},
+    }
+    tree = files("t.json", path)
+    out = cli("distance", "--tree", tree, "--p", '{"vertex":"a"}', "--q", '{"vertex":"c"}')
+    assert _domain_error(out)["error"] == "NonFiniteValue"
+    out = cli("distance", "--tree", tree, "--p", '{"vertex":"a"}', "--q", '{"vertex":"b"}')
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["distance"] != "inf"
+
+
 def test_import_loads_no_numpy():
     # numpy is loaded by the cyclical-monotonicity search only; this process
     # has numpy already, so the import is checked in a fresh interpreter.

@@ -9,7 +9,7 @@ import pytest
 
 import treeot as T
 from treeot.errors import MarginalMismatch, NonFiniteValue
-from treeot.transport import certify_duals, min_improvement_cycle, transportation_simplex
+from treeot.transport import MASS_TOL, certify_duals, min_improvement_cycle, transportation_simplex
 
 import helpers
 
@@ -426,6 +426,68 @@ def test_cycle_search_finds_the_cycle_through_every_entry():
     assert best == -9.0
 
 
+def test_cycle_search_stops_at_the_first_predecessor_cycle():
+    # Round 2 sets 3 -> 1 and 1 -> 3, a cycle of weight -2; a search run on
+    # for all k rounds ends on the heavier 0 -> 1 -> 3 (weight -4) instead.
+    w = np.array([[0, -1, 1, 1], [1, 0, 3, -3], [5, 4, 0, -1], [0, 1, -1, 0]], dtype=float)
+    assert min_improvement_cycle(w, 4) == (-2.0, (1, 3))
+
+
+def _floyd_warshall_negative(w) -> float:
+    """Smallest diagonal entry of the min-plus closure of w: negative
+    exactly when some cycle of w is."""
+    d = np.array(w, dtype=float)
+    for m in range(len(d)):
+        d = np.minimum(d, d[:, m, None] + d[None, m, :])
+    return float(np.diagonal(d).min())
+
+
+def _cycle_search_cases():
+    rng = np.random.default_rng(67)
+    for _ in range(40):
+        # random weights, shifted so that some matrices have no negative cycle
+        k = int(rng.integers(10, 61))
+        w = rng.normal(size=(k, k)) + rng.uniform(0.0, 4.0)
+        np.fill_diagonal(w, 0.0)
+        yield w
+    for _ in range(20):
+        # certify-like: w = c - diag on the entries of solved and corrupted plans
+        tree = helpers.random_tree(rng, 30, 2)
+        mu = helpers.random_measure(rng, tree, int(rng.integers(6, 31)))
+        nu = helpers.random_measure(rng, tree, int(rng.integers(6, 31)))
+        plan = T.wasserstein2(tree, mu, nu).plan
+        bad = helpers.corrupt_transport_plan(rng, tree, plan)
+        for p in (plan, bad):
+            if p is None or not 10 <= len(p.entries) <= 60:
+                continue
+            e = p.entries
+            c = np.array([[tree.distance(x, y) ** 2 for _, y, _ in e] for x, _, _ in e])
+            yield c - np.diagonal(c)[:, None]
+
+
+def test_cycle_search_matches_floyd_warshall_at_real_sizes():
+    # The early stop matters at k around 55, which the enumeration above
+    # cannot reach.  A plan passes when no cycle weighs less than -MASS_TOL
+    # and fails only on a negative witness, so the verdict is the closure's
+    # outside (-MASS_TOL, 0).  Inside, where solved plans put their rounding
+    # noise, either verdict may stand, but a witness must still be valid.
+    verdicts = []
+    for w in _cycle_search_cases():
+        k = len(w)
+        closure = _floyd_warshall_negative(w)
+        best, witness = min_improvement_cycle(w, k)
+        verdicts.append(witness is not None)
+        if not -MASS_TOL <= closure < 0.0:
+            assert verdicts[-1] == (closure < 0.0)
+        if witness is None:
+            assert best == 0.0
+            continue
+        assert len(set(witness)) == len(witness) >= 2
+        assert helpers.cycle_weight(w, witness) == best < 0.0
+    assert len(verdicts) > 60
+    assert sum(verdicts) > 20 and len(verdicts) - sum(verdicts) > 20
+
+
 def test_corrupted_plans_fail():
     rng = np.random.default_rng(53)
     made = 0
@@ -463,3 +525,87 @@ def test_tripod_non_uniqueness_witness(tripod):
     solved = T.wasserstein2(tripod, mu, nu)
     assert solved.distance**2 == pytest.approx(p1.cost(d2), abs=1e-12)
     assert solved.plan.entries == p1.entries  # pinned tie-break
+
+
+def _per_entry_certificate(tree, plan):
+    """(passed, witness, improvement) from the k x k matrix built entry by
+    entry with tree.distance: the reference for the distinct-atom matrix."""
+    e = plan.entries
+    cost = np.array([[tree.distance(x, y) ** 2 for _, y, _ in e] for x, _, _ in e])
+    best, witness = min_improvement_cycle(cost - np.diagonal(cost)[:, None], len(e))
+    return witness is None, witness, best
+
+
+def _matches_per_entry(tree, plan) -> bool:
+    cert = T.is_cyclically_monotone(tree, plan)
+    assert (cert.passed, cert.witness, cert.improvement) == _per_entry_certificate(tree, plan)
+    return cert.passed
+
+
+def test_distinct_atom_matrix_matches_per_entry_on_solved_plans():
+    rng = np.random.default_rng(71)
+    verdicts, repeated = [], 0
+    while len(verdicts) < 24:
+        tree = helpers.random_tree(rng, 20, 2)
+        mu = helpers.random_measure(rng, tree, int(rng.integers(3, 12)))
+        nu = helpers.random_measure(rng, tree, int(rng.integers(3, 12)))
+        plan = T.wasserstein2(tree, mu, nu).plan
+        bad = helpers.corrupt_transport_plan(rng, tree, plan)
+        if bad is None:
+            continue
+        for p in (plan, bad):
+            xs, ys = [x for x, _, _ in p.entries], [y for _, y, _ in p.entries]
+            repeated += len(set(xs)) < len(xs) and len(set(ys)) < len(ys)
+            verdicts.append(_matches_per_entry(tree, p))
+    assert verdicts == [True, False] * 12
+    assert repeated >= 12
+
+
+def test_distinct_atom_matrix_matches_per_entry_on_duplicated_entries():
+    rng = np.random.default_rng(73)
+    for _ in range(6):
+        tree = helpers.random_tree(rng, 12, 1)
+        mu = helpers.random_measure(rng, tree, 5)
+        nu = helpers.random_measure(rng, tree, 5)
+        plan = T.wasserstein2(tree, mu, nu).plan
+        bad = helpers.corrupt_transport_plan(rng, tree, plan)
+        for p, passed in ((plan, True), (bad, False)):
+            if p is None:
+                continue
+            x, y, m = p.entries[0]
+            split = T.TransportPlan(((x, y, m / 2),) + p.entries[1:] + ((x, y, m / 2),))
+            assert _matches_per_entry(tree, split) is passed
+
+
+def test_distinct_atom_matrix_matches_per_entry_on_canonical_duplicates(tripod):
+    # An edge point at offset 0 and the edge's first endpoint are one point
+    # but two keys; the certificate is the same either way.
+    o, a, b = (tripod.vertex_point(v) for v in "oab")
+    o_ea, o_eb = T.TreePoint(edge="ea", offset=0.0), T.TreePoint(edge="eb", offset=0.0)
+    passing = T.TransportPlan(((o_ea, a, 0.25), (o, a, 0.25), (b, b, 0.5)))
+    assert _matches_per_entry(tripod, passing)
+    # a -> b with o -> o is beaten by a -> o, o -> b
+    failing = T.TransportPlan(((a, b, 0.5), (o_ea, o, 0.25), (o, o_eb, 0.25)))
+    assert not _matches_per_entry(tripod, failing)
+
+
+def test_distinct_atom_matrix_matches_per_entry_on_projected_plans(star3):
+    rng = np.random.default_rng(79)
+    verdicts = []
+    for _ in range(4):
+        tree = helpers.random_tree(rng, 9, 1)
+        mu0 = helpers.uniform_measure(rng, tree, 4)
+        mu1 = helpers.uniform_measure(rng, tree, 4)
+        for dyn in (T.interpolate(tree, mu0, mu1), helpers.corrupt_dynamical_plan(rng, tree, mu0, mu1)):
+            if dyn is None:
+                continue
+            for s, t in [(0.0, 1.0), (0.25, 0.75), (0.1, 0.9)]:
+                proj = T.TransportPlan(tuple((g.evaluate(s), g.evaluate(t), m) for g, m in dyn.atoms))
+                verdicts.append(_matches_per_entry(tree, proj))
+    # the mixed-speed plan on the star fails its projection at large times
+    g = star3.geodesic_between_ends(star3.end("r1"), star3.end("r2"), speed=math.sqrt(2))
+    c = star3.constant_geodesic(star3.vertex_point("o"), -math.inf, math.inf)
+    for t in (1.0, 1e3):
+        proj = T.TransportPlan(((g.evaluate(t), g.evaluate(-t), 0.5), (c.evaluate(t), c.evaluate(-t), 0.5)))
+        verdicts.append(_matches_per_entry(star3, proj))
+    assert True in verdicts and False in verdicts
