@@ -94,10 +94,8 @@ def w_infinity(tree: MetricTree, nu1: ConeMeasure, nu2: ConeMeasure) -> WInfinit
     """Exact transport between cone measures for the squared cone metric."""
     ka, kb = nu1.keys(), nu2.keys()
     with squares_in_range("cone distance"):
-        value, entries, _ = solve_transport(
-            ka, nu1.masses(), kb, nu2.masses(),
-            lambda p, q: d_infinity(tree, p, q) ** 2,
-        )
+        cost = [[d_infinity(tree, p, q) ** 2 for q in kb] for p in ka]
+        value, entries, _ = solve_transport(cost, nu1.masses(), nu2.masses())
     return WInfinityResult(
         math.sqrt(max(0.0, value)),
         tuple((ka[i], kb[j], q) for i, j, q in entries),
@@ -215,10 +213,9 @@ def asymptotic_formula_check(
     )
     slopes = [[a - b for a, b in zip(fr, nr)] for fr, nr in zip(far, near)]
     with squares_in_range("slope"):
+        cost = [[s ** 2 for s in row] for row in slopes]
         value, _, _ = solve_transport(
-            range(len(mu.atoms)), [m for _, m in mu.atoms],
-            range(len(sigma.atoms)), [m for _, m in sigma.atoms],
-            lambda i, j: slopes[i][j] ** 2,
+            cost, [m for _, m in mu.atoms], [m for _, m in sigma.atoms]
         )
     certified = math.sqrt(max(0.0, value))
 

@@ -38,14 +38,13 @@ from .metric_tree import (
 )
 from .transport import (
     MASS_TOL,
+    _ZERO_MASS,
     DiscreteMeasure,
     TransportPlan,
     _merge_atoms,
     is_cyclically_monotone,
     wasserstein2,
 )
-
-_ZERO_MASS = 1e-12
 
 
 @dataclass(frozen=True)

@@ -183,8 +183,7 @@ def realizability_sum(tree: MetricTree, flow: FlowTable) -> RealizabilityResult:
     family = tree.generated_by
     if family is None:
         return RealizabilityResult(value, "FINITE")
-    depths = tuple(2**k for k in range(family.max_doublings + 1))
-    sums = tuple(family.partial_sum(d) for d in depths)
+    depths, sums = family.doubling_sums()
     return RealizabilityResult(
         value, divergence_verdict(sums), depths, sums, family.depth
     )
@@ -221,17 +220,13 @@ def d0_transport(
         raise NotAntipodal(f"supports share ends {anti.common_ends}")
     xs = [e for e, _ in nu_minus.atoms]
     ys = [e for e, _ in nu_plus.atoms]
-    d0 = {}
-    for xi in xs:
-        for zeta in ys:
-            d0[(xi, zeta)] = gromov_product(tree, xi, zeta)
-    if any(math.isinf(v) for v in d0.values()):
+    d0 = [[gromov_product(tree, xi, zeta) for zeta in ys] for xi in xs]
+    if any(math.isinf(v) for row in d0 for v in row):
         raise DiagonalMass("a support pair joins an end to itself")
     with squares_in_range("D0"):
+        cost = [[-(v ** 2) for v in row] for row in d0]
         value, idx_entries, _ = solve_transport(
-            xs, [m for _, m in nu_minus.atoms],
-            ys, [m for _, m in nu_plus.atoms],
-            lambda p, q: -(d0[(p, q)] ** 2),
+            cost, [m for _, m in nu_minus.atoms], [m for _, m in nu_plus.atoms]
         )
     return D0Result(value, tuple((xs[i], ys[j], q) for i, j, q in idx_entries))
 
@@ -249,9 +244,8 @@ def construct_geodesic(
     """
     family = tree.generated_by
     if family is not None:
-        depths = tuple(2**k for k in range(family.max_doublings + 1))
-        verdict = divergence_verdict(tuple(family.partial_sum(d) for d in depths))
-        if verdict == "DIVERGES":
+        depths, sums = family.doubling_sums()
+        if divergence_verdict(sums) == "DIVERGES":
             raise NotRealizable(
                 f"realizability partial sums diverge up to depth {depths[-1]}"
             )
@@ -372,6 +366,12 @@ class CombFamily:
             phi0 = phi - abs(suffix[n])
             total += phi0 * float(n - 1) ** 2
         return total
+
+    def doubling_sums(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """The depths 1, 2, 4, ..., 2^max_doublings and their partial sums,
+        the input of ``divergence_verdict``."""
+        depths = tuple(2**k for k in range(self.max_doublings + 1))
+        return depths, tuple(self.partial_sum(d) for d in depths)
 
 
 class CombInstance(NamedTuple):

@@ -6,9 +6,11 @@ infinite ones and each of them carries exactly one boundary end.  All
 operations are pure functions over an immutable, validated tree:
 
 - path metric: a sparse table of range minima over the rooted preorder,
-  built on the first query, answers every LCA in O(1);
-  ``distance_matrix`` is the batched entry point, and one walk up the
-  parent pointers gives every explicit path locus with its edges,
+  built on the first query, answers every LCA in O(1).  Geodesics are
+  unique: a path leaves a point inside an edge by the deeper endpoint
+  exactly when it heads into that endpoint's preorder slice.  ``distance``,
+  the batched ``distance_matrix`` and ``path_nodes`` (one walk up the
+  parent pointers for every locus) share this exit rule,
 - geodesic segments, rays to an end, bi-infinite geodesics between ends,
 - the base-to-geodesic distance of two ends (Gromov product),
 - nearest-point projection onto a geodesic,
@@ -307,16 +309,6 @@ class MetricTree:
             return self.vertex_point(p.vertex)
         return self.edge_point(p.edge, p.offset)
 
-    def _exits(self, p: TreePoint) -> list[tuple[str, float]]:
-        """Vertices through which a path may leave p, with the cost to reach
-        them along p's own edge."""
-        if p.is_vertex():
-            return [(p.vertex, 0.0)]
-        e = self._edges[p.edge]
-        if e.infinite:
-            return [(e.ends[0], p.offset)]
-        return [(e.ends[0], p.offset), (e.ends[1], e.length - p.offset)]
-
     # -- path metric ---------------------------------------------------------
 
     def _lca_position(self, i: int, j: int) -> int:
@@ -374,20 +366,48 @@ class MetricTree:
             return self.basepoint.edge
         return self.parent_edge(v)
 
+    def _side(self, p: TreePoint) -> tuple[str, float, str, float, int, int]:
+        """Exits of a canonical point, ``(up, cost, down, cost, lo, hi)``:
+        the root-side and the deeper endpoint of its finite edge, each with
+        its cost along the edge, and the preorder slice ``[lo, hi)`` of the
+        deeper one's subtree.  A vertex, or a point on an infinite edge, has
+        one exit (itself, or the attachment), given twice with an empty
+        slice at its position."""
+        e = self._edges.get(p.edge)
+        if e is None or e.infinite:
+            v, c = (p.vertex, 0.0) if e is None else (e.ends[0], p.offset)
+            i = self._pre[v]
+            return v, c, v, c, i, i
+        (u, d), cu, cd = e.ends, p.offset, e.length - p.offset
+        if self._child_endpoint(e) == u:
+            u, cu, d, cd = d, cd, u, cu
+        i = self._pre[d]
+        return u, cu, d, cd, i, i + self._size[d]
+
+    @staticmethod
+    def _route(sp, sq) -> tuple[str, float, str, float]:
+        """Exits ``(a, ca, b, cb)`` of the unique geodesic between points on
+        different edges, from their sides: p leaves by its deeper exit
+        exactly when q's deeper exit (q itself, or the attachment of q's
+        infinite edge) lies in p's slice, and q likewise toward p."""
+        a, ca, a_down, ca_down, lo_p, hi_p = sp
+        b, cb, b_down, cb_down, lo_q, hi_q = sq
+        if lo_p <= lo_q < hi_p:
+            a, ca = a_down, ca_down
+        if lo_q <= lo_p < hi_q:
+            b, cb = b_down, cb_down
+        return a, ca, b, cb
+
     def distance(self, p: TreePoint, q: TreePoint) -> float:
         p = self.canonical_point(p)
         q = self.canonical_point(q)
         if p.edge is not None and p.edge == q.edge:
             return abs(p.offset - q.offset)
-        best = math.inf
-        for a, ca in self._exits(p):
-            for b, cb in self._exits(q):
-                d = ca + self.vertex_distance(a, b) + cb
-                if d < best:
-                    best = d
-        if best == math.inf:
+        a, ca, b, cb = self._route(self._side(p), self._side(q))
+        d = ca + self.vertex_distance(a, b) + cb
+        if not math.isfinite(d):
             raise NonFiniteValue(f"distance from {p} to {q} overflows the float range")
-        return best
+        return d
 
     def distance_matrix(
         self, xs: Sequence[TreePoint], ys: Sequence[TreePoint]
@@ -395,46 +415,29 @@ class MetricTree:
         """``distance(x, y)`` for every x in xs (rows) and y in ys (columns),
         bit for bit.
 
-        Each point is canonicalised and its exits read once, and each
-        distinct pair of exit vertices is answered once; every entry then
-        takes the same minimum over exits as ``distance``, summed the same
-        way.  A distance that overflows to inf raises NonFiniteValue, as in
-        ``distance``."""
+        Each point is canonicalised and its ``_side`` read once; every entry
+        then takes its exits from ``_route`` and makes one LCA query, summed
+        as ``vertex_distance`` and ``distance`` sum.  A distance that
+        overflows raises NonFiniteValue, as in ``distance``."""
         px = [self.canonical_point(p) for p in xs]
         py = [self.canonical_point(q) for q in ys]
-        ex = [self._exits(p) for p in px]
-        ey = [self._exits(q) for q in py]
+        sy = [self._side(q) for q in py]
         pre, order, dist = self._pre, self._order, self._dist_root
-        # vd[a][at[b]] = vertex_distance(a, b) for exit vertices a of xs, b of ys
-        at = {b: k for k, b in enumerate(dict.fromkeys(b for e in ey for b, _ in e))}
-        b_exits = [(pre[b], dist[b]) for b in at]
-        vd: dict[str, list[float]] = {}
-        for e in ex:
-            for a, _ in e:
-                if a not in vd:
-                    i, da = pre[a], dist[a]
-                    vd[a] = [
-                        da + db - 2.0 * dist[order[self._lca_position(i, j)]]
-                        for j, db in b_exits
-                    ]
-        ey = [[(at[b], cb) for b, cb in e] for e in ey]
+        route, lca = self._route, self._lca_position
         out = []
-        for p, pe in zip(px, ex):
-            rows = [(vd[a], ca) for a, ca in pe]
+        for p in px:
+            sp = self._side(p)
             line = []
-            for q, qe in zip(py, ey):
+            for q, sq in zip(py, sy):
                 if p.edge is not None and p.edge == q.edge:
                     line.append(abs(p.offset - q.offset))
                     continue
-                best = math.inf
-                for row, ca in rows:
-                    for k, cb in qe:
-                        d = ca + row[k] + cb
-                        if d < best:
-                            best = d
-                line.append(best)
-            if math.inf in line:
-                q = py[line.index(math.inf)]
+                a, ca, b, cb = route(sp, sq)
+                line.append(
+                    ca + (dist[a] + dist[b] - 2.0 * dist[order[lca(pre[a], pre[b])]]) + cb
+                )
+            if not all(map(math.isfinite, line)):
+                q = py[next(k for k, d in enumerate(line) if not math.isfinite(d))]
                 raise NonFiniteValue(f"distance from {p} to {q} overflows the float range")
             out.append(line)
         return out
@@ -446,22 +449,17 @@ class MetricTree:
         two endpoints, with arc-length coordinates, 0 at p) and the edge of
         each step between consecutive nodes.
 
-        After the best pair of exit vertices is chosen, one walk up the
-        parent pointers, stepping the deeper side until both sides meet at
-        their LCA, gives the vertices and the edges between them."""
+        ``_route`` gives the exit vertices; one walk up the parent pointers,
+        stepping the deeper side until both sides meet at their LCA, gives
+        the vertices and the edges between them.  Vertex coordinates add up
+        the steps; an endpoint q off the vertices sits at ``distance(p, q)``."""
         p = self.canonical_point(p)
         q = self.canonical_point(q)
         if p == q:
             return [(0.0, p)], []
         if p.edge is not None and p.edge == q.edge:
             return [(0.0, p), (abs(p.offset - q.offset), q)], [p.edge]
-        best = None
-        for a, ca in self._exits(p):
-            for b, cb in self._exits(q):
-                d = ca + self.vertex_distance(a, b) + cb
-                if best is None or d < best[0]:
-                    best = (d, a, ca, b, cb)
-        total, a, ca, b, cb = best
+        a, ca, b, cb = self._route(self._side(p), self._side(q))
         depth, parent, dist = self._depth, self._parent, self._dist_root
         up, up_edges, down, down_edges = [a], [], [b], []
         while up[-1] != down[-1]:
@@ -486,7 +484,7 @@ class MetricTree:
             s += dist[prev] + dist[w] - 2.0 * dist[upper]
             nodes.append((s, TreePoint(vertex=w)))
         if not q.is_vertex():
-            nodes.append((total, q))
+            nodes.append((ca + self.vertex_distance(a, b) + cb, q))
             spans.append(q.edge)
         return nodes, spans
 

@@ -32,9 +32,7 @@ from .errors import (
     ConstantGeodesic, FlagInvalid, InconsistentData, MalformedForRadon, NonFiniteValue,
 )
 from .metric_tree import MetricTree, TreeGeodesic, TreePoint, project_to_geodesic
-from .transport import DiscreteMeasure, _merge_atoms
-
-_ZERO = 1e-12
+from .transport import _ZERO_MASS, DiscreteMeasure, _merge_atoms
 
 
 @dataclass(frozen=True)
@@ -260,7 +258,7 @@ def measure_radon_roundtrip(tree: MetricTree, mu: DiscreteMeasure) -> RoundtripR
     h = radon_invert(tree, flag_data, 1.0 - interior_total)
     atoms = list(interior)
     for v, hv in h.values:
-        if hv > _ZERO:
+        if hv > _ZERO_MASS:
             atoms.append((tree.vertex_point(v), hv))
     reconstructed = DiscreteMeasure.from_atoms(tree, atoms)
 

@@ -305,17 +305,15 @@ class W2Result(NamedTuple):
 
 
 def solve_transport(
-    sources: Sequence, source_masses: Sequence[float],
-    targets: Sequence, target_masses: Sequence[float],
-    cost_fn: Callable,
+    cost: Sequence[Sequence[float]], supply: Sequence[float], demand: Sequence[float]
 ) -> tuple[float, list[tuple[int, int, float]], SimplexSolution]:
-    """Generic exact transport between two atom lists; returns the optimal
-    value, index-level entries and the raw simplex solution.
+    """Exact transport for a cost matrix (rows: supply, columns: demand);
+    returns the optimal value, index-level entries and the raw simplex
+    solution.
 
     Optimality is certified on the same cost matrix before returning (see
     certify_duals)."""
-    cost = [[cost_fn(p, q) for q in targets] for p in sources]
-    sol = transportation_simplex(source_masses, target_masses, cost)
+    sol = transportation_simplex(supply, demand, cost)
     certify_duals(cost, sol)
     entries = [
         (i, j, q) for (i, j), q in sorted(sol.cells.items()) if q > _ZERO_MASS
@@ -336,9 +334,7 @@ def wasserstein2(tree: MetricTree, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
     ys, ns = nu.points(), nu.masses()
     with squares_in_range("distance"):
         cost = [[d ** 2 for d in row] for row in tree.distance_matrix(xs, ys)]
-    value, entries, sol = solve_transport(
-        range(len(xs)), ms, range(len(ys)), ns, lambda i, j: cost[i][j]
-    )
+    value, entries, sol = solve_transport(cost, ms, ns)
     plan = TransportPlan(
         tuple((xs[i], ys[j], q) for i, j, q in entries),
         potentials=(tuple(sol.u), tuple(sol.v)),

@@ -165,6 +165,45 @@ def bfs_distance(tree: T.MetricTree, p: T.TreePoint, q: T.TreePoint) -> float:
     )
 
 
+def bfs_edge_path(tree: T.MetricTree, p: T.TreePoint, q: T.TreePoint) -> list[str]:
+    """Edges of the geodesic from p to q (p != q), in order, found without
+    lengths: breadth-first search between every pair of exit vertices keeps
+    the one path that crosses neither point's own edge."""
+    if p.edge is not None and p.edge == q.edge:
+        return [p.edge]
+
+    def exits(pt):
+        return [pt.vertex] if pt.is_vertex() else list(tree.edges[pt.edge].ends)
+
+    def edges_between(u, v):
+        back = {u: None}
+        dq = deque([u])
+        while dq:
+            w = dq.popleft()
+            for eid in tree.incident_edges(w):
+                e = tree.edges[eid]
+                if e.infinite:
+                    continue
+                x = e.ends[1] if e.ends[0] == w else e.ends[0]
+                if x not in back:
+                    back[x] = (w, eid)
+                    dq.append(x)
+        path = []
+        while back[v] is not None:
+            v, eid = back[v]
+            path.append(eid)
+        return path[::-1]
+
+    head = [] if p.is_vertex() else [p.edge]
+    tail = [] if q.is_vertex() else [q.edge]
+    found = [
+        path for a in exits(p) for b in exits(q)
+        if not set(head + tail) & set(path := edges_between(a, b))
+    ]
+    assert len(found) == 1, found
+    return head + found[0] + tail
+
+
 def parent_vertex(tree: T.MetricTree, v: str) -> str | None:
     """The other endpoint of v's edge toward the root (None at the root)."""
     eid = tree.parent_edge(v)

@@ -158,8 +158,32 @@ def test_lca_and_vertex_distance_reject_unknown_vertex(tripod):
             tripod.vertex_distance(u, v)
 
 
+def _spread_tree(rng, n_vertices, n_infinite):
+    """Random tree whose finite lengths spread over 1e-6 .. 1e12, each edge
+    stored in a random orientation, based inside a finite edge."""
+    names = [f"w{i:03d}" for i in range(n_vertices)]
+    edges = []
+    for i in range(1, n_vertices):
+        ends = (names[int(rng.integers(0, i))], names[i])
+        ends = ends[::-1] if rng.random() < 0.5 else ends
+        edges.append((f"e{i:03d}", ends, float(10.0 ** rng.uniform(-6, 12))))
+    for k in range(n_infinite):
+        edges.append((f"r{k:03d}", (names[int(rng.integers(0, n_vertices))],), math.inf))
+    eid, _, length = edges[int(rng.integers(0, n_vertices - 1))]
+    return T.MetricTree(names, edges, T.TreePoint(edge=eid, offset=0.5 * length))
+
+
+def _spread_point(rng, tree):
+    if rng.random() < 0.3:
+        return tree.vertex_point(tree.vertices[int(rng.integers(0, len(tree.vertices)))])
+    e = tree.edges[sorted(tree.edges)[int(rng.integers(0, len(tree.edges)))]]
+    top = float(10.0 ** rng.uniform(-6, 12)) if e.infinite else e.length
+    return tree.edge_point(e.id, float(rng.uniform(0, 1)) * top)
+
+
 def test_distance_matrix_equals_distance_exactly():
     rng = np.random.default_rng(47)
+    cases = []
     for trial in range(12):
         tree = helpers.random_tree(rng, int(rng.integers(1, 30)), int(rng.integers(1, 4)))
         finite = sorted(e.id for e in tree.edges.values() if not e.infinite)
@@ -175,12 +199,29 @@ def test_distance_matrix_equals_distance_exactly():
             # a point given at offset 0, which canonicalises to a vertex
             pts += [tree.edge_point(eid, float(s) * top) for s in rng.uniform(0, 1, 3)]
             pts.append(T.TreePoint(edge=eid, offset=0.0))
+        cases.append((tree, pts))
+    # lengths over 18 decades, where rounding could favour a wrong exit
+    for _ in range(8):
+        tree = _spread_tree(rng, int(rng.integers(2, 30)), int(rng.integers(0, 4)))
+        cases.append((tree, [_spread_point(rng, tree) for _ in range(24)]))
+    for tree, pts in cases:
         rng.shuffle(pts)
         xs, ys = pts[: len(pts) // 2 + 1], pts[len(pts) // 3:]
         got = tree.distance_matrix(xs, ys)
         assert got == [[tree.distance(x, y) for y in ys] for x in xs]
         assert tree.distance_matrix(xs, []) == [[] for _ in xs]
         assert tree.distance_matrix([], ys) == []
+        # path_nodes takes the same exits: its edges are the geodesic's, and
+        # an endpoint off the vertices sits at the distance
+        for x, row in zip(map(tree.canonical_point, xs), got):
+            for y, d in zip(map(tree.canonical_point, ys), row):
+                if x == y:
+                    continue
+                nodes, spans = tree.path_nodes(x, y)
+                assert spans == helpers.bfs_edge_path(tree, x, y)
+                assert nodes[-1][1] == y
+                if not y.is_vertex():
+                    assert nodes[-1][0] == d
 
 
 def test_overflowing_distance_is_a_domain_error(star3):
@@ -197,6 +238,14 @@ def test_overflowing_distance_is_a_domain_error(star3):
         path.distance(c, a)
     with pytest.raises(NonFiniteValue):
         path.distance_matrix([a, b], [b, c])
+    # where root distances overflow, a distance is exact or a typed error,
+    # never inf or NaN
+    for x, y in ((b, c), (c, b), (c, c), (b, b)):
+        for get in (lambda: path.distance(x, y), lambda: path.distance_matrix([x], [y])[0][0]):
+            try:
+                assert get() == (0.0 if x == y else 1e308)
+            except NonFiniteValue:
+                pass
     # two finite points far out on two rays
     far1, far2 = star3.edge_point("r1", 1e308), star3.edge_point("r2", 1e308)
     assert star3.distance(far1, star3.edge_point("r1", 1.0)) == 1e308 - 1.0
