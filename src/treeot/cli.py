@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 
@@ -25,14 +24,20 @@ from .errors import TreeOTError
 from .radon import combinatorial_radon, radon_invert
 from .transport import is_cyclically_monotone, wasserstein2
 
-logger = logging.getLogger("treeot")
 
+def _log_command(cmd: str) -> None:
+    """Log the subcommand to stderr at W2_LOG's level.  Without W2_LOG
+    nothing is logged, and ``logging`` is not even imported."""
+    name = os.environ.get("W2_LOG")
+    if name is None:
+        return
+    import logging
 
-def _setup_logging() -> None:
     level = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("W2_LOG", "quiet"), logging.ERROR
+        name, logging.ERROR
     )
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("treeot").info("command %s", cmd)
 
 
 def _load_json(path: str):
@@ -150,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         text = _dispatch(args)
@@ -168,7 +172,7 @@ def run(argv=None) -> int:
 
 def _dispatch(args) -> str:
     cmd = args.command
-    logger.info("command %s", cmd)
+    _log_command(cmd)
 
     if cmd == "comb":
         inst = comb_generator(args.depth, args.exponent)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -136,20 +137,25 @@ def flow_table(
     edge_flow = tree.mass_beyond({}, nu)
 
     # Aggregation is exact; the neutral tolerance only affects sign labels.
+    # The outgoing flows at x are added in sorted edge order; the edge
+    # toward the base point is one of them.
+    edges = tree.edges
     vertex_flow: dict[str, float] = {}
     specific: dict[str, float] = {}
     for x in tree.vertices:
-        flows = {}
-        for eid in tree.incident_edges(x):
-            e = tree.edges[eid]
-            f = edge_flow[eid]
-            if not e.infinite and e.ends[0] != x:
-                f = -f
-            flows[eid] = f
-        phi = sum(f for f in flows.values() if f > 0.0)
-        vertex_flow[x] = phi
         toward = tree.toward_basepoint(x)
-        specific[x] = phi if toward is None else phi - abs(flows[toward])
+        phi = back = 0.0
+        for eid in tree.incident_edges(x):
+            ends = edges[eid].ends
+            f = edge_flow[eid]
+            if len(ends) == 2 and ends[0] != x:
+                f = -f
+            if f > 0.0:
+                phi += f
+            if eid == toward:
+                back = f
+        vertex_flow[x] = phi
+        specific[x] = phi if toward is None else phi - abs(back)
     return FlowTable(edge_flow, vertex_flow, specific)
 
 
@@ -354,17 +360,26 @@ class CombFamily:
             0.0 if m <= _ZERO_MASS else m if n % 2 == 0 else -m
             for n, m in enumerate(masses, 1)
         ]
-        suffix = [0.0] * (depth + 2)  # suffix[n] = sum_{k >= n} signed[k-1]
-        for n in range(depth, 0, -1):
-            suffix[n] = suffix[n + 1] + signed[n - 1]
+        # suffix[i] = signed[i] + signed[i + 1] + ..., added from the tip
+        # inward; the appended 0.0 is the empty sum beyond the last tooth.
+        suffix = list(accumulate(reversed(signed)))[::-1]
+        suffix.append(0.0)
+        # Base vertex v_n (n from 2 on) has three outgoing flows: back along
+        # the base (-suffix[n-1]), into its tooth (signed[n-1]) and on along
+        # the base (suffix[n], zero at the tip); the positive ones are added
+        # in that order and the base-point-facing one is taken away.
         total = 0.0
-        for n in range(2, depth + 1):
-            outs = [-suffix[n], signed[n - 1]]
-            if n < depth:
-                outs.append(suffix[n + 1])
-            phi = sum(f for f in outs if f > 0.0)
-            phi0 = phi - abs(suffix[n])
-            total += phi0 * float(n - 1) ** 2
+        for n, inward, tooth, onward in zip(
+            range(2, depth + 1), suffix[1:], signed[1:], suffix[2:]
+        ):
+            phi = 0.0
+            if -inward > 0.0:
+                phi += -inward
+            if tooth > 0.0:
+                phi += tooth
+            if onward > 0.0:
+                phi += onward
+            total += (phi - abs(inward)) * float(n - 1) ** 2
         return total
 
     def doubling_sums(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -394,16 +409,15 @@ def comb_generator(depth: int, mass_exponent: float) -> CombInstance:
     family = CombFamily(float(mass_exponent), depth)
     masses = family.tooth_masses(depth)
     width = len(str(depth))
-    vname = lambda n: f"v{n:0{width}d}"
-    vertices = [vname(n) for n in range(1, depth + 1)]
-    edges = []
-    for n in range(1, depth):
-        edges.append((f"b{n:0{width}d}", (vname(n), vname(n + 1)), 1.0))
-    for n in range(1, depth + 1):
-        edges.append((f"t{n:0{width}d}", (vname(n),), math.inf))
-    tree = MetricTree(vertices, edges, vname(1))
+    vertices = [f"v{n:0{width}d}" for n in range(1, depth + 1)]
+    teeth = [f"t{n:0{width}d}" for n in range(1, depth + 1)]
+    edges = [
+        (f"b{n:0{width}d}", (vertices[n - 1], vertices[n]), 1.0) for n in range(1, depth)
+    ]
+    edges += [(t, (v,), math.inf) for t, v in zip(teeth, vertices)]
+    tree = MetricTree(vertices, edges, vertices[0])
     tree.generated_by = family
-    tooth = lambda n: (TreeEnd(f"t{n:0{width}d}"), masses[n - 1])
-    nu_minus = BoundaryMeasure.from_atoms(tree, [tooth(n) for n in range(1, depth + 1, 2)])
-    nu_plus = BoundaryMeasure.from_atoms(tree, [tooth(n) for n in range(2, depth + 1, 2)])
+    atoms = [(TreeEnd(t), m) for t, m in zip(teeth, masses)]
+    nu_minus = BoundaryMeasure.from_atoms(tree, atoms[0::2])
+    nu_plus = BoundaryMeasure.from_atoms(tree, atoms[1::2])
     return CombInstance(tree, nu_minus, nu_plus)

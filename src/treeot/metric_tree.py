@@ -134,10 +134,12 @@ class MetricTree:
             if eid in self._edges:
                 raise MalformedTree(f"duplicate edge id {eid!r}")
             ends = tuple(ends)
-            if any(v not in vset for v in ends):
+            if not vset.issuperset(ends):
                 raise MalformedTree(f"edge {eid!r} references unknown vertex")
             length = float(length)
-            if math.isinf(length):
+            if not length > 0.0:  # also NaN and -inf; only +inf marks a ray
+                raise MalformedTree(f"edge {eid!r} has nonpositive length")
+            if length == math.inf:
                 if len(ends) != 1:
                     raise MalformedTree(
                         f"infinite edge {eid!r} must have exactly one endpoint"
@@ -149,17 +151,17 @@ class MetricTree:
                     )
                 if ends[0] == ends[1]:
                     raise MalformedTree(f"edge {eid!r} is a self loop (cycle)")
-                if not length > 0.0:
-                    raise MalformedTree(f"edge {eid!r} has nonpositive length")
                 n_finite += 1
             self._edges[eid] = Edge(eid, ends, length)
             for v in ends:
                 incident[v].append(eid)
         self._incident = {v: tuple(sorted(es)) for v, es in incident.items()}
 
+        # From here on an edge is infinite exactly when it has one endpoint,
+        # and the linear passes test len(e.ends) instead of the length.
         leaves = tuple(v for v in self._vertices if len(self._incident[v]) == 1)
         val2 = tuple(v for v in self._vertices if len(self._incident[v]) == 2)
-        infs = tuple(sorted(e.id for e in self._edges.values() if e.infinite))
+        infs = tuple(sorted(eid for eid, e in self._edges.items() if len(e.ends) == 1))
         self.report = ValidationReport(True, True, leaves, val2, infs)
 
         self.basepoint = self.canonical_point(basepoint)
@@ -211,8 +213,7 @@ class MetricTree:
         return tuple(TreeEnd(eid) for eid in self.report.infinite_edges)
 
     def end(self, eid: str) -> TreeEnd:
-        e = self.edge(eid)
-        if not e.infinite:
+        if len(self.edge(eid).ends) != 1:
             raise MalformedTree(f"edge {eid!r} is not infinite, carries no end")
         return TreeEnd(eid)
 
@@ -227,7 +228,7 @@ class MetricTree:
         which every rooted subtree is one contiguous slice, and the subtree
         sizes.  Vertices it does not reach are missing from the preorder,
         which is how the constructor sees a disconnected graph."""
-        root = self._root
+        root, incident, edges = self._root, self._incident, self._edges
         parent: dict[str, tuple[str, str] | None] = {root: None}
         depth = {root: 0}
         dist = {root: 0.0}
@@ -236,11 +237,12 @@ class MetricTree:
         while stack:
             v = stack.pop()
             order.append(v)
-            for eid in self._incident[v]:
-                e = self._edges[eid]
-                if e.infinite:
+            for eid in incident[v]:
+                e = edges[eid]
+                ends = e.ends
+                if len(ends) == 1:
                     continue
-                w = e.ends[1] if e.ends[0] == v else e.ends[0]
+                w = ends[1] if ends[0] == v else ends[0]
                 if w not in parent:
                     parent[w] = (v, eid)
                     depth[w] = depth[v] + 1
@@ -303,11 +305,19 @@ class MetricTree:
         return TreePoint(edge=eid, offset=offset)
 
     def canonical_point(self, p: "TreePoint | str") -> TreePoint:
+        """The canonical form of a point.  A point already in that form (a
+        known vertex with no edge and offset +0.0, or a float offset strictly
+        inside its edge's snapped interval) is returned as it is."""
         if isinstance(p, str):
             return self.vertex_point(p)
-        if p.vertex is not None:
-            return self.vertex_point(p.vertex)
-        return self.edge_point(p.edge, p.offset)
+        v, eid, off = p.vertex, p.edge, p.offset
+        if v is not None:
+            bare = eid is None and type(off) is float and off == 0.0 and math.copysign(1.0, off) == 1.0
+            return p if bare and v in self._vset else self.vertex_point(v)
+        e = self._edges.get(eid)
+        if e is not None and type(off) is float and _SNAP < off < e.length - _SNAP:
+            return p
+        return self.edge_point(eid, off)
 
     # -- path metric ---------------------------------------------------------
 
@@ -374,7 +384,7 @@ class MetricTree:
         one exit (itself, or the attachment), given twice with an empty
         slice at its position."""
         e = self._edges.get(p.edge)
-        if e is None or e.infinite:
+        if e is None or len(e.ends) == 1:
             v, c = (p.vertex, 0.0) if e is None else (e.ends[0], p.offset)
             i = self._pre[v]
             return v, c, v, c, i, i
@@ -496,8 +506,11 @@ class MetricTree:
         return i <= self._pre[v] < i + self._size[top]
 
     def _child_endpoint(self, e: Edge) -> str:
-        """The endpoint of a finite edge farther from the root."""
-        return e.ends[1] if self._parent[e.ends[1]] == (e.ends[0], e.id) else e.ends[0]
+        """The endpoint of a finite edge farther from the root: the second
+        one exactly when the edge is its parent edge."""
+        a, b = e.ends
+        up = self._parent[b]
+        return b if up is not None and up[1] == e.id else a
 
     def subtree_vertices(self, x: str, via_edge: str) -> frozenset[str]:
         """Vertices of the component of X minus x entered through via_edge:
@@ -527,21 +540,22 @@ class MetricTree:
         subtrees; an edge pointing toward the root gets the total minus the
         subtree behind it.
         """
+        parent, child = self._parent, self._child_endpoint
         below = {v: float(vertex_mass.get(v, 0.0)) for v in self._order}
         for eid, m in edge_mass.items():
             e = self.edge(eid)
-            below[e.ends[0] if e.infinite else self._child_endpoint(e)] += m
+            below[e.ends[0] if len(e.ends) == 1 else child(e)] += m
         for v in reversed(self._order):
-            p = self._parent[v]
+            p = parent[v]
             if p is not None:
                 below[p[0]] += below[v]
         total = below[self._root]
         out: dict[str, float] = {}
         for eid, e in self._edges.items():
             own = float(edge_mass.get(eid, 0.0))
-            if e.infinite:
+            if len(e.ends) == 1:
                 out[eid] = own
-            elif self._child_endpoint(e) == e.ends[1]:
+            elif child(e) == e.ends[1]:
                 out[eid] = below[e.ends[1]]
             else:
                 out[eid] = total - below[e.ends[0]] + own

@@ -381,3 +381,65 @@ def corrupt_dynamical_plan(rng, tree, mu0, mu1):
         if T.antagonist_pairs(dyn):
             return dyn
     return None
+
+
+# -- reference flows (the per-vertex list form of the flow definitions) -----------
+
+
+def add_in_order(values) -> float:
+    """Left-to-right float sum, the order that ``sum`` adds in up to Python
+    3.11 (from 3.12 on ``sum`` of floats is compensated)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def reference_partial_sum(family, depth: int) -> float:
+    """``CombFamily.partial_sum`` in its list form: the suffix sums filled in
+    from the tip, then each base vertex's outgoing flows in a list (back along
+    the base, into its tooth, on along the base) and the positive ones
+    added."""
+    if depth < 2:
+        return 0.0
+    masses = family.tooth_masses(depth)
+    signed = [
+        0.0 if m <= 1e-12 else m if n % 2 == 0 else -m
+        for n, m in enumerate(masses, 1)
+    ]
+    suffix = [0.0] * (depth + 2)  # suffix[n] = sum_{k >= n} signed[k-1]
+    for n in range(depth, 0, -1):
+        suffix[n] = suffix[n + 1] + signed[n - 1]
+    total = 0.0
+    for n in range(2, depth + 1):
+        outs = [-suffix[n], signed[n - 1]]
+        if n < depth:
+            outs.append(suffix[n + 1])
+        phi = add_in_order(f for f in outs if f > 0.0)
+        total += (phi - abs(suffix[n])) * float(n - 1) ** 2
+    return total
+
+
+def reference_vertex_flows(tree: T.MetricTree, nu_minus, nu_plus):
+    """Vertex and specific flows from ``mass_beyond``: at each vertex the
+    flows out along its incident edges, found in the edge list and sorted by
+    id, the positive ones added, and the one toward the base point taken
+    away."""
+    nu: dict[str, float] = {}
+    for e, m in nu_plus.atoms:
+        nu[e.edge] = nu.get(e.edge, 0.0) + m
+    for e, m in nu_minus.atoms:
+        nu[e.edge] = nu.get(e.edge, 0.0) - m
+    edge_flow = tree.mass_beyond({}, nu)
+    vertex_flow, specific = {}, {}
+    for x in tree.vertices:
+        flows = {}
+        for eid in sorted(eid for eid, e in tree.edges.items() if x in e.ends):
+            e = tree.edges[eid]
+            f = edge_flow[eid]
+            flows[eid] = -f if not e.infinite and e.ends[0] != x else f
+        phi = add_in_order(f for f in flows.values() if f > 0.0)
+        toward = tree.toward_basepoint(x)
+        vertex_flow[x] = phi
+        specific[x] = phi if toward is None else phi - abs(flows[toward])
+    return vertex_flow, specific

@@ -110,6 +110,66 @@ def test_flow_magnitude_bounded():
             assert -1e-12 <= table.specific_flow[v] <= table.vertex_flow[v] + 1e-12
 
 
+def _rebuilt(rng, tree, basepoint):
+    """The same tree with every finite edge stored in a random orientation
+    and a new base point."""
+    edges = [
+        (e.id, e.ends[::-1] if len(e.ends) == 2 and rng.random() < 0.5 else e.ends, e.length)
+        for e in tree.edges.values()
+    ]
+    return T.MetricTree(tree.vertices, edges, basepoint)
+
+
+def _split_ends(rng, tree):
+    ends = list(tree.ends())
+    rng.shuffle(ends)
+    half = len(ends) // 2
+    mm = rng.uniform(0.2, 1.0, size=half)
+    pm = rng.uniform(0.2, 1.0, size=len(ends) - half)
+    minus = T.BoundaryMeasure.from_atoms(tree, [(e, m / mm.sum()) for e, m in zip(ends[:half], mm)])
+    plus = T.BoundaryMeasure.from_atoms(tree, [(e, m / pm.sum()) for e, m in zip(ends[half:], pm)])
+    return minus, plus
+
+
+def _assert_flows_match_reference(tree, minus, plus):
+    table = T.flow_table(tree, minus, plus)
+    vertex_flow, specific = helpers.reference_vertex_flows(tree, minus, plus)
+    assert table.vertex_flow == vertex_flow
+    assert table.specific_flow == specific
+
+
+def test_flow_table_equals_reference_bit_for_bit():
+    rng = np.random.default_rng(163)
+    kinds = set()
+    for _ in range(30):
+        base = helpers.random_tree(rng, int(rng.integers(3, 25)), int(rng.integers(4, 12)))
+        kind = ["vertex", "finite", "ray"][int(rng.integers(0, 3))]
+        if kind == "vertex":
+            bp = base.vertices[int(rng.integers(0, len(base.vertices)))]
+        else:
+            eids = sorted(e.id for e in base.edges.values() if e.infinite == (kind == "ray"))
+            e = base.edges[eids[int(rng.integers(0, len(eids)))]]
+            top = 5.0 if e.infinite else e.length
+            bp = base.edge_point(e.id, float(rng.uniform(0.05, 0.95)) * top)
+        tree = _rebuilt(rng, base, bp)
+        kinds.add(kind)
+        _assert_flows_match_reference(tree, *_split_ends(rng, tree))
+    assert kinds == {"vertex", "finite", "ray"}
+
+
+@pytest.mark.parametrize("depth, exponent", [(2, 3.0), (7, 1.5), (64, 0.0), (300, 3.0), (2048, -50.0)])
+def test_comb_flow_table_equals_reference_bit_for_bit(depth, exponent):
+    inst = T.comb_generator(depth, exponent)
+    _assert_flows_match_reference(inst.tree, inst.nu_minus, inst.nu_plus)
+
+
+@pytest.mark.parametrize("depth", [2, 3, 7, 64, 2048, 16384])
+@pytest.mark.parametrize("exponent", [3.0, 1.5, 4.0, 0.0, -50.0, 400.0])
+def test_comb_partial_sum_equals_reference_bit_for_bit(depth, exponent):
+    family = T.CombFamily(exponent, depth)
+    assert family.partial_sum(depth) == helpers.reference_partial_sum(family, depth)
+
+
 def test_flows_require_antipodal(star4):
     with pytest.raises(NotAntipodal):
         T.flow_table(star4, _bm(star4, ("r1", 1.0)), _bm(star4, ("r1", 1.0)))

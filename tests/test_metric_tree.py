@@ -67,6 +67,13 @@ def test_self_loop_rejected():
         T.MetricTree(["a"], [("e1", ("a", "a"), 1.0)], "a")
 
 
+@pytest.mark.parametrize("ends", [("b",), ("a", "b")])
+def test_negative_infinite_length_rejected(ends):
+    # only +inf marks a ray; -inf is a nonpositive length, whatever the ends
+    with pytest.raises(MalformedTree, match="nonpositive length"):
+        T.MetricTree(["a", "b"], [("e", ("a", "b"), 1.0), ("r", ends, -math.inf)], "a")
+
+
 @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
 def test_non_finite_offset_rejected(tripod, star3, offset):
     with pytest.raises(MalformedTree):
@@ -75,6 +82,74 @@ def test_non_finite_offset_rejected(tripod, star3, offset):
         star3.edge_point("r1", offset)
     with pytest.raises(MalformedTree):
         star3.canonical_point(T.TreePoint(edge="r1", offset=offset))
+
+
+# -- canonical points ------------------------------------------------------------
+
+
+def test_canonical_point_returns_canonical_points_as_they_are(tripod_completed):
+    tree = tripod_completed
+    rng = np.random.default_rng(167)
+    for _ in range(200):
+        p = helpers.random_point(rng, tree, max_ray_offset=1e6)
+        assert tree.canonical_point(p) is p
+        assert tree.canonical_point(tree.canonical_point(p)) is p
+    for p in (T.TreePoint(vertex="o"), T.TreePoint("a"), T.TreePoint(edge="ea", offset=0.5),
+              T.TreePoint(edge="ra", offset=1e300)):
+        assert tree.canonical_point(p) is p
+
+
+def _same_point(got, want):
+    assert got == want
+    assert type(got.offset) is float and math.copysign(1.0, got.offset) == 1.0
+
+
+@pytest.mark.parametrize(
+    "given, want",
+    [
+        # an int offset comes back as a float
+        (T.TreePoint(edge="ea", offset=1), T.TreePoint("a")),
+        (T.TreePoint(edge="ra", offset=2), T.TreePoint(edge="ra", offset=2.0)),
+        (T.TreePoint(edge="ea", offset=np.float64(0.25)), T.TreePoint(edge="ea", offset=0.25)),
+        # offsets within 1e-12 of either end snap to the endpoint
+        (T.TreePoint(edge="ea", offset=1e-12), T.TreePoint("o")),
+        (T.TreePoint(edge="ea", offset=-1e-12), T.TreePoint("o")),
+        (T.TreePoint(edge="ea", offset=0.0), T.TreePoint("o")),
+        (T.TreePoint(edge="ea", offset=1.0 - 1e-12), T.TreePoint("a")),
+        (T.TreePoint(edge="ea", offset=1.0 + 1e-12), T.TreePoint("a")),
+        (T.TreePoint(edge="ra", offset=5e-13), T.TreePoint("a")),
+        # a vertex point sheds a stray edge or offset
+        (T.TreePoint(vertex="a", edge="ea", offset=0.5), T.TreePoint("a")),
+        (T.TreePoint(vertex="a", edge="ea"), T.TreePoint("a")),
+        (T.TreePoint(vertex="a", offset=0.5), T.TreePoint("a")),
+        (T.TreePoint(vertex="a", offset=-0.0), T.TreePoint("a")),
+        (T.TreePoint(vertex="a", offset=0), T.TreePoint("a")),
+        ("b", T.TreePoint("b")),
+    ],
+)
+def test_canonical_point_rebuilds_non_canonical_points(tripod_completed, given, want):
+    got = tripod_completed.canonical_point(given)
+    assert got is not given
+    _same_point(got, want)
+    _same_point(tripod_completed.canonical_point(got), want)
+
+
+@pytest.mark.parametrize(
+    "given",
+    [
+        T.TreePoint("z"),
+        T.TreePoint(vertex="z", edge="ea", offset=0.5),
+        T.TreePoint(edge="zz", offset=0.5),
+        T.TreePoint(),
+        T.TreePoint(edge="ea", offset=1.0 + 1e-9),
+        T.TreePoint(edge="ea", offset=-1e-9),
+        T.TreePoint(edge="ra", offset=-1e-9),
+        "z",
+    ],
+)
+def test_canonical_point_rejects_unknown_names_and_offsets(tripod_completed, given):
+    with pytest.raises(MalformedTree):
+        tripod_completed.canonical_point(given)
 
 
 # -- distance ---------------------------------------------------------------

@@ -701,6 +701,57 @@ def test_cli_overflowing_distance_is_a_domain_error(files):
     assert json.loads(out.stdout)["distance"] != "inf"
 
 
+def test_cli_negative_infinite_length_is_a_domain_error(files):
+    doc = {
+        "vertices": ["a", "b"],
+        "edges": [
+            {"id": "e", "ends": ["a", "b"], "length": "1"},
+            {"id": "r", "ends": ["b"], "length": "-inf"},
+        ],
+        "basepoint": {"vertex": "a"},
+    }
+    tree = files("t.json", doc)
+    for out in (
+        cli("validate", "--tree", tree),
+        cli("distance", "--tree", tree, "--p", '{"vertex":"a"}', "--q", '{"edge":"r","offset":"5"}'),
+    ):
+        assert _domain_error(out) == {
+            "error": "MalformedTree", "message": "edge 'r' has nonpositive length",
+        }
+
+
+@pytest.mark.parametrize(
+    "level, logged",
+    [(None, ""), ("quiet", ""), ("bogus", ""),
+     ("info", "INFO treeot: command validate\n"), ("debug", "INFO treeot: command validate\n")],
+)
+def test_w2_log_writes_only_the_command_line_to_stderr(files, level, logged):
+    tree = files("t.json", TRIPOD_JSON)
+    env = {k: v for k, v in os.environ.items() if k != "W2_LOG"}
+    if level is not None:
+        env["W2_LOG"] = level
+    out = subprocess.run(
+        [sys.executable, "-m", "treeot.cli", "validate", "--tree", tree],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 0
+    assert out.stderr == logged
+    assert json.loads(out.stdout)["ok"] is True
+
+
+def test_import_loads_no_logging():
+    # logging is imported only when W2_LOG is set, so a plain run skips it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "W2_LOG"}
+    out = subprocess.run(
+        [sys.executable, "-c", "import treeot, treeot.cli, sys; assert 'logging' not in sys.modules"],
+        env={**env, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+
+
 def test_import_loads_no_numpy():
     # numpy is loaded by the cyclical-monotonicity search only; this process
     # has numpy already, so the import is checked in a fresh interpreter.
