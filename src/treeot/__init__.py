@@ -32,15 +32,9 @@ from .metric_tree import (
     TreeGeodesic,
     TreePoint,
     ValidationReport,
-    distance,
-    evaluate,
-    geodesic_between_ends,
-    geodesic_segment,
     gromov_product,
     perpendicular,
     project_to_geodesic,
-    ray_to_end,
-    validate,
 )
 from .transport import (
     DiscreteMeasure,

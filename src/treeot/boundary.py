@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import MarginalMismatch, NonUnitMeasure, OutOfInterval
-from .metric_tree import MetricTree, TreeEnd, TreePoint
+from .metric_tree import TOL, MetricTree, TreeEnd, TreePoint
 from .dynamics import DynamicalPlan, pushforward_at
-from .transport import MASS_TOL, _merge_atoms, solve_transport, squares_in_range, wasserstein2
+from .transport import _merge_atoms, solve_transport, squares_in_range, wasserstein2
 
 _ZERO = 1e-12
 
@@ -57,16 +57,14 @@ class ConeMeasure:
                 tree.end(end.edge)  # validates
                 key = (end, speed)
             keyed.append((key, mass))
-        kept, total = _merge_atoms(keyed)
-        if abs(total - 1.0) > MASS_TOL:
-            raise MarginalMismatch(f"cone masses sum to {total}, expected 1")
+        kept = _merge_atoms(keyed, "cone masses")
         return ConeMeasure(tuple((e, s, m) for (e, s), m in kept))
 
     def quadratic_mean(self) -> float:
         return sum(m * s * s for _, s, m in self.atoms)
 
-    def is_unit(self, tol: float = 1e-9) -> bool:
-        return abs(self.quadratic_mean() - 1.0) <= tol
+    def is_unit(self) -> bool:
+        return abs(self.quadratic_mean() - 1.0) <= TOL
 
     def keys(self) -> list[ConeAtomKey]:
         return [(e, s) for e, s, _ in self.atoms]

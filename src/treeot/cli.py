@@ -3,17 +3,14 @@
 One subcommand per pipeline stage: load trees and measures from JSON, run a
 computation, emit a JSON certificate or a CSV table.  Exit codes: 0 on
 success, 1 on domain errors (non-antipodal inputs, malformed trees, ...),
-2 on usage or parse errors.  Output is deterministic byte for byte.
-
-The only recognized environment variable is W2_LOG (quiet|info|debug) for
-diagnostics verbosity.
+2 on usage or parse errors.  Output is deterministic byte for byte.  No
+environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import serialization as io
@@ -23,21 +20,6 @@ from .ends import comb_generator, construct_geodesic, flow_table, realizability_
 from .errors import TreeOTError
 from .radon import combinatorial_radon, radon_invert
 from .transport import is_cyclically_monotone, wasserstein2
-
-
-def _log_command(cmd: str) -> None:
-    """Log the subcommand to stderr at W2_LOG's level.  Without W2_LOG
-    nothing is logged, and ``logging`` is not even imported."""
-    name = os.environ.get("W2_LOG")
-    if name is None:
-        return
-    import logging
-
-    level = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        name, logging.ERROR
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger("treeot").info("command %s", cmd)
 
 
 def _load_json(path: str):
@@ -91,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     tree_arg = ("--tree", {"required": True, "help": "tree JSON file"})
-    deprecated = "deprecated: the check always covers every cycle length"
     add("validate", "structural report of a tree", tree_arg)
     add(
         "distance", "distance between two points", tree_arg,
@@ -111,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     add(
         "certify-plan", "optimality certificates for a plan", tree_arg,
         ("--plan", {"required": True, "help": "transport or dynamical plan JSON"}),
-        ("--full", {"action": "store_true", "help": deprecated}),
-        ("--max-cycle", {"type": int, "default": None, "help": deprecated}),
+        ("--full", {"action": "store_true",
+                    "help": "deprecated: the check always covers every cycle length"}),
     )
     add(
         "asymptotic", "ratio table for two ray plans (CSV)", tree_arg,
@@ -172,8 +153,6 @@ def run(argv=None) -> int:
 
 def _dispatch(args) -> str:
     cmd = args.command
-    _log_command(cmd)
-
     if cmd == "comb":
         inst = comb_generator(args.depth, args.exponent)
         table = flow_table(inst.tree, inst.nu_minus, inst.nu_plus)

@@ -37,7 +37,6 @@ from .metric_tree import (
     TOL,
 )
 from .transport import (
-    MASS_TOL,
     _ZERO_MASS,
     DiscreteMeasure,
     TransportPlan,
@@ -58,11 +57,7 @@ class DynamicalPlan:
 
     @staticmethod
     def from_atoms(tree: MetricTree, atoms) -> "DynamicalPlan":
-        kept, total = _merge_atoms(atoms)
-        if not kept:
-            raise MarginalMismatch("plan has no mass")
-        if abs(total - 1.0) > MASS_TOL:
-            raise MarginalMismatch(f"plan masses sum to {total}, expected 1")
+        kept = _merge_atoms(atoms, "plan masses", empty="plan has no mass")
         g0 = kept[0][0]
         t0, t1, kind = g0.t0, g0.t1, g0.interval_kind
         for g, _ in kept:
@@ -74,8 +69,8 @@ class DynamicalPlan:
     def speed(self) -> float:
         return math.sqrt(sum(m * g.speed**2 for g, m in self.atoms))
 
-    def is_unit(self, tol: float = 1e-9) -> bool:
-        return abs(self.speed - 1.0) <= tol
+    def is_unit(self) -> bool:
+        return abs(self.speed - 1.0) <= TOL
 
     def restrict(self, t0: float, t1: float) -> "DynamicalPlan":
         tree = self.atoms[0][0].tree
@@ -385,7 +380,7 @@ class SpeedCertificate:
         return self.passed
 
 
-def validate_complete_plan(plan: DynamicalPlan, tol: float = 1e-9) -> SpeedCertificate:
+def validate_complete_plan(plan: DynamicalPlan) -> SpeedCertificate:
     """Necessary condition for a complete Wasserstein geodesic: every atom of
     a unit complete plan must itself have unit speed.  A mixed-speed witness
     pair violates cyclical monotonicity of the (e_t, e_{-t}) projection for
@@ -393,11 +388,11 @@ def validate_complete_plan(plan: DynamicalPlan, tol: float = 1e-9) -> SpeedCerti
     if plan.kind != "complete":
         raise OutOfInterval("plan is not parametrized on the whole line")
     speeds = tuple(g.speed for g, _ in plan.atoms)
-    passed = all(abs(s - 1.0) <= tol for s in speeds)
+    passed = all(abs(s - 1.0) <= TOL for s in speeds)
     witness = None
     if not passed and len(speeds) >= 2:
         i = min(range(len(speeds)), key=lambda k: speeds[k])
         j = max(range(len(speeds)), key=lambda k: speeds[k])
-        if speeds[j] - speeds[i] > tol:
+        if speeds[j] - speeds[i] > TOL:
             witness = (i, j)
     return SpeedCertificate(passed, speeds, witness)

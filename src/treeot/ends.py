@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
+from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
-    DiagonalMass, MarginalMismatch, NotAntipodal, NotRealizable, SolverFailure,
+    DiagonalMass, NotAntipodal, NotRealizable, SolverFailure,
 )
 from .metric_tree import MetricTree, TreeEnd, gromov_product
 from .boundary import ConeMeasure, asymptotic_measure
@@ -38,6 +40,14 @@ NEUTRAL_TOL = 1e-12
 DIVERGENCE_INCREMENT = 0.25
 CAUCHY_EPS = 1e-3
 VERDICT_DOUBLINGS = 3
+# A generated family's partial sums are sampled at depths 1, 2, 4, ..., 2^12.
+SAMPLED_DOUBLINGS = 12
+
+
+def _add_in_order(values) -> float:
+    """Left-to-right float sum.  ``sum`` of floats is compensated from Python
+    3.12 on, which would make the printed values depend on the interpreter."""
+    return reduce(add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -48,9 +58,7 @@ class BoundaryMeasure:
 
     @staticmethod
     def from_atoms(tree: MetricTree, atoms) -> "BoundaryMeasure":
-        kept, total = _merge_atoms((tree.end(e.edge), m) for e, m in atoms)
-        if abs(total - 1.0) > MASS_TOL:
-            raise MarginalMismatch(f"masses sum to {total}, expected 1")
+        kept = _merge_atoms(((tree.end(e.edge), m) for e, m in atoms), "masses")
         return BoundaryMeasure(tuple(kept))
 
     def support(self) -> frozenset[TreeEnd]:
@@ -183,7 +191,7 @@ def realizability_sum(tree: MetricTree, flow: FlowTable) -> RealizabilityResult:
     """
     bp_dist = tree.basepoint_distances()
     with squares_in_range("base-point distance"):
-        value = sum(
+        value = _add_in_order(
             flow.specific_flow[x] * bp_dist[x] ** 2 for x in tree.vertices
         )
     family = tree.generated_by
@@ -279,12 +287,12 @@ def _certify_constructed(tree, plan, nu_minus, nu_plus, d0_value) -> None:
         raise SolverFailure("second moment does not match the -D0^2 optimum")
 
 
-def _cone_close(a: ConeMeasure, b: ConeMeasure, tol: float = 1e-9) -> bool:
+def _cone_close(a: ConeMeasure, b: ConeMeasure) -> bool:
     da = {(e, s): m for e, s, m in a.atoms}
     for e, s, m in b.atoms:
-        if abs(da.pop((e, s), 0.0) - m) > tol:
+        if abs(da.pop((e, s), 0.0) - m) > MASS_TOL:
             return False
-    return all(abs(m) <= tol for m in da.values())
+    return all(abs(m) <= MASS_TOL for m in da.values())
 
 
 # -- plan traversal masses (the flow equalities) -----------------------------------
@@ -327,7 +335,6 @@ class CombFamily:
 
     mass_exponent: float
     depth: int
-    max_doublings: int = 12
 
     def tooth_masses(self, depth: int) -> list[float]:
         """Tooth masses of the depth truncation, normalized per parity.
@@ -339,7 +346,7 @@ class CombFamily:
             raw = [float(n) ** (-self.mass_exponent) for n in range(1, depth + 1)]
         except OverflowError:  # n^(-exponent) beyond the largest float
             raw = [math.inf]
-        z_minus, z_plus = sum(raw[0::2]), sum(raw[1::2])
+        z_minus, z_plus = _add_in_order(raw[0::2]), _add_in_order(raw[1::2])
         if not (0.0 < z_minus < math.inf and 0.0 < z_plus < math.inf):
             raise ValueError(
                 f"comb mass exponent {self.mass_exponent} leaves a parity "
@@ -383,9 +390,9 @@ class CombFamily:
         return total
 
     def doubling_sums(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """The depths 1, 2, 4, ..., 2^max_doublings and their partial sums,
+        """The depths 1, 2, 4, ..., 2^SAMPLED_DOUBLINGS and their partial sums,
         the input of ``divergence_verdict``."""
-        depths = tuple(2**k for k in range(self.max_doublings + 1))
+        depths = tuple(2**k for k in range(SAMPLED_DOUBLINGS + 1))
         return depths, tuple(self.partial_sum(d) for d in depths)
 
 

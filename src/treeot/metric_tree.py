@@ -93,6 +93,13 @@ class Edge:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Structural report of a built tree (``MetricTree.report``).
+
+    Construction itself rejects cycles, disconnection, nonpositive lengths
+    and two-endpoint infinite edges, so a report is always ``ok``; it still
+    carries the leaf and valency-2 lists that later modules care about.
+    """
+
     connected: bool
     acyclic: bool
     leaves: tuple[str, ...]
@@ -834,32 +841,6 @@ class TreeGeodesic:
 # -- module-level operations -------------------------------------------------
 
 
-def validate(tree: MetricTree) -> ValidationReport:
-    """Structural report of an already-built tree.
-
-    Construction itself rejects cycles, disconnection, nonpositive lengths
-    and two-endpoint infinite edges, so a report is always ``ok``; it still
-    carries the leaf and valency-2 lists that later modules care about.
-    """
-    return tree.report
-
-
-def distance(tree: MetricTree, p: TreePoint, q: TreePoint) -> float:
-    return tree.distance(p, q)
-
-
-def geodesic_segment(tree, p, q, t0: float, t1: float) -> TreeGeodesic:
-    return tree.geodesic_segment(p, q, t0, t1)
-
-
-def ray_to_end(tree, p, xi: TreeEnd, speed: float) -> TreeGeodesic:
-    return tree.ray_to_end(p, xi, speed)
-
-
-def evaluate(gamma: TreeGeodesic, t: float) -> TreePoint:
-    return gamma.evaluate(t)
-
-
 def gromov_product(tree: MetricTree, xi: TreeEnd, zeta: TreeEnd) -> float:
     """Distance from the base point to the geodesic joining two ends;
     +infinity on the diagonal."""
@@ -867,10 +848,6 @@ def gromov_product(tree: MetricTree, xi: TreeEnd, zeta: TreeEnd) -> float:
         return math.inf
     gamma = tree.geodesic_between_ends(xi, zeta)
     return tree.distance(tree.basepoint, gamma.point_at_arc(0.0))
-
-
-def geodesic_between_ends(tree, xi: TreeEnd, zeta: TreeEnd) -> TreeGeodesic:
-    return tree.geodesic_between_ends(xi, zeta)
 
 
 def project_to_geodesic(tree: MetricTree, y: TreePoint, gamma: TreeGeodesic) -> TreePoint:

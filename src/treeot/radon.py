@@ -32,7 +32,7 @@ from .errors import (
     ConstantGeodesic, FlagInvalid, InconsistentData, MalformedForRadon, NonFiniteValue,
 )
 from .metric_tree import MetricTree, TreeGeodesic, TreePoint, project_to_geodesic
-from .transport import _ZERO_MASS, DiscreteMeasure, _merge_atoms
+from .transport import _ZERO_MASS, DiscreteMeasure
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,6 @@ def measure_radon_roundtrip(tree: MetricTree, mu: DiscreteMeasure) -> RoundtripR
         for p, m in proj.atoms:
             if p.edge == eid:
                 interior.append((p, m))
-    interior, _ = _merge_atoms(interior)
     interior_total = sum(m for _, m in interior)
 
     on_edge: dict[str, float] = {}

@@ -41,17 +41,24 @@ from .metric_tree import MetricTree, TreePoint
 
 MASS_TOL = 1e-9
 _ZERO_MASS = 1e-12
+# Dual certificate tolerance, relative to the cost scale: it must survive
+# the squared distances at the asymptotic sampling times.
+DUAL_TOL = 1e-7
 
 
-def _merge_atoms(atoms: Iterable[tuple[Hashable, float]]) -> tuple[list, float]:
-    """Merge atoms with equal keys (first-seen order) and drop the dust, the
-    merged masses at or below 1e-12.
+def _merge_atoms(
+    atoms: Iterable[tuple[Hashable, float]], what: str, empty: str | None = None
+) -> list:
+    """Merge atoms with equal keys (first-seen order), check that they make a
+    probability measure, and drop the dust, the merged masses at or below
+    1e-12.
 
-    Returns the kept (key, mass) pairs and the total mass taken *before* the
-    dust is dropped, which is what a measure's constructor checks against 1:
-    a measure spread over many tiny atoms can shed more than its tolerance
-    as dust.  A merged mass below -1e-12 is not dust and raises, and so does
-    a NaN or infinite mass, which no comparison would catch.
+    The total mass is taken *before* the dust is dropped and must be within
+    MASS_TOL of 1, else MarginalMismatch("<what> sum to <total>, expected
+    1"): a measure spread over many tiny atoms can shed more than its
+    tolerance as dust.  With `empty` given, no atom left raises that message
+    first.  A merged mass below -1e-12 is not dust and raises, and so does a
+    NaN or infinite mass, which no comparison would catch.
     """
     merged: dict = {}
     for key, m in atoms:
@@ -63,7 +70,12 @@ def _merge_atoms(atoms: Iterable[tuple[Hashable, float]]) -> tuple[list, float]:
         if m < -_ZERO_MASS:
             raise MarginalMismatch(f"negative mass {m} at {key!r}")
     total = sum(merged.values())
-    return [(k, m) for k, m in merged.items() if m > _ZERO_MASS], total
+    kept = [(k, m) for k, m in merged.items() if m > _ZERO_MASS]
+    if empty is not None and not kept:
+        raise MarginalMismatch(empty)
+    if abs(total - 1.0) > MASS_TOL:
+        raise MarginalMismatch(f"{what} sum to {total}, expected 1")
+    return kept
 
 
 @contextmanager
@@ -84,9 +96,7 @@ class DiscreteMeasure:
 
     @staticmethod
     def from_atoms(tree: MetricTree, atoms) -> "DiscreteMeasure":
-        kept, total = _merge_atoms((tree.canonical_point(p), m) for p, m in atoms)
-        if abs(total - 1.0) > MASS_TOL:
-            raise MarginalMismatch(f"masses sum to {total}, expected 1")
+        kept = _merge_atoms(((tree.canonical_point(p), m) for p, m in atoms), "masses")
         return DiscreteMeasure(tuple(kept))
 
     @staticmethod
@@ -105,9 +115,9 @@ class DiscreteMeasure:
                 return m
         return 0.0
 
-    def second_moment(self, tree: MetricTree, x0: TreePoint | None = None) -> float:
-        x0 = tree.basepoint if x0 is None else x0
-        return sum(m * tree.distance(x0, p) ** 2 for p, m in self.atoms)
+    def second_moment(self, tree: MetricTree) -> float:
+        """Second moment about the tree's base point."""
+        return sum(m * tree.distance(tree.basepoint, p) ** 2 for p, m in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -125,24 +135,19 @@ class TransportPlan:
     def cost(self, cost_fn: Callable[[TreePoint, TreePoint], float]) -> float:
         return sum(m * cost_fn(x, y) for x, y, m in self.entries)
 
-    def support(self) -> list[tuple[TreePoint, TreePoint]]:
-        return [(x, y) for x, y, _ in self.entries]
-
-    def check_marginals(
-        self, mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = MASS_TOL
-    ) -> None:
+    def check_marginals(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
         row: dict = {}
         col: dict = {}
         for x, y, m in self.entries:
             row[x] = row.get(x, 0.0) + m
             col[y] = col.get(y, 0.0) + m
         for p, m in mu.atoms:
-            if abs(row.pop(p, 0.0) - m) > tol:
+            if abs(row.pop(p, 0.0) - m) > MASS_TOL:
                 raise MarginalMismatch(f"row sum at {p!r} differs from source mass")
         for p, m in nu.atoms:
-            if abs(col.pop(p, 0.0) - m) > tol:
+            if abs(col.pop(p, 0.0) - m) > MASS_TOL:
                 raise MarginalMismatch(f"column sum at {p!r} differs from target mass")
-        if any(m > tol for m in row.values()) or any(m > tol for m in col.values()):
+        if any(m > MASS_TOL for m in row.values()) or any(m > MASS_TOL for m in col.values()):
             raise MarginalMismatch("plan carries mass outside the marginals")
 
 
@@ -342,17 +347,16 @@ def wasserstein2(tree: MetricTree, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
     return W2Result(math.sqrt(max(0.0, value)), plan)
 
 
-def certify_duals(cost, sol: SimplexSolution, tol: float = 1e-7) -> None:
-    """Dual feasibility and complementary slackness, within tol relative to
-    the cost scale (the certificate must survive squared distances at the
-    asymptotic sampling times)."""
-    scale = 1.0 + max((abs(c) for row in cost for c in row), default=0.0)
+def certify_duals(cost, sol: SimplexSolution) -> None:
+    """Dual feasibility and complementary slackness, within DUAL_TOL relative
+    to the cost scale."""
+    slack = DUAL_TOL * (1.0 + max((abs(c) for row in cost for c in row), default=0.0))
     for i, ui in enumerate(sol.u):
         for j, vj in enumerate(sol.v):
-            if ui + vj > cost[i][j] + tol * scale:
+            if ui + vj > cost[i][j] + slack:
                 raise SolverFailure("dual feasibility violated: plan not optimal")
     for (i, j), q in sol.cells.items():
-        if q > _ZERO_MASS and abs(cost[i][j] - sol.u[i] - sol.v[j]) > tol * scale:
+        if q > _ZERO_MASS and abs(cost[i][j] - sol.u[i] - sol.v[j]) > slack:
             raise SolverFailure("complementary slackness violated")
 
 

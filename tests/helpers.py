@@ -395,6 +395,21 @@ def add_in_order(values) -> float:
     return total
 
 
+def reference_tooth_masses(exponent: float, depth: int) -> list[float]:
+    """``CombFamily.tooth_masses``: n^(-exponent) for the teeth 1..depth,
+    each parity divided by its normaliser added left to right."""
+    raw = [float(n) ** (-exponent) for n in range(1, depth + 1)]
+    z_minus, z_plus = add_in_order(raw[0::2]), add_in_order(raw[1::2])
+    return [m / (z_minus if n % 2 else z_plus) for n, m in enumerate(raw, 1)]
+
+
+def reference_realizability(tree: T.MetricTree, specific) -> float:
+    """The realizability sum of the specific flows, added left to right over
+    the tree's vertices."""
+    bp_dist = tree.basepoint_distances()
+    return add_in_order(specific[x] * bp_dist[x] ** 2 for x in tree.vertices)
+
+
 def reference_partial_sum(family, depth: int) -> float:
     """``CombFamily.partial_sum`` in its list form: the suffix sums filled in
     from the tip, then each base vertex's outgoing flows in a list (back along
@@ -402,7 +417,7 @@ def reference_partial_sum(family, depth: int) -> float:
     added."""
     if depth < 2:
         return 0.0
-    masses = family.tooth_masses(depth)
+    masses = reference_tooth_masses(family.mass_exponent, depth)
     signed = [
         0.0 if m <= 1e-12 else m if n % 2 == 0 else -m
         for n, m in enumerate(masses, 1)

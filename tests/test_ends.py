@@ -136,6 +136,7 @@ def _assert_flows_match_reference(tree, minus, plus):
     vertex_flow, specific = helpers.reference_vertex_flows(tree, minus, plus)
     assert table.vertex_flow == vertex_flow
     assert table.specific_flow == specific
+    assert T.realizability_sum(tree, table).value == helpers.reference_realizability(tree, specific)
 
 
 def test_flow_table_equals_reference_bit_for_bit():
@@ -157,7 +158,10 @@ def test_flow_table_equals_reference_bit_for_bit():
     assert kinds == {"vertex", "finite", "ray"}
 
 
-@pytest.mark.parametrize("depth, exponent", [(2, 3.0), (7, 1.5), (64, 0.0), (300, 3.0), (2048, -50.0)])
+@pytest.mark.parametrize(
+    "depth, exponent",
+    [(2, 3.0), (7, 1.5), (64, 0.0), (300, 3.0), (2048, -50.0), (2048, 1.5), (2048, 0.5)],
+)
 def test_comb_flow_table_equals_reference_bit_for_bit(depth, exponent):
     inst = T.comb_generator(depth, exponent)
     _assert_flows_match_reference(inst.tree, inst.nu_minus, inst.nu_plus)
@@ -167,6 +171,7 @@ def test_comb_flow_table_equals_reference_bit_for_bit(depth, exponent):
 @pytest.mark.parametrize("exponent", [3.0, 1.5, 4.0, 0.0, -50.0, 400.0])
 def test_comb_partial_sum_equals_reference_bit_for_bit(depth, exponent):
     family = T.CombFamily(exponent, depth)
+    assert family.tooth_masses(depth) == helpers.reference_tooth_masses(exponent, depth)
     assert family.partial_sum(depth) == helpers.reference_partial_sum(family, depth)
 
 

@@ -26,13 +26,13 @@ import helpers
 
 
 def test_tripod_valid_with_leaves_flagged(tripod):
-    report = T.validate(tripod)
+    report = tripod.report
     assert report.ok
     assert set(report.leaves) == {"a", "b", "c"}
 
 
 def test_star3_valid_no_leaves(star3):
-    report = T.validate(star3)
+    report = star3.report
     assert report.ok
     assert report.leaves == ()
     assert set(report.infinite_edges) == {"r1", "r2", "r3"}

@@ -67,9 +67,21 @@ def test_metric_axioms_random():
         assert dab <= dac + dcb + 1e-7
 
 
-def test_probability_enforced(tripod):
-    with pytest.raises(MarginalMismatch):
+def test_probability_enforced(tripod, star3):
+    # every measure constructor checks its total in one place, each with
+    # its own message; a plan left without atoms says so first
+    with pytest.raises(MarginalMismatch, match=r"^masses sum to 0\.7, expected 1$"):
         T.DiscreteMeasure.from_atoms(tripod, [(tripod.vertex_point("a"), 0.7)])
+    with pytest.raises(MarginalMismatch, match=r"^masses sum to 0\.7, expected 1$"):
+        T.BoundaryMeasure.from_atoms(star3, [(star3.end("r1"), 0.7)])
+    with pytest.raises(MarginalMismatch, match=r"^cone masses sum to 0\.7, expected 1$"):
+        T.ConeMeasure.from_atoms(star3, [(star3.end("r1"), 1.0, 0.7)])
+    seg = tripod.geodesic_segment(tripod.vertex_point("o"), tripod.vertex_point("a"), 0.0, 1.0)
+    with pytest.raises(MarginalMismatch, match=r"^plan masses sum to 0\.7, expected 1$"):
+        T.DynamicalPlan.from_atoms(tripod, [(seg, 0.7)])
+    for atoms in ([], [(seg, 1e-13)]):
+        with pytest.raises(MarginalMismatch, match=r"^plan has no mass$"):
+            T.DynamicalPlan.from_atoms(tripod, atoms)
 
 
 def test_zero_mass_atoms_dropped(tripod):
