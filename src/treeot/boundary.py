@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 from .errors import MarginalMismatch, NonUnitMeasure, OutOfInterval
 from .metric_tree import TOL, MetricTree, TreeEnd, TreePoint
 from .dynamics import DynamicalPlan, pushforward_at
-from .transport import _merge_atoms, solve_transport, squares_in_range, wasserstein2
+from .transport import _add_in_order, _merge_atoms, solve_transport, squares_in_range, wasserstein2
 
 _ZERO = 1e-12
 
@@ -61,7 +61,7 @@ class ConeMeasure:
         return ConeMeasure(tuple((e, s, m) for (e, s), m in kept))
 
     def quadratic_mean(self) -> float:
-        return sum(m * s * s for _, s, m in self.atoms)
+        return _add_in_order(m * s * s for _, s, m in self.atoms)
 
     def is_unit(self) -> bool:
         return abs(self.quadratic_mean() - 1.0) <= TOL
@@ -107,7 +107,7 @@ def total_variation(nu1: ConeMeasure, nu2: ConeMeasure) -> float:
         keys[k] = keys.get(k, 0.0) + m
     for k, m in zip(nu2.keys(), nu2.masses()):
         keys[k] = keys.get(k, 0.0) - m
-    return 0.5 * sum(abs(v) for v in keys.values())
+    return 0.5 * _add_in_order(abs(v) for v in keys.values())
 
 
 def asymptotic_measure(plan: DynamicalPlan, direction: int = +1) -> ConeMeasure:

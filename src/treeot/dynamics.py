@@ -40,6 +40,7 @@ from .transport import (
     _ZERO_MASS,
     DiscreteMeasure,
     TransportPlan,
+    _add_in_order,
     _merge_atoms,
     is_cyclically_monotone,
     wasserstein2,
@@ -67,7 +68,7 @@ class DynamicalPlan:
 
     @property
     def speed(self) -> float:
-        return math.sqrt(sum(m * g.speed**2 for g, m in self.atoms))
+        return math.sqrt(_add_in_order(m * g.speed**2 for g, m in self.atoms))
 
     def is_unit(self) -> bool:
         return abs(self.speed - 1.0) <= TOL

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate
-from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -30,7 +28,14 @@ from .errors import (
 from .metric_tree import MetricTree, TreeEnd, gromov_product
 from .boundary import ConeMeasure, asymptotic_measure
 from .dynamics import DynamicalPlan, antagonist_pairs, pushforward_at
-from .transport import _ZERO_MASS, MASS_TOL, _merge_atoms, solve_transport, squares_in_range
+from .transport import (
+    _ZERO_MASS,
+    MASS_TOL,
+    _add_in_order,
+    _merge_atoms,
+    solve_transport,
+    squares_in_range,
+)
 
 NEUTRAL_TOL = 1e-12
 
@@ -42,12 +47,6 @@ CAUCHY_EPS = 1e-3
 VERDICT_DOUBLINGS = 3
 # A generated family's partial sums are sampled at depths 1, 2, 4, ..., 2^12.
 SAMPLED_DOUBLINGS = 12
-
-
-def _add_in_order(values) -> float:
-    """Left-to-right float sum.  ``sum`` of floats is compensated from Python
-    3.12 on, which would make the printed values depend on the interpreter."""
-    return reduce(add, values, 0.0)
 
 
 @dataclass(frozen=True)

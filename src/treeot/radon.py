@@ -32,7 +32,7 @@ from .errors import (
     ConstantGeodesic, FlagInvalid, InconsistentData, MalformedForRadon, NonFiniteValue,
 )
 from .metric_tree import MetricTree, TreeGeodesic, TreePoint, project_to_geodesic
-from .transport import _ZERO_MASS, DiscreteMeasure
+from .transport import _ZERO_MASS, DiscreteMeasure, _add_in_order
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class VertexFunction:
             tree.vertex_point(v)  # validates
             if not math.isfinite(h):
                 raise NonFiniteValue(f"non-finite value {h} at vertex {v!r}")
-        return VertexFunction(items, sum(h for _, h in items))
+        return VertexFunction(items, _add_in_order(h for _, h in items))
 
     def get(self, v: str) -> float:
         for w, h in self.values:
@@ -123,7 +123,7 @@ def _perpendicular_sums(
     entered through e and f: the total minus two component masses, each of
     them the mass beyond an edge in one of its two orientations."""
     beyond = tree.mass_beyond(vertex_mass, edge_mass)
-    total = sum(vertex_mass.values()) + sum(edge_mass.values())
+    total = _add_in_order(vertex_mass.values()) + _add_in_order(edge_mass.values())
 
     def through(x: str, g: str) -> float:
         if tree.edges[g].ends[0] == x:
@@ -240,7 +240,7 @@ def measure_radon_roundtrip(tree: MetricTree, mu: DiscreteMeasure) -> RoundtripR
         for p, m in proj.atoms:
             if p.edge == eid:
                 interior.append((p, m))
-    interior_total = sum(m for _, m in interior)
+    interior_total = _add_in_order(m for _, m in interior)
 
     on_edge: dict[str, float] = {}
     for p, m in interior:

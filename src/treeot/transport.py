@@ -15,17 +15,19 @@ leaving cell is the last blocking cell met from the cycle's apex, which
 keeps the basis strongly feasible (Cunningham 1976) and rules out cycling
 without any random choice.
 
-Cyclical monotonicity is certified by searching the support pairs for a
-negative improvement cycle: a plan is optimal for a cost iff no finite
-family of its pairs can lower the total cost by shifting targets along a
-cycle.  The improvement matrix over the k entries is gathered from one
-distance matrix over the plan's distinct sources and targets, which the
-entries repeat.  The search is Bellman-Ford over that matrix: it ends with
-potentials that re-check in O(k^2), or, as soon as a round closes a cycle
-in the predecessor graph, with that cycle as a simple violating witness.
-It is the only numpy code in the package, so numpy is imported inside the
-two functions that run it: importing treeot, and every computation without
-a cycle search, never loads numpy.
+Cyclical monotonicity is certified by potentials: a plan is optimal for a
+cost c iff no finite family of its pairs can lower the total cost by
+shifting targets along a cycle, iff potentials exist with phi(x) + psi(y)
+<= c(x, y) everywhere and equality on the support (Villani 2009, Thm
+5.10).  One distance matrix over the plan's distinct sources and targets
+gives c.  One walk per component of the bipartite support graph sets the
+potentials, and one pass over the reduced costs c - phi - psi decides a
+connected support, or finds a failing pair whose cycle through the walk is
+a simple violating witness.  Only a support of several components needs
+more: a Bellman-Ford search over the components (min_improvement_cycle).
+That search and the matrix handed to it are the only numpy code in the
+package, and numpy is imported where they run: importing treeot, and
+certifying a connected support, never load numpy.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import sub
+from functools import reduce
+from operator import add, sub
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import MarginalMismatch, NonFiniteValue, SolverFailure
@@ -44,6 +47,12 @@ _ZERO_MASS = 1e-12
 # Dual certificate tolerance, relative to the cost scale: it must survive
 # the squared distances at the asymptotic sampling times.
 DUAL_TOL = 1e-7
+
+
+def _add_in_order(values) -> float:
+    """Left-to-right float sum.  ``sum`` of floats is compensated from Python
+    3.12 on, which would make the printed values depend on the interpreter."""
+    return reduce(add, values, 0.0)
 
 
 def _merge_atoms(
@@ -69,7 +78,7 @@ def _merge_atoms(
     for key, m in merged.items():
         if m < -_ZERO_MASS:
             raise MarginalMismatch(f"negative mass {m} at {key!r}")
-    total = sum(merged.values())
+    total = _add_in_order(merged.values())
     kept = [(k, m) for k, m in merged.items() if m > _ZERO_MASS]
     if empty is not None and not kept:
         raise MarginalMismatch(empty)
@@ -117,7 +126,7 @@ class DiscreteMeasure:
 
     def second_moment(self, tree: MetricTree) -> float:
         """Second moment about the tree's base point."""
-        return sum(m * tree.distance(tree.basepoint, p) ** 2 for p, m in self.atoms)
+        return _add_in_order(m * tree.distance(tree.basepoint, p) ** 2 for p, m in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -133,7 +142,7 @@ class TransportPlan:
     potentials: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def cost(self, cost_fn: Callable[[TreePoint, TreePoint], float]) -> float:
-        return sum(m * cost_fn(x, y) for x, y, m in self.entries)
+        return _add_in_order(m * cost_fn(x, y) for x, y, m in self.entries)
 
     def check_marginals(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
         row: dict = {}
@@ -189,7 +198,7 @@ def transportation_simplex(
         raise SolverFailure("non-finite cost")
     eps = 1e-12 * (1.0 + big)
     a = [float(s) for s in supply]
-    scale = sum(a) / sum(demand)
+    scale = _add_in_order(a) / _add_in_order(demand)
     b = [float(d) * scale for d in demand]
 
     # Node k != root hangs from parent[k] by the basic cell joining them,
@@ -300,7 +309,7 @@ def transportation_simplex(
         for k in range(m + n)
         if k != root
     }
-    value = sum(q * cost[i][j] for (i, j), q in cells.items())
+    value = _add_in_order(q * cost[i][j] for (i, j), q in cells.items())
     return SimplexSolution(value, cells, pot[:m], pot[m:], pivots, degenerate, priced)
 
 
@@ -445,7 +454,7 @@ def min_improvement_cycle(
     cycle.reverse()  # predecessors run against the shift order
     low = cycle.index(min(cycle))
     cycle = cycle[low:] + cycle[:low]
-    weight = sum(float(weights[a, b]) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    weight = _add_in_order(float(weights[a, b]) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
     if weight >= 0.0:
         raise SolverFailure("cycle search returned a non-negative cycle")
     return weight, tuple(cycle)
@@ -459,31 +468,127 @@ def is_cyclically_monotone(
 
     A failing certificate carries a simple witness cycle of entry indices:
     shifting each listed entry's target to the next one strictly improves
-    the cost.  max_cycle is the support size; full is deprecated and ignored.
+    the cost, by `improvement`, summed from the squared distances.
+    max_cycle is the support size; full is deprecated and ignored.
 
-    Distances are computed once per distinct source and target, in
-    first-seen order and keyed as given (points equal only after
-    canonicalisation stay separate keys, with equal distances), and squared
-    there; the k x k cost matrix over the entries is gathered from them by
-    index, so every weight is the float a per-entry matrix would hold.  The
-    search stops at the first cycle of its predecessor graph (see
-    min_improvement_cycle).
+    The certificate is a pair of potentials phi (sources) and psi
+    (targets) with phi + psi = c on the support and c - phi - psi >= 0
+    everywhere, for c = d^2, each within MASS_TOL / (2k): any cycle of
+    shifts then weighs at least -MASS_TOL.  Distances are computed once per
+    distinct source and target, in first-seen order and keyed as given
+    (points equal only after canonicalisation stay separate keys, with
+    equal distances).  One walk per component of the bipartite support
+    graph, from its first source, sets the potentials along the walk's
+    arcs.  A support pair off its potentials, or a negative reduced cost
+    inside a component, fails at once, with the cycle it closes through
+    the walk's arcs as witness.  With K > 1 components the potentials are
+    still free by a constant per component: the K x K matrix of the least
+    reduced cost from each component to each other one goes to
+    min_improvement_cycle, and a negative cycle there is closed through
+    the walk's arcs of every component it passes.
     """
     k = len(plan.entries)
     if k == 0:
         return MonotonicityCertificate(True, 0, None, 0.0)
-    import numpy as np
-
     xs: dict = {}
     ys: dict = {}
     si = [xs.setdefault(x, len(xs)) for x, _, _ in plan.entries]
     ti = [ys.setdefault(y, len(ys)) for _, y, _ in plan.entries]
-    d = tree.distance_matrix(list(xs), list(ys))
     with squares_in_range("distance"):
-        sq = np.array([[v ** 2 for v in row] for row in d])
-    cost = sq[np.ix_(si, ti)]
-    w = cost - np.diagonal(cost)[:, None]
-    best, witness = min_improvement_cycle(w, k)
-    if witness is None:
+        sq = [[v ** 2 for v in row] for row in tree.distance_matrix(list(xs), list(ys))]
+    slack = MASS_TOL / (2 * k)
+
+    # The support graph: sources 0..nx-1, then the targets; one arc per
+    # distinct pair, named by its first entry.
+    nx = len(xs)
+    support: dict = {}
+    adj: list[list] = [[] for _ in range(nx + len(ys))]
+    for e, pair in enumerate(zip(si, ti)):
+        if pair not in support:
+            support[pair] = e
+            adj[pair[0]].append((nx + pair[1], e))
+            adj[nx + pair[1]].append((pair[0], e))
+    # The walks: every target has a source, so the sources root them all.
+    pot = [0.0] * len(adj)
+    comp = [-1] * len(adj)
+    up = [(-1, -1)] * len(adj)  # (parent, entry of the arc to it)
+    depth = [0] * len(adj)
+    K = 0
+    for root in range(nx):
+        if comp[root] >= 0:
+            continue
+        comp[root], order = K, [root]
+        for a in order:  # breadth first, so that witnesses are short
+            for b, e in adj[a]:
+                if comp[b] < 0:
+                    comp[b], up[b], depth[b] = K, (a, e), depth[a] + 1
+                    pot[b] = sq[si[e]][ti[e]] - pot[a]
+                    order.append(b)
+        K += 1
+
+    def shifted(a: int, b: int) -> list[int]:
+        """The entries the walks' path from node a to node b leaves a target
+        by: on a cycle of alternate shifted and kept pairs, those whose
+        targets shift (each source takes the target of the next)."""
+        head, tail = [], []  # (node the arc leaves, its entry)
+        while a != b:
+            if depth[a] >= depth[b]:
+                parent, e = up[a]
+                head.append((a, e))
+                a = parent
+            else:
+                parent, e = up[b]
+                tail.append((parent, e))
+                b = parent
+        return [e for node, e in head + tail[::-1] if node >= nx]
+
+    def failed(cycle: list[int]) -> MonotonicityCertificate:
+        low = cycle.index(min(cycle))
+        cycle = cycle[low:] + cycle[:low]
+        weight = _add_in_order(
+            sq[si[a]][ti[b]] - sq[si[a]][ti[a]] for a, b in zip(cycle, cycle[1:] + cycle[:1])
+        )
+        if weight >= 0.0:
+            raise SolverFailure("certificate witness does not lower the cost")
+        return MonotonicityCertificate(False, k, tuple(cycle), weight)
+
+    # Reduced costs are (c - phi) - psi, which is exactly 0 on a walk arc
+    # into a target.
+    for (i, j), e in support.items():
+        r = sq[i][j] - pot[i] - pot[nx + j]
+        if r > slack:  # shift e's target round the walks' path from i to j
+            return failed([e] + shifted(i, nx + j))
+        if r < -slack:  # send i to j, and the rest round the path back
+            return failed(shifted(nx + j, i))
+    psi = pot[nx:]
+    members: list[list[int]] = [[] for _ in range(K)]
+    for j, q in enumerate(comp[nx:]):
+        members[q].append(j)
+    least = [[0.0] * K for _ in range(K)]
+    at: list[list] = [[None] * K for _ in range(K)]
+    for i, row in enumerate(sq):
+        p, ui = comp[i], pot[i]
+        reduced = [c - ui - v for c, v in zip(row, psi)]
+        for q, js in enumerate(members):
+            j = min(js, key=reduced.__getitem__)
+            r = reduced[j]
+            if q == p:
+                if r < -slack:
+                    return failed(shifted(nx + j, i))
+            elif at[p][q] is None or r < least[p][q]:
+                least[p][q], at[p][q] = r, (i, j)
+    if K == 1:
         return MonotonicityCertificate(True, k, None, 0.0)
-    return MonotonicityCertificate(False, k, witness, best)
+
+    import numpy as np
+
+    # Scaled by 2k / K, the search's slack of MASS_TOL / K per arc is the
+    # MASS_TOL / (2k) of every other arc.
+    _, components = min_improvement_cycle(np.array(least) * (2 * k / K), K)
+    if components is None:
+        return MonotonicityCertificate(True, k, None, 0.0)
+    hops = [at[p][q] for p, q in zip(components, components[1:] + components[:1])]
+    cycle = []
+    for (_, j), (i, _) in zip(hops, hops[1:] + hops[:1]):
+        cycle += shifted(nx + j, i)
+    return failed(cycle)

@@ -111,6 +111,13 @@ def dyadic_masses(rng, n: int, denom: int = 64) -> list[float]:
             return [k / denom for k in ks]
 
 
+def spread_masses(rng, n: int) -> list[float]:
+    """n masses normalised to 1, none of them a short binary fraction, so
+    that sums of them round differently in different orders."""
+    m = rng.uniform(0.5, 1.5, size=n)
+    return [float(v) for v in m / m.sum()]
+
+
 def random_measure(rng, tree, n_atoms: int) -> T.DiscreteMeasure:
     pts = distinct_points(rng, tree, n_atoms)
     masses = rng.uniform(0.2, 1.0, size=n_atoms)
@@ -300,7 +307,7 @@ def simple_cycles(k: int):
 
 
 def cycle_weight(w, cycle) -> float:
-    return sum(float(w[a, b]) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    return add_in_order(float(w[a, b]) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
 def dense_projection(tree, y, gamma, step: float = 1e-3) -> float:
@@ -318,6 +325,21 @@ def measures_close(a: T.DiscreteMeasure, b: T.DiscreteMeasure, tol=1e-9) -> bool
     got = {p: m for p, m in b.atoms}
     keys = set(want) | set(got)
     return all(abs(want.get(p, 0.0) - got.get(p, 0.0)) <= tol for p in keys)
+
+
+def support_components(plan: T.TransportPlan) -> int:
+    """Connected components of the bipartite graph whose arcs join each
+    entry's source to its target."""
+    owner: dict = {}
+
+    def find(a):
+        while owner.setdefault(a, a) != a:
+            a = owner[a]
+        return a
+
+    for x, y, _ in plan.entries:
+        owner[find(("x", x))] = find(("y", y))
+    return len({find(a) for a in list(owner)})
 
 
 # -- corrupted plans ------------------------------------------------------------

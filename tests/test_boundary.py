@@ -290,3 +290,18 @@ def test_csv_shape(star3):
     assert lines[0] == "t,ratio,target,abs_error"
     assert len(lines) == 4  # header + 2 grid rows + certified limit row
     assert lines[-1].startswith("inf,")
+
+
+def test_cone_sums_add_in_order(star3):
+    rng = np.random.default_rng(107)
+    ends = star3.ends()
+    speeds = [float(s) for s in rng.uniform(0.5, 2.0, size=40)]
+    masses = helpers.spread_masses(rng, 40)
+    nu1 = T.ConeMeasure.from_atoms(star3, [(ends[i % 3], s, m) for i, (s, m) in enumerate(zip(speeds, masses))])
+    terms = [m * s * s for _, s, m in nu1.atoms]
+    assert math.fsum(terms) != helpers.add_in_order(terms)
+    assert nu1.quadratic_mean() == helpers.add_in_order(terms)
+    # no atom in common: the variation is half of all the masses
+    nu2 = T.ConeMeasure.from_atoms(star3, [(ends[0], 3.0 + s, m) for s, m in zip(speeds, masses)])
+    both = [*nu1.masses(), *nu2.masses()]
+    assert T.total_variation(nu1, nu2) == 0.5 * helpers.add_in_order(both)

@@ -464,3 +464,15 @@ def test_mixed_speed_witness_violates_projection_at_large_t(star3):
         tuple((g_.evaluate(t), g_.evaluate(-t), m) for g_, m in plan.atoms)
     )
     assert not T.is_cyclically_monotone(star3, proj, full=True).passed
+
+
+def test_plan_speed_adds_in_order():
+    rng = np.random.default_rng(109)
+    tree = helpers.random_tree(rng, 40, 1)
+    pts = helpers.distinct_points(rng, tree, 40)
+    mu0 = T.DiscreteMeasure.from_atoms(tree, zip(pts[:20], helpers.spread_masses(rng, 20)))
+    mu1 = T.DiscreteMeasure.from_atoms(tree, zip(pts[20:], helpers.spread_masses(rng, 20)))
+    dyn = T.interpolate(tree, mu0, mu1)
+    terms = [m * g.speed**2 for g, m in dyn.atoms]
+    assert math.fsum(terms) != helpers.add_in_order(terms)
+    assert dyn.speed == math.sqrt(helpers.add_in_order(terms))

@@ -273,3 +273,34 @@ def test_roundtrip_mixed_random():
         report = T.measure_radon_roundtrip(tree, mu)
         assert report.max_error <= 1e-9
         assert helpers.measures_close(report.reconstructed, mu)
+
+
+def test_roundtrip_interior_total_adds_in_order(monkeypatch):
+    # radon_invert gets 1 minus the interior masses added left to right
+    from treeot import radon
+
+    rng = np.random.default_rng(114)
+    tree = helpers.random_radon_tree(rng, 6)
+    edges = sorted(e for e in tree.edges if not tree.edges[e].infinite)
+    offsets = rng.uniform(0.1, 0.9, size=24)
+    pts = [tree.edge_point(edges[i % len(edges)], float(o) * tree.edges[edges[i % len(edges)]].length)
+           for i, o in enumerate(offsets)]
+    pts += [tree.vertex_point(v) for v in tree.vertices]
+    mu = T.DiscreteMeasure.from_atoms(tree, zip(pts, helpers.spread_masses(rng, len(pts))))
+    totals = []
+    invert = radon.radon_invert
+    monkeypatch.setattr(radon, "radon_invert", lambda t, data, total: totals.append(total) or invert(t, data, total))
+    report = T.measure_radon_roundtrip(tree, mu)
+    masses = [m for _, m in report.interior_atoms]
+    assert math.fsum(masses) != helpers.add_in_order(masses)
+    assert totals == [1.0 - helpers.add_in_order(masses)]
+
+
+def test_vertex_function_total_adds_in_order():
+    rng = np.random.default_rng(127)
+    tree = helpers.random_radon_tree(rng, 30)
+    values = {v: float(x) for v, x in zip(tree.vertices, rng.normal(size=30))}
+    h = T.VertexFunction.from_mapping(tree, values)
+    ordered = [values[v] for v in sorted(values)]
+    assert math.fsum(ordered) != helpers.add_in_order(ordered)
+    assert h.total == helpers.add_in_order(ordered)

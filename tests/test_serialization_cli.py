@@ -774,3 +774,40 @@ def test_import_loads_no_numpy():
         text=True,
     )
     assert out.returncode == 0, out.stderr
+
+
+def test_connected_plan_is_certified_without_numpy(files, capsys):
+    # With numpy unimportable in a fresh interpreter, certify-plan and
+    # interpolate --plan still run on a solved plan whose support is
+    # connected, and print what they print here.
+    from treeot import cli as treeot_cli
+
+    rng = np.random.default_rng(97)
+    tree = helpers.random_tree(rng, 20, 2)
+    mu, nu = helpers.random_measure(rng, tree, 6), helpers.random_measure(rng, tree, 6)
+    t = files("t.json", io.tree_to_json(tree))
+    m, n = files("mu.json", io.measure_to_json(mu)), files("nu.json", io.measure_to_json(nu))
+    assert treeot_cli.run(["w2", "--tree", t, "--mu", m, "--nu", n]) == 0
+    doc = json.loads(capsys.readouterr().out)["plan"]
+    assert helpers.support_components(io.plan_from_json(tree, doc)) == 1
+    plan = files("plan.json", doc)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys; sys.modules['numpy'] = None; from treeot import cli; sys.exit(cli.run(sys.argv[1:]))"
+    outputs = []
+    for argv in (
+        ["certify-plan", "--tree", t, "--plan", plan],
+        ["interpolate", "--tree", t, "--mu", m, "--nu", n, "--plan", plan],
+    ):
+        assert treeot_cli.run(argv) == 0
+        want = capsys.readouterr().out
+        outputs.append(json.loads(want))
+        out = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == want
+    assert outputs[0]["cyclically_monotone"] is True
+    assert outputs[1]["atoms"]

@@ -539,18 +539,30 @@ def test_tripod_non_uniqueness_witness(tripod):
     assert solved.plan.entries == p1.entries  # pinned tie-break
 
 
-def _per_entry_certificate(tree, plan):
-    """(passed, witness, improvement) from the k x k matrix built entry by
-    entry with tree.distance: the reference for the distinct-atom matrix."""
+def _per_entry_weights(tree, plan):
+    """w[e, f] = c(x_e, y_f) - c(x_e, y_e), built entry by entry with
+    tree.distance: the cycle search's matrix and the reference for the
+    certificate."""
     e = plan.entries
     cost = np.array([[tree.distance(x, y) ** 2 for _, y, _ in e] for x, _, _ in e])
-    best, witness = min_improvement_cycle(cost - np.diagonal(cost)[:, None], len(e))
-    return witness is None, witness, best
+    return cost - np.diagonal(cost)[:, None]
 
 
 def _matches_per_entry(tree, plan) -> bool:
+    # A passing certificate is the search's exactly.  A failing one has the
+    # search's verdict, but its witness may be another cycle: it must be
+    # simple and weigh, on the per-entry matrix, its improvement below 0.
+    w = _per_entry_weights(tree, plan)
+    best, witness = min_improvement_cycle(w, len(w))
     cert = T.is_cyclically_monotone(tree, plan)
-    assert (cert.passed, cert.witness, cert.improvement) == _per_entry_certificate(tree, plan)
+    assert cert.passed == (witness is None)
+    assert cert.max_cycle == len(plan.entries)
+    if cert.passed:
+        assert (cert.witness, cert.improvement) == (None, 0.0)
+    else:
+        assert len(set(cert.witness)) == len(cert.witness) >= 2
+        assert cert.witness[0] == min(cert.witness)
+        assert helpers.cycle_weight(w, cert.witness) == cert.improvement < 0.0
     return cert.passed
 
 
@@ -621,3 +633,147 @@ def test_distinct_atom_matrix_matches_per_entry_on_projected_plans(star3):
         proj = T.TransportPlan(((g.evaluate(t), g.evaluate(-t), 0.5), (c.evaluate(t), c.evaluate(-t), 0.5)))
         verdicts.append(_matches_per_entry(star3, proj))
     assert True in verdicts and False in verdicts
+
+
+# -- support-forest certificate --------------------------------------------------
+
+
+def _path(n):
+    names = [f"p{i}" for i in range(n)]
+    tree = T.MetricTree(names, [(f"e{i}", (names[i - 1], names[i]), 1.0) for i in range(1, n)], "p0")
+    return tree, [tree.vertex_point(v) for v in names]
+
+
+def test_diagonal_plan_has_one_component_per_atom_and_passes():
+    rng = np.random.default_rng(83)
+    tree = helpers.random_tree(rng, 20, 2)
+    mu = helpers.random_measure(rng, tree, 7)
+    plan = T.wasserstein2(tree, mu, mu).plan
+    assert plan.entries == tuple((x, x, m) for x, m in mu.atoms)
+    assert helpers.support_components(plan) == 7
+    assert _matches_per_entry(tree, plan)
+
+
+def test_tripod_cross_component_failure(tripod):
+    # a -> b with o -> o: two components, and a -> o, o -> b is cheaper.
+    o, a, b = (tripod.vertex_point(v) for v in "oab")
+    plan = T.TransportPlan(((a, b, 0.5), (o, o, 0.5)))
+    assert helpers.support_components(plan) == 2
+    cert = T.is_cyclically_monotone(tripod, plan)
+    assert (cert.passed, cert.witness, cert.improvement) == (False, (0, 1), -2.0)
+    assert not _matches_per_entry(tripod, plan)
+
+
+def test_degenerate_solve_drops_zero_flow_cells():
+    # Half of p0, p1 to p2, p3: the basis holds a zero-flow cell, which
+    # the plan drops, so its support splits into two components.
+    tree, p = _path(4)
+    mu = T.DiscreteMeasure.from_atoms(tree, [(p[0], 0.5), (p[1], 0.5)])
+    nu = T.DiscreteMeasure.from_atoms(tree, [(p[2], 0.5), (p[3], 0.5)])
+    plan = T.wasserstein2(tree, mu, nu).plan
+    assert plan.entries == ((p[0], p[2], 0.5), (p[1], p[3], 0.5))
+    assert helpers.support_components(plan) == 2
+    assert _matches_per_entry(tree, plan)
+    crossed = T.TransportPlan(((p[0], p[3], 0.5), (p[1], p[2], 0.5)))
+    cert = T.is_cyclically_monotone(tree, crossed)
+    assert (cert.passed, cert.witness, cert.improvement) == (False, (0, 1), -2.0)
+
+
+def test_duplicated_entry_passes(tripod):
+    a, b, c = (tripod.vertex_point(v) for v in "abc")
+    plan = T.TransportPlan(((a, b, 0.25), (c, c, 0.5), (a, b, 0.25)))
+    assert helpers.support_components(plan) == 2
+    assert _matches_per_entry(tripod, plan)
+
+
+def test_zero_sum_support_cycle_passes(tripod):
+    # x, x' on the a-leg and the leaves b, c: every pairing costs the same,
+    # so the 4-cycle of all four pairs sums to zero.
+    x, xp = tripod.edge_point("ea", 0.6), tripod.vertex_point("a")
+    y, z = tripod.vertex_point("b"), tripod.vertex_point("c")
+    plan = T.TransportPlan(((x, y, 0.25), (x, z, 0.25), (xp, y, 0.25), (xp, z, 0.25)))
+    assert helpers.support_components(plan) == 1
+    assert _matches_per_entry(tripod, plan)
+
+
+def test_corrupted_crossing_fails_on_its_support_cycle():
+    # Half the mass of p0 -> p2, p1 -> p3 crossed: the support is one
+    # 4-cycle, and shifting the crossed pair back gains 4 + 4 - 9 - 1.
+    tree, p = _path(4)
+    bad = T.TransportPlan(
+        ((p[0], p[2], 0.25), (p[0], p[3], 0.25), (p[1], p[2], 0.25), (p[1], p[3], 0.25))
+    )
+    assert helpers.support_components(bad) == 1
+    cert = T.is_cyclically_monotone(tree, bad)
+    assert (cert.passed, cert.witness, cert.improvement) == (False, (1, 2), -2.0)
+    assert not _matches_per_entry(tree, bad)
+
+
+def _certificate_cases():
+    rng = np.random.default_rng(89)
+    for _ in range(16):
+        tree = helpers.random_tree(rng, 30, 2)
+        if rng.integers(0, 2):
+            # random masses: one component
+            mu = helpers.random_measure(rng, tree, int(rng.integers(6, 31)))
+            nu = helpers.random_measure(rng, tree, int(rng.integers(6, 31)))
+        else:
+            # uniform masses: a permutation, one component per entry
+            n = int(rng.integers(10, 31))
+            mu, nu = helpers.uniform_measure(rng, tree, n), helpers.uniform_measure(rng, tree, n)
+        plan = T.wasserstein2(tree, mu, nu).plan
+        for p in (plan, helpers.corrupt_transport_plan(rng, tree, plan)):
+            if p is not None and 10 <= len(p.entries) <= 60:
+                yield tree, p
+
+
+def test_certificate_matches_floyd_warshall_at_real_sizes():
+    # As for the cycle search: the verdict is the closure's outside
+    # (-MASS_TOL, 0), and a failing witness is simple and negative.
+    verdicts, split = [], 0
+    for tree, plan in _certificate_cases():
+        closure = _floyd_warshall_negative(_per_entry_weights(tree, plan))
+        passed = _matches_per_entry(tree, plan)
+        if not -MASS_TOL <= closure < 0.0:
+            assert passed == (closure >= 0.0)
+        verdicts.append(passed)
+        split += helpers.support_components(plan) > 1
+    assert len(verdicts) > 20
+    assert sum(verdicts) > 8 and len(verdicts) - sum(verdicts) > 8
+    assert 5 < split < len(verdicts) - 5
+
+
+# -- fixed-order sums ------------------------------------------------------------
+
+
+def test_transport_sums_add_in_order():
+    # sum() of floats is compensated from Python 3.12 on; these sums add
+    # left to right on every interpreter, and the inputs tell the orders apart.
+    rng = np.random.default_rng(105)
+    tree = helpers.random_tree(rng, 40, 2)
+    pts = helpers.distinct_points(rng, tree, 60)
+    ms, ns = helpers.spread_masses(rng, 30), helpers.spread_masses(rng, 30)
+    mu = T.DiscreteMeasure.from_atoms(tree, zip(pts[:30], ms))
+    nu = T.DiscreteMeasure.from_atoms(tree, zip(pts[30:], ns))
+    d2 = lambda p, q: tree.distance(p, q) ** 2
+
+    terms = [m * d2(tree.basepoint, p) for p, m in mu.atoms]
+    assert math.fsum(terms) != helpers.add_in_order(terms)
+    assert mu.second_moment(tree) == helpers.add_in_order(terms)
+    plan = T.wasserstein2(tree, mu, nu).plan
+    terms = [m * d2(x, y) for x, y, m in plan.entries]
+    assert math.fsum(terms) != helpers.add_in_order(terms)
+    assert plan.cost(d2) == helpers.add_in_order(terms)
+
+    cost = [[d2(x, y) for y in nu.points()] for x in mu.points()]
+    sol = transportation_simplex(mu.masses(), nu.masses(), cost)
+    assert sol.value == helpers.add_in_order(q * cost[i][j] for (i, j), q in sol.cells.items())
+    # one row carries every demand, rescaled to the supply
+    row = transportation_simplex([0.5], ns, cost[:1])
+    scale = 0.5 / helpers.add_in_order(ns)
+    assert [row.cells[0, j] for j in range(30)] == [d * scale for d in ns]
+
+    tenths = [0.1] * 11
+    assert math.fsum(tenths) != helpers.add_in_order(tenths)
+    with pytest.raises(MarginalMismatch, match=f"masses sum to {helpers.add_in_order(tenths)}, "):
+        T.DiscreteMeasure.from_atoms(tree, zip(pts, tenths))
