@@ -49,6 +49,15 @@ _ZERO_MASS = 1e-12
 DUAL_TOL = 1e-7
 
 
+def _arc_slack(n: int, scale: float) -> float:
+    """Slack per arc of a check on cycles of up to n arcs: MASS_TOL / n, so
+    that no cycle passing it weighs less than -MASS_TOL, or n ulps of the
+    cost scale where that is more.  Potentials summed from n costs of that
+    scale round by about that much, which at large distances (costs above
+    4.5e6 / n^2) exceeds MASS_TOL / n and would fail optimal plans."""
+    return max(MASS_TOL / n, n * scale * 2.0**-52)
+
+
 def _add_in_order(values) -> float:
     """Left-to-right float sum.  ``sum`` of floats is compensated from Python
     3.12 on, which would make the printed values depend on the interpreter."""
@@ -407,23 +416,24 @@ def min_improvement_cycle(
     (0.0, None) when there is none, else (its weight, a simple witness).
 
     w[e, f] is the cost change of redirecting entry e's mass to entry f's
-    target.  Bellman-Ford from a virtual source relaxes a node only when it
-    gains more than MASS_TOL / k, for at most k rounds.  "None" is returned
-    only after the potentials re-check w[e, f] >= phi_f - phi_e - MASS_TOL / k
-    on every pair, so no cycle weighs less than -MASS_TOL.  After each round
-    the predecessor graph is walked from the nodes that round relaxed, and
-    the search stops at the first cycle found there: each of its arcs was
-    set by a relaxation gaining more than MASS_TOL / k, so it weighs less
-    than -MASS_TOL / k.  It is given in shift order from its lowest index,
-    with its weight recomputed from w.  max_cycle < 2 means no cycle;
-    otherwise every length is searched.
+    target.  With the slack s = MASS_TOL / k (more at large |w|, see
+    _arc_slack), Bellman-Ford from a virtual source relaxes a node only when
+    it gains more than s, for at most k rounds.  "None" is returned only
+    after the potentials re-check w[e, f] >= phi_f - phi_e - s on every
+    pair, so no cycle weighs less than -k s.  After each round the
+    predecessor graph is walked from the nodes that round relaxed, and the
+    search stops at the first cycle found there: each of its arcs was set by
+    a relaxation gaining more than s, so it weighs less than -s.  It is
+    given in shift order from its lowest index, with its weight recomputed
+    from w.  max_cycle < 2 means no cycle; otherwise every length is
+    searched.
     """
     import numpy as np
 
     k = weights.shape[0]
     if k == 0 or max_cycle < 2:
         return 0.0, None
-    slack = MASS_TOL / k
+    slack = _arc_slack(k, float(np.abs(weights).max()))
     nodes = np.arange(k)
     into = np.ascontiguousarray(weights.T)  # into[f, e] = w[e, f]: minima along rows
     phi = np.zeros(k)
@@ -474,14 +484,15 @@ def is_cyclically_monotone(
     The certificate is a pair of potentials phi (sources) and psi
     (targets) with phi + psi = c on the support and c - phi - psi >= 0
     everywhere, for c = d^2, each within MASS_TOL / (2k): any cycle of
-    shifts then weighs at least -MASS_TOL.  Distances are computed once per
-    distinct source and target, in first-seen order and keyed as given
-    (points equal only after canonicalisation stay separate keys, with
-    equal distances).  One walk per component of the bipartite support
-    graph, from its first source, sets the potentials along the walk's
-    arcs.  A support pair off its potentials, or a negative reduced cost
-    inside a component, fails at once, with the cycle it closes through
-    the walk's arcs as witness.  With K > 1 components the potentials are
+    shifts then weighs at least -MASS_TOL.  (At large distances the slack
+    is 2k ulps of the largest cost instead, see _arc_slack.)  Distances are
+    computed once per distinct source and target, in first-seen order and
+    keyed as given (points equal only after canonicalisation stay separate
+    keys, with equal distances).  One walk per component of the bipartite
+    support graph, from its first source, sets the potentials along the
+    walk's arcs.  A support pair off its potentials, or a negative reduced
+    cost inside a component, fails at once, with the cycle it closes
+    through the walk's arcs as witness.  With K > 1 components the potentials are
     still free by a constant per component: the K x K matrix of the least
     reduced cost from each component to each other one goes to
     min_improvement_cycle, and a negative cycle there is closed through
@@ -496,7 +507,7 @@ def is_cyclically_monotone(
     ti = [ys.setdefault(y, len(ys)) for _, y, _ in plan.entries]
     with squares_in_range("distance"):
         sq = [[v ** 2 for v in row] for row in tree.distance_matrix(list(xs), list(ys))]
-    slack = MASS_TOL / (2 * k)
+    slack = _arc_slack(2 * k, max(map(max, sq)))
 
     # The support graph: sources 0..nx-1, then the targets; one arc per
     # distinct pair, named by its first entry.
@@ -553,7 +564,9 @@ def is_cyclically_monotone(
         return MonotonicityCertificate(False, k, tuple(cycle), weight)
 
     # Reduced costs are (c - phi) - psi, which is exactly 0 on a walk arc
-    # into a target.
+    # into a target.  On an arc into a source it is off 0 by the rounding of
+    # phi = c - psi and of c - phi, at most an ulp of a potential, and no
+    # potential exceeds 2k times the largest cost: within the slack.
     for (i, j), e in support.items():
         r = sq[i][j] - pot[i] - pot[nx + j]
         if r > slack:  # shift e's target round the walks' path from i to j
@@ -583,7 +596,7 @@ def is_cyclically_monotone(
     import numpy as np
 
     # Scaled by 2k / K, the search's slack of MASS_TOL / K per arc is the
-    # MASS_TOL / (2k) of every other arc.
+    # MASS_TOL / (2k) of every other arc (at desk-scale distances).
     _, components = min_improvement_cycle(np.array(least) * (2 * k / K), K)
     if components is None:
         return MonotonicityCertificate(True, k, None, 0.0)

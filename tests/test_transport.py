@@ -743,6 +743,31 @@ def test_certificate_matches_floyd_warshall_at_real_sizes():
     assert 5 < split < len(verdicts) - 5
 
 
+def test_certificate_passes_solved_plans_at_large_distances():
+    # Edges of 200-2000 put the costs near 1e7, where the rounding of a
+    # potential exceeds MASS_TOL / (2k): a walk arc re-checked against it,
+    # or a cycle search with that slack, would fail an optimal plan.
+    rng = np.random.default_rng(97)
+    passed, failed, split = 0, 0, 0
+    for _ in range(24):
+        tree = helpers.random_tree(rng, 20, 2, min_len=200.0, max_len=2000.0)
+        n = int(rng.integers(10, 21))
+        if rng.integers(0, 2):
+            mu, nu = helpers.random_measure(rng, tree, n), helpers.random_measure(rng, tree, n)
+        else:
+            mu, nu = helpers.uniform_measure(rng, tree, n), helpers.uniform_measure(rng, tree, n)
+        plan = T.wasserstein2(tree, mu, nu).plan
+        assert _matches_per_entry(tree, plan)
+        passed += 1
+        split += helpers.support_components(plan) > 1
+        bad = helpers.corrupt_transport_plan(rng, tree, plan)
+        if bad is not None:
+            assert not _matches_per_entry(tree, bad)
+            failed += 1
+    assert passed == 24 and failed > 8
+    assert 5 < split < 19
+
+
 # -- fixed-order sums ------------------------------------------------------------
 
 
