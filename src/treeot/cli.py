@@ -3,8 +3,13 @@
 One subcommand per pipeline stage: load trees and measures from JSON, run a
 computation, emit a JSON certificate or a CSV table.  Exit codes: 0 on
 success, 1 on domain errors (non-antipodal inputs, malformed trees, ...),
-2 on usage or parse errors.  Output is deterministic byte for byte.  No
-environment variable is read.
+2 on usage or parse errors, and on files that cannot be read or written.
+Output is deterministic byte for byte.  No environment variable is read.
+
+Each subcommand imports its library functions in its own branch of
+``_dispatch``, so a ``treeot <subcommand>`` process loads only the modules
+that subcommand runs: ``validate`` and ``distance`` load ``metric_tree``
+and ``serialization`` alone.
 """
 
 from __future__ import annotations
@@ -14,12 +19,7 @@ import json
 import sys
 
 from . import serialization as io
-from .boundary import asymptotic_formula_check, w_infinity
-from .dynamics import interpolate, is_optimal_dynamical
-from .ends import comb_generator, construct_geodesic, flow_table, realizability_sum
 from .errors import TreeOTError
-from .radon import combinatorial_radon, radon_invert
-from .transport import is_cyclically_monotone, wasserstein2
 
 
 def _load_json(path: str):
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = _dispatch(args)
+        _emit(_dispatch(args), args.out)
     except TreeOTError as err:
         sys.stderr.write(
             io.dumps({"error": type(err).__name__, "message": str(err)})
@@ -147,13 +147,14 @@ def run(argv=None) -> int:
     except (json.JSONDecodeError, KeyError, OSError, ValueError) as err:
         sys.stderr.write(f"input error: {err}\n")
         return 2
-    _emit(text, args.out)
     return 0
 
 
 def _dispatch(args) -> str:
     cmd = args.command
     if cmd == "comb":
+        from .ends import comb_generator, flow_table, realizability_sum
+
         inst = comb_generator(args.depth, args.exponent)
         table = flow_table(inst.tree, inst.nu_minus, inst.nu_plus)
         res = realizability_sum(inst.tree, table)
@@ -192,6 +193,8 @@ def _dispatch(args) -> str:
         return io.dumps({"distance": io.fmt(tree.distance(p, q))})
 
     if cmd == "w2":
+        from .transport import wasserstein2
+
         mu = io.measure_from_json(tree, _load_json(args.mu))
         nu = io.measure_from_json(tree, _load_json(args.nu))
         dist, plan = wasserstein2(tree, mu, nu)
@@ -200,6 +203,8 @@ def _dispatch(args) -> str:
         )
 
     if cmd == "interpolate":
+        from .dynamics import interpolate
+
         mu = io.measure_from_json(tree, _load_json(args.mu))
         nu = io.measure_from_json(tree, _load_json(args.nu))
         plan = io.plan_from_json(tree, _load_json(args.plan)) if args.plan else None
@@ -209,6 +214,8 @@ def _dispatch(args) -> str:
     if cmd == "certify-plan":
         doc = _load_json(args.plan)
         if isinstance(doc, dict) and "interval" in doc:
+            from .dynamics import is_optimal_dynamical
+
             dyn = io.dynamical_plan_from_json(tree, doc)
             cert = is_optimal_dynamical(tree, dyn)
             return io.dumps(
@@ -218,6 +225,8 @@ def _dispatch(args) -> str:
                     "antagonist_pairs": [list(w) for w in cert.witnesses],
                 }
             )
+        from .transport import is_cyclically_monotone
+
         plan = io.plan_from_json(tree, doc)
         cert = is_cyclically_monotone(tree, plan)
         return io.dumps(
@@ -231,6 +240,8 @@ def _dispatch(args) -> str:
         )
 
     if cmd == "asymptotic":
+        from .boundary import asymptotic_formula_check
+
         mu = io.dynamical_plan_from_json(tree, _load_json(args.mu))
         sigma = io.dynamical_plan_from_json(tree, _load_json(args.sigma))
         grid = (
@@ -242,6 +253,8 @@ def _dispatch(args) -> str:
         return report.csv()
 
     if cmd == "w-infinity":
+        from .boundary import w_infinity
+
         nu1 = io.cone_measure_from_json(tree, _load_json(args.nu1))
         nu2 = io.cone_measure_from_json(tree, _load_json(args.nu2))
         dist, entries = w_infinity(tree, nu1, nu2)
@@ -256,6 +269,8 @@ def _dispatch(args) -> str:
         return io.dumps({"distance": io.fmt(dist), "plan": rows})
 
     if cmd in ("flows", "realizability", "build-geodesic"):
+        from .ends import construct_geodesic, flow_table, realizability_sum
+
         minus = io.boundary_measure_from_json(tree, _load_json(args.minus))
         plus = io.boundary_measure_from_json(tree, _load_json(args.plus))
         if cmd == "flows":
@@ -273,6 +288,8 @@ def _dispatch(args) -> str:
         return io.dumps(io.dynamical_plan_to_json(plan))
 
     if cmd == "radon":
+        from .radon import combinatorial_radon
+
         h = io.vertex_function_from_json(tree, _load_json(args.function))
         data = combinatorial_radon(tree, h)
         return io.dumps(
@@ -280,6 +297,8 @@ def _dispatch(args) -> str:
         )
 
     if cmd == "radon-invert":
+        from .radon import radon_invert
+
         data = io.radon_data_from_json(tree, _load_json(args.data))
         h = radon_invert(tree, data, io.parse_number(args.total))
         return io.dumps(io.vertex_function_to_json(h))

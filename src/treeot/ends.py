@@ -13,6 +13,9 @@ family where antipodality alone is not enough.
 
 Finite supports collapse "antipodal" and "uniformly antipodal" to the same
 condition (disjoint supports); both flags are reported.
+
+The flow tables and the comb need only ``transport``; ``boundary`` and
+``dynamics`` are imported by the functions that build or check plans.
 """
 
 from __future__ import annotations
@@ -20,14 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DiagonalMass, NotAntipodal, NotRealizable, SolverFailure,
 )
 from .metric_tree import MetricTree, TreeEnd, gromov_product
-from .boundary import ConeMeasure, asymptotic_measure
-from .dynamics import DynamicalPlan, antagonist_pairs, pushforward_at
 from .transport import (
     _ZERO_MASS,
     MASS_TOL,
@@ -36,6 +37,10 @@ from .transport import (
     solve_transport,
     squares_in_range,
 )
+
+if TYPE_CHECKING:
+    from .boundary import ConeMeasure
+    from .dynamics import DynamicalPlan
 
 NEUTRAL_TOL = 1e-12
 
@@ -70,6 +75,8 @@ class BoundaryMeasure:
         return 0.0
 
     def to_cone(self, tree: MetricTree) -> ConeMeasure:
+        from .boundary import ConeMeasure
+
         return ConeMeasure.from_atoms(tree, [(e, 1.0, m) for e, m in self.atoms])
 
 
@@ -262,6 +269,8 @@ def construct_geodesic(
             raise NotRealizable(
                 f"realizability partial sums diverge up to depth {depths[-1]}"
             )
+    from .dynamics import DynamicalPlan
+
     d0 = d0_transport(tree, nu_minus, nu_plus)  # also checks antipodality
     plan = DynamicalPlan.from_atoms(
         tree,
@@ -272,6 +281,9 @@ def construct_geodesic(
 
 
 def _certify_constructed(tree, plan, nu_minus, nu_plus, d0_value) -> None:
+    from .boundary import asymptotic_measure
+    from .dynamics import antagonist_pairs, pushforward_at
+
     if any(abs(g.speed - 1.0) > 1e-9 for g, _ in plan.atoms):
         raise SolverFailure("constructed plan has a non-unit speed")
     if antagonist_pairs(plan):

@@ -10,6 +10,9 @@ Readers check the shape of what they index: an object where an object is
 expected, a list where a list is, a string for every name.  A wrong shape
 raises ValueError, a parse error like malformed JSON, never a TypeError
 from deep inside the library.
+
+Only ``metric_tree`` is imported here; each reader imports the type it
+builds, so reading a tree does not load the transport or Radon modules.
 """
 
 from __future__ import annotations
@@ -17,15 +20,17 @@ from __future__ import annotations
 import json
 import math
 from decimal import Decimal, InvalidOperation
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import MalformedTree
 from .metric_tree import MetricTree, TreeGeodesic, TreePoint
-from .transport import DiscreteMeasure, TransportPlan
-from .dynamics import DynamicalPlan
-from .boundary import ConeMeasure
-from .ends import BoundaryMeasure, FlowTable
-from .radon import Flag, VertexFunction
+
+if TYPE_CHECKING:
+    from .boundary import ConeMeasure
+    from .dynamics import DynamicalPlan
+    from .ends import BoundaryMeasure, FlowTable
+    from .radon import Flag, VertexFunction
+    from .transport import DiscreteMeasure, TransportPlan
 
 
 def fmt(x: float) -> str:
@@ -126,6 +131,8 @@ def tree_to_json(tree: MetricTree) -> dict:
 
 
 def measure_from_json(tree: MetricTree, doc: dict) -> DiscreteMeasure:
+    from .transport import DiscreteMeasure
+
     return DiscreteMeasure.from_atoms(
         tree,
         [
@@ -149,6 +156,8 @@ def measure_to_json(mu: DiscreteMeasure) -> dict:
 
 
 def plan_from_json(tree: MetricTree, doc) -> TransportPlan:
+    from .transport import TransportPlan
+
     rows = doc if isinstance(doc, list) else _field(doc, "entries", list)
     return TransportPlan(
         tuple(
@@ -252,6 +261,8 @@ def dynamical_plan_to_json(plan: DynamicalPlan) -> dict:
 
 
 def dynamical_plan_from_json(tree: MetricTree, doc: dict) -> DynamicalPlan:
+    from .dynamics import DynamicalPlan
+
     return DynamicalPlan.from_atoms(
         tree,
         [
@@ -265,6 +276,8 @@ def dynamical_plan_from_json(tree: MetricTree, doc: dict) -> DynamicalPlan:
 
 
 def boundary_measure_from_json(tree: MetricTree, doc: dict) -> BoundaryMeasure:
+    from .ends import BoundaryMeasure
+
     return BoundaryMeasure.from_atoms(
         tree,
         [(tree.end(_field(a, "end", str)), parse_number(a["mass"])) for a in _atoms(doc)],
@@ -278,6 +291,8 @@ def boundary_measure_to_json(bm: BoundaryMeasure) -> dict:
 
 
 def cone_measure_from_json(tree: MetricTree, doc: dict) -> ConeMeasure:
+    from .boundary import ConeMeasure
+
     atoms = []
     for a in _atoms(doc):
         end = a.get("end")
@@ -327,6 +342,8 @@ def flow_table_to_json(tree: MetricTree, table: FlowTable) -> dict:
 
 
 def radon_data_from_json(tree: MetricTree, doc: list) -> dict[Flag, float]:
+    from .radon import Flag
+
     data = {}
     for row in _shaped(doc, list, "radon data"):
         e, f = _names(row, "edges")
@@ -348,6 +365,8 @@ def radon_data_to_json(data: dict[Flag, float]) -> list:
 
 
 def vertex_function_from_json(tree: MetricTree, doc: dict) -> VertexFunction:
+    from .radon import VertexFunction
+
     values = _field(doc, "values", dict)
     return VertexFunction.from_mapping(tree, {v: parse_number(x) for v, x in values.items()})
 

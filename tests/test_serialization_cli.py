@@ -549,6 +549,18 @@ def test_cli_exit_codes(files, tmp_path):
     assert json.loads(out.stderr)["error"] == "MalformedTree"
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_cli_unwritable_out_is_an_input_error(files, tmp_path, where):
+    # An --out that cannot be opened ends like an unreadable input: exit 2
+    # and one "input error" line, not a traceback.
+    out_path = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    out = cli("validate", "--tree", files("t.json", TRIPOD_JSON), "--out", str(out_path))
+    assert out.returncode == 2
+    assert out.stderr.startswith("input error: ")
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
+
+
 def test_cli_solver_failure_is_typed(files, monkeypatch, capsys):
     # A solver returning infeasible duals must fail the certificate and end
     # as a JSON domain error (exit 1), not a traceback.
@@ -750,12 +762,20 @@ def test_w2_log_writes_only_the_command_line_to_stderr(files, level, logged):
     assert json.loads(out.stdout)["ok"] is True
 
 
+# `import treeot` loads submodules on first use, so the two import guards
+# below load every library module explicitly before they look.
+IMPORT_ALL = (
+    "import treeot, treeot.cli, treeot.transport, treeot.dynamics, treeot.boundary,"
+    " treeot.ends, treeot.radon, treeot.serialization, sys"
+)
+
+
 def test_import_loads_no_logging():
-    # The CLI logs nothing, so neither import loads logging.
+    # The CLI logs nothing, so no library module loads logging.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {k: v for k, v in os.environ.items() if k != "W2_LOG"}
     out = subprocess.run(
-        [sys.executable, "-c", "import treeot, treeot.cli, sys; assert 'logging' not in sys.modules"],
+        [sys.executable, "-c", f"{IMPORT_ALL}; assert 'logging' not in sys.modules"],
         env={**env, "PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -768,7 +788,7 @@ def test_import_loads_no_numpy():
     # has numpy already, so the import is checked in a fresh interpreter.
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run(
-        [sys.executable, "-c", "import treeot, treeot.cli, sys; assert 'numpy' not in sys.modules"],
+        [sys.executable, "-c", f"{IMPORT_ALL}; assert 'numpy' not in sys.modules"],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -811,3 +831,91 @@ def test_connected_plan_is_certified_without_numpy(files, capsys):
         assert out.stdout == want
     assert outputs[0]["cyclically_monotone"] is True
     assert outputs[1]["atoms"]
+
+
+# -- import footprint ----------------------------------------------------------------
+
+RAY = {"kind": "ray", "start": {"vertex": "o"}, "speed": "1"}
+RAY_PLAN = {
+    "interval": {"kind": "ray", "t0": "0", "t1": "inf"},
+    "atoms": [{"geodesic": {**RAY, "end": "r1"}, "mass": "0.5"},
+              {"geodesic": {**RAY, "end": "r2"}, "mass": "0.5"}],
+}
+SEGMENT_PLAN = {
+    "interval": {"kind": "segment", "t0": "0", "t1": "1"},
+    "atoms": [{"geodesic": {"kind": "segment", "start": {"vertex": "a"}, "stop": {"vertex": "b"},
+                            "t0": "0", "t1": "1"}, "mass": "1"}],
+}
+AT_A = {"atoms": [{"point": {"vertex": "a"}, "mass": "1"}]}
+AT_B = {"atoms": [{"point": {"vertex": "b"}, "mass": "1"}]}
+CONE = {"atoms": [{"end": "r1", "speed": "1", "mass": "1"}]}
+MINUS = {"atoms": [{"end": "r1", "mass": "0.5"}, {"end": "r2", "mass": "0.5"}]}
+PLUS = {"atoms": [{"end": "r3", "mass": "0.5"}, {"end": "r4", "mass": "0.5"}]}
+RADON_DATA = [
+    {"vertex": "u", "edges": ["r1", "r2"], "value": "7"},
+    {"vertex": "u", "edges": ["euv", "r1"], "value": "2"},
+    {"vertex": "u", "edges": ["euv", "r2"], "value": "2"},
+    {"vertex": "v", "edges": ["r3", "r4"], "value": "7"},
+    {"vertex": "v", "edges": ["euv", "r3"], "value": "5"},
+    {"vertex": "v", "edges": ["euv", "r4"], "value": "5"},
+]
+
+# Each subcommand's arguments (files as (name, document)) and the modules it
+# loads beyond errors, metric_tree, serialization and cli.
+FOOTPRINTS = {
+    "validate": ([("--tree", TRIPOD_JSON)], set()),
+    "distance": ([("--tree", TRIPOD_JSON), "--p", '{"vertex":"a"}', "--q", '{"vertex":"b"}'], set()),
+    "w2": ([("--tree", TRIPOD_JSON), ("--mu", AT_A), ("--nu", AT_B)], {"transport"}),
+    "interpolate": ([("--tree", TRIPOD_JSON), ("--mu", AT_A), ("--nu", AT_B)], {"transport", "dynamics"}),
+    "certify-plan": (
+        [("--tree", TRIPOD_JSON),
+         ("--plan", {"entries": [{"source": {"vertex": "a"}, "target": {"vertex": "b"}, "mass": "1"}]})],
+        {"transport"},
+    ),
+    "certify-plan dynamical": ([("--tree", TRIPOD_JSON), ("--plan", SEGMENT_PLAN)], {"transport", "dynamics"}),
+    "asymptotic": ([("--tree", STAR3_JSON), ("--mu", RAY_PLAN), ("--sigma", RAY_PLAN)],
+                   {"transport", "dynamics", "boundary"}),
+    "w-infinity": ([("--tree", STAR3_JSON), ("--nu1", CONE), ("--nu2", CONE)],
+                   {"transport", "dynamics", "boundary"}),
+    "flows": ([("--tree", BARBELL_JSON), ("--minus", MINUS), ("--plus", PLUS)], {"transport", "ends"}),
+    "realizability": ([("--tree", BARBELL_JSON), ("--minus", MINUS), ("--plus", PLUS)],
+                      {"transport", "ends"}),
+    "build-geodesic": ([("--tree", BARBELL_JSON), ("--minus", MINUS), ("--plus", PLUS)],
+                       {"transport", "ends", "dynamics", "boundary"}),
+    "radon": ([("--tree", BARBELL_JSON), ("--function", {"values": {"u": "2", "v": "5"}})],
+              {"transport", "radon"}),
+    "radon-invert": ([("--tree", BARBELL_JSON), ("--data", RADON_DATA), "--total", "7"],
+                     {"transport", "radon"}),
+    "comb": (["--depth", "8", "--exponent", "3"], {"transport", "ends"}),
+}
+
+
+# Runs treeot.cli as __main__, the way `python -m treeot.cli` does, and
+# writes the treeot modules it loaded to stderr as it exits.
+RUN_AS_MAIN = """
+import json, runpy, sys
+try:
+    runpy.run_module("treeot.cli", run_name="__main__", alter_sys=True)
+finally:
+    sys.stderr.write(json.dumps(sorted(m for m in sys.modules if m.startswith("treeot."))))
+"""
+
+
+@pytest.mark.parametrize("case", sorted(FOOTPRINTS))
+def test_cli_subcommand_loads_only_its_modules(files, case):
+    spec, extra = FOOTPRINTS[case]
+    argv = [case.split()[0]]
+    for i, arg in enumerate(spec):
+        argv += [arg[0], files(f"{i}.json", arg[1])] if isinstance(arg, tuple) else [arg]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", RUN_AS_MAIN, *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr[-500:]
+    assert out.stdout
+    # treeot.cli itself is __main__ here, so it is counted apart.
+    loaded = {name.split(".", 1)[1] for name in json.loads(out.stderr)} | {"cli"}
+    assert loaded == {"errors", "metric_tree", "serialization", "cli"} | extra
