@@ -17,16 +17,21 @@ The forward transform costs O(#flags): a perpendicular sum is the total
 minus the masses of the two components of X minus x entered through e and
 f, and the tree's one pass of rooted subtree sums gives every such mass.
 
-Inversion is carried out in exact rational arithmetic so integer data round
-trips with zero error; the supplied total mass keeps the operation total.
+Inversion is exact in integers: every finite float is an integer over a
+power of two, so the flag values and the total go over one common power of
+two and each h(x) is a single integer quotient, which Python rounds
+correctly.  Integer data round trips with zero error, and any other data
+gets the float nearest the exact rational value, as an inversion in
+`fractions.Fraction` would give.  The supplied total mass keeps the
+operation total.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping
+from itertools import islice
+from typing import Mapping, Sequence
 
 from .errors import (
     ConstantGeodesic, FlagInvalid, InconsistentData, MalformedForRadon, NonFiniteValue,
@@ -117,11 +122,16 @@ def combinatorial_radon(tree: MetricTree, h: VertexFunction) -> dict[Flag, float
 
 
 def _perpendicular_sums(
-    tree: MetricTree, vertex_mass: Mapping[str, float], edge_mass: Mapping[str, float]
+    tree: MetricTree,
+    vertex_mass: Mapping[str, float],
+    edge_mass: Mapping[str, float],
+    flags: Sequence[Flag] | None = None,
 ) -> dict[Flag, float]:
     """For every flag (x, ef), the mass off the two components of X minus x
     entered through e and f: the total minus two component masses, each of
-    them the mass beyond an edge in one of its two orientations."""
+    them the mass beyond an edge in one of its two orientations.  `flags`,
+    when given, is all_flags(tree), so a caller that has it need not rebuild
+    it."""
     beyond = tree.mass_beyond(vertex_mass, edge_mass)
     total = _add_in_order(vertex_mass.values()) + _add_in_order(edge_mass.values())
 
@@ -132,7 +142,7 @@ def _perpendicular_sums(
 
     return {
         flag: total - through(flag.vertex, flag.edges[0]) - through(flag.vertex, flag.edges[1])
-        for flag in all_flags(tree)
+        for flag in (all_flags(tree) if flags is None else flags)
     }
 
 
@@ -141,37 +151,57 @@ def radon_invert(
 ) -> VertexFunction:
     """Recover a vertex function from its flag data and its total.
 
-    Exact rational arithmetic end to end: binary floats convert losslessly
-    to fractions, so integer-valued inputs reconstruct with zero error.  The
-    reconstruction is re-transformed and compared against the input; any
-    disagreement beyond 1e-7 raises InconsistentData, and so does a NaN or
-    infinite value, which no vertex function transforms to.
+    Exact in integers: with S the sum of the flag values at x, T the total
+    and k the valency of x, h(x) = S/(k-1) - (k-2)/2 * T.  Every float is
+    an integer over a power of two, so over the largest denominator D, a
+    power of two and a multiple of all the others, the vertex value is the
+    single integer quotient
+
+        (2*S' - (k-2)*(k-1)*T') / (2*(k-1) * D),
+
+    S' = S*D and T' = T*D integers (values are read as floats).  Python
+    rounds int/int division correctly, so integer-valued inputs reconstruct
+    with zero error and every value is the float nearest the exact one, as
+    in Fraction arithmetic.  A value beyond the float range raises
+    NonFiniteValue.  The reconstruction is re-transformed and compared
+    against the input; any disagreement beyond 1e-7 raises
+    InconsistentData, and so does a missing flag, a key that is not a flag
+    of the tree, and a NaN or infinite value, which no vertex function
+    transforms to.
     """
     require_radon_tree(tree)
     if not all(math.isfinite(v) for v in (total, *data.values())):
         raise InconsistentData("Radon data and total must be finite")
-    total_f = Fraction(total)
+    flags = all_flags(tree)
+    given = [data.get(flag) for flag in flags]
+    ratios = [None if v is None else float(v).as_integer_ratio() for v in given]
+    t, t_den = float(total).as_integer_ratio()
+    den = max([t_den] + [r[1] for r in ratios if r is not None])
+    t *= den // t_den
+
     values: dict[str, float] = {}
+    # all_flags lists the k(k-1)/2 flags of each vertex together, in vertex order.
+    pairs = zip(flags, ratios)
     for x in tree.vertices:
         k = tree.valency(x)
-        inc = tree.incident_edges(x)
-        acc = Fraction(0)
-        for a in range(len(inc)):
-            for b in range(a + 1, len(inc)):
-                flag = Flag(x, (inc[a], inc[b]))
-                if flag not in data:
-                    raise InconsistentData(f"missing flag value for {flag}")
-                acc += Fraction(data[flag])
-        hx = acc / (k - 1) - Fraction(k - 2, 2) * total_f
-        values[x] = float(hx)
+        s = 0
+        for flag, r in islice(pairs, k * (k - 1) // 2):
+            if r is None:
+                raise InconsistentData(f"missing flag value for {flag}")
+            s += r[0] * (den // r[1])
+        try:
+            values[x] = (2 * s - (k - 2) * (k - 1) * t) / (2 * (k - 1) * den)
+        except OverflowError:
+            raise NonFiniteValue(f"non-finite value at vertex {x!r}: it exceeds the float range") from None
 
     h = VertexFunction.from_mapping(tree, values)
-    back = combinatorial_radon(tree, h)
+    back = _perpendicular_sums(tree, h.as_dict(), {}, flags)
     for flag, val in data.items():
-        if abs(back[flag] - float(val)) > 1e-7:
-            raise InconsistentData(
-                f"flag {flag} re-transforms to {back[flag]}, input was {val}"
-            )
+        got = back.get(flag)
+        if got is None:
+            raise InconsistentData(f"{flag} is not a flag of the tree")
+        if abs(got - float(val)) > 1e-7:
+            raise InconsistentData(f"flag {flag} re-transforms to {got}, input was {val}")
     return h
 
 

@@ -347,7 +347,10 @@ def radon_data_from_json(tree: MetricTree, doc: list) -> dict[Flag, float]:
     data = {}
     for row in _shaped(doc, list, "radon data"):
         e, f = _names(row, "edges")
-        data[Flag.make(tree, _field(row, "vertex", str), e, f)] = parse_number(row["value"])
+        flag = Flag.make(tree, _field(row, "vertex", str), e, f)
+        if flag in data:
+            raise ValueError(f"radon data repeats the flag at {flag.vertex!r} on edges {list(flag.edges)}")
+        data[flag] = parse_number(row["value"])
     return data
 
 

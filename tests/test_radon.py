@@ -2,13 +2,15 @@
 counting identity, and full measure reconstruction from projections."""
 
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import treeot as T
 from treeot.errors import ConstantGeodesic, InconsistentData, MalformedForRadon, NonFiniteValue
-from treeot.radon import geodesic_through_edge, geodesic_through_flag
+from treeot.radon import all_flags, geodesic_through_edge, geodesic_through_flag
 
 import helpers
 
@@ -179,6 +181,116 @@ def test_inversion_rejects_missing_flag(barbell):
     del data[_flag(barbell, "u", "r1", "r2")]
     with pytest.raises(InconsistentData):
         T.radon_invert(barbell, data, 7.0)
+
+
+def test_inversion_rejects_foreign_flag(barbell):
+    h = T.VertexFunction.from_mapping(barbell, {"u": 2.0, "v": 5.0})
+    data = T.combinatorial_radon(barbell, h)
+    data[T.Flag("u", ("r1", "r3"))] = 0.0  # r3 is not incident to u
+    with pytest.raises(InconsistentData, match=r"Flag\(vertex='u', edges=\('r1', 'r3'\)\) is not a flag"):
+        T.radon_invert(barbell, data, 7.0)
+
+
+def _valency_tree(rng: random.Random, n: int) -> T.MetricTree:
+    """Leaf-free tree whose vertices have valencies drawn from 3..6: each
+    new vertex hangs off an earlier one with a free slot, and infinite
+    edges fill the slots left over."""
+    names = [f"x{i:02d}" for i in range(n)]
+    want = [rng.randint(3, 6) for _ in range(n)]
+    have = [0] * n
+    edges = []
+    for i in range(1, n):
+        parent = rng.choice([j for j in range(i) if have[j] < want[j]])
+        have[parent] += 1
+        have[i] += 1
+        edges.append((f"e{i:02d}", (names[parent], names[i]), 1.0))
+    for i in range(n):
+        edges += [(f"r{i:02d}{j}", (names[i],), math.inf) for j in range(want[i] - have[i])]
+    return T.MetricTree(names, edges, names[0])
+
+
+def _spread_value(rng: random.Random) -> float:
+    kind = rng.randrange(6)
+    if kind == 0:
+        return float(rng.randint(-60, 60))
+    if kind == 1:
+        return rng.choice((-1, 1)) * rng.random() * 10.0 ** rng.uniform(-300, 300)
+    if kind == 2:
+        return rng.choice((-1, 1)) * 5e-324 * rng.randint(1, 1 << 30)  # subnormal
+    if kind == 3:
+        return rng.uniform(-1.0, 1.0) * 1.7e308
+    if kind == 4:
+        return 0.0
+    return rng.gauss(0.0, 1.0)
+
+
+def _fraction_inverse(tree, data, total) -> dict[str, float]:
+    """h(x) = S/(k-1) - (k-2)/2 * T in Fraction arithmetic, then the same
+    re-transform check as radon_invert."""
+    values = {}
+    for x in tree.vertices:
+        inc = tree.incident_edges(x)
+        k = len(inc)
+        acc = Fraction(0)
+        for a in range(k):
+            for b in range(a + 1, k):
+                flag = T.Flag(x, (inc[a], inc[b]))
+                if flag not in data:
+                    raise InconsistentData(f"missing flag value for {flag}")
+                acc += Fraction(data[flag])
+        try:
+            values[x] = float(acc / (k - 1) - Fraction(k - 2, 2) * Fraction(total))
+        except OverflowError:
+            raise NonFiniteValue(x) from None
+    back = T.combinatorial_radon(tree, T.VertexFunction.from_mapping(tree, values))
+    if any(abs(back[flag] - val) > 1e-7 for flag, val in data.items()):
+        raise InconsistentData("re-transform")
+    return values
+
+
+def _outcome(invert, tree, data, total):
+    try:
+        values = invert(tree, data, total)
+    except (InconsistentData, NonFiniteValue) as err:
+        return type(err), str(err) if str(err).startswith("missing") else None
+    if isinstance(values, T.VertexFunction):
+        values = values.as_dict()
+    return "ok", sorted((v, h.hex()) for v, h in values.items())
+
+
+def test_inversion_matches_fraction_reference():
+    """The integer inverse against Fraction arithmetic on leaf-free trees
+    of valencies 3-6 and values spread over 1e-300..1e300: bit-identical
+    values, the same error type, and the same missing-flag message."""
+    rng = random.Random(2010)
+    seen = set()
+    for case in range(400):
+        tree = _valency_tree(rng, rng.randint(1, 9))
+        mode = case % 4
+        if mode == 3:  # arbitrary data
+            data = {flag: _spread_value(rng) for flag in all_flags(tree)}
+            total = _spread_value(rng)
+        else:
+            if mode == 0:  # integer values, scaled by a power of two
+                scale = 2.0 ** rng.randint(-40, 40)
+                values = {v: rng.randint(-50, 50) * scale for v in tree.vertices}
+            else:
+                values = {v: _spread_value(rng) for v in tree.vertices}
+            h = T.VertexFunction.from_mapping(tree, values)
+            data = T.combinatorial_radon(tree, h)
+            total = h.total
+            if not all(map(math.isfinite, (total, *data.values()))):
+                continue
+            if mode == 2:  # one flag perturbed or missing
+                flag = rng.choice(sorted(data, key=lambda f: (f.vertex, f.edges)))
+                if rng.random() < 0.5:
+                    del data[flag]
+                else:
+                    data[flag] += rng.choice((1e-9, 1e-6, 1.0))
+        want = _outcome(_fraction_inverse, tree, data, total)
+        assert _outcome(T.radon_invert, tree, data, total) == want, (case, data, total)
+        seen.add(want[0])
+    assert seen == {"ok", InconsistentData, NonFiniteValue}
 
 
 # -- measure projections ----------------------------------------------------------------

@@ -682,6 +682,28 @@ def test_cli_radon_nan_value_is_a_domain_error(files):
     assert _domain_error(cli("radon", "--tree", tree, "--function", h))["error"] == "NonFiniteValue"
 
 
+def test_cli_radon_invert_overflow_is_a_domain_error(files):
+    # At u: (3 * 1.7e308) / 2 + 1.7e308 / 2 = 3.4e308, beyond the float range.
+    tree = files("t.json", BARBELL_JSON)
+    data = files("r.json", [{**row, "value": "1.7e308"} for row in RADON_DATA])
+    err = _domain_error(cli("radon-invert", "--tree", tree, "--data", data, "--total=-1.7e308"))
+    assert err["error"] == "NonFiniteValue"
+    assert "'u'" in err["message"]
+
+
+def test_cli_radon_invert_repeated_flag_is_an_input_error(files):
+    # The first row gives u's flag on r1, r2 a wrong value, with its edges
+    # listed in reverse order; the second gives the right one.
+    tree = files("t.json", BARBELL_JSON)
+    data = files("r.json", [{"vertex": "u", "edges": ["r2", "r1"], "value": "99"}] + RADON_DATA)
+    out = cli("radon-invert", "--tree", tree, "--data", data, "--total", "7")
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr.startswith("input error: ")
+    assert "'u'" in out.stderr and "['r1', 'r2']" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_cli_infinite_cost_is_a_solver_failure(files):
     # 1e308 + 1e308 is an infinite cone distance, whose square is inf: the
     # solver rejects the cost rather than return a plan for it.
@@ -891,13 +913,16 @@ FOOTPRINTS = {
 
 
 # Runs treeot.cli as __main__, the way `python -m treeot.cli` does, and
-# writes the treeot modules it loaded to stderr as it exits.
+# writes the treeot modules it loaded, and whether it loaded the standard
+# `fractions`, to stderr as it exits.
 RUN_AS_MAIN = """
 import json, runpy, sys
 try:
     runpy.run_module("treeot.cli", run_name="__main__", alter_sys=True)
 finally:
-    sys.stderr.write(json.dumps(sorted(m for m in sys.modules if m.startswith("treeot."))))
+    sys.stderr.write(json.dumps(
+        [sorted(m for m in sys.modules if m.startswith("treeot.")), "fractions" in sys.modules]
+    ))
 """
 
 
@@ -916,6 +941,8 @@ def test_cli_subcommand_loads_only_its_modules(files, case):
     )
     assert out.returncode == 0, out.stderr[-500:]
     assert out.stdout
+    modules, fractions = json.loads(out.stderr)
     # treeot.cli itself is __main__ here, so it is counted apart.
-    loaded = {name.split(".", 1)[1] for name in json.loads(out.stderr)} | {"cli"}
+    loaded = {name.split(".", 1)[1] for name in modules} | {"cli"}
     assert loaded == {"errors", "metric_tree", "serialization", "cli"} | extra
+    assert not fractions  # no subcommand needs it: the Radon inverse is exact in integers
