@@ -13,7 +13,10 @@ closed-form branch-exit time), so instead of only sampling the ratio we
 certify its exact limit: measure the affine slopes of the pairwise distances
 beyond the branch-exit time and solve one more transport problem with those
 slopes as the cost.  The asymptotic formula says this limit equals the cone
-Wasserstein distance of the two asymptotic measures.
+Wasserstein distance of the two asymptotic measures.  The sampled rows and
+the slopes come from one cost builder, which evaluates the plans' atoms as
+given at a time t.  W stays bounded exactly when the limit is 0, that is
+when an optimal coupling of the slopes moves mass only along zero slopes.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from typing import NamedTuple, Sequence
 
 from .errors import MarginalMismatch, NonUnitMeasure, OutOfInterval
 from .metric_tree import TOL, MetricTree, TreeEnd, TreePoint
-from .dynamics import DynamicalPlan, pushforward_at
-from .transport import _add_in_order, _merge_atoms, solve_transport, squares_in_range, wasserstein2
+from .dynamics import DynamicalPlan
+from .transport import _add_in_order, _merge_atoms, w2_from_distances
 
 _ZERO = 1e-12
 
@@ -91,13 +94,11 @@ class WInfinityResult(NamedTuple):
 def w_infinity(tree: MetricTree, nu1: ConeMeasure, nu2: ConeMeasure) -> WInfinityResult:
     """Exact transport between cone measures for the squared cone metric."""
     ka, kb = nu1.keys(), nu2.keys()
-    with squares_in_range("cone distance"):
-        cost = [[d_infinity(tree, p, q) ** 2 for q in kb] for p in ka]
-        value, entries, _ = solve_transport(cost, nu1.masses(), nu2.masses())
-    return WInfinityResult(
-        math.sqrt(max(0.0, value)),
-        tuple((ka[i], kb[j], q) for i, j, q in entries),
+    distance, entries, _ = w2_from_distances(
+        [[d_infinity(tree, p, q) for q in kb] for p in ka],
+        nu1.masses(), nu2.masses(), "cone distance",
     )
+    return WInfinityResult(distance, tuple((ka[i], kb[j], q) for i, j, q in entries))
 
 
 def total_variation(nu1: ConeMeasure, nu2: ConeMeasure) -> float:
@@ -120,13 +121,9 @@ def asymptotic_measure(plan: DynamicalPlan, direction: int = +1) -> ConeMeasure:
     if plan.kind == "ray" and direction == -1:
         raise OutOfInterval("ray plans are only asymptotic for t -> +inf")
     tree = plan.atoms[0][0].tree
-    atoms = []
-    for g, m in plan.atoms:
-        end = g.pos_end if direction == +1 else g.neg_end
-        if g.is_constant or g.speed <= _ZERO:
-            atoms.append((None, 0.0, m))
-        else:
-            atoms.append((end, g.speed, m))
+    atoms = [
+        (g.pos_end if direction == +1 else g.neg_end, g.speed, m) for g, m in plan.atoms
+    ]
     return ConeMeasure.from_atoms(tree, atoms)
 
 
@@ -142,7 +139,7 @@ def ray_from_asymptotic_measure(
     x = tree.canonical_point(x)
     atoms = []
     for end, speed, mass in nu.atoms:
-        if end is None or speed <= _ZERO:
+        if end is None:
             atoms.append((tree.constant_geodesic(x, 0.0, math.inf), mass))
         else:
             atoms.append((tree.ray_to_end(x, end, speed), mass))
@@ -184,46 +181,45 @@ def asymptotic_formula_check(
     """Compare W(mu_t, sigma_t) / t against the cone Wasserstein distance of
     the asymptotic measures.
 
-    Beyond the certified branch-exit time every pairwise distance between
-    support rays grows exactly affinely, so the limit of the ratio is the
-    value of one transport problem whose costs are the squared affine
-    slopes; that certified limit is reported next to the sampled ratios.
+    Every row, and both matrices beyond the branch exit, come from one cost
+    builder: the plans' atoms as given, evaluated at t, with their masses.
+    Grid times must be finite and positive (OutOfInterval otherwise).
+    Beyond the certified branch-exit time every pairwise distance grows
+    exactly affinely, so the limit of the ratio is the value of the same
+    transport problem on the squared affine slopes.  W stays bounded
+    exactly when that limit is 0: the classification is "asymptotic" when
+    the optimal coupling of that problem (its flows above 1e-12) moves mass
+    only along slopes of at most 1e-9 * (1 + the largest distance one unit
+    past the exit), and "linear" otherwise.
     """
     if mu.kind != "ray" or sigma.kind != "ray":
         raise OutOfInterval("asymptotic comparison needs two ray plans")
+    grid = sorted(t_grid if t_grid is not None else DEFAULT_T_GRID)
+    for t in grid:
+        if not 0.0 < t < math.inf:
+            raise OutOfInterval(f"grid time {t} is not finite and positive")
     target = w_infinity(
         tree, asymptotic_measure(mu), asymptotic_measure(sigma)
     ).distance
-    grid = tuple(sorted(t_grid if t_grid is not None else DEFAULT_T_GRID))
-    rows = []
-    for t in grid:
-        d = wasserstein2(
-            tree, pushforward_at(mu, t), pushforward_at(sigma, t)
-        ).distance
-        rows.append((t, d / t))
+    supply, demand = [m for _, m in mu.atoms], [m for _, m in sigma.atoms]
 
-    t_exit = _certified_branch_exit(mu, sigma)
-    far, near = (
-        tree.distance_matrix(
+    def distances(t: float) -> list[list[float]]:
+        return tree.distance_matrix(
             [g.evaluate(t) for g, _ in mu.atoms], [h.evaluate(t) for h, _ in sigma.atoms]
         )
-        for t in (t_exit + 1.0, t_exit)
-    )
-    slopes = [[a - b for a, b in zip(fr, nr)] for fr, nr in zip(far, near)]
-    with squares_in_range("slope"):
-        cost = [[s ** 2 for s in row] for row in slopes]
-        value, _, _ = solve_transport(
-            cost, [m for _, m in mu.atoms], [m for _, m in sigma.atoms]
-        )
-    certified = math.sqrt(max(0.0, value))
 
-    w_a = wasserstein2(
-        tree, pushforward_at(mu, t_exit + 1.0), pushforward_at(sigma, t_exit + 1.0)
-    ).distance
-    w_b = wasserstein2(
-        tree, pushforward_at(mu, t_exit + 2.0), pushforward_at(sigma, t_exit + 2.0)
-    ).distance
-    classification = "asymptotic" if abs(w_b - w_a) <= 1e-9 * (1.0 + w_a) else "linear"
+    rows = [(t, w2_from_distances(distances(t), supply, demand)[0] / t) for t in grid]
+    t_exit = _certified_branch_exit(mu, sigma)
+    far, near = distances(t_exit + 1.0), distances(t_exit)
+    slopes = [[a - b for a, b in zip(fr, nr)] for fr, nr in zip(far, near)]
+    certified, coupling, _ = w2_from_distances(slopes, supply, demand, "slope")
+    # W is bounded iff an optimal coupling of the slopes moves no mass along
+    # a positive slope.  Each slope is the difference of two distances of at
+    # most the largest far distance, so a zero slope rounds to a few ulps of
+    # that size.  The value itself is no test: mass-rounding dust q on a
+    # slope s adds sqrt(q) * s to it, which can pass any such threshold.
+    zero = 1e-9 * (1.0 + max((d for row in far for d in row), default=0.0))
+    bounded = all(slopes[i][j] <= zero for i, j, _ in coupling)
 
     monotone = all(rows[k + 1][1] >= rows[k][1] - 1e-12 for k in range(len(rows) - 1))
     return ConvergenceReport(
@@ -232,7 +228,7 @@ def asymptotic_formula_check(
         branch_exit=t_exit,
         certified_limit=certified,
         monotone=monotone,
-        classification=classification,
+        classification="asymptotic" if bounded else "linear",
         max_error_at_largest_t=abs(rows[-1][1] - target) if rows else math.nan,
     )
 

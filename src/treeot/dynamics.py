@@ -82,7 +82,7 @@ class DynamicalPlan:
 
 def pushforward_at(plan: DynamicalPlan, t: float) -> DiscreteMeasure:
     """Law of the time-t position of a random geodesic of the plan."""
-    if t < plan.t0 - TOL or t > plan.t1 + TOL:
+    if not plan.t0 - TOL <= t <= plan.t1 + TOL:
         raise OutOfInterval(f"t={t} outside [{plan.t0}, {plan.t1}]")
     tree = plan.atoms[0][0].tree
     return DiscreteMeasure.from_atoms(
@@ -299,7 +299,7 @@ def dirac_interpolation(
 ) -> DiscreteMeasure:
     """Time-t law of the unique interpolation from the Dirac at x to mu;
     at t = 1/2 every atom sits at the metric midpoint."""
-    if t < -TOL or t > 1.0 + TOL:
+    if not -TOL <= t <= 1.0 + TOL:
         raise OutOfInterval(f"t={t} outside [0, 1]")
     x = tree.canonical_point(x)
     atoms = []

@@ -611,6 +611,7 @@ class MetricTree:
         return TreeGeodesic(self, speed, t0, t1, t0, nodes, spans, None, None)
 
     def ray_to_end(self, p: TreePoint, end: TreeEnd, speed: float) -> "TreeGeodesic":
+        speed = _speed(speed)
         p = self.canonical_point(p)
         e = self.edge(end.edge)
         if not e.infinite:
@@ -621,9 +622,7 @@ class MetricTree:
             nodes, spans = [(0.0, p)], []
         else:
             nodes, spans = self.path_nodes(p, self.vertex_point(e.ends[0]))
-        return TreeGeodesic(
-            self, float(speed), 0.0, math.inf, 0.0, nodes, spans, None, end
-        )
+        return TreeGeodesic(self, speed, 0.0, math.inf, 0.0, nodes, spans, None, end)
 
     def geodesic_between_ends(
         self,
@@ -640,11 +639,14 @@ class MetricTree:
         """
         if xi == zeta:
             raise EqualEnds(f"both ends are {xi!r}")
+        speed = _speed(speed)
+        if not math.isfinite(anchor_time):
+            raise NonFiniteValue(f"anchor time {anchor_time} is not finite")
         u = self.end_attachment(xi)
         v = self.end_attachment(zeta)
         nodes, spans = self.path_nodes(self.vertex_point(u), self.vertex_point(v))
         prov = TreeGeodesic(
-            self, float(speed), -math.inf, math.inf, 0.0, nodes, spans, xi, zeta
+            self, speed, -math.inf, math.inf, 0.0, nodes, spans, xi, zeta
         )
         if anchor is None:
             anchor_pt = project_to_geodesic(self, self.basepoint, prov)
@@ -657,8 +659,19 @@ class MetricTree:
             raise MalformedTree("anchor does not lie on the geodesic locus")
         shifted = tuple((s - s_a, pt) for s, pt in nodes)
         return TreeGeodesic(
-            self, float(speed), -math.inf, math.inf, t_a, shifted, spans, xi, zeta
+            self, speed, -math.inf, math.inf, t_a, shifted, spans, xi, zeta
         )
+
+
+def _speed(speed: float) -> float:
+    """A geodesic speed, checked finite (NonFiniteValue) and not negative
+    (OutOfInterval)."""
+    speed = float(speed)
+    if not math.isfinite(speed):
+        raise NonFiniteValue(f"speed {speed} is not finite")
+    if speed < 0.0:
+        raise OutOfInterval(f"negative speed {speed}")
+    return speed
 
 
 class TreeGeodesic:
@@ -771,7 +784,7 @@ class TreeGeodesic:
         return self.tree.edge_point(eid, off)
 
     def evaluate(self, t: float) -> TreePoint:
-        if t < self.t0 - TOL or t > self.t1 + TOL:
+        if not self.t0 - TOL <= t <= self.t1 + TOL:
             raise OutOfInterval(f"t={t} outside [{self.t0}, {self.t1}]")
         if self.is_constant:
             return self.nodes[0][1]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from decimal import Decimal, InvalidOperation
 from typing import TYPE_CHECKING, Any
 
 from .errors import MalformedTree
@@ -71,14 +70,9 @@ def parse_number(v: Any) -> float:
     if isinstance(v, (int, float)):
         return float(v)
     if isinstance(v, str):
-        s = v.strip().lower()
-        if s in ("inf", "+inf", "infinity"):
-            return math.inf
-        if s == "-inf":
-            return -math.inf
         try:
-            return float(Decimal(v))
-        except InvalidOperation:
+            return float(v)
+        except ValueError:
             raise MalformedTree(f"not a decimal string: {v!r}") from None
     raise MalformedTree(f"expected a number, got {v!r}")
 

@@ -353,16 +353,30 @@ def wasserstein2(tree: MetricTree, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
     broken by the solver's deterministic pivoting; the returned plan is
     deterministic but not mathematically canonical.
     """
-    xs, ms = mu.points(), mu.masses()
-    ys, ns = nu.points(), nu.masses()
-    with squares_in_range("distance"):
-        cost = [[d ** 2 for d in row] for row in tree.distance_matrix(xs, ys)]
-    value, entries, sol = solve_transport(cost, ms, ns)
+    xs, ys = mu.points(), nu.points()
+    distance, entries, sol = w2_from_distances(
+        tree.distance_matrix(xs, ys), mu.masses(), nu.masses()
+    )
     plan = TransportPlan(
         tuple((xs[i], ys[j], q) for i, j, q in entries),
         potentials=(tuple(sol.u), tuple(sol.v)),
     )
-    return W2Result(math.sqrt(max(0.0, value)), plan)
+    return W2Result(distance, plan)
+
+
+def w2_from_distances(
+    distances: Sequence[Sequence[float]],
+    supply: Sequence[float],
+    demand: Sequence[float],
+    what: str = "distance",
+) -> tuple[float, list[tuple[int, int, float]], SimplexSolution]:
+    """Transport for the squared entries of a distance matrix: the square
+    root of the optimal value, then solve_transport's entries and solution.
+    A square beyond the float range raises NonFiniteValue naming `what`."""
+    with squares_in_range(what):
+        cost = [[d ** 2 for d in row] for row in distances]
+    value, entries, sol = solve_transport(cost, supply, demand)
+    return math.sqrt(max(0.0, value)), entries, sol
 
 
 def certify_duals(cost, sol: SimplexSolution) -> None:

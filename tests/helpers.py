@@ -480,3 +480,16 @@ def reference_vertex_flows(tree: T.MetricTree, nu_minus, nu_plus):
         vertex_flow[x] = phi
         specific[x] = phi if toward is None else phi - abs(flows[toward])
     return vertex_flow, specific
+
+
+def assert_classified_by_target(report) -> None:
+    """The report's classification agrees with its target, the cone distance
+    of the asymptotic measures, which a separate solve on the cone computes:
+    W is bounded ("asymptotic") when the target is 0 and grows linearly
+    when it is positive.  A target within 1e-6 of 0 is read as 0 (mass
+    rounding on a positive cone distance leaves about 1e-8), and one below
+    1e-4 is too close to call and is not checked."""
+    if report.target <= 1e-6:
+        assert report.classification == "asymptotic"
+    elif report.target >= 1e-4:
+        assert report.classification == "linear"

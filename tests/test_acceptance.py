@@ -146,6 +146,7 @@ def test_criterion_4_asymptotic_formula():
         )
         report = T.asymptotic_formula_check(tree, mu, sigma)
         assert abs(report.certified_limit - report.target) <= 1e-9
+        helpers.assert_classified_by_target(report)
         assert report.monotone
     _report(4, "asymptotic formula with certified limits, 50 ray pairs")
 

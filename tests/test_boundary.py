@@ -222,6 +222,50 @@ def test_branch_exit_covers_crossing_on_one_end(star3):
     assert report.certified_limit == 1.0
 
 
+def test_bounded_distance_is_asymptotic_though_it_grows_past_the_exit(star3):
+    # Beyond the exit (t = 1) W(t) = min(t, 100): the coupling of equal
+    # speeds keeps distance 100, so the certified limit is 0 and W is
+    # bounded, although W still grows between t = 1 and t = 100.
+    o, far, r1 = star3.vertex_point("o"), star3.edge_point("r1", 100.0), star3.end("r1")
+    ray = lambda p, s: star3.ray_to_end(p, r1, s)
+    mu = T.DynamicalPlan.from_atoms(star3, [(ray(o, 1.0), 0.5), (ray(far, 2.0), 0.5)])
+    sigma = T.DynamicalPlan.from_atoms(star3, [(ray(far, 1.0), 0.5), (ray(o, 2.0), 0.5)])
+    report = T.asymptotic_formula_check(star3, mu, sigma, t_grid=(1.0, 2.0, 3.0, 100.0, 1e3, 1e6))
+    assert report.certified_limit == 0.0
+    assert report.classification == "asymptotic"
+    assert [t * r for t, r in report.rows] == [1.0, 2.0, 3.0, 100.0, 100.0, 100.0]
+
+
+def test_mass_rounding_dust_on_a_positive_slope_stays_asymptotic(star3):
+    # The northwest-corner basis leaves 0.2 - (0.3 - 0.1) = 2.8e-17 on the
+    # cell (x->r1, y->r2), whose slope is 2: the certified limit is about
+    # 1e-8, far above the rounding of the slopes, yet the optimal coupling
+    # moves no real mass along a positive slope and W stays at most 1.
+    r1, r2 = star3.end("r1"), star3.end("r2")
+    o, x, y = star3.vertex_point("o"), star3.edge_point("r2", 1.0), star3.edge_point("r3", 1.0)
+    mu = T.DynamicalPlan.from_atoms(star3, [
+        (star3.ray_to_end(o, r1, 1.0), 0.1),
+        (star3.ray_to_end(x, r1, 1.0), 0.2),
+        (star3.ray_to_end(o, r2, 1.0), 0.7),
+    ])
+    sigma = T.DynamicalPlan.from_atoms(star3, [
+        (star3.ray_to_end(y, r1, 1.0), 0.3),
+        (star3.ray_to_end(y, r2, 1.0), 0.7),
+    ])
+    report = T.asymptotic_formula_check(star3, mu, sigma, t_grid=(1.0, 2.0, 3.0, 1e6))
+    assert report.certified_limit > 1e-9 * 4.0
+    assert report.classification == "asymptotic"
+    assert report.target < 1e-6  # the same dust, on the cone side
+    assert all(t * r <= 1.0 + 1e-12 for t, r in report.rows)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_grid_times_must_be_finite_and_positive(star3, bad):
+    mu = _unit_pair_plan(star3)
+    with pytest.raises(OutOfInterval):
+        T.asymptotic_formula_check(star3, mu, mu, t_grid=(1.0, bad))
+
+
 def test_identical_plans_ratio_zero(star3):
     mu = _unit_pair_plan(star3)
     report = T.asymptotic_formula_check(star3, mu, mu, t_grid=(1.0, 10.0, 100.0))
@@ -258,6 +302,7 @@ def test_certified_limit_matches_target_random():
         report = T.asymptotic_formula_check(tree, mu, sigma)
         assert report.certified_limit == pytest.approx(report.target, abs=1e-9)
         assert report.monotone  # both plans issue from a common Dirac mass
+        helpers.assert_classified_by_target(report)
 
 
 def test_sampled_ratio_near_target_small_trees():
@@ -281,6 +326,7 @@ def test_sampled_ratio_near_target_small_trees():
         sigma = T.ray_from_asymptotic_measure(tree, x, cone(2))
         report = T.asymptotic_formula_check(tree, mu, sigma)
         assert report.max_error_at_largest_t <= 1e-6 * (1.0 + report.target)
+        helpers.assert_classified_by_target(report)
 
 
 def test_csv_shape(star3):

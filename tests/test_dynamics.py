@@ -57,6 +57,8 @@ def test_pushforward_mass_one_random():
 def test_pushforward_out_of_interval(star3):
     with pytest.raises(OutOfInterval):
         T.pushforward_at(_two_ray_plan(star3), -1.0)
+    with pytest.raises(OutOfInterval):
+        T.pushforward_at(_two_ray_plan(star3), math.nan)
 
 
 # -- interpolation ------------------------------------------------------------------
@@ -351,6 +353,9 @@ def test_dirac_interpolation_endpoints(tripod):
     )
     assert T.dirac_interpolation(tripod, a, mu, 0.0).atoms == ((a, 1.0),)
     assert helpers.measures_close(T.dirac_interpolation(tripod, a, mu, 1.0), mu)
+    for t in (-0.5, 1.5, math.nan):
+        with pytest.raises(OutOfInterval):
+            T.dirac_interpolation(tripod, a, mu, t)
 
 
 def test_dirac_interpolation_midpoint(tripod):

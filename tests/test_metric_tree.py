@@ -432,6 +432,8 @@ def test_evaluate_out_of_interval(tripod):
     )
     with pytest.raises(OutOfInterval):
         g.evaluate(1.5)
+    with pytest.raises(OutOfInterval):
+        g.evaluate(math.nan)
     assert g.evaluate(0.0) == tripod.vertex_point("a")
     assert g.evaluate(1.0) == tripod.vertex_point("b")
 
@@ -457,6 +459,23 @@ def test_zero_speed_ray_is_constant(star3):
     ray = star3.ray_to_end(p, star3.end("r1"), 0.0)
     assert ray.is_constant
     assert ray.evaluate(100.0) == p
+
+
+@pytest.mark.parametrize("speed, error", [(math.nan, NonFiniteValue), (math.inf, NonFiniteValue),
+                                          (-1.0, OutOfInterval)])
+def test_ray_and_complete_speeds_are_finite_and_not_negative(star3, speed, error):
+    o, r1, r2 = star3.vertex_point("o"), star3.end("r1"), star3.end("r2")
+    with pytest.raises(error):
+        star3.ray_to_end(o, r1, speed)
+    with pytest.raises(error):
+        star3.geodesic_between_ends(r1, r2, speed=speed)
+
+
+@pytest.mark.parametrize("anchor_time", [math.nan, math.inf, -math.inf])
+def test_complete_anchor_time_is_finite(star3, anchor_time):
+    o, r1, r2 = star3.vertex_point("o"), star3.end("r1"), star3.end("r2")
+    with pytest.raises(NonFiniteValue):
+        star3.geodesic_between_ends(r1, r2, anchor=o, anchor_time=anchor_time)
 
 
 # -- Gromov products and geodesics between ends -----------------------------------

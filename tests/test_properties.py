@@ -134,6 +134,36 @@ def test_asymptotic_certified_limit_across_bases():
             return T.ray_from_asymptotic_measure(tree, x, nu)
         report = T.asymptotic_formula_check(tree, plan(), plan())
         assert report.certified_limit == pytest.approx(report.target, abs=1e-9)
+        helpers.assert_classified_by_target(report)
+
+
+def test_same_asymptotic_measure_from_two_bases_is_bounded():
+    # rays of one cone measure issued from x and from y stay within d(x, y)
+    # of each other, so W is bounded and the classification is "asymptotic",
+    # also when the order of the atoms and non-dyadic masses leave rounding
+    # dust on couplings of positive slope
+    rng = np.random.default_rng(241)
+    for _ in range(20):
+        tree = helpers.random_tree(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5)))
+        ends = list(tree.ends())
+        k = int(rng.integers(2, 6))
+        masses = rng.uniform(0.1, 1.0, size=k)
+        masses /= masses.sum()
+        atoms = [
+            (ends[int(rng.integers(0, len(ends)))], [0.5, 1.0, 1.5][int(rng.integers(0, 3))], float(m))
+            for m in masses
+        ]
+        order = rng.permutation(k)
+        x, y = helpers.random_point(rng, tree), helpers.random_point(rng, tree)
+        mu = T.ray_from_asymptotic_measure(tree, x, T.ConeMeasure.from_atoms(tree, atoms))
+        sigma = T.ray_from_asymptotic_measure(
+            tree, y, T.ConeMeasure.from_atoms(tree, [atoms[i] for i in order])
+        )
+        report = T.asymptotic_formula_check(tree, mu, sigma)
+        assert report.classification == "asymptotic"
+        assert report.certified_limit <= 1e-6
+        # the dust also reaches the rows, by about 1e-9 * t at t = 1e6
+        assert all(t * r <= tree.distance(x, y) + 1e-6 * (1.0 + t) for t, r in report.rows)
 
 
 def test_radon_roundtrip_larger_tree():

@@ -765,6 +765,52 @@ def test_cli_negative_infinite_length_is_a_domain_error(files):
         }
 
 
+@pytest.mark.parametrize("grid", ["0", "1,0", "nan", "inf"])
+def test_cli_asymptotic_grid_time_not_finite_and_positive_is_a_domain_error(files, grid):
+    plan = files("plan.json", RAY_PLAN)
+    out = cli("asymptotic", "--tree", files("t.json", STAR3_JSON), "--mu", plan, "--sigma", plan, "--grid", grid)
+    assert _domain_error(out)["error"] == "OutOfInterval"
+
+
+def _one_atom_plan(geodesic, kind):
+    return {"interval": {"kind": kind, "t0": "-inf" if kind == "complete" else "0", "t1": "inf"},
+            "atoms": [{"geodesic": geodesic, "mass": "1"}]}
+
+
+@pytest.mark.parametrize("speed, error", [("nan", "NonFiniteValue"), ("inf", "NonFiniteValue"),
+                                          ("-1", "OutOfInterval")])
+def test_cli_ray_speed_not_finite_or_negative_is_a_domain_error(files, speed, error):
+    tree = files("t.json", STAR3_JSON)
+    bad = files("bad.json", _one_atom_plan({**RAY, "end": "r1", "speed": speed}, "ray"))
+    assert _domain_error(cli("certify-plan", "--tree", tree, "--plan", bad))["error"] == error
+    good = files("good.json", RAY_PLAN)
+    assert _domain_error(cli("asymptotic", "--tree", tree, "--mu", bad, "--sigma", good))["error"] == error
+
+
+@pytest.mark.parametrize("field", ["speed", "anchor_time"])
+def test_cli_complete_geodesic_nan_speed_or_anchor_time_is_a_domain_error(files, field):
+    geodesic = {"kind": "complete", "neg_end": "r1", "pos_end": "r2", "speed": "1",
+                "anchor": {"vertex": "o"}, "anchor_time": "0", field: "nan"}
+    tree = files("t.json", STAR3_JSON)
+    plan = files("plan.json", _one_atom_plan(geodesic, "complete"))
+    assert _domain_error(cli("certify-plan", "--tree", tree, "--plan", plan))["error"] == "NonFiniteValue"
+
+
+@pytest.mark.parametrize("length", ["1__0", "_1", "1_", "sNaN", "0x10"])
+def test_cli_number_outside_float_syntax_is_a_domain_error(files, length):
+    doc = {**TRIPOD_JSON, "edges": [{"id": "ea", "ends": ["o", "a"], "length": length}]}
+    doc["vertices"] = ["o", "a"]
+    err = _domain_error(cli("validate", "--tree", files("t.json", doc)))
+    assert err == {"error": "MalformedTree", "message": f"not a decimal string: {length!r}"}
+
+
+def test_parse_number_reads_what_float_reads():
+    for text, value in [("1_000", 1000.0), (" 2.5 ", 2.5), ("Infinity", math.inf), ("-INF", -math.inf),
+                        ("1e400", math.inf), ("0.1", 0.1), ("1e-400", 0.0)]:
+        assert io.parse_number(text) == value
+    assert math.isnan(io.parse_number("nan"))
+
+
 # W2_LOG is no longer read: at every level stderr stays empty.
 @pytest.mark.parametrize(
     "level, logged",
@@ -913,15 +959,16 @@ FOOTPRINTS = {
 
 
 # Runs treeot.cli as __main__, the way `python -m treeot.cli` does, and
-# writes the treeot modules it loaded, and whether it loaded the standard
-# `fractions`, to stderr as it exits.
+# writes the treeot modules it loaded, and which of the standard `fractions`
+# and `decimal` it loaded, to stderr as it exits.
 RUN_AS_MAIN = """
 import json, runpy, sys
 try:
     runpy.run_module("treeot.cli", run_name="__main__", alter_sys=True)
 finally:
     sys.stderr.write(json.dumps(
-        [sorted(m for m in sys.modules if m.startswith("treeot.")), "fractions" in sys.modules]
+        [sorted(m for m in sys.modules if m.startswith("treeot.")),
+         sorted(m for m in ("fractions", "decimal") if m in sys.modules)]
     ))
 """
 
@@ -941,8 +988,10 @@ def test_cli_subcommand_loads_only_its_modules(files, case):
     )
     assert out.returncode == 0, out.stderr[-500:]
     assert out.stdout
-    modules, fractions = json.loads(out.stderr)
+    modules, standard = json.loads(out.stderr)
     # treeot.cli itself is __main__ here, so it is counted apart.
     loaded = {name.split(".", 1)[1] for name in modules} | {"cli"}
     assert loaded == {"errors", "metric_tree", "serialization", "cli"} | extra
-    assert not fractions  # no subcommand needs it: the Radon inverse is exact in integers
+    # No subcommand needs them: the Radon inverse is exact in integers, and
+    # numbers are read by float().
+    assert standard == []
