@@ -39,8 +39,9 @@ ConeAtomKey = tuple[TreeEnd | None, float]  # (end, speed); apex is (None, 0)
 class ConeMeasure:
     """Finitely supported measure on the cone over the boundary.
 
-    Atoms are (end, speed, mass); speed-0 atoms collapse to the apex, whose
-    end label is dropped (the choice does not matter there).
+    Atoms are (end, speed, mass); speeds in [0, 1e-12] collapse to the apex,
+    whose end label is dropped (the choice does not matter there).  A
+    negative speed raises OutOfInterval, a non-finite one MarginalMismatch.
     """
 
     atoms: tuple[tuple[TreeEnd | None, float, float], ...]
@@ -52,6 +53,8 @@ class ConeMeasure:
             speed = float(speed)
             if not math.isfinite(speed):
                 raise MarginalMismatch(f"non-finite cone speed {speed}")
+            if speed < 0.0:
+                raise OutOfInterval(f"negative cone speed {speed}")
             if speed <= _ZERO:
                 key: ConeAtomKey = (None, 0.0)
             else:

@@ -13,7 +13,8 @@ operations are pure functions over an immutable, validated tree:
   parent pointers for every locus) share this exit rule,
 - geodesic segments, rays to an end, bi-infinite geodesics between ends,
 - the base-to-geodesic distance of two ends (Gromov product),
-- nearest-point projection onto a geodesic,
+- nearest-point projection onto a geodesic: a point off the locus goes
+  to the node of the locus nearest to it, with no arc arithmetic,
 - perpendicular vertex sets of a flag (vertex with two incident edges).
 
 The constructor walks the finite edges once, depth first from the root (the
@@ -864,23 +865,21 @@ def gromov_product(tree: MetricTree, xi: TreeEnd, zeta: TreeEnd) -> float:
 
 
 def project_to_geodesic(tree: MetricTree, y: TreePoint, gamma: TreeGeodesic) -> TreePoint:
-    """Nearest point of the locus of gamma; unique since the locus is convex."""
+    """Nearest point of the locus of gamma: y itself when y lies on it, and
+    otherwise the node of ``gamma.nodes`` nearest to y (the first in node
+    order at the least distance).
+
+    The locus is convex, so the nearest point is unique: where the path
+    from y first meets the locus.  A path crosses an edge's interior only
+    along the edge, so that point is a vertex of the locus, or its finite
+    endpoint when the locus ends inside y's edge; a node either way."""
     if gamma.is_constant:
         raise ConstantGeodesic("projection on a constant geodesic is undefined")
     y = tree.canonical_point(y)
     if gamma.arc_of_point(y) is not None:
         return y
-    ref_s, ref_pt = gamma.nodes[0]
-    r = 2.0 * tree.distance(y, ref_pt) + 1.0
-    lo, hi = gamma.arc_bounds()
-    sa = max(lo, ref_s - r)
-    sb = min(hi, ref_s + r)
-    a = gamma.point_at_arc(sa)
-    b = gamma.point_at_arc(sb)
-    length = sb - sa
-    sy = 0.5 * (tree.distance(y, a) - tree.distance(y, b) + length)
-    sy = min(max(sy, 0.0), length)
-    return gamma.point_at_arc(sa + sy)
+    row = tree.distance_matrix([y], [p for _, p in gamma.nodes])[0]
+    return gamma.nodes[row.index(min(row))][1]
 
 
 def perpendicular(tree: MetricTree, x: str, e: str, f: str) -> frozenset[str]:

@@ -143,8 +143,9 @@ class TransportPlan:
     """Coupling given by its support entries (source, target, mass).
 
     Row sums are the source masses and column sums the target masses; the
-    optional potentials are the dual variables of the solver run that
-    produced the plan (kept for the optimality certificate).
+    optional potentials are the duals of the solver run that produced the
+    plan, returned for callers that check them.  ``is_cyclically_monotone``
+    does not read them: it derives its own from the support.
     """
 
     entries: tuple[tuple[TreePoint, TreePoint, float], ...]

@@ -41,10 +41,12 @@ def random_tree(
     return T.MetricTree(names, edges, bp)
 
 
-def random_radon_tree(rng, n_vertices: int) -> T.MetricTree:
+def random_radon_tree(
+    rng, n_vertices: int, min_len: float = 0.2, max_len: float = 2.0
+) -> T.MetricTree:
     """Random tree padded with infinite edges until every vertex has
     valency at least 3 (no leaves, no valency-2 vertices)."""
-    tree = random_tree(rng, n_vertices, n_infinite=0)
+    tree = random_tree(rng, n_vertices, n_infinite=0, min_len=min_len, max_len=max_len)
     names = list(tree.vertices)
     edges = [(e.id, e.ends, e.length) for e in tree.edges.values()]
     k = 0

@@ -67,6 +67,18 @@ def test_cone_measure_rejects_non_finite_speed(star3, bad):
         T.ConeMeasure.from_atoms(star3, [(star3.end("r1"), bad, 0.5), (star3.end("r2"), 1.0, 0.5)])
 
 
+@pytest.mark.parametrize("bad", [-1.0, -1e-13, -5e-324])
+def test_cone_measure_rejects_negative_speed(star3, bad):
+    with pytest.raises(OutOfInterval):
+        T.ConeMeasure.from_atoms(star3, [(star3.end("r1"), bad, 0.5), (star3.end("r2"), 1.0, 0.5)])
+
+
+@pytest.mark.parametrize("tiny", [-0.0, 0.0, 1e-13, 1e-12])
+def test_cone_measure_tiny_speed_is_the_apex(star3, tiny):
+    nu = T.ConeMeasure.from_atoms(star3, [(star3.end("r1"), tiny, 0.5), (star3.end("r2"), 1.0, 0.5)])
+    assert nu.keys() == [(None, 0.0), (star3.end("r2"), 1.0)]
+
+
 def test_w_infinity_overflowing_square_is_a_domain_error(star3):
     nu1 = T.ConeMeasure.from_atoms(star3, [(star3.end("r1"), 1e308, 1.0)])
     nu2 = T.ConeMeasure.from_atoms(star3, [(star3.end("r1"), 1.0, 1.0)])

@@ -109,6 +109,43 @@ def test_between_ends_anchor_is_projection_of_basepoint():
         )
 
 
+def _hops(tree, w):
+    n = 0
+    while (w := helpers.parent_vertex(tree, w)) is not None:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("min_len, max_len", [(1e3, 1e4), (1e6, 1e7)])
+def test_projection_of_a_vertex_is_a_vertex_at_long_edges(min_len, max_len):
+    # The projection of a vertex y onto the geodesic between the ends at u
+    # and v is the median of y, u and v: the deepest of their three
+    # pairwise LCAs.  The Gromov product of the ends is then the base
+    # point's distance to lca(u, v), bit for bit.
+    rng = np.random.default_rng(241)
+    for _ in range(12):
+        tree = helpers.random_tree(
+            rng, int(rng.integers(3, 12)), int(rng.integers(2, 6)), min_len, max_len
+        )
+        ends = list(tree.ends())
+        for _ in range(4):
+            i, j = rng.choice(len(ends), size=2, replace=False)
+            xi, zeta = ends[int(i)], ends[int(j)]
+            u, v = tree.end_attachment(xi), tree.end_attachment(zeta)
+            g = tree.geodesic_between_ends(xi, zeta)
+            locus = {p for _, p in g.nodes}
+            for y in tree.vertices:
+                proj = T.project_to_geodesic(tree, tree.vertex_point(y), g)
+                assert proj in locus
+                median = max(
+                    (helpers.naive_lca(tree, a, b) for a, b in [(y, u), (y, v), (u, v)]),
+                    key=lambda w: _hops(tree, w),
+                )
+                assert proj == tree.vertex_point(median)
+            lca = tree.vertex_point(helpers.naive_lca(tree, u, v))
+            assert T.gromov_product(tree, xi, zeta) == tree.distance(tree.basepoint, lca)
+
+
 def test_asymptotic_certified_limit_across_bases():
     # plans from different base points: no monotonicity claim, but the
     # certified limit still matches the cone distance of the ends

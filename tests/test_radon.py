@@ -378,13 +378,16 @@ def test_roundtrip_edge_interior(barbell):
 
 
 def test_roundtrip_mixed_random():
-    rng = np.random.default_rng(179)
-    for _ in range(8):
-        tree = helpers.random_radon_tree(rng, int(rng.integers(2, 10)))
-        mu = helpers.random_measure(rng, tree, int(rng.integers(2, 6)))
-        report = T.measure_radon_roundtrip(tree, mu)
-        assert report.max_error <= 1e-9
-        assert helpers.measures_close(report.reconstructed, mu)
+    # Long edges too: projections onto a geodesic must land on its vertices
+    # exactly, or the inverse sees inconsistent flag data.
+    for min_len, max_len in [(0.2, 2.0), (1e3, 1e4), (1e6, 1e7)]:
+        rng = np.random.default_rng(179)
+        for _ in range(8):
+            tree = helpers.random_radon_tree(rng, int(rng.integers(2, 10)), min_len, max_len)
+            mu = helpers.random_measure(rng, tree, int(rng.integers(2, 6)))
+            report = T.measure_radon_roundtrip(tree, mu)
+            assert report.max_error <= 1e-9
+            assert helpers.measures_close(report.reconstructed, mu)
 
 
 def test_roundtrip_interior_total_adds_in_order(monkeypatch):
