@@ -264,9 +264,7 @@ def _tail(g) -> tuple[str, float, float] | None:
     once past its last vertex; a constant atom on an infinite edge counts as
     speed 0.  None for a constant atom anywhere else."""
     if g.speed > _ZERO:
-        eid = g.pos_end.edge
-        last = g.nodes[-1][1]  # the end's vertex, or the start on the end's edge
-        base = last.offset if last.edge == eid else 0.0
+        eid, base, _, _ = g.traversals()[-1]
         return eid, base - g.nodes[-1][0] - g.speed * g.t_origin, g.speed
     p = g.nodes[0][1]
     if p.edge is not None and g.tree.edges[p.edge].infinite:

@@ -278,12 +278,7 @@ def _dispatch(args) -> str:
             return io.dumps(io.flow_table_to_json(tree, table))
         if cmd == "realizability":
             res = realizability_sum(tree, flow_table(tree, minus, plus))
-            doc = {"value": io.fmt(res.value), "verdict": res.verdict}
-            if res.partial_sums is not None:
-                doc["depths"] = list(res.depths)
-                doc["partial_sums"] = [io.fmt(s) for s in res.partial_sums]
-                doc["depth"] = res.depth
-            return io.dumps(doc)
+            return io.dumps({"value": io.fmt(res.value), "verdict": res.verdict})
         plan = construct_geodesic(tree, minus, plus)
         return io.dumps(io.dynamical_plan_to_json(plan))
 

@@ -32,7 +32,9 @@ arc arithmetic dust at 1e-12.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -683,11 +685,16 @@ class TreeGeodesic:
     (``spans``), and an optional boundary end on each open side;
     ``s(t) = speed * (t - t_origin)``.  Geodesics are built by the tree's
     constructors, which read the nodes and spans off ``path_nodes``.
+
+    ``point_at_arc``, ``arc_of_point`` and ``traversals`` read one table of
+    locus pieces, built on first use: each step, and each tail out to a
+    boundary end, is ``(edge, s0, o, o_far, sign)`` with the arc s0 and edge
+    offset o of its node, so offset = o + (s - s0) * sign on every piece.
     """
 
     __slots__ = (
         "tree", "speed", "t0", "t1", "t_origin",
-        "nodes", "spans", "neg_end", "pos_end",
+        "nodes", "spans", "neg_end", "pos_end", "_pieces",
     )
 
     def __init__(self, tree, speed, t0, t1, t_origin, nodes, spans, neg_end, pos_end):
@@ -700,6 +707,7 @@ class TreeGeodesic:
         self.spans = tuple(spans)
         self.neg_end = neg_end
         self.pos_end = pos_end
+        self._pieces = None
 
     # -- identity -------------------------------------------------------------
 
@@ -740,14 +748,30 @@ class TreeGeodesic:
 
     # -- geometry ---------------------------------------------------------------
 
-    def _offset_on(self, p: TreePoint, eid: str) -> float:
-        e = self.tree.edge(eid)
-        if p.is_vertex():
-            if p.vertex == e.ends[0]:
-                return 0.0
-            return e.length
-        assert p.edge == eid
-        return p.offset
+    def _piece_table(self) -> tuple[tuple[str, float, float, float, float], ...]:
+        """The pieces in arc order: the negative tail, the steps, the
+        positive tail.  o_far is the offset at a piece's far end (inf on a
+        tail), and sign is +1.0 or -1.0."""
+        if self._pieces is None:
+            nodes, edges = self.nodes, self.tree.edges
+
+            def offset(p: TreePoint, eid: str) -> float:
+                if p.vertex is None:
+                    return p.offset
+                return 0.0 if p.vertex == edges[eid].ends[0] else edges[eid].length
+
+            pieces = []
+            if self.neg_end is not None:
+                eid = self.neg_end.edge
+                pieces.append((eid, nodes[0][0], offset(nodes[0][1], eid), math.inf, -1.0))
+            for (s0, p), (_, q), eid in zip(nodes, nodes[1:], self.spans):
+                o, o_far = offset(p, eid), offset(q, eid)
+                pieces.append((eid, s0, o, o_far, 1.0 if o_far > o else -1.0))
+            if self.pos_end is not None:
+                eid = self.pos_end.edge
+                pieces.append((eid, nodes[-1][0], offset(nodes[-1][1], eid), math.inf, 1.0))
+            self._pieces = tuple(pieces)
+        return self._pieces
 
     def arc_bounds(self) -> tuple[float, float]:
         lo = -math.inf if self.neg_end is not None else self.nodes[0][0]
@@ -755,34 +779,25 @@ class TreeGeodesic:
         return lo, hi
 
     def point_at_arc(self, s: float) -> TreePoint:
-        if self.is_constant:
-            return self.nodes[0][1]
+        """The point at arc s, snapped to a node within 1e-12 of it on a
+        step; a bounded side of the locus clamps s to its end node."""
         nodes = self.nodes
-        if self.neg_end is not None and s <= nodes[0][0]:
-            base = self._offset_on(nodes[0][1], self.neg_end.edge)
-            return self.tree.edge_point(self.neg_end.edge, base + (nodes[0][0] - s))
-        if self.pos_end is not None and s >= nodes[-1][0]:
-            base = self._offset_on(nodes[-1][1], self.pos_end.edge)
-            return self.tree.edge_point(self.pos_end.edge, base + (s - nodes[-1][0]))
-        s = min(max(s, nodes[0][0]), nodes[-1][0])
-        lo, hi = 0, len(nodes) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if nodes[mid][0] <= s:
-                lo = mid
-            else:
-                hi = mid
-        sa, pa = nodes[lo]
-        sb, pb = nodes[hi]
-        if s - sa <= _SNAP:
-            return pa
-        if sb - s <= _SNAP:
-            return pb
-        eid = self.spans[lo]
-        oa = self._offset_on(pa, eid)
-        ob = self._offset_on(pb, eid)
-        off = oa + (s - sa) * (1.0 if ob > oa else -1.0)
-        return self.tree.edge_point(eid, off)
+        if self.is_constant:
+            return nodes[0][1]
+        if math.isnan(s):
+            raise MalformedTree("arc coordinate nan is not a number")
+        i = bisect_right(nodes, s, key=itemgetter(0))
+        if 0 < i < len(nodes):
+            (sa, pa), (sb, pb) = nodes[i - 1], nodes[i]
+            if s - sa <= _SNAP:
+                return pa
+            if sb - s <= _SNAP:
+                return pb
+        elif (self.pos_end if i else self.neg_end) is None:
+            return nodes[max(i - 1, 0)][1]
+        # node i - 1's step, or a tail: piece i - 1, or i behind a negative tail
+        eid, s0, o, _, sign = self._piece_table()[i - (self.neg_end is None)]
+        return self.tree.edge_point(eid, o + (s - s0) * sign)
 
     def evaluate(self, t: float) -> TreePoint:
         if not self.t0 - TOL <= t <= self.t1 + TOL:
@@ -803,46 +818,23 @@ class TreeGeodesic:
                 return s
         if p.edge is None:
             return None
-        for i, eid in enumerate(self.spans):
-            if eid != p.edge:
-                continue
-            sa, pa = self.nodes[i]
-            sb, pb = self.nodes[i + 1]
-            oa = self._offset_on(pa, eid)
-            ob = self._offset_on(pb, eid)
-            if min(oa, ob) - TOL <= p.offset <= max(oa, ob) + TOL:
-                return sa + abs(p.offset - oa)
-        if self.neg_end is not None and p.edge == self.neg_end.edge:
-            base = self._offset_on(self.nodes[0][1], p.edge)
-            if p.offset >= base - TOL:
-                return self.nodes[0][0] - (p.offset - base)
-        if self.pos_end is not None and p.edge == self.pos_end.edge:
-            base = self._offset_on(self.nodes[-1][1], p.edge)
-            if p.offset >= base - TOL:
-                return self.nodes[-1][0] + (p.offset - base)
+        for eid, s0, o, o_far, sign in self._piece_table():
+            if eid == p.edge and min(o, o_far) - TOL <= p.offset <= max(o, o_far) + TOL:
+                return s0 + (p.offset - o) * sign
         return None
 
-    def traversals(self) -> list[tuple[str, float, float, int]]:
+    def traversals(self) -> list[tuple[str, float, float, float]]:
         """Edge sub-intervals covered by the locus.
 
         Returns tuples (edge id, low offset, high offset, direction) where
-        direction is +1 if the offset increases along the parametrization.
-        Infinite tails use math.inf as the high offset.
+        direction is +1.0 if the offset increases along the parametrization
+        and -1.0 if it decreases.  Infinite tails use math.inf as the high
+        offset.
         """
         if self.is_constant:
             return []
-        out = []
-        if self.neg_end is not None:
-            base = self._offset_on(self.nodes[0][1], self.neg_end.edge)
-            out.append((self.neg_end.edge, base, math.inf, -1))
-        for i, eid in enumerate(self.spans):
-            oa = self._offset_on(self.nodes[i][1], eid)
-            ob = self._offset_on(self.nodes[i + 1][1], eid)
-            out.append((eid, min(oa, ob), max(oa, ob), 1 if ob > oa else -1))
-        if self.pos_end is not None:
-            base = self._offset_on(self.nodes[-1][1], self.pos_end.edge)
-            out.append((self.pos_end.edge, base, math.inf, 1))
-        return out
+        return [(eid, min(o, o_far), max(o, o_far), sign)
+                for eid, _, o, o_far, sign in self._piece_table()]
 
     def restrict(self, t0: float, t1: float) -> "TreeGeodesic":
         if not (self.t0 - TOL <= t0 < t1 <= self.t1 + TOL):

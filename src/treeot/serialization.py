@@ -67,8 +67,13 @@ def _names(doc: Any, key: str) -> list[str]:
 
 
 def parse_number(v: Any) -> float:
-    if isinstance(v, (int, float)):
-        return float(v)
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            return float(v)
+        except OverflowError:
+            raise MalformedTree(
+                f"integer of {v.bit_length()} bits exceeds the float range"
+            ) from None
     if isinstance(v, str):
         try:
             return float(v)

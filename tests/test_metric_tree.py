@@ -5,6 +5,7 @@ projections, direct definition checks for the small named trees.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,19 @@ def test_two_endpoint_infinite_edge_rejected():
 def test_self_loop_rejected():
     with pytest.raises(MalformedTree):
         T.MetricTree(["a"], [("e1", ("a", "a"), 1.0)], "a")
+
+
+@pytest.mark.parametrize("vertices, edges, message", [
+    ([], [], "tree needs at least one vertex"),
+    (["a", "b", "a"], [], "duplicate vertex names"),
+    (["a", "b"], [("e", ("a", "b"), 1.0), ("e", ("b", "a"), 2.0)], "duplicate edge id 'e'"),
+    (["a", "b"], [("e", ("a", "c"), 1.0)], "edge 'e' references unknown vertex"),
+    (["a", "b"], [("e", ("a",), 1.0)], "finite edge 'e' must have two endpoints"),
+    (["a", "b", "c"], [("e", ("a", "b", "c"), 1.0)], "finite edge 'e' must have two endpoints"),
+])
+def test_constructor_rejects_malformed_lists(vertices, edges, message):
+    with pytest.raises(MalformedTree, match=f"^{re.escape(message)}$"):
+        T.MetricTree(vertices, edges, "a")
 
 
 @pytest.mark.parametrize("ends", [("b",), ("a", "b")])
@@ -504,6 +518,59 @@ def test_between_ends_star3(star3):
     assert g.evaluate(-3.0) == star3.edge_point("r1", 3.0)
     with pytest.raises(EqualEnds):
         star3.geodesic_between_ends(star3.end("r1"), star3.end("r1"))
+
+
+def test_geodesic_kinds_read_their_pieces_on_star3(star3):
+    """Ends, repr, points, arcs and traversals of a constant geodesic, a
+    segment, a ray and a complete geodesic: every step and tail of a locus."""
+    o, r1, r2, r3 = star3.vertex_point("o"), star3.end("r1"), star3.end("r2"), star3.end("r3")
+    at = star3.edge_point
+    p, q = at("r1", 2.0), at("r2", 0.5)
+
+    const = star3.constant_geodesic(p)
+    assert (const.source(), const.target()) == (p, p)
+    assert repr(const) == "TreeGeodesic(TreePoint('r1'@2) -> TreePoint('r1'@2), speed=0)"
+    assert const.point_at_arc(-1.0) == const.point_at_arc(5.0) == p
+    assert const.arc_of_point(p) == 0.0
+    assert const.arc_of_point(o) is None
+    assert const.traversals() == []
+
+    seg = star3.geodesic_segment(p, q, 0.0, 1.0)
+    assert (seg.source(), seg.target()) == (p, q)
+    assert repr(seg) == "TreeGeodesic(TreePoint('r1'@2) -> TreePoint('r2'@0.5), speed=2.5)"
+    assert [seg.point_at_arc(s) for s in (-1.0, 0.5, 2.0, 2.25, 9.0)] == [
+        p, at("r1", 1.5), o, at("r2", 0.25), q
+    ]
+    assert seg.arc_of_point(at("r1", 0.5)) == 1.5
+    assert seg.arc_of_point(at("r2", 0.25)) == 2.25
+    # within TOL before the start the arc is the one the offset implies
+    assert -2e-10 < seg.arc_of_point(at("r1", 2.0 + 1e-10)) < 0.0
+    assert seg.arc_of_point(at("r2", 1.0)) is None
+    assert seg.arc_of_point(at("r3", 1.0)) is None
+    assert seg.traversals() == [("r1", 0.0, 2.0, -1.0), ("r2", 0.0, 0.5, 1.0)]
+    with pytest.raises(MalformedTree):
+        seg.point_at_arc(math.nan)
+
+    ray = star3.ray_to_end(p, r3, 2.0)
+    assert (ray.source(), ray.target()) == (p, r3)
+    assert repr(ray) == "TreeGeodesic(TreePoint('r1'@2) -> TreeEnd('r3'), speed=2)"
+    assert ray.point_at_arc(5.0) == at("r3", 3.0)
+    assert ray.arc_of_point(at("r3", 3.0)) == 5.0
+    assert ray.traversals() == [("r1", 0.0, 2.0, -1.0), ("r3", 0.0, math.inf, 1.0)]
+    tail = star3.ray_to_end(at("r3", 1.0), r3, 1.0)  # one node, then the tail
+    assert tail.point_at_arc(2.0) == at("r3", 3.0)
+    assert tail.arc_of_point(at("r3", 3.0)) == 2.0
+    assert tail.arc_of_point(at("r3", 0.5)) is None
+    assert tail.traversals() == [("r3", 1.0, math.inf, 1.0)]
+
+    line = star3.geodesic_between_ends(r1, r2)
+    assert (line.source(), line.target()) == (r1, r2)
+    assert repr(line) == "TreeGeodesic(TreeEnd('r1') -> TreeEnd('r2'), speed=1)"
+    assert [line.point_at_arc(s) for s in (-3.0, 0.0, 2.0)] == [at("r1", 3.0), o, at("r2", 2.0)]
+    assert line.arc_of_point(at("r1", 3.0)) == -3.0
+    assert line.arc_of_point(at("r2", 2.0)) == 2.0
+    assert line.arc_of_point(at("r3", 1.0)) is None
+    assert line.traversals() == [("r1", 0.0, math.inf, -1.0), ("r2", 0.0, math.inf, 1.0)]
 
 
 def _comb_tree():

@@ -550,6 +550,78 @@ def test_cli_determinism(files):
     assert first.stdout == second.stdout
 
 
+def _ray_plan(*atoms):
+    return {"interval": {"kind": "ray", "t0": "0", "t1": "inf"},
+            "atoms": [{"geodesic": {"kind": "ray", "start": start, "end": end, "speed": speed}, "mass": mass}
+                      for start, end, speed, mass in atoms]}
+
+
+# stdout of each run, recorded once; equal bytes on every supported Python.
+PINNED_GEODESIC_OUTPUTS = {
+    "interpolate": (
+        '{"atoms":['
+        '{"geodesic":{"kind":"segment","start":{"edge":"r1","offset":"1.500000000000"},'
+        '"stop":{"edge":"euv","offset":"0.375000000000"},"t0":"0.000000000000","t1":"1.000000000000"},'
+        '"mass":"0.500000000000"},'
+        '{"geodesic":{"kind":"segment","start":{"vertex":"v"},'
+        '"stop":{"edge":"r3","offset":"0.250000000000"},"t0":"0.000000000000","t1":"1.000000000000"},'
+        '"mass":"0.500000000000"}],'
+        '"interval":{"kind":"segment","t0":"0.000000000000","t1":"1.000000000000"}}\n'
+    ),
+    "build-geodesic": (
+        '{"atoms":['
+        '{"geodesic":{"anchor":{"vertex":"u"},"anchor_time":"0.000000000000",'
+        '"kind":"complete","neg_end":"r1","pos_end":"r3","speed":"1.000000000000"},'
+        '"mass":"0.250000000000"},'
+        '{"geodesic":{"anchor":{"vertex":"u"},"anchor_time":"0.000000000000",'
+        '"kind":"complete","neg_end":"r2","pos_end":"r3","speed":"1.000000000000"},'
+        '"mass":"0.250000000000"},'
+        '{"geodesic":{"anchor":{"vertex":"u"},"anchor_time":"0.000000000000",'
+        '"kind":"complete","neg_end":"r2","pos_end":"r4","speed":"1.000000000000"},'
+        '"mass":"0.500000000000"}],'
+        '"interval":{"kind":"complete","t0":"-inf","t1":"inf"}}\n'
+    ),
+    "asymptotic": (
+        't,ratio,target,abs_error\n'
+        '1,2.850438562748,1.561249499600,1.289189063148\n'
+        '10,1.642216489991,1.561249499600,0.080966990392\n'
+        '100,1.568548293805,1.561249499600,0.007298794206\n'
+        '1000,1.561971010454,1.561249499600,0.000721510855\n'
+        '10000,1.561321566614,1.561249499600,0.000072067015\n'
+        '1000000,1.561250220177,1.561249499600,0.000000720578\n'
+        'inf,1.561249499600,1.561249499600,0.000000000000\n'
+    ),
+    "certify-plan": (
+        '{"antagonist_pairs":[[0,1,"r1"]],"kind":"dynamical","optimal":false}\n'
+    ),
+}
+
+
+def test_cli_geodesic_outputs_are_pinned_bytes(files):
+    barbell, star3 = files("barbell.json", BARBELL_JSON), files("star3.json", STAR3_JSON)
+    mu = files("mu.json", {"atoms": [{"point": {"edge": "r1", "offset": "1.5"}, "mass": "0.5"},
+                                     {"point": {"vertex": "v"}, "mass": "0.5"}]})
+    nu = files("nu.json", {"atoms": [{"point": {"edge": "r3", "offset": "0.25"}, "mass": "0.5"},
+                                     {"point": {"edge": "euv", "offset": "0.375"}, "mass": "0.5"}]})
+    minus = files("minus.json", {"atoms": [{"end": "r1", "mass": "0.25"}, {"end": "r2", "mass": "0.75"}]})
+    plus = files("plus.json", PLUS)
+    # the two rays run through r1 in opposite directions
+    rays = files("rays.json", _ray_plan(({"edge": "r1", "offset": "2"}, "r2", "1.5", "0.5"),
+                                        ({"vertex": "o"}, "r1", "1", "0.5")))
+    sigma = files("sigma.json", _ray_plan(({"edge": "r2", "offset": "0.5"}, "r2", "2", "0.75"),
+                                          ({"edge": "r3", "offset": "1"}, "r1", "0.5", "0.25")))
+    runs = {
+        "interpolate": ("--tree", barbell, "--mu", mu, "--nu", nu),
+        "build-geodesic": ("--tree", barbell, "--minus", minus, "--plus", plus),
+        "asymptotic": ("--tree", star3, "--mu", rays, "--sigma", sigma),
+        "certify-plan": ("--tree", star3, "--plan", rays),
+    }
+    for name, args in runs.items():
+        out = cli(name, *args)
+        assert (out.returncode, out.stderr) == (0, ""), name
+        assert out.stdout == PINNED_GEODESIC_OUTPUTS[name], name
+
+
 def test_cli_exit_codes(files, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -847,6 +919,40 @@ def test_parse_number_reads_what_float_reads():
                         ("1e400", math.inf), ("0.1", 0.1), ("1e-400", 0.0)]:
         assert io.parse_number(text) == value
     assert math.isnan(io.parse_number("nan"))
+
+
+def test_parse_number_rejects_booleans_and_integers_beyond_floats():
+    for v in (True, False):
+        with pytest.raises(T.MalformedTree, match=f"^expected a number, got {v}$"):
+            io.parse_number(v)
+    for v in (10**400, -(10**400)):
+        with pytest.raises(T.MalformedTree, match="^integer of 1329 bits exceeds the float range$"):
+            io.parse_number(v)
+
+
+def _two_vertices(length):
+    return {"vertices": ["a", "b"], "edges": [{"id": "e", "ends": ["a", "b"], "length": length}],
+            "basepoint": {"vertex": "a"}}
+
+
+def test_cli_boolean_number_is_a_domain_error(files):
+    tree = files("t.json", _two_vertices(True))
+    for out in (
+        cli("validate", "--tree", tree),
+        cli("distance", "--tree", tree, "--p", '{"vertex":"a"}', "--q", '{"vertex":"b"}'),
+    ):
+        assert _domain_error(out) == {"error": "MalformedTree", "message": "expected a number, got True"}
+    mu = files("mu.json", {"atoms": [{"point": {"vertex": "a"}, "mass": True}]})
+    out = cli("w2", "--tree", files("tripod.json", TRIPOD_JSON), "--mu", mu, "--nu", files("nu.json", AT_B))
+    assert _domain_error(out) == {"error": "MalformedTree", "message": "expected a number, got True"}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cli_integer_beyond_float_range_is_a_domain_error(files, sign):
+    out = cli("validate", "--tree", files("t.json", _two_vertices(sign * 10**400)))
+    assert _domain_error(out) == {
+        "error": "MalformedTree", "message": "integer of 1329 bits exceeds the float range",
+    }
 
 
 # W2_LOG is no longer read: whatever it holds, stderr stays empty.
