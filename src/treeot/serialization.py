@@ -21,7 +21,7 @@ import json
 import math
 from typing import TYPE_CHECKING, Any
 
-from .errors import MalformedTree
+from .errors import MalformedTree, MarginalMismatch
 from .metric_tree import MetricTree, TreeGeodesic, TreePoint
 
 if TYPE_CHECKING:
@@ -155,19 +155,20 @@ def measure_to_json(mu: DiscreteMeasure) -> dict:
 
 
 def plan_from_json(tree: MetricTree, doc) -> TransportPlan:
+    """A transport plan; an entry whose mass is not finite and above 0
+    raises MarginalMismatch, since no certificate can judge it."""
     from .transport import TransportPlan
 
     rows = doc if isinstance(doc, list) else _field(doc, "entries", list)
-    return TransportPlan(
-        tuple(
-            (
-                point_from_json(tree, _shaped(e, dict, "a plan entry")["source"]),
-                point_from_json(tree, e["target"]),
-                parse_number(e["mass"]),
-            )
-            for e in rows
-        )
-    )
+    entries = []
+    for i, e in enumerate(rows):
+        x = point_from_json(tree, _shaped(e, dict, "a plan entry")["source"])
+        y = point_from_json(tree, e["target"])
+        m = parse_number(e["mass"])
+        if not 0.0 < m < math.inf:
+            raise MarginalMismatch(f"plan entry {i} has mass {m}, expected a finite mass above 0")
+        entries.append((x, y, m))
+    return TransportPlan(tuple(entries))
 
 
 def plan_to_json(plan: TransportPlan) -> dict:
@@ -260,15 +261,23 @@ def dynamical_plan_to_json(plan: DynamicalPlan) -> dict:
 
 
 def dynamical_plan_from_json(tree: MetricTree, doc: dict) -> DynamicalPlan:
+    """A dynamical plan; its declared interval must be the one its atoms
+    share (kind, t0 and t1), else MarginalMismatch."""
     from .dynamics import DynamicalPlan
 
-    return DynamicalPlan.from_atoms(
+    interval = _field(doc, "interval", dict)
+    declared = (_field(interval, "kind", str), parse_number(interval["t0"]), parse_number(interval["t1"]))
+    plan = DynamicalPlan.from_atoms(
         tree,
         [
             (geodesic_from_json(tree, a["geodesic"]), parse_number(a["mass"]))
             for a in _atoms(doc)
         ],
     )
+    shared = (plan.kind, plan.t0, plan.t1)
+    if declared != shared:
+        raise MarginalMismatch("declared interval {} [{}, {}] is not the atoms' {} [{}, {}]".format(*declared, *shared))
+    return plan
 
 
 # -- boundary data ---------------------------------------------------------------

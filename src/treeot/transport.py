@@ -160,13 +160,14 @@ class TransportPlan:
         for x, y, m in self.entries:
             row[x] = row.get(x, 0.0) + m
             col[y] = col.get(y, 0.0) + m
+        # Written as `not ... <= MASS_TOL`, so that a NaN sum fails too.
         for p, m in mu.atoms:
-            if abs(row.pop(p, 0.0) - m) > MASS_TOL:
+            if not abs(row.pop(p, 0.0) - m) <= MASS_TOL:
                 raise MarginalMismatch(f"row sum at {p!r} differs from source mass")
         for p, m in nu.atoms:
-            if abs(col.pop(p, 0.0) - m) > MASS_TOL:
+            if not abs(col.pop(p, 0.0) - m) <= MASS_TOL:
                 raise MarginalMismatch(f"column sum at {p!r} differs from target mass")
-        if any(m > MASS_TOL for m in row.values()) or any(m > MASS_TOL for m in col.values()):
+        if not all(abs(m) <= MASS_TOL for m in (*row.values(), *col.values())):
             raise MarginalMismatch("plan carries mass outside the marginals")
 
 

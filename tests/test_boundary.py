@@ -2,6 +2,7 @@
 asymptotic measures, and exact certification of the asymptotic formula."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -363,3 +364,28 @@ def test_cone_sums_add_in_order(star3):
     nu2 = T.ConeMeasure.from_atoms(star3, [(ends[0], 3.0 + s, m) for s, m in zip(speeds, masses)])
     both = [*nu1.masses(), *nu2.masses()]
     assert T.total_variation(nu1, nu2) == 0.5 * helpers.add_in_order(both)
+
+
+# -- rejections ----------------------------------------------------------------------
+
+
+def _complete_plan(star3):
+    return T.DynamicalPlan.from_atoms(star3, [(star3.geodesic_between_ends(star3.end("r1"), star3.end("r2")), 1.0)])
+
+
+def _segment_plan(star3):
+    seg = star3.geodesic_segment(star3.vertex_point("o"), star3.edge_point("r1", 1.0), 0.0, 1.0)
+    return T.DynamicalPlan.from_atoms(star3, [(seg, 1.0)])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda t: T.asymptotic_measure(_unit_pair_plan(t), 0), ValueError, "direction must be +1 or -1"),
+    (lambda t: T.asymptotic_measure(_unit_pair_plan(t), -1), OutOfInterval, "ray plans are only asymptotic for t -> +inf"),
+    (lambda t: T.asymptotic_formula_check(t, _segment_plan(t), _unit_pair_plan(t)),
+     OutOfInterval, "asymptotic comparison needs two ray plans"),
+    (lambda t: T.asymptotic_formula_check(t, _unit_pair_plan(t), _complete_plan(t)),
+     OutOfInterval, "asymptotic comparison needs two ray plans"),
+])
+def test_asymptotics_reject_what_they_cannot_answer(star3, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(star3)

@@ -2,13 +2,14 @@
 antagonism certificates, Dirac extension and the midpoint characterization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import treeot as T
 from treeot.dynamics import projection_monotone
-from treeot.errors import LeafyTree, NotDiracBased, OutOfInterval, PlanNotOptimal
+from treeot.errors import LeafyTree, MarginalMismatch, NotDiracBased, OutOfInterval, PlanNotOptimal
 
 import helpers
 
@@ -481,3 +482,26 @@ def test_plan_speed_adds_in_order():
     terms = [m * g.speed**2 for g, m in dyn.atoms]
     assert math.fsum(terms) != helpers.add_in_order(terms)
     assert dyn.speed == math.sqrt(helpers.add_in_order(terms))
+
+
+# -- rejections ----------------------------------------------------------------------
+
+
+def _segment(star3, end, t0, t1):
+    return star3.geodesic_segment(star3.vertex_point("o"), star3.edge_point(end, 1.0), t0, t1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda t: T.DynamicalPlan.from_atoms(t, [(_segment(t, "r1", 0.0, 1.0), 0.5), (_segment(t, "r2", 0.0, 2.0), 0.5)]),
+     MarginalMismatch, "atoms do not share a parameter interval"),
+    # an entry of mass below MASS_TOL passes check_marginals, but lies off both supports
+    (lambda t: T.lift(t, _two_ray_plan(t), _two_ray_plan(t), T.TransportPlan((
+        (t.vertex_point("o"), t.vertex_point("o"), 1.0), (t.edge_point("r3", 1.0), t.edge_point("r3", 1.0), 1e-10),
+    )), 0.0), MarginalMismatch, "plan entry outside the pushforward supports"),
+    (lambda t: T.extend_from_dirac(t, T.DynamicalPlan.from_atoms(t, [(_segment(t, "r1", 1.0, 2.0), 1.0)])),
+     NotDiracBased, "expected a segment plan parametrized from t0 = 0"),
+    (lambda t: T.validate_complete_plan(_two_ray_plan(t)), OutOfInterval, "plan is not parametrized on the whole line"),
+])
+def test_dynamical_plans_reject_what_they_cannot_answer(star3, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(star3)

@@ -15,6 +15,7 @@ from treeot.errors import (
     ConstantGeodesic,
     EqualEnds,
     FlagInvalid,
+    LeafyTree,
     MalformedTree,
     NonFiniteValue,
     OutOfInterval,
@@ -75,6 +76,7 @@ def test_self_loop_rejected():
     (["a", "b"], [("e", ("a", "c"), 1.0)], "edge 'e' references unknown vertex"),
     (["a", "b"], [("e", ("a",), 1.0)], "finite edge 'e' must have two endpoints"),
     (["a", "b", "c"], [("e", ("a", "b", "c"), 1.0)], "finite edge 'e' must have two endpoints"),
+    (["a", "b"], [("e", ("a", "b"), True)], "edge 'e' has length True, not a number"),
 ])
 def test_constructor_rejects_malformed_lists(vertices, edges, message):
     with pytest.raises(MalformedTree, match=f"^{re.escape(message)}$"):
@@ -723,3 +725,41 @@ def test_basepoint_distances_match_distance():
             for v in tree.vertices:
                 want = rebased.distance(rebased.basepoint, rebased.vertex_point(v))
                 assert dist[v] == pytest.approx(want, abs=1e-12)
+
+
+# -- rejections ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf), (0.0, math.nan)])
+def test_segment_needs_finite_times(tripod, t0, t1):
+    # an infinite end time would give speed 0 and a constant "ray"
+    a, b = tripod.vertex_point("a"), tripod.vertex_point("b")
+    with pytest.raises(OutOfInterval, match=re.escape(f"need finite t0 < t1, got [{t0}, {t1}]")):
+        tripod.geodesic_segment(a, b, t0, t1)
+
+
+def _forked():
+    """o with legs to a, b (each with an end) and to the leaf c."""
+    return T.MetricTree(
+        ["o", "a", "b", "c"],
+        [("ea", ("o", "a"), 1.0), ("eb", ("o", "b"), 1.0), ("ec", ("o", "c"), 1.0),
+         ("ra", ("a",), math.inf), ("rb", ("b",), math.inf)],
+        "o",
+    )
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda t: t.incident_edges("x"), MalformedTree, "unknown vertex 'x'"),
+    (lambda t: t.end("ea"), MalformedTree, "edge 'ea' is not infinite, carries no end"),
+    (lambda t: t.onward_edge("c", "ec"), LeafyTree, "extension stuck at leaf 'c'"),
+    (lambda t: t.geodesic_segment(t.vertex_point("a"), t.vertex_point("b"), 1.0, 1.0),
+     OutOfInterval, "need finite t0 < t1, got [1.0, 1.0]"),
+    (lambda t: t.ray_to_end(t.vertex_point("a"), T.TreeEnd("ea"), 1.0), MalformedTree, "edge 'ea' carries no end"),
+    (lambda t: t.geodesic_between_ends(t.end("ra"), t.end("rb"), anchor=t.vertex_point("c")),
+     MalformedTree, "anchor does not lie on the geodesic locus"),
+    (lambda t: t.geodesic_segment(t.vertex_point("a"), t.vertex_point("b"), 0.0, 1.0).restrict(0.5, 2.0),
+     OutOfInterval, "[0.5, 2.0] not inside [0.0, 1.0]"),
+])
+def test_tree_queries_reject_what_they_cannot_answer(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(_forked())

@@ -3,13 +3,14 @@ counting identity, and full measure reconstruction from projections."""
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import treeot as T
-from treeot.errors import ConstantGeodesic, InconsistentData, MalformedForRadon, NonFiniteValue
+from treeot.errors import ConstantGeodesic, FlagInvalid, InconsistentData, MalformedForRadon, NonFiniteValue
 from treeot.radon import all_flags, geodesic_through_edge, geodesic_through_flag
 
 import helpers
@@ -419,3 +420,21 @@ def test_vertex_function_total_adds_in_order():
     ordered = [values[v] for v in sorted(values)]
     assert math.fsum(ordered) != helpers.add_in_order(ordered)
     assert h.total == helpers.add_in_order(ordered)
+
+
+# -- rejections ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda t: T.Flag.make(t, "u", "r1", "r1"), FlagInvalid, "flag at 'u' needs two distinct edges"),
+    (lambda t: T.Flag.make(t, "u", "r1", "r3"), FlagInvalid, "edges 'r1', 'r3' not both incident to 'u'"),
+    (lambda t: T.radon_measure(t, T.DiscreteMeasure.dirac(t, t.vertex_point("v")),
+                               t.ray_to_end(t.vertex_point("u"), t.end("r1"), 1.0)),
+     ConstantGeodesic, "the Radon transform projects onto complete geodesics"),
+    (lambda t: T.radon_measure(t, T.DiscreteMeasure.dirac(t, t.vertex_point("v")),
+                               t.constant_geodesic(t.vertex_point("u"))),
+     ConstantGeodesic, "cannot project onto a constant geodesic"),
+])
+def test_radon_rejects_what_it_cannot_answer(barbell, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(barbell)

@@ -556,6 +556,23 @@ def _ray_plan(*atoms):
                       for start, end, speed, mass in atoms]}
 
 
+# `flows` on the two _ended trees below, up to the base-point vertex o's entry.
+_ENDED_FLOWS = (
+    '{"edges":[{"edge":"ea","flow":"-0.100000000000","orientation":["o","a"],"sign":"negative"},'
+    '{"edge":"eb","flow":"0.450000000000","orientation":["o","b"],"sign":"positive"},'
+    '{"edge":"ec","flow":"0.700000000000","orientation":["c","o"],"sign":"positive"},'
+    '{"edge":"ed","flow":"0.200000000000","orientation":["a","d"],"sign":"positive"},'
+    '{"edge":"ra","flow":"-0.300000000000","orientation":["a","inf"],"sign":"negative"},'
+    '{"edge":"rb","flow":"0.450000000000","orientation":["b","inf"],"sign":"positive"},'
+    '{"edge":"rc","flow":"-0.700000000000","orientation":["c","inf"],"sign":"negative"},'
+    '{"edge":"rd","flow":"0.200000000000","orientation":["d","inf"],"sign":"positive"},'
+    '{"edge":"ro","flow":"0.350000000000","orientation":["o","inf"],"sign":"positive"}],'
+    '"vertices":[{"flow":"0.300000000000","specific_flow":"0.200000000000","vertex":"a"},'
+    '{"flow":"0.450000000000","specific_flow":"0.000000000000","vertex":"b"},'
+    '{"flow":"0.700000000000","specific_flow":"0.000000000000","vertex":"c"},'
+    '{"flow":"0.200000000000","specific_flow":"0.000000000000","vertex":"d"},'
+)
+
 # stdout of each run, recorded once; equal bytes on every supported Python.
 PINNED_GEODESIC_OUTPUTS = {
     "interpolate": (
@@ -594,7 +611,36 @@ PINNED_GEODESIC_OUTPUTS = {
     "certify-plan": (
         '{"antagonist_pairs":[[0,1,"r1"]],"kind":"dynamical","optimal":false}\n'
     ),
+    # a base point inside a finite edge, and one on an infinite edge
+    "validate edge-basepoint": (
+        '{"acyclic":true,"connected":true,"infinite_edges":["ra","rb","rc","rd","ro"],'
+        '"leaves":[],"ok":true,"valency2":["b","c","d"]}\n'
+    ),
+    "distance edge-basepoint": '{"distance":"1.800000000000"}\n',
+    "flows edge-basepoint": (
+        _ENDED_FLOWS + '{"flow":"0.800000000000","specific_flow":"0.100000000000","vertex":"o"}]}\n'
+    ),
+    "realizability edge-basepoint": '{"value":"2.404750000000","verdict":"FINITE"}\n',
+    "flows ray-basepoint": (
+        _ENDED_FLOWS + '{"flow":"0.800000000000","specific_flow":"0.350000000000","vertex":"o"}]}\n'
+    ),
+    "realizability ray-basepoint": '{"value":"7.282000000000","verdict":"FINITE"}\n',
 }
+
+
+def _ended(basepoint):
+    """Five vertices with an end at each; ec is stored deeper end last."""
+    return {
+        "vertices": ["o", "a", "b", "c", "d"],
+        "edges": [
+            {"id": "ea", "ends": ["o", "a"], "length": "1.1"},
+            {"id": "ed", "ends": ["a", "d"], "length": "0.4"},
+            {"id": "eb", "ends": ["o", "b"], "length": "2.5"},
+            {"id": "ec", "ends": ["c", "o"], "length": "3.3"},
+            *({"id": f"r{v}", "ends": [v], "length": "inf"} for v in "abcdo"),
+        ],
+        "basepoint": basepoint,
+    }
 
 
 def test_cli_geodesic_outputs_are_pinned_bytes(files):
@@ -610,14 +656,26 @@ def test_cli_geodesic_outputs_are_pinned_bytes(files):
                                         ({"vertex": "o"}, "r1", "1", "0.5")))
     sigma = files("sigma.json", _ray_plan(({"edge": "r2", "offset": "0.5"}, "r2", "2", "0.75"),
                                           ({"edge": "r3", "offset": "1"}, "r1", "0.5", "0.25")))
+    on_edge = files("on_edge.json", _ended({"edge": "ec", "offset": "1.25"}))
+    on_ray = files("on_ray.json", _ended({"edge": "rb", "offset": "0.7"}))
+    ends = ("--minus", files("ends_minus.json", {"atoms": [{"end": "ra", "mass": "0.3"}, {"end": "rc", "mass": "0.7"}]}),
+            "--plus", files("ends_plus.json", {"atoms": [{"end": "rb", "mass": "0.45"}, {"end": "rd", "mass": "0.2"},
+                                                         {"end": "ro", "mass": "0.35"}]}))
     runs = {
         "interpolate": ("--tree", barbell, "--mu", mu, "--nu", nu),
         "build-geodesic": ("--tree", barbell, "--minus", minus, "--plus", plus),
         "asymptotic": ("--tree", star3, "--mu", rays, "--sigma", sigma),
         "certify-plan": ("--tree", star3, "--plan", rays),
+        "validate edge-basepoint": ("--tree", on_edge),
+        "distance edge-basepoint": ("--tree", on_edge, "--p", '{"edge":"ea","offset":"0.5"}',
+                                    "--q", '{"edge":"ec","offset":"2"}'),
+        "flows edge-basepoint": ("--tree", on_edge, *ends),
+        "realizability edge-basepoint": ("--tree", on_edge, *ends),
+        "flows ray-basepoint": ("--tree", on_ray, *ends),
+        "realizability ray-basepoint": ("--tree", on_ray, *ends),
     }
     for name, args in runs.items():
-        out = cli(name, *args)
+        out = cli(name.split()[0], *args)
         assert (out.returncode, out.stderr) == (0, ""), name
         assert out.stdout == PINNED_GEODESIC_OUTPUTS[name], name
 
@@ -953,6 +1011,78 @@ def test_cli_integer_beyond_float_range_is_a_domain_error(files, sign):
     assert _domain_error(out) == {
         "error": "MalformedTree", "message": "integer of 1329 bits exceeds the float range",
     }
+
+
+# o with legs to a (1) and b (2), and an end at each leg.
+OAB_JSON = {
+    "vertices": ["o", "a", "b"],
+    "edges": [
+        {"id": "ea", "ends": ["o", "a"], "length": "1"},
+        {"id": "eb", "ends": ["o", "b"], "length": "2"},
+        {"id": "r1", "ends": ["a"], "length": "inf"},
+        {"id": "r2", "ends": ["b"], "length": "inf"},
+    ],
+    "basepoint": {"vertex": "o"},
+}
+
+
+def _entry(source, target, mass):
+    return {"source": {"vertex": source}, "target": {"vertex": target}, "mass": mass}
+
+
+@pytest.mark.parametrize("mass, shown", [("0", "0.0"), ("-0.5", "-0.5"), ("nan", "nan"), ("inf", "inf")])
+def test_cli_plan_mass_not_finite_and_above_zero_is_a_domain_error(files, mass, shown):
+    # No certificate can judge such an entry: a cycle through massless
+    # entries would be a witness that moves nothing.
+    tree = files("t.json", OAB_JSON)
+    plan = files("plan.json", {"entries": [_entry("a", "a", "1"), _entry("b", "o", mass), _entry("o", "b", mass)]})
+    for out in (
+        cli("certify-plan", "--tree", tree, "--plan", plan),
+        cli("interpolate", "--tree", tree, "--mu", files("mu.json", AT_A), "--nu", files("nu.json", AT_A),
+            "--plan", plan),
+    ):
+        assert _domain_error(out) == {
+            "error": "MarginalMismatch",
+            "message": f"plan entry 1 has mass {shown}, expected a finite mass above 0",
+        }
+
+
+def _segment_plan(interval, t1="1"):
+    segment = {"kind": "segment", "start": {"vertex": "a"}, "stop": {"vertex": "b"}, "t0": "0", "t1": t1}
+    return {"interval": interval, "atoms": [{"geodesic": segment, "mass": "1"}]}
+
+
+def test_cli_segment_to_infinity_is_a_domain_error(files):
+    # A segment on [0, inf) would have speed 0 and read as a constant "ray".
+    tree = files("t.json", OAB_JSON)
+    want = {"error": "OutOfInterval", "message": "need finite t0 < t1, got [0.0, inf]"}
+    plan = files("seg.json", _segment_plan({"kind": "segment", "t0": "0", "t1": "inf"}, t1="inf"))
+    assert _domain_error(cli("certify-plan", "--tree", tree, "--plan", plan)) == want
+    rays = files("rays.json", _segment_plan({"kind": "ray", "t0": "0", "t1": "inf"}, t1="inf"))
+    assert _domain_error(cli("asymptotic", "--tree", tree, "--mu", rays, "--sigma", rays)) == want
+
+
+@pytest.mark.parametrize("interval, shown", [
+    ({"kind": "complete", "t0": "-inf", "t1": "inf"}, "complete [-inf, inf]"),
+    ({"kind": "ray", "t0": "0", "t1": "inf"}, "ray [0.0, inf]"),
+    ({"kind": "segment", "t0": "0", "t1": "2"}, "segment [0.0, 2.0]"),
+    ({"kind": "segment", "t0": "nan", "t1": "1"}, "segment [nan, 1.0]"),
+])
+def test_cli_dynamical_plan_interval_must_match_its_atoms(files, interval, shown):
+    tree = files("t.json", OAB_JSON)
+    out = cli("certify-plan", "--tree", tree, "--plan", files("plan.json", _segment_plan(interval)))
+    assert _domain_error(out) == {
+        "error": "MarginalMismatch",
+        "message": f"declared interval {shown} is not the atoms' segment [0.0, 1.0]",
+    }
+
+
+def test_dynamical_plan_reader_checks_the_declared_interval():
+    tree = io.tree_from_json(OAB_JSON)
+    plan = io.dynamical_plan_from_json(tree, _segment_plan({"kind": "segment", "t0": "0", "t1": "1"}))
+    assert (plan.kind, plan.t0, plan.t1) == ("segment", 0.0, 1.0)
+    with pytest.raises(T.MarginalMismatch, match=r"^declared interval ray \[0\.0, 1\.0\] is not"):
+        io.dynamical_plan_from_json(tree, _segment_plan({"kind": "ray", "t0": "0", "t1": "1"}))
 
 
 # W2_LOG is no longer read: whatever it holds, stderr stays empty.

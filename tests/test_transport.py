@@ -3,6 +3,7 @@ metric axioms at desk scale, cyclical monotonicity certificates."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -802,3 +803,24 @@ def test_transport_sums_add_in_order():
     assert math.fsum(tenths) != helpers.add_in_order(tenths)
     with pytest.raises(MarginalMismatch, match=f"masses sum to {helpers.add_in_order(tenths)}, "):
         T.DiscreteMeasure.from_atoms(tree, zip(pts, tenths))
+
+
+# -- marginal checks -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("entries, message", [
+    (lambda a, b, c: [(a, b, 0.5)], "row sum at TreePoint('a') differs from source mass"),
+    (lambda a, b, c: [(a, c, 1.0)], "column sum at TreePoint('b') differs from target mass"),
+    (lambda a, b, c: [(a, b, 1.0), (c, c, 0.5)], "plan carries mass outside the marginals"),
+    (lambda a, b, c: [(a, b, 1.0), (c, c, -0.5)], "plan carries mass outside the marginals"),
+    # a NaN sum fails every comparison, so each check is written to fail on it
+    (lambda a, b, c: [(a, b, math.nan)], "row sum at TreePoint('a') differs from source mass"),
+    (lambda a, b, c: [(a, b, 1.0), (c, b, math.nan)], "column sum at TreePoint('b') differs from target mass"),
+    (lambda a, b, c: [(a, b, 1.0), (c, c, math.nan)], "plan carries mass outside the marginals"),
+])
+def test_check_marginals_rejections(tripod, entries, message):
+    a, b, c = (tripod.vertex_point(v) for v in "abc")
+    mu, nu = T.DiscreteMeasure.dirac(tripod, a), T.DiscreteMeasure.dirac(tripod, b)
+    with pytest.raises(MarginalMismatch, match=f"^{re.escape(message)}$"):
+        T.TransportPlan(tuple(entries(a, b, c))).check_marginals(mu, nu)
+
