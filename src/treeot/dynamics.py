@@ -82,8 +82,6 @@ class DynamicalPlan:
 
 def pushforward_at(plan: DynamicalPlan, t: float) -> DiscreteMeasure:
     """Law of the time-t position of a random geodesic of the plan."""
-    if not plan.t0 - TOL <= t <= plan.t1 + TOL:
-        raise OutOfInterval(f"t={t} outside [{plan.t0}, {plan.t1}]")
     tree = plan.atoms[0][0].tree
     return DiscreteMeasure.from_atoms(
         tree, [(g.evaluate(t), m) for g, m in plan.atoms]

@@ -11,7 +11,8 @@ operations are pure functions over an immutable, validated tree:
   exactly when it heads into that endpoint's preorder slice.  ``distance``,
   the batched ``distance_matrix`` and ``path_nodes`` (one walk up the
   parent pointers for every locus) share this exit rule,
-- geodesic segments, rays to an end, bi-infinite geodesics between ends,
+- geodesic segments (finite t0 < t1), rays to an end (finite t0, t1 = inf)
+  and bi-infinite geodesics between ends, all checked by ``TreeGeodesic``,
 - the base-to-geodesic distance of two ends (Gromov product),
 - nearest-point projection onto a geodesic: a point off the locus goes
   to the node of the locus nearest to it, with no arc arithmetic,
@@ -589,8 +590,7 @@ class MetricTree:
     def geodesic_segment(
         self, p: TreePoint, q: TreePoint, t0: float, t1: float
     ) -> "TreeGeodesic":
-        if not -math.inf < t0 < t1 < math.inf:
-            raise OutOfInterval(f"need finite t0 < t1, got [{t0}, {t1}]")
+        _segment_times(t0, t1)
         p = self.canonical_point(p)
         q = self.canonical_point(q)
         if p == q:
@@ -600,7 +600,7 @@ class MetricTree:
         return TreeGeodesic(self, speed, t0, t1, t0, nodes, spans, None, None)
 
     def ray_to_end(self, p: TreePoint, end: TreeEnd, speed: float) -> "TreeGeodesic":
-        speed = _speed(speed)
+        speed = float(speed)
         p = self.canonical_point(p)
         e = self.edge(end.edge)
         if not e.infinite:
@@ -623,14 +623,11 @@ class MetricTree:
     ) -> "TreeGeodesic":
         """Bi-infinite geodesic from xi (at -inf) to zeta (at +inf).
 
-        By default it is parametrized so that its time 0 is the point of the
-        locus nearest to the base point; an explicit anchor overrides this.
+        ``anchor_time`` is the time at the anchor, a given point of the
+        locus or by default the point nearest to the base point.
         """
         if xi == zeta:
             raise EqualEnds(f"both ends are {xi!r}")
-        speed = _speed(speed)
-        if not math.isfinite(anchor_time):
-            raise NonFiniteValue(f"anchor time {anchor_time} is not finite")
         u = self.end_attachment(xi)
         v = self.end_attachment(zeta)
         nodes, spans = self.path_nodes(self.vertex_point(u), self.vertex_point(v))
@@ -639,28 +636,21 @@ class MetricTree:
         )
         if anchor is None:
             anchor_pt = project_to_geodesic(self, self.basepoint, prov)
-            t_a = 0.0
         else:
             anchor_pt = self.canonical_point(anchor)
-            t_a = float(anchor_time)
         s_a = prov.arc_of_point(anchor_pt)
         if s_a is None:
             raise MalformedTree("anchor does not lie on the geodesic locus")
         shifted = tuple((s - s_a, pt) for s, pt in nodes)
         return TreeGeodesic(
-            self, speed, -math.inf, math.inf, t_a, shifted, spans, xi, zeta
+            self, speed, -math.inf, math.inf, anchor_time, shifted, spans, xi, zeta
         )
 
 
-def _speed(speed: float) -> float:
-    """A geodesic speed, checked finite (NonFiniteValue) and not negative
-    (OutOfInterval)."""
-    speed = float(speed)
-    if not math.isfinite(speed):
-        raise NonFiniteValue(f"speed {speed} is not finite")
-    if speed < 0.0:
-        raise OutOfInterval(f"negative speed {speed}")
-    return speed
+def _segment_times(t0: float, t1: float) -> None:
+    """Finite t0 < t1, else a segment's speed could be 0 (a "ray")."""
+    if not -math.inf < t0 < t1 < math.inf:
+        raise OutOfInterval(f"need finite t0 < t1, got [{t0}, {t1}]")
 
 
 class TreeGeodesic:
@@ -671,6 +661,11 @@ class TreeGeodesic:
     (``spans``), and an optional boundary end on each open side;
     ``s(t) = speed * (t - t_origin)``.  Geodesics are built by the tree's
     constructors, which read the nodes and spans off ``path_nodes``.
+
+    Its constructor alone checks the parameters, in this order: an interval
+    of finite t0 < t1, finite t0 to t1 = inf, or (-inf, inf) (OutOfInterval,
+    first, so that a NaN time is not taken for a NaN speed), a finite speed
+    (NonFiniteValue) that is not negative (OutOfInterval), a finite origin.
 
     ``point_at_arc``, ``arc_of_point`` and ``traversals`` read one table of
     locus pieces, built on first use: each step, and each tail out to a
@@ -684,11 +679,20 @@ class TreeGeodesic:
     )
 
     def __init__(self, tree, speed, t0, t1, t_origin, nodes, spans, neg_end, pos_end):
+        t0, t1, speed, t_origin = float(t0), float(t1), float(speed), float(t_origin)
+        if not (-math.inf < t0 < t1 <= math.inf or (t0, t1) == (-math.inf, math.inf)):
+            raise OutOfInterval(f"geodesic interval [{t0}, {t1}] is not a segment, ray or line")
+        if not math.isfinite(speed):
+            raise NonFiniteValue(f"speed {speed} is not finite")
+        if speed < 0.0:
+            raise OutOfInterval(f"negative speed {speed}")
+        if not math.isfinite(t_origin):
+            raise NonFiniteValue(f"anchor time {t_origin} is not finite")
         self.tree = tree
-        self.speed = float(speed)
-        self.t0 = float(t0)
-        self.t1 = float(t1)
-        self.t_origin = float(t_origin)
+        self.speed = speed
+        self.t0 = t0
+        self.t1 = t1
+        self.t_origin = t_origin
         self.nodes = tuple(nodes)
         self.spans = tuple(spans)
         self.neg_end = neg_end
@@ -788,11 +792,7 @@ class TreeGeodesic:
     def evaluate(self, t: float) -> TreePoint:
         if not self.t0 - TOL <= t <= self.t1 + TOL:
             raise OutOfInterval(f"t={t} outside [{self.t0}, {self.t1}]")
-        if self.is_constant:
-            return self.nodes[0][1]
-        s = self.speed * (t - self.t_origin)
-        lo, hi = self.arc_bounds()
-        return self.point_at_arc(min(max(s, lo), hi))
+        return self.point_at_arc(self.speed * (t - self.t_origin))
 
     def arc_of_point(self, p: TreePoint) -> float | None:
         """Arc coordinate of a point of the locus, None if p is off it."""
@@ -827,6 +827,7 @@ class TreeGeodesic:
             raise OutOfInterval(f"[{t0}, {t1}] not inside [{self.t0}, {self.t1}]")
         if self.is_constant:
             return self.tree.constant_geodesic(self.nodes[0][1], t0, t1)
+        _segment_times(t0, t1)  # a moving restriction is a segment
         return self.tree.geodesic_segment(self.evaluate(t0), self.evaluate(t1), t0, t1)
 
 

@@ -80,6 +80,11 @@ def test_cone_measure_tiny_speed_is_the_apex(star3, tiny):
     assert nu.keys() == [(None, 0.0), (star3.end("r2"), 1.0)]
 
 
+def test_cone_measure_moving_atom_needs_an_end(star3):
+    with pytest.raises(MarginalMismatch, match="^moving cone atom needs an end$"):
+        T.ConeMeasure.from_atoms(star3, [(None, 1.0, 1.0)])
+
+
 def test_w_infinity_overflowing_square_is_a_domain_error(star3):
     nu1 = T.ConeMeasure.from_atoms(star3, [(star3.end("r1"), 1e308, 1.0)])
     nu2 = T.ConeMeasure.from_atoms(star3, [(star3.end("r1"), 1.0, 1.0)])
@@ -285,6 +290,27 @@ def test_identical_plans_ratio_zero(star3):
     assert report.target == 0.0
     for _, ratio in report.rows:
         assert ratio == pytest.approx(0.0, abs=1e-12)
+
+
+def test_apex_atom_at_a_vertex_has_no_tail():
+    # o - a - b with r1 at a and r2 at b: half of mu stays at o (the apex,
+    # no infinite edge), half runs out r1; sigma runs out r2 from b.
+    tree = T.MetricTree(
+        ["o", "a", "b"],
+        [("ea", ("o", "a"), 1.0), ("eb", ("o", "b"), 2.0), ("r1", ("a",), math.inf), ("r2", ("b",), math.inf)],
+        "o",
+    )
+    o = tree.vertex_point("o")
+    mu = T.DynamicalPlan.from_atoms(tree, [
+        (tree.constant_geodesic(o, 0.0, math.inf), 0.5),
+        (tree.ray_to_end(o, tree.end("r1"), 1.0), 0.5),
+    ])
+    sigma = T.DynamicalPlan.from_atoms(tree, [(tree.ray_to_end(tree.vertex_point("b"), tree.end("r2"), 1.0), 1.0)])
+    report = T.asymptotic_formula_check(tree, mu, sigma)
+    # W_inf^2 = 1/2 * 1^2 (apex to speed 1) + 1/2 * 2^2 (r1 to r2 at speed 1)
+    assert report.target == report.certified_limit == 1.5811388300841898
+    assert report.target == pytest.approx(math.sqrt(2.5), abs=1e-15)
+    assert report.classification == "linear"
 
 
 def test_certified_limit_matches_target_random():

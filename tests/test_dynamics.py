@@ -494,6 +494,9 @@ def _segment(star3, end, t0, t1):
 @pytest.mark.parametrize("call, error, message", [
     (lambda t: T.DynamicalPlan.from_atoms(t, [(_segment(t, "r1", 0.0, 1.0), 0.5), (_segment(t, "r2", 0.0, 2.0), 0.5)]),
      MarginalMismatch, "atoms do not share a parameter interval"),
+    # a NaN time is a bad interval, not a mismatch between atoms
+    (lambda t: T.DynamicalPlan.from_atoms(t, [(t.constant_geodesic(t.vertex_point("o"), math.nan, math.nan), 1.0)]),
+     OutOfInterval, "geodesic interval [nan, nan] is not a segment, ray or line"),
     # an entry of mass below MASS_TOL passes check_marginals, but lies off both supports
     (lambda t: T.lift(t, _two_ray_plan(t), _two_ray_plan(t), T.TransportPlan((
         (t.vertex_point("o"), t.vertex_point("o"), 1.0), (t.edge_point("r3", 1.0), t.edge_point("r3", 1.0), 1e-10),

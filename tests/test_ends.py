@@ -3,13 +3,14 @@ explicit construction of complete geodesics, comb truncations."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 import treeot as T
-from treeot.ends import divergence_verdict, plan_traversal_masses
-from treeot.errors import NotAntipodal, NotRealizable
+from treeot.ends import _certify_constructed, divergence_verdict, plan_traversal_masses
+from treeot.errors import NotAntipodal, NotRealizable, SolverFailure
 
 import helpers
 
@@ -391,6 +392,34 @@ def test_constructed_ends_match(star4):
     assert dict(((e, s), m) for e, s, m in back_minus.atoms) == pytest.approx(
         {(star4.end("r1"), 1.0): 0.25, (star4.end("r2"), 1.0): 0.75}
     )
+
+
+def _complete_plan(tree, *atoms, speed=1.0):
+    return T.DynamicalPlan.from_atoms(
+        tree, [(tree.geodesic_between_ends(tree.end(xi), tree.end(zeta), speed=speed), m) for xi, zeta, m in atoms]
+    )
+
+
+@pytest.mark.parametrize("wrong, message", [
+    ("speed", "constructed plan has a non-unit speed"),
+    ("antagonists", "constructed plan contains antagonist geodesics"),
+    ("swapped ends", "constructed plan's ends do not match the inputs"),
+    ("D0", "second moment does not match the -D0^2 optimum"),
+])
+def test_construction_certificate_rejects_each_wrong_plan(star4, wrong, message):
+    minus = _bm(star4, ("r1", 0.5), ("r2", 0.5))
+    plus = _bm(star4, ("r3", 0.5), ("r4", 0.5))
+    value = T.d0_transport(star4, minus, plus).value
+    plan = _complete_plan(star4, ("r1", "r3", 0.5), ("r2", "r4", 0.5))
+    _certify_constructed(star4, plan, minus, plus, value)  # the true plan passes
+    args = {
+        "speed": (_complete_plan(star4, ("r1", "r3", 0.5), ("r2", "r4", 0.5), speed=2.0), minus, plus, value),
+        "antagonists": (_complete_plan(star4, ("r1", "r3", 0.5), ("r3", "r1", 0.5)), minus, plus, value),
+        "swapped ends": (plan, plus, minus, value),
+        "D0": (plan, minus, plus, value + 1.0),
+    }[wrong]
+    with pytest.raises(SolverFailure, match=f"^{re.escape(message)}$"):
+        _certify_constructed(star4, *args)
 
 
 def test_constructed_requires_antipodal(star4):

@@ -490,8 +490,11 @@ def test_ray_and_complete_speeds_are_finite_and_not_negative(star3, speed, error
 @pytest.mark.parametrize("anchor_time", [math.nan, math.inf, -math.inf])
 def test_complete_anchor_time_is_finite(star3, anchor_time):
     o, r1, r2 = star3.vertex_point("o"), star3.end("r1"), star3.end("r2")
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(NonFiniteValue, match="^anchor time"):
         star3.geodesic_between_ends(r1, r2, anchor=o, anchor_time=anchor_time)
+    # the default anchor is at anchor_time too
+    with pytest.raises(NonFiniteValue, match="^anchor time"):
+        star3.geodesic_between_ends(r1, r2, anchor_time=anchor_time)
 
 
 # -- Gromov products and geodesics between ends -----------------------------------
@@ -738,6 +741,31 @@ def test_segment_needs_finite_times(tripod, t0, t1):
         tripod.geodesic_segment(a, b, t0, t1)
 
 
+@pytest.mark.parametrize("t0, t1", [(math.inf, math.inf), (math.nan, math.nan), (-math.inf, 3.0), (5.0, 1.0)])
+def test_constant_geodesic_needs_a_segment_ray_or_line_interval(tripod, t0, t1):
+    message = f"geodesic interval [{t0}, {t1}] is not a segment, ray or line"
+    with pytest.raises(OutOfInterval, match=f"^{re.escape(message)}$"):
+        tripod.constant_geodesic(tripod.vertex_point("a"), t0, t1)
+
+
+@pytest.mark.parametrize("speed, t0, t1, origin, error, message", [
+    (math.nan, math.nan, 1.0, 0.0, OutOfInterval, "geodesic interval [nan, 1.0] is not a segment, ray or line"),
+    (math.nan, 0.0, 1.0, math.nan, NonFiniteValue, "speed nan is not finite"),
+    (-1.0, 0.0, math.inf, math.nan, OutOfInterval, "negative speed -1.0"),
+    (1.0, -math.inf, math.inf, math.inf, NonFiniteValue, "anchor time inf is not finite"),
+])
+def test_geodesic_checks_interval_then_speed_then_time_origin(tripod, speed, t0, t1, origin, error, message):
+    a = tripod.vertex_point("a")
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        T.TreeGeodesic(tripod, speed, t0, t1, origin, ((0.0, a),), (), None, None)
+
+
+def test_constant_geodesic_restricts_to_a_ray(tripod):
+    a = tripod.vertex_point("a")
+    ray = tripod.constant_geodesic(a, -math.inf, math.inf).restrict(2.0, math.inf)
+    assert (ray.interval_kind, ray.t0, ray.t_origin, ray.evaluate(10.0)) == ("ray", 2.0, 2.0, a)
+
+
 def _forked():
     """o with legs to a, b (each with an end) and to the leaf c."""
     return T.MetricTree(
@@ -759,6 +787,13 @@ def _forked():
      MalformedTree, "anchor does not lie on the geodesic locus"),
     (lambda t: t.geodesic_segment(t.vertex_point("a"), t.vertex_point("b"), 0.0, 1.0).restrict(0.5, 2.0),
      OutOfInterval, "[0.5, 2.0] not inside [0.0, 1.0]"),
+    # a moving restriction is a segment
+    (lambda t: t.ray_to_end(t.vertex_point("o"), t.end("ra"), 1.0).restrict(0.0, math.inf),
+     OutOfInterval, "need finite t0 < t1, got [0.0, inf]"),
+    (lambda t: t.geodesic_between_ends(t.end("ra"), t.end("rb")).restrict(-math.inf, 0.0),
+     OutOfInterval, "need finite t0 < t1, got [-inf, 0.0]"),
+    (lambda t: t.constant_geodesic(t.vertex_point("c"), -math.inf, math.inf).restrict(-math.inf, 0.0),
+     OutOfInterval, "geodesic interval [-inf, 0.0] is not a segment, ray or line"),
 ])
 def test_tree_queries_reject_what_they_cannot_answer(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

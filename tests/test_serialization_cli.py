@@ -844,6 +844,15 @@ def test_cli_w_infinity_negative_speed_is_a_domain_error(files):
     assert _domain_error(cli("w-infinity", "--tree", tree, "--nu1", nu1, "--nu2", nu2))["error"] == "OutOfInterval"
 
 
+def test_cli_w_infinity_moving_atom_without_an_end_is_a_domain_error(files):
+    tree = files("t.json", STAR3_JSON)
+    nu1 = files("nu1.json", {"atoms": [{"speed": "1", "mass": "1"}]})
+    nu2 = files("nu2.json", _cone(("r1", "1", "1")))
+    assert _domain_error(cli("w-infinity", "--tree", tree, "--nu1", nu1, "--nu2", nu2)) == {
+        "error": "MarginalMismatch", "message": "moving cone atom needs an end",
+    }
+
+
 def test_cli_radon_nan_value_is_a_domain_error(files):
     tree = files("t.json", BARBELL_JSON)
     h = files("h.json", {"values": {"u": "2", "v": "nan"}})
@@ -1060,6 +1069,18 @@ def test_cli_segment_to_infinity_is_a_domain_error(files):
     assert _domain_error(cli("certify-plan", "--tree", tree, "--plan", plan)) == want
     rays = files("rays.json", _segment_plan({"kind": "ray", "t0": "0", "t1": "inf"}, t1="inf"))
     assert _domain_error(cli("asymptotic", "--tree", tree, "--mu", rays, "--sigma", rays)) == want
+
+
+@pytest.mark.parametrize("kind, t0, t1", [("complete", "inf", "inf"), ("segment", "-inf", "3"),
+                                          ("segment", "nan", "nan"), ("segment", "5", "1")])
+def test_cli_constant_atom_needs_a_segment_ray_or_line_interval(files, kind, t0, t1):
+    constant = {"kind": "constant", "point": {"vertex": "a"}, "t0": t0, "t1": t1}
+    plan = {"interval": {"kind": kind, "t0": t0, "t1": t1}, "atoms": [{"geodesic": constant, "mass": "1"}]}
+    out = cli("certify-plan", "--tree", files("t.json", OAB_JSON), "--plan", files("plan.json", plan))
+    assert _domain_error(out) == {
+        "error": "OutOfInterval",
+        "message": f"geodesic interval [{float(t0)}, {float(t1)}] is not a segment, ray or line",
+    }
 
 
 @pytest.mark.parametrize("interval, shown", [

@@ -368,6 +368,10 @@ def test_optimal_plan_is_monotone_all_lengths():
         assert cert.passed
 
 
+def test_empty_plan_is_monotone(tripod):
+    assert T.is_cyclically_monotone(tripod, T.TransportPlan(())) == T.MonotonicityCertificate(True, 0, None, 0.0)
+
+
 def test_aligned_points_two_cycle_violation():
     # y'', y, y' aligned on a path; sending y'' -> y' and y -> y is beaten
     # by y'' -> y and y -> y' (convexity of the quadratic cost).
