@@ -26,11 +26,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import MarginalMismatch, NonUnitMeasure, OutOfInterval
-from .metric_tree import TOL, MetricTree, TreeEnd, TreePoint
+from .metric_tree import DUST, TOL, MetricTree, TreeEnd, TreePoint
 from .dynamics import DynamicalPlan
 from .transport import _add_in_order, _merge_atoms, w2_from_distances
-
-_ZERO = 1e-12
 
 ConeAtomKey = tuple[TreeEnd | None, float]  # (end, speed); apex is (None, 0)
 
@@ -39,7 +37,7 @@ ConeAtomKey = tuple[TreeEnd | None, float]  # (end, speed); apex is (None, 0)
 class ConeMeasure:
     """Finitely supported measure on the cone over the boundary.
 
-    Atoms are (end, speed, mass); speeds in [0, 1e-12] collapse to the apex,
+    Atoms are (end, speed, mass); speeds in [0, DUST] collapse to the apex,
     whose end label is dropped (the choice does not matter there).  A
     negative speed raises OutOfInterval, a non-finite one MarginalMismatch.
     """
@@ -55,7 +53,7 @@ class ConeMeasure:
                 raise MarginalMismatch(f"non-finite cone speed {speed}")
             if speed < 0.0:
                 raise OutOfInterval(f"negative cone speed {speed}")
-            if speed <= _ZERO:
+            if speed <= DUST:
                 key: ConeAtomKey = (None, 0.0)
             else:
                 if end is None:
@@ -84,7 +82,7 @@ def d_infinity(tree: MetricTree, a: ConeAtomKey, b: ConeAtomKey) -> float:
     s + t at angle pi (distinct ends; trees are visibility spaces)."""
     (xi, s), (zeta, t) = a, b
     s, t = float(s), float(t)
-    if s <= _ZERO or t <= _ZERO:
+    if s <= DUST or t <= DUST:
         return abs(s - t)
     return abs(s - t) if xi == zeta else s + t
 
@@ -191,8 +189,8 @@ def asymptotic_formula_check(
     exactly affinely, so the limit of the ratio is the value of the same
     transport problem on the squared affine slopes.  W stays bounded
     exactly when that limit is 0: the classification is "asymptotic" when
-    the optimal coupling of that problem (its flows above 1e-12) moves mass
-    only along slopes of at most 1e-9 * (1 + the largest distance one unit
+    the optimal coupling of that problem (its flows above DUST) moves mass
+    only along slopes of at most TOL * (1 + the largest distance one unit
     past the exit), and "linear" otherwise.
     """
     if mu.kind != "ray" or sigma.kind != "ray":
@@ -221,10 +219,10 @@ def asymptotic_formula_check(
     # most the largest far distance, so a zero slope rounds to a few ulps of
     # that size.  The value itself is no test: mass-rounding dust q on a
     # slope s adds sqrt(q) * s to it, which can pass any such threshold.
-    zero = 1e-9 * (1.0 + max((d for row in far for d in row), default=0.0))
+    zero = TOL * (1.0 + max((d for row in far for d in row), default=0.0))
     bounded = all(slopes[i][j] <= zero for i, j, _ in coupling)
 
-    monotone = all(rows[k + 1][1] >= rows[k][1] - 1e-12 for k in range(len(rows) - 1))
+    monotone = all(rows[k + 1][1] >= rows[k][1] - DUST for k in range(len(rows) - 1))
     return ConvergenceReport(
         rows=tuple(rows),
         target=target,
@@ -248,7 +246,7 @@ def _certified_branch_exit(mu: DynamicalPlan, sigma: DynamicalPlan) -> float:
     t = 1.0
     for plan in (mu, sigma):
         for g, _ in plan.atoms:
-            if g.speed > _ZERO:
+            if g.speed > DUST:
                 t = max(t, g.t_origin + g.nodes[-1][0] / g.speed)
     tails = [_tail(h) for h, _ in sigma.atoms]
     for g, _ in mu.atoms:
@@ -263,7 +261,7 @@ def _tail(g) -> tuple[str, float, float] | None:
     """(edge, c, s) when g ends up on an infinite edge at offset c + s*t,
     once past its last vertex; a constant atom on an infinite edge counts as
     speed 0.  None for a constant atom anywhere else."""
-    if g.speed > _ZERO:
+    if g.speed > DUST:
         eid, base, _, _ = g.traversals()[-1]
         return eid, base - g.nodes[-1][0] - g.speed * g.t_origin, g.speed
     p = g.nodes[0][1]

@@ -10,9 +10,12 @@ its endpoint coupling (the projection at its two end times) is cyclically
 monotone.  Ray and complete plans are decided by antagonism: two geodesics
 are antagonist when they run through a common edge portion in opposite
 directions, and for plans on unit-speed complete geodesics this is exactly
-the negation of cyclical monotonicity.  Antagonist pairs are reported as
-witnesses for every kind; on a segment plan they are not a verdict, since
-an overlap crossed in opposite directions can be paid for outside it.
+the negation of cyclical monotonicity.  A complete plan must also move its
+atoms at one speed (a time rescaling of a unit-speed plan): atoms at speeds
+v != w make a 2-cycle of the (-t, t) coupling gain 2 (v - w)^2 t^2 - O(t).
+Antagonist pairs are reported as witnesses for every kind; on a segment
+plan they are not a verdict, since an overlap crossed in opposite
+directions can be paid for outside it.
 """
 
 from __future__ import annotations
@@ -28,16 +31,8 @@ from .errors import (
     OutOfInterval,
     PlanNotOptimal,
 )
-from .metric_tree import (
-    _SNAP,
-    MetricTree,
-    TreeGeodesic,
-    TreePoint,
-    project_to_geodesic,
-    TOL,
-)
+from .metric_tree import DUST, TOL, MetricTree, TreeGeodesic, TreePoint, project_to_geodesic
 from .transport import (
-    _ZERO_MASS,
     DiscreteMeasure,
     TransportPlan,
     _add_in_order,
@@ -121,11 +116,11 @@ def interpolate(
 
 
 def _snap(p: TreePoint, atoms) -> TreePoint:
-    """The atom on p's edge nearest to p within _SNAP, or p itself when
+    """The atom on p's edge nearest to p within DUST, or p itself when
     there is none (check_marginals then rejects it)."""
     if p.edge is None:
         return p
-    near = [q for q, _ in atoms if q.edge == p.edge and abs(q.offset - p.offset) <= _SNAP]
+    near = [q for q, _ in atoms if q.edge == p.edge and abs(q.offset - p.offset) <= DUST]
     return min(near, key=lambda q: abs(q.offset - p.offset), default=p)
 
 
@@ -180,7 +175,7 @@ def lift(
         for i in at_mu[x]:
             for j in at_sigma[y]:
                 w = q * (mu.atoms[i][1] / mx) * (sigma.atoms[j][1] / ny)
-                if w > _ZERO_MASS:
+                if w > DUST:
                     pairs.append((i, j, w))
     return LiftedCoupling(tuple(pairs), mu, sigma)
 
@@ -207,7 +202,7 @@ def antagonist_pairs(plan: DynamicalPlan) -> list[tuple[int, int, str]]:
                 other = by_edge[large].get(eid)
                 if other is None or other[2] == direction:
                     continue
-                if min(hi, other[1]) - max(lo, other[0]) > 1e-12:
+                if min(hi, other[1]) - max(lo, other[0]) > DUST:
                     out.append((i, j, eid))
                     break
     return out
@@ -227,14 +222,15 @@ def is_optimal_dynamical(tree: MetricTree, plan: DynamicalPlan) -> OptimalityCer
 
     A segment plan passes iff its endpoint coupling is cyclically monotone;
     a ray or complete plan passes iff its support carries no antagonist
-    pair (for unit-speed complete plans this is equivalent to cyclical
-    monotonicity of every two-time projection).
+    pair, a complete plan iff also its speeds agree within TOL (then this is
+    cyclical monotonicity of every two-time projection; see the module).
     """
     witnesses = tuple(antagonist_pairs(plan))
     if plan.kind == "segment":
         passed = projection_monotone(tree, plan, [(plan.t0, plan.t1)])
     else:
-        passed = not witnesses
+        speeds = [g.speed for g, _ in plan.atoms]
+        passed = not witnesses and (plan.kind == "ray" or max(speeds) - min(speeds) <= TOL)
     return OptimalityCertificate(passed, witnesses)
 
 
@@ -332,7 +328,7 @@ def supported_on_geodesic_test(
     for p, m in mu.atoms:
         proj = project_to_geodesic(tree, p, gamma)
         gap = tree.distance(p, proj)
-        if gap > 1e-9:
+        if gap > TOL:
             off.append((m, gap, p, proj))
     if not off:
         return SupportTestResult(True, None, None, None)

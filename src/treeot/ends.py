@@ -28,10 +28,8 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 from .errors import (
     DiagonalMass, NotAntipodal, NotRealizable, SolverFailure,
 )
-from .metric_tree import MetricTree, TreeEnd, gromov_product
+from .metric_tree import DUST, TOL, MetricTree, TreeEnd, gromov_product
 from .transport import (
-    _ZERO_MASS,
-    MASS_TOL,
     _add_in_order,
     _merge_atoms,
     solve_transport,
@@ -41,8 +39,6 @@ from .transport import (
 if TYPE_CHECKING:
     from .boundary import ConeMeasure
     from .dynamics import DynamicalPlan
-
-NEUTRAL_TOL = 1e-12
 
 # Divergence verdict thresholds for generated families: the exponent-3
 # comb's partial sums grow by about 0.33 per depth doubling while convergent
@@ -123,9 +119,9 @@ class FlowTable:
 
     def sign(self, eid: str, reverse: bool = False) -> str:
         f = self.flow(eid, reverse)
-        if f > NEUTRAL_TOL:
+        if f > DUST:
             return "positive"
-        if f < -NEUTRAL_TOL:
+        if f < -DUST:
             return "negative"
         return "neutral"
 
@@ -282,9 +278,9 @@ def construct_geodesic(
 
 def _certify_constructed(tree, plan, nu_minus, nu_plus, d0_value) -> None:
     from .boundary import asymptotic_measure
-    from .dynamics import antagonist_pairs, pushforward_at
+    from .dynamics import antagonist_pairs, pushforward_at, validate_complete_plan
 
-    if any(abs(g.speed - 1.0) > 1e-9 for g, _ in plan.atoms):
+    if not validate_complete_plan(plan).passed:
         raise SolverFailure("constructed plan has a non-unit speed")
     if antagonist_pairs(plan):
         raise SolverFailure("constructed plan contains antagonist geodesics")
@@ -294,16 +290,16 @@ def _certify_constructed(tree, plan, nu_minus, nu_plus, d0_value) -> None:
         if not _cone_close(got, want):
             raise SolverFailure("constructed plan's ends do not match the inputs")
     m0 = pushforward_at(plan, 0.0).second_moment(tree)
-    if abs(m0 - (-d0_value)) > 1e-9 * (1.0 + abs(d0_value)):
+    if abs(m0 - (-d0_value)) > TOL * (1.0 + abs(d0_value)):
         raise SolverFailure("second moment does not match the -D0^2 optimum")
 
 
 def _cone_close(a: ConeMeasure, b: ConeMeasure) -> bool:
     da = {(e, s): m for e, s, m in a.atoms}
     for e, s, m in b.atoms:
-        if abs(da.pop((e, s), 0.0) - m) > MASS_TOL:
+        if abs(da.pop((e, s), 0.0) - m) > TOL:
             return False
-    return all(abs(m) <= MASS_TOL for m in da.values())
+    return all(abs(m) <= TOL for m in da.values())
 
 
 # -- plan traversal masses (the flow equalities) -----------------------------------
@@ -368,14 +364,14 @@ class CombFamily:
     def partial_sum(self, depth: int) -> float:
         """Sum of specific flows times squared base distance for the depth
         truncation, from the flow definition via suffix sums.  Normalized
-        tooth masses at or below 1e-12 are dropped, as the generated
+        tooth masses at or below DUST are dropped, as the generated
         boundary measures drop them, so the sum is the one read off the
         generated tree."""
         if depth < 2:
             return 0.0
         masses = self.tooth_masses(depth)
         signed = [
-            0.0 if m <= _ZERO_MASS else m if n % 2 == 0 else -m
+            0.0 if m <= DUST else m if n % 2 == 0 else -m
             for n, m in enumerate(masses, 1)
         ]
         # suffix[i] = signed[i] + signed[i + 1] + ..., added from the tip

@@ -28,8 +28,10 @@ preorder with subtree sizes for the components of X minus a vertex, and
 reverse-preorder subtree sums for the mass beyond every edge (flows, the
 Radon transform).
 
-Numeric conventions: 64-bit floats, comparison tolerance 1e-9, snapping of
-arc arithmetic dust at 1e-12.
+Numeric conventions: 64-bit floats; ``TOL`` (1e-9, comparisons) and ``DUST``
+(1e-12, snapped arc arithmetic; a mass, flow or overlap below it is zero)
+are defined here, ``transport.DUAL_TOL`` (1e-7, the relative slack of a
+self-check against a recomputation) there.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .errors import (
 )
 
 TOL = 1e-9
-_SNAP = 1e-12
+DUST = 1e-12
 
 
 @dataclass(frozen=True)
@@ -313,13 +315,13 @@ class MetricTree:
         offset = float(offset)
         if not math.isfinite(offset):
             raise MalformedTree(f"offset {offset} on edge {eid!r} is not finite")
-        if offset < -_SNAP or (not e.infinite and offset > e.length + _SNAP):
+        if offset < -DUST or (not e.infinite and offset > e.length + DUST):
             raise MalformedTree(
                 f"offset {offset} outside edge {eid!r} of length {e.length}"
             )
-        if offset <= _SNAP:
+        if offset <= DUST:
             return TreePoint(vertex=e.ends[0])
-        if not e.infinite and offset >= e.length - _SNAP:
+        if not e.infinite and offset >= e.length - DUST:
             return TreePoint(vertex=e.ends[1])
         return TreePoint(edge=eid, offset=offset)
 
@@ -334,7 +336,7 @@ class MetricTree:
             bare = eid is None and type(off) is float and off == 0.0 and math.copysign(1.0, off) == 1.0
             return p if bare and v in self._vset else self.vertex_point(v)
         e = self._edges.get(eid)
-        if e is not None and type(off) is float and _SNAP < off < e.length - _SNAP:
+        if e is not None and type(off) is float and DUST < off < e.length - DUST:
             return p
         return self.edge_point(eid, off)
 
@@ -769,7 +771,7 @@ class TreeGeodesic:
         return lo, hi
 
     def point_at_arc(self, s: float) -> TreePoint:
-        """The point at arc s, snapped to a node within 1e-12 of it on a
+        """The point at arc s, snapped to a node within DUST of it on a
         step; a bounded side of the locus clamps s to its end node."""
         nodes = self.nodes
         if self.is_constant:
@@ -779,9 +781,9 @@ class TreeGeodesic:
         i = bisect_right(nodes, s, key=itemgetter(0))
         if 0 < i < len(nodes):
             (sa, pa), (sb, pb) = nodes[i - 1], nodes[i]
-            if s - sa <= _SNAP:
+            if s - sa <= DUST:
                 return pa
-            if sb - s <= _SNAP:
+            if sb - s <= DUST:
                 return pb
         elif (self.pos_end if i else self.neg_end) is None:
             return nodes[max(i - 1, 0)][1]

@@ -36,8 +36,8 @@ from typing import Mapping, Sequence
 from .errors import (
     ConstantGeodesic, FlagInvalid, InconsistentData, MalformedForRadon, NonFiniteValue,
 )
-from .metric_tree import MetricTree, TreeGeodesic, TreePoint, project_to_geodesic
-from .transport import _ZERO_MASS, DiscreteMeasure, _add_in_order
+from .metric_tree import DUST, TOL, MetricTree, TreeGeodesic, TreePoint, project_to_geodesic
+from .transport import DUAL_TOL, DiscreteMeasure, _add_in_order
 
 
 @dataclass(frozen=True)
@@ -164,10 +164,10 @@ def radon_invert(
     with zero error and every value is the float nearest the exact one, as
     in Fraction arithmetic.  A value beyond the float range raises
     NonFiniteValue.  The reconstruction is re-transformed and compared
-    against the input; any disagreement beyond 1e-7 raises
-    InconsistentData, and so does a missing flag, a key that is not a flag
-    of the tree, and a NaN or infinite value, which no vertex function
-    transforms to.
+    against the input; a disagreement beyond DUAL_TOL * (1 + the largest
+    |value| among the data and the total) raises InconsistentData, and so
+    does a missing flag, a key that is not a flag of the tree, and a NaN
+    or infinite value, which no vertex function transforms to.
     """
     require_radon_tree(tree)
     if not all(math.isfinite(v) for v in (total, *data.values())):
@@ -196,11 +196,12 @@ def radon_invert(
 
     h = VertexFunction.from_mapping(tree, values)
     back = _perpendicular_sums(tree, h.as_dict(), {}, flags)
+    slack = DUAL_TOL * (1.0 + max(abs(float(v)) for v in (total, *data.values())))
     for flag, val in data.items():
         got = back.get(flag)
         if got is None:
             raise InconsistentData(f"{flag} is not a flag of the tree")
-        if abs(got - float(val)) > 1e-7:
+        if abs(got - float(val)) > slack:
             raise InconsistentData(f"flag {flag} re-transforms to {got}, input was {val}")
     return h
 
@@ -247,7 +248,7 @@ class RoundtripReport:
 
     @property
     def exact(self) -> bool:
-        return self.max_error <= 1e-9
+        return self.max_error <= TOL
 
 
 def measure_radon_roundtrip(tree: MetricTree, mu: DiscreteMeasure) -> RoundtripReport:
@@ -287,7 +288,7 @@ def measure_radon_roundtrip(tree: MetricTree, mu: DiscreteMeasure) -> RoundtripR
     h = radon_invert(tree, flag_data, 1.0 - interior_total)
     atoms = list(interior)
     for v, hv in h.values:
-        if hv > _ZERO_MASS:
+        if hv > DUST:
             atoms.append((tree.vertex_point(v), hv))
     reconstructed = DiscreteMeasure.from_atoms(tree, atoms)
 

@@ -40,22 +40,21 @@ from operator import add, sub
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import MarginalMismatch, NonFiniteValue, SolverFailure
-from .metric_tree import MetricTree, TreePoint
+from .metric_tree import DUST, TOL, MetricTree, TreePoint
 
-MASS_TOL = 1e-9
-_ZERO_MASS = 1e-12
-# Dual certificate tolerance, relative to the cost scale: it must survive
-# the squared distances at the asymptotic sampling times.
+# Relative slack of a self-check against a recomputation (solver duals, the
+# Radon re-transform), DUAL_TOL * (1 + the largest magnitude in the data): it
+# must survive the squared distances at the asymptotic sampling times.
 DUAL_TOL = 1e-7
 
 
 def _arc_slack(n: int, scale: float) -> float:
-    """Slack per arc of a check on cycles of up to n arcs: MASS_TOL / n, so
-    that no cycle passing it weighs less than -MASS_TOL, or n ulps of the
+    """Slack per arc of a check on cycles of up to n arcs: TOL / n, so
+    that no cycle passing it weighs less than -TOL, or n ulps of the
     cost scale where that is more.  Potentials summed from n costs of that
     scale round by about that much, which at large distances (costs above
-    4.5e6 / n^2) exceeds MASS_TOL / n and would fail optimal plans."""
-    return max(MASS_TOL / n, n * scale * 2.0**-52)
+    4.5e6 / n^2) exceeds TOL / n and would fail optimal plans."""
+    return max(TOL / n, n * scale * 2.0**-52)
 
 
 def _add_in_order(values) -> float:
@@ -69,13 +68,13 @@ def _merge_atoms(
 ) -> list:
     """Merge atoms with equal keys (first-seen order), check that they make a
     probability measure, and drop the dust, the merged masses at or below
-    1e-12.
+    DUST.
 
     The total mass is taken *before* the dust is dropped and must be within
-    MASS_TOL of 1, else MarginalMismatch("<what> sum to <total>, expected
+    TOL of 1, else MarginalMismatch("<what> sum to <total>, expected
     1"): a measure spread over many tiny atoms can shed more than its
     tolerance as dust.  With `empty` given, no atom left raises that message
-    first.  A merged mass below -1e-12 is not dust and raises, and so does a
+    first.  A merged mass below -DUST is not dust and raises, and so does a
     NaN or infinite mass, which no comparison would catch.
     """
     merged: dict = {}
@@ -85,13 +84,13 @@ def _merge_atoms(
             raise MarginalMismatch(f"non-finite mass {m} at {key!r}")
         merged[key] = merged.get(key, 0.0) + m
     for key, m in merged.items():
-        if m < -_ZERO_MASS:
+        if m < -DUST:
             raise MarginalMismatch(f"negative mass {m} at {key!r}")
     total = _add_in_order(merged.values())
-    kept = [(k, m) for k, m in merged.items() if m > _ZERO_MASS]
+    kept = [(k, m) for k, m in merged.items() if m > DUST]
     if empty is not None and not kept:
         raise MarginalMismatch(empty)
-    if abs(total - 1.0) > MASS_TOL:
+    if abs(total - 1.0) > TOL:
         raise MarginalMismatch(f"{what} sum to {total}, expected 1")
     return kept
 
@@ -160,14 +159,14 @@ class TransportPlan:
         for x, y, m in self.entries:
             row[x] = row.get(x, 0.0) + m
             col[y] = col.get(y, 0.0) + m
-        # Written as `not ... <= MASS_TOL`, so that a NaN sum fails too.
+        # Written as `not ... <= TOL`, so that a NaN sum fails too.
         for p, m in mu.atoms:
-            if not abs(row.pop(p, 0.0) - m) <= MASS_TOL:
+            if not abs(row.pop(p, 0.0) - m) <= TOL:
                 raise MarginalMismatch(f"row sum at {p!r} differs from source mass")
         for p, m in nu.atoms:
-            if not abs(col.pop(p, 0.0) - m) <= MASS_TOL:
+            if not abs(col.pop(p, 0.0) - m) <= TOL:
                 raise MarginalMismatch(f"column sum at {p!r} differs from target mass")
-        if not all(abs(m) <= MASS_TOL for m in (*row.values(), *col.values())):
+        if not all(abs(m) <= TOL for m in (*row.values(), *col.values())):
             raise MarginalMismatch("plan carries mass outside the marginals")
 
 
@@ -191,7 +190,7 @@ def transportation_simplex(
     or infinite cost raises SolverFailure.  Entering cell, by block search:
     a pass prices blocks of max(1, isqrt(m n) // n) whole rows, cyclically
     from a row cursor that persists across pivots, and stops after the first
-    block holding a reduced cost below -1e-12 (relative to the cost scale);
+    block holding a reduced cost below -DUST * (1 + the largest |cost|);
     the most negative cell priced in the pass enters, the first row priced
     and then the lowest j winning ties.  A pass that prices all m rows
     without a candidate proves optimality.  Leaving cell: the last blocking
@@ -207,7 +206,7 @@ def transportation_simplex(
     big = max((abs(c) if c == c else math.inf for row in cost for c in row), default=0.0)
     if big == math.inf:
         raise SolverFailure("non-finite cost")
-    eps = 1e-12 * (1.0 + big)
+    eps = DUST * (1.0 + big)
     a = [float(s) for s in supply]
     scale = _add_in_order(a) / _add_in_order(demand)
     b = [float(d) * scale for d in demand]
@@ -341,7 +340,7 @@ def solve_transport(
     sol = transportation_simplex(supply, demand, cost)
     certify_duals(cost, sol)
     entries = [
-        (i, j, q) for (i, j), q in sorted(sol.cells.items()) if q > _ZERO_MASS
+        (i, j, q) for (i, j), q in sorted(sol.cells.items()) if q > DUST
     ]
     return sol.value, entries, sol
 
@@ -350,10 +349,10 @@ def wasserstein2(tree: MetricTree, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
     """Quadratic Wasserstein distance and an optimal plan.
 
     Optimality is certified by dual feasibility before returning: the duals
-    of the final basis must satisfy u_i + v_j <= c_ij + 1e-7 everywhere and
-    complementary slackness on the support.  Ties between optimal plans are
-    broken by the solver's deterministic pivoting; the returned plan is
-    deterministic but not mathematically canonical.
+    of the final basis must pass certify_duals, u_i + v_j <= c_ij + slack
+    everywhere and complementary slackness on the support.  Ties between
+    optimal plans are broken by the solver's deterministic pivoting; the
+    returned plan is deterministic but not mathematically canonical.
     """
     xs, ys = mu.points(), nu.points()
     distance, entries, sol = w2_from_distances(
@@ -390,7 +389,7 @@ def certify_duals(cost, sol: SimplexSolution) -> None:
             if ui + vj > cost[i][j] + slack:
                 raise SolverFailure("dual feasibility violated: plan not optimal")
     for (i, j), q in sol.cells.items():
-        if q > _ZERO_MASS and abs(cost[i][j] - sol.u[i] - sol.v[j]) > slack:
+        if q > DUST and abs(cost[i][j] - sol.u[i] - sol.v[j]) > slack:
             raise SolverFailure("complementary slackness violated")
 
 
@@ -432,7 +431,7 @@ def min_improvement_cycle(
     (0.0, None) when there is none, else (its weight, a simple witness).
 
     w[e, f] is the cost change of redirecting entry e's mass to entry f's
-    target.  With the slack s = MASS_TOL / k (more at large |w|, see
+    target.  With the slack s = TOL / k (more at large |w|, see
     _arc_slack), Bellman-Ford from a virtual source relaxes a node only when
     it gains more than s, for at most k rounds.  "None" is returned only
     after the potentials re-check w[e, f] >= phi_f - phi_e - s on every
@@ -499,8 +498,8 @@ def is_cyclically_monotone(
 
     The certificate is a pair of potentials phi (sources) and psi
     (targets) with phi + psi = c on the support and c - phi - psi >= 0
-    everywhere, for c = d^2, each within MASS_TOL / (2k): any cycle of
-    shifts then weighs at least -MASS_TOL.  (At large distances the slack
+    everywhere, for c = d^2, each within TOL / (2k): any cycle of
+    shifts then weighs at least -TOL.  (At large distances the slack
     is 2k ulps of the largest cost instead, see _arc_slack.)  Distances are
     computed once per distinct source and target, in first-seen order and
     keyed as given (points equal only after canonicalisation stay separate
@@ -611,8 +610,8 @@ def is_cyclically_monotone(
 
     import numpy as np
 
-    # Scaled by 2k / K, the search's slack of MASS_TOL / K per arc is the
-    # MASS_TOL / (2k) of every other arc (at desk-scale distances).
+    # Scaled by 2k / K, the search's slack of TOL / K per arc is the
+    # TOL / (2k) of every other arc (at desk-scale distances).
     _, components = min_improvement_cycle(np.array(least) * (2 * k / K), K)
     if components is None:
         return MonotonicityCertificate(True, k, None, 0.0)

@@ -472,6 +472,47 @@ def test_mixed_speed_witness_violates_projection_at_large_t(star3):
     assert not T.is_cyclically_monotone(star3, proj, full=True).passed
 
 
+def test_mixed_speed_complete_plan_is_not_optimal(star3):
+    # no antagonist pair, yet the (-1, 1) coupling is not cyclically monotone
+    g1 = star3.geodesic_between_ends(star3.end("r1"), star3.end("r2"))
+    g2 = star3.geodesic_between_ends(star3.end("r1"), star3.end("r3"), speed=2.0)
+    plan = T.DynamicalPlan.from_atoms(star3, [(g1, 0.5), (g2, 0.5)])
+    assert not projection_monotone(star3, plan, [(-1.0, 1.0)])
+    cert = T.is_optimal_dynamical(star3, plan)
+    assert not cert.passed
+    assert cert.witnesses == ()
+
+
+SWEEP_TIMES = [0.0] + [s * t for t in (0.3, 1.0, 3.0, 10.0, 100.0, 1e3, 1e5) for s in (1, -1)]
+
+
+def test_complete_plan_verdict_matches_a_time_sweep():
+    # Complete plans of 2-4 geodesics between ends at speeds 0.5, 1 and 2:
+    # the verdict is cyclical monotonicity of every two-time projection
+    # over 15 times from -1e5 to 1e5.  Both verdicts occur, and so do
+    # mixed-speed plans without an antagonist pair, which antagonism alone
+    # would pass.
+    rng = np.random.default_rng(7)
+    pairs = [(s, t) for k, s in enumerate(SWEEP_TIMES) for t in SWEEP_TIMES[k + 1:]]
+    passing = mixed_unopposed = 0
+    for _ in range(300):
+        tree = helpers.random_tree(rng, 6, int(rng.integers(3, 5)))
+        ends = [tree.end(e) for e in sorted(tree.edges) if tree.edges[e].infinite]
+        k = int(rng.integers(2, 5))
+        atoms = []
+        for _ in range(k):
+            a, b = rng.choice(len(ends), 2, replace=False)
+            speed = float(rng.choice([0.5, 1.0, 2.0]))
+            atoms.append((tree.geodesic_between_ends(ends[a], ends[b], speed=speed), 1.0 / k))
+        plan = T.DynamicalPlan.from_atoms(tree, atoms)
+        monotone = projection_monotone(tree, plan, pairs)
+        cert = T.is_optimal_dynamical(tree, plan)
+        assert cert.passed == monotone
+        passing += monotone
+        mixed_unopposed += len({g.speed for g, _ in plan.atoms}) > 1 and not cert.witnesses
+    assert passing >= 10 and mixed_unopposed >= 10
+
+
 def test_plan_speed_adds_in_order():
     rng = np.random.default_rng(109)
     tree = helpers.random_tree(rng, 40, 1)
@@ -497,7 +538,7 @@ def _segment(star3, end, t0, t1):
     # a NaN time is a bad interval, not a mismatch between atoms
     (lambda t: T.DynamicalPlan.from_atoms(t, [(t.constant_geodesic(t.vertex_point("o"), math.nan, math.nan), 1.0)]),
      OutOfInterval, "geodesic interval [nan, nan] is not a segment, ray or line"),
-    # an entry of mass below MASS_TOL passes check_marginals, but lies off both supports
+    # an entry of mass below TOL passes check_marginals, but lies off both supports
     (lambda t: T.lift(t, _two_ray_plan(t), _two_ray_plan(t), T.TransportPlan((
         (t.vertex_point("o"), t.vertex_point("o"), 1.0), (t.edge_point("r3", 1.0), t.edge_point("r3", 1.0), 1e-10),
     )), 0.0), MarginalMismatch, "plan entry outside the pushforward supports"),

@@ -12,6 +12,7 @@ import pytest
 import treeot as T
 from treeot.errors import ConstantGeodesic, FlagInvalid, InconsistentData, MalformedForRadon, NonFiniteValue
 from treeot.radon import all_flags, geodesic_through_edge, geodesic_through_flag
+from treeot.transport import DUAL_TOL
 
 import helpers
 
@@ -159,6 +160,31 @@ def test_inversion_rejects_inconsistent_data(barbell):
         T.radon_invert(barbell, data, 7.0)
 
 
+@pytest.mark.parametrize("scale", [1e9, 1e12])
+def test_round_trip_at_large_scale(scale):
+    # The forward sums round relative to the data, so the re-transform
+    # check scales with it: values from U(0, scale) come back within 1e-12
+    # of the scale.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        tree = helpers.random_cubic_tree(rng, 40)
+        values = {v: float(rng.uniform(0.0, scale)) for v in tree.vertices}
+        h = T.VertexFunction.from_mapping(tree, values)
+        back = T.radon_invert(tree, T.combinatorial_radon(tree, h), h.total).as_dict()
+        assert all(abs(back[v] - x) <= 1e-12 * scale for v, x in values.items()), seed
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e9, 1e12])
+def test_perturbation_of_a_thousandth_of_the_scale_is_caught(scale):
+    rng = np.random.default_rng(3)
+    tree = helpers.random_cubic_tree(rng, 40)
+    h = T.VertexFunction.from_mapping(tree, {v: float(rng.uniform(0.0, scale)) for v in tree.vertices})
+    data = T.combinatorial_radon(tree, h)
+    data[all_flags(tree)[0]] += 1e-3 * scale
+    with pytest.raises(InconsistentData, match="re-transforms to"):
+        T.radon_invert(tree, data, h.total)
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_inversion_rejects_non_finite_data(barbell, bad):
     h = T.VertexFunction.from_mapping(barbell, {"u": 2.0, "v": 5.0})
@@ -244,7 +270,8 @@ def _fraction_inverse(tree, data, total) -> dict[str, float]:
         except OverflowError:
             raise NonFiniteValue(x) from None
     back = T.combinatorial_radon(tree, T.VertexFunction.from_mapping(tree, values))
-    if any(abs(back[flag] - val) > 1e-7 for flag, val in data.items()):
+    slack = DUAL_TOL * (1.0 + max(abs(v) for v in (total, *data.values())))
+    if any(abs(back[flag] - val) > slack for flag, val in data.items()):
         raise InconsistentData("re-transform")
     return values
 

@@ -214,6 +214,25 @@ def test_cli_radon_then_invert(files):
     assert len(doc["data"]) == 6
 
 
+def test_cli_radon_output_inverts_near_1e9(files, capsys):
+    # radon-invert reads back what radon prints for 6-decimal values near
+    # 1e9, in process through cli.run
+    from treeot import cli as treeot_cli
+
+    rng = np.random.default_rng(0)
+    tree = helpers.random_cubic_tree(rng, 12)
+    values = {v: f"{rng.uniform(1e9, 3e9):.6f}" for v in tree.vertices}
+    t = files("t.json", io.tree_to_json(tree))
+    fn = files("h.json", {"values": values})
+    assert treeot_cli.run(["radon", "--tree", t, "--function", fn]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    data = files("r.json", doc["data"])
+    assert treeot_cli.run(["radon-invert", "--tree", t, "--data", data, "--total", doc["total"]]) == 0
+    back = json.loads(capsys.readouterr().out)
+    assert back.keys() == values.keys()
+    assert all(abs(float(back[v]) - float(x)) <= 1e-12 * 3e9 for v, x in values.items())
+
+
 def test_cli_asymptotic_csv(files, tmp_path):
     tree = files("t.json", STAR3_JSON)
     mu_doc = {

@@ -10,7 +10,8 @@ import pytest
 
 import treeot as T
 from treeot.errors import MarginalMismatch, NonFiniteValue
-from treeot.transport import MASS_TOL, certify_duals, min_improvement_cycle, transportation_simplex
+from treeot.metric_tree import TOL
+from treeot.transport import certify_duals, min_improvement_cycle, transportation_simplex
 
 import helpers
 
@@ -484,9 +485,9 @@ def _cycle_search_cases():
 
 def test_cycle_search_matches_floyd_warshall_at_real_sizes():
     # The early stop matters at k around 55, which the enumeration above
-    # cannot reach.  A plan passes when no cycle weighs less than -MASS_TOL
+    # cannot reach.  A plan passes when no cycle weighs less than -TOL
     # and fails only on a negative witness, so the verdict is the closure's
-    # outside (-MASS_TOL, 0).  Inside, where solved plans put their rounding
+    # outside (-TOL, 0).  Inside, where solved plans put their rounding
     # noise, either verdict may stand, but a witness must still be valid.
     verdicts = []
     for w in _cycle_search_cases():
@@ -494,7 +495,7 @@ def test_cycle_search_matches_floyd_warshall_at_real_sizes():
         closure = _floyd_warshall_negative(w)
         best, witness = min_improvement_cycle(w, k)
         verdicts.append(witness is not None)
-        if not -MASS_TOL <= closure < 0.0:
+        if not -TOL <= closure < 0.0:
             assert verdicts[-1] == (closure < 0.0)
         if witness is None:
             assert best == 0.0
@@ -734,12 +735,12 @@ def _certificate_cases():
 
 def test_certificate_matches_floyd_warshall_at_real_sizes():
     # As for the cycle search: the verdict is the closure's outside
-    # (-MASS_TOL, 0), and a failing witness is simple and negative.
+    # (-TOL, 0), and a failing witness is simple and negative.
     verdicts, split = [], 0
     for tree, plan in _certificate_cases():
         closure = _floyd_warshall_negative(_per_entry_weights(tree, plan))
         passed = _matches_per_entry(tree, plan)
-        if not -MASS_TOL <= closure < 0.0:
+        if not -TOL <= closure < 0.0:
             assert passed == (closure >= 0.0)
         verdicts.append(passed)
         split += helpers.support_components(plan) > 1
@@ -750,7 +751,7 @@ def test_certificate_matches_floyd_warshall_at_real_sizes():
 
 def test_certificate_passes_solved_plans_at_large_distances():
     # Edges of 200-2000 put the costs near 1e7, where the rounding of a
-    # potential exceeds MASS_TOL / (2k): a walk arc re-checked against it,
+    # potential exceeds TOL / (2k): a walk arc re-checked against it,
     # or a cycle search with that slack, would fail an optimal plan.
     rng = np.random.default_rng(97)
     passed, failed, split = 0, 0, 0
