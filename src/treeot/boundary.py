@@ -9,14 +9,15 @@ The asymptotic distance between two ray curves in Wasserstein space is
 W(mu_t, sigma_t) / t as t grows.  In a tree every pairwise distance between
 support rays becomes an exactly affine function of t once every ray has
 passed its last vertex and every two atoms on a common end have crossed (a
-closed-form branch-exit time), so instead of only sampling the ratio we
-certify its exact limit: measure the affine slopes of the pairwise distances
-beyond the branch-exit time and solve one more transport problem with those
-slopes as the cost.  The asymptotic formula says this limit equals the cone
-Wasserstein distance of the two asymptotic measures.  The sampled rows and
-the slopes come from one cost builder, which evaluates the plans' atoms as
-given at a time t.  W stays bounded exactly when the limit is 0, that is
-when an optimal coupling of the slopes moves mass only along zero slopes.
+closed-form branch-exit time, dynamics.beyond_exit), so instead of only
+sampling the ratio we certify its exact limit: measure the affine slopes of
+the pairwise distances beyond the branch-exit time and solve one more
+transport problem with those slopes as the cost.  The asymptotic formula
+says this limit equals the cone Wasserstein distance of the two asymptotic
+measures.  The sampled rows and the slopes come from one cost builder, which
+evaluates the plans' atoms as given at a time t.  W stays bounded exactly
+when the limit is 0, that is when an optimal coupling of the slopes moves
+mass only along zero slopes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import MarginalMismatch, NonUnitMeasure, OutOfInterval
 from .metric_tree import DUST, TOL, MetricTree, TreeEnd, TreePoint
-from .dynamics import DynamicalPlan
+from .dynamics import DynamicalPlan, _distances_at, beyond_exit
 from .transport import _add_in_order, _merge_atoms, w2_from_distances
 
 ConeAtomKey = tuple[TreeEnd | None, float]  # (end, speed); apex is (None, 0)
@@ -203,15 +204,12 @@ def asymptotic_formula_check(
         tree, asymptotic_measure(mu), asymptotic_measure(sigma)
     ).distance
     supply, demand = [m for _, m in mu.atoms], [m for _, m in sigma.atoms]
-
-    def distances(t: float) -> list[list[float]]:
-        return tree.distance_matrix(
-            [g.evaluate(t) for g, _ in mu.atoms], [h.evaluate(t) for h, _ in sigma.atoms]
-        )
-
-    rows = [(t, w2_from_distances(distances(t), supply, demand)[0] / t) for t in grid]
-    t_exit = _certified_branch_exit(mu, sigma)
-    far, near = distances(t_exit + 1.0), distances(t_exit)
+    gs, hs = [g for g, _ in mu.atoms], [h for h, _ in sigma.atoms]
+    rows = [
+        (t, w2_from_distances(_distances_at(tree, gs, hs, t), supply, demand)[0] / t)
+        for t in grid
+    ]
+    t_exit, near, far = beyond_exit(tree, gs, hs)
     slopes = [[a - b for a, b in zip(fr, nr)] for fr, nr in zip(far, near)]
     certified, coupling, _ = w2_from_distances(slopes, supply, demand, "slope")
     # W is bounded iff an optimal coupling of the slopes moves no mass along
@@ -232,39 +230,3 @@ def asymptotic_formula_check(
         classification="asymptotic" if bounded else "linear",
         max_error_at_largest_t=abs(rows[-1][1] - target) if rows else math.nan,
     )
-
-
-def _certified_branch_exit(mu: DynamicalPlan, sigma: DynamicalPlan) -> float:
-    """Time beyond which every distance between a support ray of mu and one
-    of sigma is affine in t, in closed form.
-
-    Such a distance can kink only while a ray still passes vertices, or when
-    two atoms on one infinite edge pass each other.  The exit is therefore
-    the latest of 1, each moving ray's time at its last vertex, and the
-    crossing time of every pair on a common infinite edge.
-    """
-    t = 1.0
-    for plan in (mu, sigma):
-        for g, _ in plan.atoms:
-            if g.speed > DUST:
-                t = max(t, g.t_origin + g.nodes[-1][0] / g.speed)
-    tails = [_tail(h) for h, _ in sigma.atoms]
-    for g, _ in mu.atoms:
-        a = _tail(g)
-        for b in tails:
-            if a is not None and b is not None and a[0] == b[0] and a[2] != b[2]:
-                t = max(t, (b[1] - a[1]) / (a[2] - b[2]))
-    return t
-
-
-def _tail(g) -> tuple[str, float, float] | None:
-    """(edge, c, s) when g ends up on an infinite edge at offset c + s*t,
-    once past its last vertex; a constant atom on an infinite edge counts as
-    speed 0.  None for a constant atom anywhere else."""
-    if g.speed > DUST:
-        eid, base, _, _ = g.traversals()[-1]
-        return eid, base - g.nodes[-1][0] - g.speed * g.t_origin, g.speed
-    p = g.nodes[0][1]
-    if p.edge is not None and g.tree.edges[p.edge].infinite:
-        return p.edge, p.offset, 0.0
-    return None

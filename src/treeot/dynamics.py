@@ -7,15 +7,20 @@ of times gives the curve in Wasserstein space the plan represents.
 
 Optimality has one rule per kind of plan.  A segment plan is optimal iff
 its endpoint coupling (the projection at its two end times) is cyclically
-monotone.  Ray and complete plans are decided by antagonism: two geodesics
-are antagonist when they run through a common edge portion in opposite
-directions, and for plans on unit-speed complete geodesics this is exactly
-the negation of cyclical monotonicity.  A complete plan must also move its
-atoms at one speed (a time rescaling of a unit-speed plan): atoms at speeds
-v != w make a 2-cycle of the (-t, t) coupling gain 2 (v - w)^2 t^2 - O(t).
-Antagonist pairs are reported as witnesses for every kind; on a segment
-plan they are not a verdict, since an overlap crossed in opposite
-directions can be paid for outside it.
+monotone.  A ray plan is optimal iff its (t0, t) coupling is cyclically
+monotone for every t.  Beyond the exit time T of beyond_exit every distance
+from a start point to an atom grows affinely, so the cost of every cycle of
+shifts is, from T on, affine in t with a sum of squares as its value at t0;
+the certificate (transport.certify_costs) on the growth of the squared
+distances from T to T + 1 decides it.  Complete plans are decided by
+antagonism: two geodesics are antagonist when they run through a common
+edge portion in opposite directions, and for plans on unit-speed complete
+geodesics this is exactly the negation of cyclical monotonicity.  A
+complete plan must also move its atoms at one speed (a time rescaling of a
+unit-speed plan): atoms at speeds v != w make a 2-cycle of the (-t, t)
+coupling gain 2 (v - w)^2 t^2 - O(t).  Antagonist pairs are reported as
+witnesses for every kind; on segment and ray plans they are not a verdict,
+since an overlap crossed in opposite directions can be paid for outside it.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .transport import (
     TransportPlan,
     _add_in_order,
     _merge_atoms,
+    certify_costs,
     is_cyclically_monotone,
     wasserstein2,
 )
@@ -220,18 +226,83 @@ class OptimalityCertificate:
 def is_optimal_dynamical(tree: MetricTree, plan: DynamicalPlan) -> OptimalityCertificate:
     """Optimality of a dynamical plan, with its antagonist pairs as witnesses.
 
-    A segment plan passes iff its endpoint coupling is cyclically monotone;
-    a ray or complete plan passes iff its support carries no antagonist
-    pair, a complete plan iff also its speeds agree within TOL (then this is
-    cyclical monotonicity of every two-time projection; see the module).
+    A segment plan passes iff its endpoint coupling is cyclically monotone.
+    A ray plan passes iff its (t0, t) coupling is cyclically monotone for
+    every t, which one certificate decides (see _ray_monotone).  A complete
+    plan passes iff its support carries no antagonist pair and its speeds
+    agree within TOL (then this is cyclical monotonicity of every two-time
+    projection; see the module).
     """
     witnesses = tuple(antagonist_pairs(plan))
     if plan.kind == "segment":
         passed = projection_monotone(tree, plan, [(plan.t0, plan.t1)])
+    elif plan.kind == "ray":
+        passed = _ray_monotone(tree, plan)
     else:
         speeds = [g.speed for g, _ in plan.atoms]
-        passed = not witnesses and (plan.kind == "ray" or max(speeds) - min(speeds) <= TOL)
+        passed = not witnesses and max(speeds) - min(speeds) <= TOL
     return OptimalityCertificate(passed, witnesses)
+
+
+def _ray_monotone(tree: MetricTree, plan: DynamicalPlan) -> bool:
+    """Cyclical monotonicity of the (t0, t) coupling of a ray plan for
+    every t > t0, decided by one certificate at the exit time T of
+    beyond_exit.
+
+    The sources x_i are the plan's distinct points at t0, held fixed.  From
+    T on, d_ij(t) = d(x_i, g_j(t)) = v_j (t - t0) + b_ij for every atom g_j,
+    with b_ij = 0 where x_i is g_j's own start.  In a cycle of shifts the
+    (t - t0)^2 terms of the squared distances cancel, so its weight is
+    a (t - t0) + b, where b, the sum of the shifted b_ij^2, is at least 0.
+    The weight is therefore at least 0 on [T, inf) iff a >= 0, iff it does
+    not fall from T to T + 1: the certificate runs on the growth
+    d_ij(T + 1)^2 - d_ij(T)^2 = v_j (2 d_ij(T) + v_j), multiplied out so
+    that a constant atom gives 0 at any distance.  It is taken in that form
+    since a difference of squares would carry their rounding, about
+    d^2 / 2^52, which at exit times near 1e5 passes the certificate's slack
+    and fails plans with tied cycles.  Below T the (t0, t) coupling is a
+    restriction of the optimal (t0, T) one (Villani 2009, Thm 7.30).  Rows
+    are keyed as is_cyclically_monotone keys sources, so a plan from one
+    point is a single, connected row.
+    """
+    starts: dict = {}
+    si = [starts.setdefault(g.evaluate(plan.t0), len(starts)) for g, _ in plan.atoms]
+    fixed = [tree.constant_geodesic(x, plan.t0, math.inf) for x in starts]
+    rays = [g for g, _ in plan.atoms]
+    _, near, _ = beyond_exit(tree, fixed, rays)
+    grow = [[2.0 * g.speed * d + g.speed * g.speed for d, g in zip(row, rays)] for row in near]
+    scale = max(max(map(abs, row)) for row in grow)
+    return certify_costs(grow, si, range(len(si)), scale).passed
+
+
+def beyond_exit(
+    tree: MetricTree, mu: Sequence[TreeGeodesic], sigma: Sequence[TreeGeodesic]
+) -> tuple[float, list[list[float]], list[list[float]]]:
+    """(T, near, far): a time T from which on the distance between every
+    geodesic of mu and every one of sigma, all on [t0, inf), is affine in
+    t, and the distance matrices of their points at T and at T + 1.
+
+    Such a distance can kink only while a geodesic still passes vertices,
+    or when two on one infinite edge pass each other.  T is therefore the
+    latest of 1, the geodesics' start times, each one's time at its last
+    node, and the crossing time of every pair on a common infinite edge
+    (TreeGeodesic.tail).
+    """
+    tails = [[g.tail() for g in side] for side in (mu, sigma)]
+    t = max([1.0] + [g.t0 for side in (mu, sigma) for g in side]
+            + [a[3] for side in tails for a in side if a is not None])
+    for a in tails[0]:
+        for b in tails[1]:
+            if a is not None and b is not None and a[0] == b[0] and a[2] != b[2]:
+                t = max(t, (b[1] - a[1]) / (a[2] - b[2]))
+    return t, _distances_at(tree, mu, sigma, t), _distances_at(tree, mu, sigma, t + 1.0)
+
+
+def _distances_at(
+    tree: MetricTree, mu: Sequence[TreeGeodesic], sigma: Sequence[TreeGeodesic], t: float
+) -> list[list[float]]:
+    """Distances between the points of the geodesics of mu and of sigma at t."""
+    return tree.distance_matrix([g.evaluate(t) for g in mu], [h.evaluate(t) for h in sigma])
 
 
 def projection_monotone(

@@ -824,6 +824,24 @@ class TreeGeodesic:
         return [(eid, min(o, o_far), max(o, o_far), sign)
                 for eid, _, o, o_far, sign in self._piece_table()]
 
+    def tail(self) -> tuple[str, float, float, float] | None:
+        """(edge, c, speed, t_last): from t_last, the time at the last node,
+        on, the geodesic sits on its final infinite edge at offset
+        c + speed * t.  A speed of at most DUST counts as constant, as on
+        the boundary cone: a constant on an infinite edge gives speed 0 and
+        t_last = -inf.  Any other constant, and a geodesic with no positive
+        end, gives None."""
+        if self.speed <= DUST:
+            p = self.nodes[0][1]
+            if p.edge is not None and self.tree.edges[p.edge].infinite:
+                return p.edge, p.offset, 0.0, -math.inf
+            return None
+        if self.pos_end is None:
+            return None
+        eid, s0, o, _, _ = self._piece_table()[-1]
+        speed = self.speed
+        return eid, o - s0 - speed * self.t_origin, speed, self.t_origin + s0 / speed
+
     def restrict(self, t0: float, t1: float) -> "TreeGeodesic":
         if not (self.t0 - TOL <= t0 < t1 <= self.t1 + TOL):
             raise OutOfInterval(f"[{t0}, {t1}] not inside [{self.t0}, {self.t1}]")

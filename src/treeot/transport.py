@@ -17,17 +17,18 @@ without any random choice.
 
 Cyclical monotonicity is certified by potentials: a plan is optimal for a
 cost c iff no finite family of its pairs can lower the total cost by
-shifting targets along a cycle, iff potentials exist with phi(x) + psi(y)
-<= c(x, y) everywhere and equality on the support (Villani 2009, Thm
-5.10).  One distance matrix over the plan's distinct sources and targets
-gives c.  One walk per component of the bipartite support graph sets the
-potentials, and one pass over the reduced costs c - phi - psi decides a
-connected support, or finds a failing pair whose cycle through the walk is
-a simple violating witness.  Only a support of several components needs
-more: a Bellman-Ford search over the components (min_improvement_cycle).
-That search and the matrix handed to it are the only numpy code in the
-package, and numpy is imported where they run: importing treeot, and
-certifying a connected support, never load numpy.
+shifting targets along a cycle, iff potentials exist with phi(x) + psi(y) <=
+c(x, y) everywhere and equality on the support (Villani 2009, Thm 5.10).
+certify_costs decides this for any cost matrix, of either sign;
+is_cyclically_monotone hands it the squared distances over a plan's distinct
+sources and targets.  One walk per component of the bipartite support graph
+sets the potentials, and one pass over the reduced costs c - phi - psi
+decides a connected support, or finds a failing pair whose cycle through the
+walk is a simple violating witness.  Only a support of several components
+needs more: a Bellman-Ford search over the components
+(min_improvement_cycle).  That search and the matrix handed to it are the
+only numpy code in the package, and numpy is imported where they run:
+importing treeot, and certifying a connected support, never load numpy.
 """
 
 from __future__ import annotations
@@ -496,22 +497,10 @@ def is_cyclically_monotone(
     the cost, by `improvement`, summed from the squared distances.
     max_cycle is the support size; full is deprecated and ignored.
 
-    The certificate is a pair of potentials phi (sources) and psi
-    (targets) with phi + psi = c on the support and c - phi - psi >= 0
-    everywhere, for c = d^2, each within TOL / (2k): any cycle of
-    shifts then weighs at least -TOL.  (At large distances the slack
-    is 2k ulps of the largest cost instead, see _arc_slack.)  Distances are
-    computed once per distinct source and target, in first-seen order and
-    keyed as given (points equal only after canonicalisation stay separate
-    keys, with equal distances).  One walk per component of the bipartite
-    support graph, from its first source, sets the potentials along the
-    walk's arcs.  A support pair off its potentials, or a negative reduced
-    cost inside a component, fails at once, with the cycle it closes
-    through the walk's arcs as witness.  With K > 1 components the potentials are
-    still free by a constant per component: the K x K matrix of the least
-    reduced cost from each component to each other one goes to
-    min_improvement_cycle, and a negative cycle there is closed through
-    the walk's arcs of every component it passes.
+    Distances are computed once per distinct source and target, in
+    first-seen order and keyed as given (points equal only after
+    canonicalisation stay separate keys, with equal distances); their
+    squares go to certify_costs, with the largest as the cost scale.
     """
     k = len(plan.entries)
     if k == 0:
@@ -522,13 +511,45 @@ def is_cyclically_monotone(
     ti = [ys.setdefault(y, len(ys)) for _, y, _ in plan.entries]
     with squares_in_range("distance"):
         sq = [[v ** 2 for v in row] for row in tree.distance_matrix(list(xs), list(ys))]
-    slack = _arc_slack(2 * k, max(map(max, sq)))
+    return certify_costs(sq, si, ti, max(map(max, sq)))
+
+
+def certify_costs(
+    cost: Sequence[Sequence[float]], si: Sequence[int], ti: Sequence[int], scale: float
+) -> MonotonicityCertificate:
+    """Cyclical monotonicity of a support for a cost matrix of either sign.
+
+    Rows are sources and columns targets; entry e is the pair (si[e],
+    ti[e]), and every row and column carries at least one entry.  A failing
+    certificate carries a simple witness cycle of entry indices: shifting
+    each listed entry's target to the next one changes the cost by
+    `improvement` < 0, summed from `cost`.  `scale` is the largest |c|; an
+    infinite one raises NonFiniteValue.
+
+    The certificate is a pair of potentials phi (sources) and psi (targets)
+    with phi + psi = c on the support and c - phi - psi >= 0 everywhere,
+    each within TOL / (2k) for k entries: any cycle of shifts then weighs at
+    least -TOL.  (At a large `scale` the slack is 2k ulps of it instead, see
+    _arc_slack.)  One walk per component of the bipartite support graph,
+    from its first source, sets the potentials along the walk's arcs.  A
+    support pair off its potentials, or a negative reduced cost inside a
+    component, fails at once, with the cycle it closes through the walk's
+    arcs as witness.  With K > 1 components the potentials are still free by
+    a constant per component: the K x K matrix of the least reduced cost
+    from each component to each other one goes to min_improvement_cycle, and
+    a negative cycle there is closed through the walk's arcs of every
+    component it passes.
+    """
+    if not scale < math.inf:
+        raise NonFiniteValue(f"cost scale {scale} is not finite")
+    k = len(si)
+    slack = _arc_slack(2 * k, scale)
 
     # The support graph: sources 0..nx-1, then the targets; one arc per
     # distinct pair, named by its first entry.
-    nx = len(xs)
+    nx = len(cost)
     support: dict = {}
-    adj: list[list] = [[] for _ in range(nx + len(ys))]
+    adj: list[list] = [[] for _ in range(nx + len(cost[0]))]
     for e, pair in enumerate(zip(si, ti)):
         if pair not in support:
             support[pair] = e
@@ -548,7 +569,7 @@ def is_cyclically_monotone(
             for b, e in adj[a]:
                 if comp[b] < 0:
                     comp[b], up[b], depth[b] = K, (a, e), depth[a] + 1
-                    pot[b] = sq[si[e]][ti[e]] - pot[a]
+                    pot[b] = cost[si[e]][ti[e]] - pot[a]
                     order.append(b)
         K += 1
 
@@ -572,7 +593,7 @@ def is_cyclically_monotone(
         low = cycle.index(min(cycle))
         cycle = cycle[low:] + cycle[:low]
         weight = _add_in_order(
-            sq[si[a]][ti[b]] - sq[si[a]][ti[a]] for a, b in zip(cycle, cycle[1:] + cycle[:1])
+            cost[si[a]][ti[b]] - cost[si[a]][ti[a]] for a, b in zip(cycle, cycle[1:] + cycle[:1])
         )
         if weight >= 0.0:
             raise SolverFailure("certificate witness does not lower the cost")
@@ -581,9 +602,9 @@ def is_cyclically_monotone(
     # Reduced costs are (c - phi) - psi, which is exactly 0 on a walk arc
     # into a target.  On an arc into a source it is off 0 by the rounding of
     # phi = c - psi and of c - phi, at most an ulp of a potential, and no
-    # potential exceeds 2k times the largest cost: within the slack.
+    # potential exceeds 2k times the largest |cost|: within the slack.
     for (i, j), e in support.items():
-        r = sq[i][j] - pot[i] - pot[nx + j]
+        r = cost[i][j] - pot[i] - pot[nx + j]
         if r > slack:  # shift e's target round the walks' path from i to j
             return failed([e] + shifted(i, nx + j))
         if r < -slack:  # send i to j, and the rest round the path back
@@ -594,7 +615,7 @@ def is_cyclically_monotone(
         members[q].append(j)
     least = [[0.0] * K for _ in range(K)]
     at: list[list] = [[None] * K for _ in range(K)]
-    for i, row in enumerate(sq):
+    for i, row in enumerate(cost):
         p, ui = comp[i], pot[i]
         reduced = [c - ui - v for c, v in zip(row, psi)]
         for q, js in enumerate(members):

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import treeot as T
-from treeot.dynamics import projection_monotone
-from treeot.errors import LeafyTree, MarginalMismatch, NotDiracBased, OutOfInterval, PlanNotOptimal
+from treeot.dynamics import OptimalityCertificate, beyond_exit, projection_monotone
+from treeot.errors import (
+    LeafyTree, MarginalMismatch, NonFiniteValue, NotDiracBased, OutOfInterval, PlanNotOptimal,
+)
 
 import helpers
 
@@ -511,6 +513,95 @@ def test_complete_plan_verdict_matches_a_time_sweep():
         passing += monotone
         mixed_unopposed += len({g.speed for g, _ in plan.atoms}) > 1 and not cert.witnesses
     assert passing >= 10 and mixed_unopposed >= 10
+
+
+# -- ray plans ----------------------------------------------------------------------
+
+
+def test_overtaking_rays_are_not_optimal(star3):
+    # the ray from o at speed 2 overtakes the one from r1@10 at speed 1 at
+    # t = 10; no pair is antagonist, but the (0, 20) coupling is not optimal
+    r1 = star3.end("r1")
+    plan = T.DynamicalPlan.from_atoms(star3, [
+        (star3.ray_to_end(star3.edge_point("r1", 10.0), r1, 1.0), 0.5),
+        (star3.ray_to_end(star3.vertex_point("o"), r1, 2.0), 0.5),
+    ])
+    assert projection_monotone(star3, plan, [(0.0, 10.0)])
+    assert not projection_monotone(star3, plan, [(0.0, 20.0)])
+    assert T.is_optimal_dynamical(star3, plan) == OptimalityCertificate(False, ())
+
+
+RAY_SWEEP = [(0.0, t) for t in (0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 1e3, 1e4, 1e5)]
+
+
+def test_ray_plan_verdict_matches_a_time_sweep():
+    # Ray plans of 2-4 atoms at speeds 0, 0.5, 1 and 2, from vertices and
+    # from points inside edges, some sharing a start: the verdict is
+    # cyclical monotonicity of the (0, t) coupling over 10 times up to 1e5.
+    # Both verdicts occur, and so do plans that antagonism alone misjudges.
+    rng = np.random.default_rng(31)
+    passing = misjudged = 0
+    for _ in range(300):
+        tree = helpers.random_tree(rng, 6, int(rng.integers(3, 5)))
+        ends = [tree.end(e) for e in sorted(tree.edges) if tree.edges[e].infinite]
+        k = int(rng.integers(2, 5))
+        starts = helpers.distinct_points(rng, tree, int(rng.integers(1, k + 1)))
+        atoms = []
+        for _ in range(k):
+            x = starts[int(rng.integers(0, len(starts)))]
+            end = ends[int(rng.integers(0, len(ends)))]
+            atoms.append((tree.ray_to_end(x, end, float(rng.choice([0.0, 0.5, 1.0, 2.0]))), 1.0 / k))
+        plan = T.DynamicalPlan.from_atoms(tree, atoms)
+        monotone = projection_monotone(tree, plan, RAY_SWEEP)
+        cert = T.is_optimal_dynamical(tree, plan)
+        assert cert.passed == monotone
+        passing += monotone
+        misjudged += (not cert.witnesses) != monotone
+    assert 30 <= passing <= 270 and misjudged >= 40
+
+
+def test_ray_plan_with_a_late_exit_and_tied_cycles():
+    # The rays from a and b run out B at one speed, so their 2-cycle does not
+    # grow; the ray from o passes the start A@3e4 of the faster one only at
+    # t = 3e4.  Taken as a difference of squared distances near 3e4, the
+    # growth of that cycle rounds below the certificate's slack.
+    tree = T.MetricTree(
+        ["o", "a", "b"],
+        [("ea", ("o", "a"), 0.7), ("eb", ("o", "b"), 1.9), ("A", ("o",), math.inf), ("B", ("o",), math.inf)],
+        "o",
+    )
+    A, B = tree.end("A"), tree.end("B")
+    plan = T.DynamicalPlan.from_atoms(tree, [
+        (tree.ray_to_end(tree.edge_point("A", 3e4), A, 2.0), 0.25),
+        (tree.ray_to_end(tree.vertex_point("o"), A, 1.0), 0.25),
+        (tree.ray_to_end(tree.vertex_point("a"), B, 1.0), 0.25),
+        (tree.ray_to_end(tree.vertex_point("b"), B, 1.0), 0.25),
+    ])
+    starts = [tree.constant_geodesic(g.evaluate(0.0), 0.0, math.inf) for g, _ in plan.atoms]
+    assert beyond_exit(tree, starts, [g for g, _ in plan.atoms])[0] == 3e4
+    assert projection_monotone(tree, plan, [(0.0, t) for t in (1.0, 1e3, 3e4, 1e5, 1e6)])
+    assert T.is_optimal_dynamical(tree, plan).passed
+
+
+def test_constant_ray_plan_after_time_one(star3):
+    # no atom moves or crosses another, and the plan starts at 5: the exit
+    # time is 5, not 1, where no atom is defined
+    plan = T.DynamicalPlan.from_atoms(star3, [
+        (star3.constant_geodesic(star3.vertex_point("o"), 5.0, math.inf), 0.5),
+        (star3.constant_geodesic(star3.edge_point("r1", 2.0), 5.0, math.inf), 0.5),
+    ])
+    assert plan.kind == "ray"
+    assert T.is_optimal_dynamical(star3, plan).passed
+
+
+def test_ray_plan_growth_beyond_the_float_range_raises(star3):
+    # the growth of a ray at speed 1e160 one unit past time 1 is about 2e320
+    plan = T.DynamicalPlan.from_atoms(star3, [
+        (star3.ray_to_end(star3.vertex_point("o"), star3.end("r1"), 1e160), 0.5),
+        (star3.ray_to_end(star3.edge_point("r2", 1.0), star3.end("r2"), 1.0), 0.5),
+    ])
+    with pytest.raises(NonFiniteValue, match=r"^cost scale inf is not finite$"):
+        T.is_optimal_dynamical(star3, plan)
 
 
 def test_plan_speed_adds_in_order():

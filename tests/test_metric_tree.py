@@ -766,6 +766,29 @@ def test_constant_geodesic_restricts_to_a_ray(tripod):
     assert (ray.interval_kind, ray.t0, ray.t_origin, ray.evaluate(10.0)) == ("ray", 2.0, 2.0, a)
 
 
+def test_tail_gives_the_final_infinite_edge_from_the_last_node_on(tripod_completed):
+    t = tripod_completed
+    o, a = t.vertex_point("o"), t.vertex_point("a")
+    cases = [
+        (t.ray_to_end(o, t.end("ra"), 2.0), ("ra", -1.0, 2.0, 0.5)),
+        # from inside a finite edge: 0.25 to o, then 1 more to a
+        (t.ray_to_end(t.edge_point("eb", 0.25), t.end("ra"), 1.0), ("ra", -1.25, 1.0, 1.25)),
+        # from a point on its own infinite edge: the last node is the start
+        (t.ray_to_end(t.edge_point("ra", 3.0), t.end("ra"), 0.5), ("ra", 3.0, 0.5, 0.0)),
+        # time 2 at o, so time 3 at b
+        (t.geodesic_between_ends(t.end("ra"), t.end("rb"), anchor=o, anchor_time=2.0), ("rb", -3.0, 1.0, 3.0)),
+        (t.constant_geodesic(t.edge_point("rc", 2.0), 0.0, math.inf), ("rc", 2.0, 0.0, -math.inf)),
+    ]
+    for g, want in cases:
+        assert g.tail() == want
+        eid, c, speed, t_last = want
+        for time in (max(t_last, 0.0), 4.0, 10.5):
+            assert g.evaluate(time) == t.edge_point(eid, c + speed * time)
+    assert t.constant_geodesic(a, 0.0, math.inf).tail() is None
+    assert t.constant_geodesic(t.edge_point("ea", 0.5), 0.0, math.inf).tail() is None
+    assert t.geodesic_segment(o, t.edge_point("ra", 1.0), 0.0, 1.0).tail() is None
+
+
 def _forked():
     """o with legs to a, b (each with an end) and to the leaf c."""
     return T.MetricTree(

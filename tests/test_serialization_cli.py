@@ -499,6 +499,23 @@ def test_cli_certify_plan_segment_optimal_despite_antagonism(files, capsys):
     assert doc["optimal"] is True
 
 
+def test_cli_certify_plan_overtaking_rays_not_optimal(files, capsys):
+    # the ray from o at speed 2 overtakes the one from r1@10 at speed 1 at
+    # t = 10, with no antagonist pair: the (0, 20) coupling is not optimal
+    from treeot import cli as treeot_cli
+
+    ray = lambda start, speed: {
+        "geodesic": {"kind": "ray", "start": start, "end": "r1", "speed": speed}, "mass": "0.5",
+    }
+    plan = files("rays.json", {
+        "interval": {"kind": "ray", "t0": "0", "t1": "inf"},
+        "atoms": [ray({"edge": "r1", "offset": "10"}, "1"), ray({"vertex": "o"}, "2")],
+    })
+    tree = files("t.json", STAR3_JSON)
+    assert treeot_cli.run(["certify-plan", "--tree", tree, "--plan", plan]) == 0
+    assert capsys.readouterr().out == '{"antagonist_pairs":[],"kind":"dynamical","optimal":false}\n'
+
+
 def test_cli_plan_feeds_interpolate_past_12_decimals(files, capsys):
     # w2 prints the offset 0.1234567890123456 at 12 decimals; interpolate
     # snaps the printed point back onto the input's atom
@@ -1178,7 +1195,8 @@ def test_import_loads_no_numpy():
 def test_connected_plan_is_certified_without_numpy(files, capsys):
     # With numpy unimportable in a fresh interpreter, certify-plan and
     # interpolate --plan still run on a solved plan whose support is
-    # connected, and print what they print here.
+    # connected, and certify-plan on a ray plan from one point, and print
+    # what they print here.
     from treeot import cli as treeot_cli
 
     rng = np.random.default_rng(97)
@@ -1190,12 +1208,18 @@ def test_connected_plan_is_certified_without_numpy(files, capsys):
     doc = json.loads(capsys.readouterr().out)["plan"]
     assert helpers.support_components(io.plan_from_json(tree, doc)) == 1
     plan = files("plan.json", doc)
+    x = tree.edge_point(sorted(tree.edges)[0], 0.5)
+    rays = T.DynamicalPlan.from_atoms(
+        tree, [(tree.ray_to_end(x, end, speed), 0.5) for end, speed in zip(tree.ends(), (1.0, 2.0))]
+    )
+    ray_plan = files("rays.json", io.dynamical_plan_to_json(rays))
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = "import sys; sys.modules['numpy'] = None; from treeot import cli; sys.exit(cli.run(sys.argv[1:]))"
     outputs = []
     for argv in (
         ["certify-plan", "--tree", t, "--plan", plan],
         ["interpolate", "--tree", t, "--mu", m, "--nu", n, "--plan", plan],
+        ["certify-plan", "--tree", t, "--plan", ray_plan],
     ):
         assert treeot_cli.run(argv) == 0
         want = capsys.readouterr().out
@@ -1210,6 +1234,7 @@ def test_connected_plan_is_certified_without_numpy(files, capsys):
         assert out.stdout == want
     assert outputs[0]["cyclically_monotone"] is True
     assert outputs[1]["atoms"]
+    assert outputs[2]["optimal"] is True
 
 
 # -- import footprint ----------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 import treeot as T
 from treeot.errors import MarginalMismatch, NonFiniteValue
 from treeot.metric_tree import TOL
-from treeot.transport import certify_duals, min_improvement_cycle, transportation_simplex
+from treeot.transport import certify_costs, certify_duals, min_improvement_cycle, transportation_simplex
 
 import helpers
 
@@ -431,6 +431,40 @@ def test_cycle_search_matches_simple_cycle_enumeration():
         assert len(set(witness)) == len(witness) >= 2
         assert helpers.cycle_weight(w, witness) == best < 0
     assert 50 < fails < 350
+
+
+def test_cost_certificate_matches_simple_cycle_enumeration():
+    # Signed integer costs on supports of up to 6 entries, some of several
+    # components: the verdict must be exactly "some simple cycle of shifts
+    # is negative", and a failing witness must be such a cycle.
+    rng = np.random.default_rng(227)
+    fails, split = 0, [0, 0]  # several components: (passed, failed)
+    for _ in range(400):
+        nx, ny = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        cost = rng.integers(-3, 4, size=(nx, ny)).astype(float)
+        # every row and column in the support, repeated pairs allowed
+        pairs = [(i, int(rng.integers(0, ny))) for i in range(nx)]
+        pairs += [(int(rng.integers(0, nx)), j) for j in range(ny) if j not in {b for _, b in pairs}]
+        extra = min(int(rng.integers(0, 3)), 6 - len(pairs))
+        pairs += [(int(rng.integers(0, nx)), int(rng.integers(0, ny))) for _ in range(extra)]
+        pairs = [pairs[e] for e in rng.permutation(len(pairs))]
+        si, ti = [i for i, _ in pairs], [j for _, j in pairs]
+        plan = T.TransportPlan(tuple((("x", i), ("y", j), 1.0) for i, j in pairs))
+        k = len(pairs)
+        w = np.array([[cost[si[e], ti[f]] - cost[si[e], ti[e]] for f in range(k)] for e in range(k)])
+        negative = any(helpers.cycle_weight(w, c) < 0 for c in helpers.simple_cycles(k))
+        cert = certify_costs(cost.tolist(), si, ti, float(np.abs(cost).max()))
+        assert cert.passed == (not negative)
+        if helpers.support_components(plan) > 1:
+            split[negative] += 1
+        assert cert.max_cycle == k
+        if cert.passed:
+            assert (cert.witness, cert.improvement) == (None, 0.0)
+            continue
+        fails += 1
+        assert len(set(cert.witness)) == len(cert.witness) >= 2
+        assert helpers.cycle_weight(w, cert.witness) == cert.improvement < 0.0
+    assert 50 < fails < 300 and min(split) >= 20
 
 
 def test_cycle_search_finds_the_cycle_through_every_entry():
