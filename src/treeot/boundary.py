@@ -209,7 +209,8 @@ def asymptotic_formula_check(
         (t, w2_from_distances(_distances_at(tree, gs, hs, t), supply, demand)[0] / t)
         for t in grid
     ]
-    t_exit, near, far = beyond_exit(tree, gs, hs)
+    t_exit = beyond_exit(tree, gs, hs)
+    near, far = _distances_at(tree, gs, hs, t_exit), _distances_at(tree, gs, hs, t_exit + 1.0)
     slopes = [[a - b for a, b in zip(fr, nr)] for fr, nr in zip(far, near)]
     certified, coupling, _ = w2_from_distances(slopes, supply, demand, "slope")
     # W is bounded iff an optimal coupling of the slopes moves no mass along

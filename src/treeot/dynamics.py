@@ -256,31 +256,32 @@ def _ray_monotone(tree: MetricTree, plan: DynamicalPlan) -> bool:
     a (t - t0) + b, where b, the sum of the shifted b_ij^2, is at least 0.
     The weight is therefore at least 0 on [T, inf) iff a >= 0, iff it does
     not fall from T to T + 1: the certificate runs on the growth
-    d_ij(T + 1)^2 - d_ij(T)^2 = v_j (2 d_ij(T) + v_j), multiplied out so
-    that a constant atom gives 0 at any distance.  It is taken in that form
-    since a difference of squares would carry their rounding, about
-    d^2 / 2^52, which at exit times near 1e5 passes the certificate's slack
-    and fails plans with tied cycles.  Below T the (t0, t) coupling is a
-    restriction of the optimal (t0, T) one (Villani 2009, Thm 7.30).  Rows
-    are keyed as is_cyclically_monotone keys sources, so a plan from one
-    point is a single, connected row.
+    d_ij(T + 1)^2 - d_ij(T)^2 = v_j (2 d_ij(T) + v_j), divided by the
+    largest speed v so that it stays finite wherever the distances are (a
+    common positive factor changes the sign of no cycle).  It is taken as
+    (v_j / v) (2 d_ij(T) + v_j), so that a constant atom gives 0 at any
+    distance, and not as a difference of squares, which would carry their
+    rounding, about d^2 / 2^52: at exit times near 1e5 that passes the
+    certificate's slack and fails plans with tied cycles.  Below T the
+    (t0, t) coupling is a restriction of the optimal (t0, T) one (Villani
+    2009, Thm 7.30).  Rows are keyed as is_cyclically_monotone keys sources,
+    so a plan from one point is a single, connected row.
     """
     starts: dict = {}
     si = [starts.setdefault(g.evaluate(plan.t0), len(starts)) for g, _ in plan.atoms]
     fixed = [tree.constant_geodesic(x, plan.t0, math.inf) for x in starts]
     rays = [g for g, _ in plan.atoms]
-    _, near, _ = beyond_exit(tree, fixed, rays)
-    grow = [[2.0 * g.speed * d + g.speed * g.speed for d, g in zip(row, rays)] for row in near]
-    scale = max(max(map(abs, row)) for row in grow)
-    return certify_costs(grow, si, range(len(si)), scale).passed
+    near = _distances_at(tree, fixed, rays, beyond_exit(tree, fixed, rays))
+    fastest = max(g.speed for g in rays) or 1.0
+    grow = [[g.speed / fastest * (2.0 * d + g.speed) for d, g in zip(row, rays)] for row in near]
+    return certify_costs(grow, si, range(len(si))).passed
 
 
 def beyond_exit(
     tree: MetricTree, mu: Sequence[TreeGeodesic], sigma: Sequence[TreeGeodesic]
-) -> tuple[float, list[list[float]], list[list[float]]]:
-    """(T, near, far): a time T from which on the distance between every
-    geodesic of mu and every one of sigma, all on [t0, inf), is affine in
-    t, and the distance matrices of their points at T and at T + 1.
+) -> float:
+    """A time T from which on the distance between every geodesic of mu and
+    every one of sigma, all on [t0, inf), is affine in t.
 
     Such a distance can kink only while a geodesic still passes vertices,
     or when two on one infinite edge pass each other.  T is therefore the
@@ -295,7 +296,7 @@ def beyond_exit(
         for b in tails[1]:
             if a is not None and b is not None and a[0] == b[0] and a[2] != b[2]:
                 t = max(t, (b[1] - a[1]) / (a[2] - b[2]))
-    return t, _distances_at(tree, mu, sigma, t), _distances_at(tree, mu, sigma, t + 1.0)
+    return t
 
 
 def _distances_at(

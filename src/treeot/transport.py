@@ -500,7 +500,7 @@ def is_cyclically_monotone(
     Distances are computed once per distinct source and target, in
     first-seen order and keyed as given (points equal only after
     canonicalisation stay separate keys, with equal distances); their
-    squares go to certify_costs, with the largest as the cost scale.
+    squares go to certify_costs.
     """
     k = len(plan.entries)
     if k == 0:
@@ -511,11 +511,11 @@ def is_cyclically_monotone(
     ti = [ys.setdefault(y, len(ys)) for _, y, _ in plan.entries]
     with squares_in_range("distance"):
         sq = [[v ** 2 for v in row] for row in tree.distance_matrix(list(xs), list(ys))]
-    return certify_costs(sq, si, ti, max(map(max, sq)))
+    return certify_costs(sq, si, ti)
 
 
 def certify_costs(
-    cost: Sequence[Sequence[float]], si: Sequence[int], ti: Sequence[int], scale: float
+    cost: Sequence[Sequence[float]], si: Sequence[int], ti: Sequence[int]
 ) -> MonotonicityCertificate:
     """Cyclical monotonicity of a support for a cost matrix of either sign.
 
@@ -523,14 +523,14 @@ def certify_costs(
     ti[e]), and every row and column carries at least one entry.  A failing
     certificate carries a simple witness cycle of entry indices: shifting
     each listed entry's target to the next one changes the cost by
-    `improvement` < 0, summed from `cost`.  `scale` is the largest |c|; an
-    infinite one raises NonFiniteValue.
+    `improvement` < 0, summed from `cost`.  The cost scale is the largest
+    |c|; an infinite one raises NonFiniteValue.
 
     The certificate is a pair of potentials phi (sources) and psi (targets)
     with phi + psi = c on the support and c - phi - psi >= 0 everywhere,
     each within TOL / (2k) for k entries: any cycle of shifts then weighs at
-    least -TOL.  (At a large `scale` the slack is 2k ulps of it instead, see
-    _arc_slack.)  One walk per component of the bipartite support graph,
+    least -TOL.  (At a large cost scale the slack is 2k ulps of it instead,
+    see _arc_slack.)  One walk per component of the bipartite support graph,
     from its first source, sets the potentials along the walk's arcs.  A
     support pair off its potentials, or a negative reduced cost inside a
     component, fails at once, with the cycle it closes through the walk's
@@ -540,6 +540,7 @@ def certify_costs(
     a negative cycle there is closed through the walk's arcs of every
     component it passes.
     """
+    scale = max(max(map(abs, row)) for row in cost)
     if not scale < math.inf:
         raise NonFiniteValue(f"cost scale {scale} is not finite")
     k = len(si)

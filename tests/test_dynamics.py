@@ -9,9 +9,7 @@ import pytest
 
 import treeot as T
 from treeot.dynamics import OptimalityCertificate, beyond_exit, projection_monotone
-from treeot.errors import (
-    LeafyTree, MarginalMismatch, NonFiniteValue, NotDiracBased, OutOfInterval, PlanNotOptimal,
-)
+from treeot.errors import LeafyTree, MarginalMismatch, NotDiracBased, OutOfInterval, PlanNotOptimal
 
 import helpers
 
@@ -578,7 +576,7 @@ def test_ray_plan_with_a_late_exit_and_tied_cycles():
         (tree.ray_to_end(tree.vertex_point("b"), B, 1.0), 0.25),
     ])
     starts = [tree.constant_geodesic(g.evaluate(0.0), 0.0, math.inf) for g, _ in plan.atoms]
-    assert beyond_exit(tree, starts, [g for g, _ in plan.atoms])[0] == 3e4
+    assert beyond_exit(tree, starts, [g for g, _ in plan.atoms]) == 3e4
     assert projection_monotone(tree, plan, [(0.0, t) for t in (1.0, 1e3, 3e4, 1e5, 1e6)])
     assert T.is_optimal_dynamical(tree, plan).passed
 
@@ -594,14 +592,15 @@ def test_constant_ray_plan_after_time_one(star3):
     assert T.is_optimal_dynamical(star3, plan).passed
 
 
-def test_ray_plan_growth_beyond_the_float_range_raises(star3):
-    # the growth of a ray at speed 1e160 one unit past time 1 is about 2e320
+def test_ray_plan_growth_beyond_the_float_range_is_decided(star3):
+    # the growth of a ray at speed 1e160 one unit past time 1 is about 2e320,
+    # out of the float range; divided by the largest speed it is 3e160, and a
+    # swap of the two targets costs about 2e160 more per unit of time
     plan = T.DynamicalPlan.from_atoms(star3, [
         (star3.ray_to_end(star3.vertex_point("o"), star3.end("r1"), 1e160), 0.5),
         (star3.ray_to_end(star3.edge_point("r2", 1.0), star3.end("r2"), 1.0), 0.5),
     ])
-    with pytest.raises(NonFiniteValue, match=r"^cost scale inf is not finite$"):
-        T.is_optimal_dynamical(star3, plan)
+    assert T.is_optimal_dynamical(star3, plan).passed
 
 
 def test_plan_speed_adds_in_order():
