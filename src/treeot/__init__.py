@@ -20,7 +20,7 @@ from .errors import *  # noqa: F403  (the error types, the one eager import)
 # Every public name, by the submodule that defines it.
 _EXPORTS = {
     "errors": (
-        "ConstantGeodesic", "DiagonalMass", "EqualEnds", "FlagInvalid", "InconsistentData",
+        "ConstantGeodesic", "EqualEnds", "FlagInvalid", "InconsistentData",
         "LeafyTree", "MalformedForRadon", "MalformedTree", "MarginalMismatch",
         "NonFiniteValue", "NonUnitMeasure", "NotAntipodal", "NotDiracBased", "NotRealizable",
         "OutOfInterval", "PlanNotOptimal", "SolverFailure", "TreeOTError",

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .errors import MarginalMismatch, NonUnitMeasure, OutOfInterval
 from .metric_tree import DUST, TOL, MetricTree, TreeEnd, TreePoint
 from .dynamics import DynamicalPlan, _distances_at, beyond_exit
-from .transport import _add_in_order, _merge_atoms, w2_from_distances
+from .transport import _add_in_order, _merge_atoms, _sums_by_key, w2_from_distances
 
 ConeAtomKey = tuple[TreeEnd | None, float]  # (end, speed); apex is (None, 0)
 
@@ -105,12 +106,10 @@ def w_infinity(tree: MetricTree, nu1: ConeMeasure, nu2: ConeMeasure) -> WInfinit
 
 def total_variation(nu1: ConeMeasure, nu2: ConeMeasure) -> float:
     """Total variation distance (half the mass of |nu1 - nu2|)."""
-    keys = {k: 0.0 for k in nu1.keys()}
-    for k, m in zip(nu1.keys(), nu1.masses()):
-        keys[k] = keys.get(k, 0.0) + m
-    for k, m in zip(nu2.keys(), nu2.masses()):
-        keys[k] = keys.get(k, 0.0) - m
-    return 0.5 * _add_in_order(abs(v) for v in keys.values())
+    gaps = _sums_by_key(chain(
+        (((e, s), m) for e, s, m in nu1.atoms), (((e, s), -m) for e, s, m in nu2.atoms)
+    ))
+    return 0.5 * _add_in_order(abs(v) for v in gaps.values())
 
 
 def asymptotic_measure(plan: DynamicalPlan, direction: int = +1) -> ConeMeasure:

@@ -42,6 +42,7 @@ from .transport import (
     TransportPlan,
     _add_in_order,
     _merge_atoms,
+    _sums_by_key,
     certify_costs,
     is_cyclically_monotone,
     wasserstein2,
@@ -143,11 +144,10 @@ class LiftedCoupling:
     sigma: DynamicalPlan
 
     def project(self, t: float) -> TransportPlan:
-        tree = self.mu.atoms[0][0].tree
-        cells: dict = {}
-        for i, j, q in self.pairs:
-            key = (self.mu.atoms[i][0].evaluate(t), self.sigma.atoms[j][0].evaluate(t))
-            cells[key] = cells.get(key, 0.0) + q
+        cells = _sums_by_key(
+            ((self.mu.atoms[i][0].evaluate(t), self.sigma.atoms[j][0].evaluate(t)), q)
+            for i, j, q in self.pairs
+        )
         return TransportPlan(tuple((x, y, q) for (x, y), q in cells.items()))
 
 
@@ -172,10 +172,11 @@ def lift(
     for j, (g, _) in enumerate(sigma.atoms):
         at_sigma.setdefault(g.evaluate(t), []).append(j)
 
+    mass_mu, mass_sigma = dict(mu_t.atoms), dict(sigma_t.atoms)
     pairs = []
     for x, y, q in plan_t.entries:
-        mx = mu_t.mass_at(x)
-        ny = sigma_t.mass_at(y)
+        mx = mass_mu.get(x, 0.0)
+        ny = mass_sigma.get(y, 0.0)
         if mx <= 0.0 or ny <= 0.0:
             raise MarginalMismatch("plan entry outside the pushforward supports")
         for i in at_mu[x]:

@@ -22,16 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .errors import (
-    DiagonalMass, NotAntipodal, NotRealizable, SolverFailure,
-)
+from .errors import NotAntipodal, NotRealizable, SolverFailure
 from .metric_tree import DUST, TOL, MetricTree, TreeEnd, gromov_product
 from .transport import (
     _add_in_order,
     _merge_atoms,
+    _sums_by_key,
     solve_transport,
     squares_in_range,
 )
@@ -65,10 +64,7 @@ class BoundaryMeasure:
         return frozenset(e for e, _ in self.atoms)
 
     def mass_at(self, end: TreeEnd) -> float:
-        for e, m in self.atoms:
-            if e == end:
-                return m
-        return 0.0
+        return dict(self.atoms).get(end, 0.0)
 
     def to_cone(self, tree: MetricTree) -> ConeMeasure:
         from .boundary import ConeMeasure
@@ -139,11 +135,9 @@ def flow_table(
     anti = is_antipodal(tree, nu_minus, nu_plus)
     if not anti.antipodal:
         raise NotAntipodal(f"supports share ends {anti.common_ends}")
-    nu: dict[str, float] = {}
-    for e, m in nu_plus.atoms:
-        nu[e.edge] = nu.get(e.edge, 0.0) + m
-    for e, m in nu_minus.atoms:
-        nu[e.edge] = nu.get(e.edge, 0.0) - m
+    nu = _sums_by_key(chain(
+        ((e.edge, m) for e, m in nu_plus.atoms), ((e.edge, -m) for e, m in nu_minus.atoms)
+    ))
     edge_flow = tree.mass_beyond({}, nu)
 
     # Aggregation is exact; the neutral tolerance only affects sign labels.
@@ -237,8 +231,6 @@ def d0_transport(
     xs = [e for e, _ in nu_minus.atoms]
     ys = [e for e, _ in nu_plus.atoms]
     d0 = [[gromov_product(tree, xi, zeta) for zeta in ys] for xi in xs]
-    if any(math.isinf(v) for row in d0 for v in row):
-        raise DiagonalMass("a support pair joins an end to itself")
     with squares_in_range("D0"):
         cost = [[-(v ** 2) for v in row] for row in d0]
         value, idx_entries, _ = solve_transport(
@@ -295,11 +287,10 @@ def _certify_constructed(tree, plan, nu_minus, nu_plus, d0_value) -> None:
 
 
 def _cone_close(a: ConeMeasure, b: ConeMeasure) -> bool:
-    da = {(e, s): m for e, s, m in a.atoms}
-    for e, s, m in b.atoms:
-        if abs(da.pop((e, s), 0.0) - m) > TOL:
-            return False
-    return all(abs(m) <= TOL for m in da.values())
+    gaps = _sums_by_key(chain(
+        (((e, s), m) for e, s, m in a.atoms), (((e, s), -m) for e, s, m in b.atoms)
+    ))
+    return all(abs(g) <= TOL for g in gaps.values())
 
 
 # -- plan traversal masses (the flow equalities) -----------------------------------
@@ -314,21 +305,12 @@ class TraversalMasses(NamedTuple):
 def plan_traversal_masses(tree: MetricTree, plan: DynamicalPlan) -> TraversalMasses:
     """Edge, vertex and anchored-vertex masses of a complete plan, the
     quantities matched by the flow table when no antagonism is present."""
-    edge: dict[tuple[str, int], float] = {}
-    vertex: dict[str, float] = {}
-    anchored: dict[str, float] = {}
-    for g, m in plan.atoms:
-        for eid, _, _, direction in g.traversals():
-            key = (eid, direction)
-            edge[key] = edge.get(key, 0.0) + m
-        for _, p in g.nodes:
-            if p.is_vertex():
-                vertex[p.vertex] = vertex.get(p.vertex, 0.0) + m
-        if not g.is_constant:
-            a = g.point_at_arc(0.0)
-            if a.is_vertex():
-                anchored[a.vertex] = anchored.get(a.vertex, 0.0) + m
-    return TraversalMasses(edge, vertex, anchored)
+    anchors = [(g.point_at_arc(0.0), m) for g, m in plan.atoms if not g.is_constant]
+    return TraversalMasses(
+        _sums_by_key(((eid, d), m) for g, m in plan.atoms for eid, _, _, d in g.traversals()),
+        _sums_by_key((p.vertex, m) for g, m in plan.atoms for _, p in g.nodes if p.is_vertex()),
+        _sums_by_key((a.vertex, m) for a, m in anchors if a.is_vertex()),
+    )
 
 
 # -- generated combs ------------------------------------------------------------

@@ -61,11 +61,6 @@ class NotAntipodal(TreeOTError):
     """Two boundary measures are not antipodal (their supports overlap)."""
 
 
-class DiagonalMass(TreeOTError):
-    """A transport problem on the boundary would be forced to place positive
-    mass on a diagonal pair, where the base-to-geodesic distance is infinite."""
-
-
 class NotRealizable(TreeOTError):
     """The requested pair of boundary measures is not the pair of ends of any
     finite-second-moment complete geodesic (divergent generated family)."""

@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Mapping, Sequence
 
 from .errors import (
     ConstantGeodesic, FlagInvalid, InconsistentData, MalformedForRadon, NonFiniteValue,
 )
 from .metric_tree import DUST, TOL, MetricTree, TreeGeodesic, TreePoint, project_to_geodesic
-from .transport import DUAL_TOL, DiscreteMeasure, _add_in_order
+from .transport import DUAL_TOL, DiscreteMeasure, _add_in_order, _sums_by_key
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,7 @@ class VertexFunction:
         return VertexFunction(items, _add_in_order(h for _, h in items))
 
     def get(self, v: str) -> float:
-        for w, h in self.values:
-            if w == v:
-                return h
-        return 0.0
+        return dict(self.values).get(v, 0.0)
 
     def as_dict(self) -> dict[str, float]:
         return dict(self.values)
@@ -273,10 +270,7 @@ def measure_radon_roundtrip(tree: MetricTree, mu: DiscreteMeasure) -> RoundtripR
                 interior.append((p, m))
     interior_total = _add_in_order(m for _, m in interior)
 
-    on_edge: dict[str, float] = {}
-    for p, m in interior:
-        on_edge[p.edge] = on_edge.get(p.edge, 0.0) + m
-    hidden = _perpendicular_sums(tree, {}, on_edge)
+    hidden = _perpendicular_sums(tree, {}, _sums_by_key((p.edge, m) for p, m in interior))
 
     flag_data: dict[Flag, float] = {}
     for flag in all_flags(tree):
@@ -292,8 +286,6 @@ def measure_radon_roundtrip(tree: MetricTree, mu: DiscreteMeasure) -> RoundtripR
             atoms.append((tree.vertex_point(v), hv))
     reconstructed = DiscreteMeasure.from_atoms(tree, atoms)
 
-    want = {p: m for p, m in mu.atoms}
-    got = {p: m for p, m in reconstructed.atoms}
-    keys = set(want) | set(got)
-    max_err = max(abs(want.get(p, 0.0) - got.get(p, 0.0)) for p in keys)
+    gaps = _sums_by_key(chain(mu.atoms, ((p, -m) for p, m in reconstructed.atoms)))
+    max_err = max(abs(g) for g in gaps.values())
     return RoundtripReport(tuple(interior), h, reconstructed, max_err)

@@ -29,6 +29,11 @@ needs more: a Bellman-Ford search over the components
 (min_improvement_cycle).  That search and the matrix handed to it are the
 only numpy code in the package, and numpy is imported where they run:
 importing treeot, and certifying a connected support, never load numpy.
+
+Every sum of masses by key in the package (the atoms of a measure, a
+plan's marginals, the signed end masses of the flows, the gaps between two
+mass assignments) goes through _sums_by_key, which adds left to right with
+the keys in first-seen order, so that equal inputs give equal bits.
 """
 
 from __future__ import annotations
@@ -64,6 +69,17 @@ def _add_in_order(values) -> float:
     return reduce(add, values, 0.0)
 
 
+def _sums_by_key(pairs: Iterable[tuple[Hashable, float]]) -> dict:
+    """The masses of (key, mass) pairs added at each key, left to right,
+    with the keys in first-seen order.  A difference of two mass
+    assignments is the sum of one with the other's masses negated: IEEE 754
+    defines x - y as x + (-y), bit for bit."""
+    sums: dict = {}
+    for key, m in pairs:
+        sums[key] = sums.get(key, 0.0) + m
+    return sums
+
+
 def _merge_atoms(
     atoms: Iterable[tuple[Hashable, float]], what: str, empty: str | None = None
 ) -> list:
@@ -78,12 +94,13 @@ def _merge_atoms(
     first.  A merged mass below -DUST is not dust and raises, and so does a
     NaN or infinite mass, which no comparison would catch.
     """
-    merged: dict = {}
+    checked = []
     for key, m in atoms:
         m = float(m)
         if not math.isfinite(m):
             raise MarginalMismatch(f"non-finite mass {m} at {key!r}")
-        merged[key] = merged.get(key, 0.0) + m
+        checked.append((key, m))
+    merged = _sums_by_key(checked)
     for key, m in merged.items():
         if m < -DUST:
             raise MarginalMismatch(f"negative mass {m} at {key!r}")
@@ -128,10 +145,7 @@ class DiscreteMeasure:
         return [m for _, m in self.atoms]
 
     def mass_at(self, p: TreePoint) -> float:
-        for q, m in self.atoms:
-            if q == p:
-                return m
-        return 0.0
+        return dict(self.atoms).get(p, 0.0)
 
     def second_moment(self, tree: MetricTree) -> float:
         """Second moment about the tree's base point."""
@@ -155,11 +169,8 @@ class TransportPlan:
         return _add_in_order(m * cost_fn(x, y) for x, y, m in self.entries)
 
     def check_marginals(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
-        row: dict = {}
-        col: dict = {}
-        for x, y, m in self.entries:
-            row[x] = row.get(x, 0.0) + m
-            col[y] = col.get(y, 0.0) + m
+        row = _sums_by_key((x, m) for x, _, m in self.entries)
+        col = _sums_by_key((y, m) for _, y, m in self.entries)
         # Written as `not ... <= TOL`, so that a NaN sum fails too.
         for p, m in mu.atoms:
             if not abs(row.pop(p, 0.0) - m) <= TOL:

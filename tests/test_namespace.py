@@ -14,7 +14,7 @@ import treeot as T
 # Every name the package exports, by the submodule that defines it.
 EXPORTS = {
     "errors": [
-        "ConstantGeodesic", "DiagonalMass", "EqualEnds", "FlagInvalid", "InconsistentData",
+        "ConstantGeodesic", "EqualEnds", "FlagInvalid", "InconsistentData",
         "LeafyTree", "MalformedForRadon", "MalformedTree", "MarginalMismatch",
         "NonFiniteValue", "NonUnitMeasure", "NotAntipodal", "NotDiracBased", "NotRealizable",
         "OutOfInterval", "PlanNotOptimal", "SolverFailure", "TreeOTError",

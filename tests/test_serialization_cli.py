@@ -716,6 +716,117 @@ def test_cli_geodesic_outputs_are_pinned_bytes(files):
         assert out.stdout == PINNED_GEODESIC_OUTPUTS[name], name
 
 
+def _measure_runs(files):
+    """Runs of the subcommands the geodesic pins leave out, and runs whose
+    inputs give one key several masses (merged left to right)."""
+    barbell, star3 = files("barbell.json", BARBELL_JSON), files("star3.json", STAR3_JSON)
+    tripod = files("tripod.json", TRIPOD_JSON)
+    point = lambda p, m: {"point": p, "mass": m}
+    cone = lambda e, s, m: {"end": e, "speed": s, "mass": m}
+    a, eb = {"vertex": "a"}, {"edge": "eb", "offset": "0.5"}
+    ends = ("--plus", files("ends_plus.json", {"atoms": [{"end": "rb", "mass": "0.45"}, {"end": "rd", "mass": "0.2"},
+                                                         {"end": "ro", "mass": "0.35"}]}))
+    return {
+        "w2": ("--tree", tripod,
+               "--mu", files("w2_mu.json", {"atoms": [point(a, "0.4"), point(eb, "0.6")]}),
+               "--nu", files("w2_nu.json", {"atoms": [point({"vertex": "c"}, "0.5"),
+                                                      point({"edge": "ea", "offset": "0.25"}, "0.5")]})),
+        "w2 repeated-point": ("--tree", tripod,
+                              "--mu", files("w2_mu2.json", {"atoms": [point(a, "0.1"), point(eb, "0.6"),
+                                                                      point(a, "0.3")]}),
+                              "--nu", files("w2_nu2.json", {"atoms": [point({"vertex": "c"}, "0.5"),
+                                                                      point({"vertex": "c"}, "0.25"),
+                                                                      point({"edge": "ea", "offset": "0.25"}, "0.25")]})),
+        "w-infinity": ("--tree", star3,
+                       "--nu1", files("c1.json", {"atoms": [cone("r1", "1", "0.5"), cone("r2", "2", "0.5")]}),
+                       "--nu2", files("c2.json", {"atoms": [cone("r3", "1.5", "0.75"), cone("apex", "0", "0.25")]})),
+        "w-infinity repeated-key": ("--tree", star3,
+                                    "--nu1", files("c3.json", {"atoms": [cone("r1", "1", "0.3"), cone("r2", "2", "0.5"),
+                                                                         cone("r1", "1", "0.2")]}),
+                                    "--nu2", files("c4.json", {"atoms": [cone("r1", "1.5", "0.75"),
+                                                                         cone("apex", "0", "0.25")]})),
+        "flows repeated-end": ("--tree", files("on_edge.json", _ended({"edge": "ec", "offset": "1.25"})),
+                               "--minus", files("minus3.json", {"atoms": [{"end": "ra", "mass": "0.1"},
+                                                                          {"end": "rc", "mass": "0.7"},
+                                                                          {"end": "ra", "mass": "0.2"}]}),
+                               *ends),
+        "build-geodesic repeated-end": ("--tree", barbell,
+                                        "--minus", files("minus2.json", {"atoms": [{"end": "r1", "mass": "0.125"},
+                                                                                   {"end": "r2", "mass": "0.75"},
+                                                                                   {"end": "r1", "mass": "0.125"}]}),
+                                        "--plus", files("plus.json", PLUS)),
+        "radon": ("--tree", barbell, "--function", files("h.json", {"values": {"u": "2", "v": "5"}})),
+        "radon-invert": ("--tree", barbell, "--total", "7", "--data", files("r.json", [
+            {"vertex": "u", "edges": ["r1", "r2"], "value": "7"},
+            {"vertex": "u", "edges": ["euv", "r1"], "value": "2"},
+            {"vertex": "u", "edges": ["euv", "r2"], "value": "2"},
+            {"vertex": "v", "edges": ["r3", "r4"], "value": "7"},
+            {"vertex": "v", "edges": ["euv", "r3"], "value": "5"},
+            {"vertex": "v", "edges": ["euv", "r4"], "value": "5"},
+        ])),
+        "comb": ("--depth", "64", "--exponent", "3"),
+    }
+
+
+# stdout of each run, recorded once; equal bytes on every supported Python.
+# Split atoms print as the unsplit ones they sum to.
+PINNED_MEASURE_OUTPUTS = {
+    "w2": (
+        '{"distance":"1.185854122563","plan":['
+        '{"mass":"0.400000000000","source":{"vertex":"a"},"target":{"edge":"ea","offset":"0.250000000000"}},'
+        '{"mass":"0.500000000000","source":{"edge":"eb","offset":"0.500000000000"},"target":{"vertex":"c"}},'
+        '{"mass":"0.100000000000","source":{"edge":"eb","offset":"0.500000000000"},'
+        '"target":{"edge":"ea","offset":"0.250000000000"}}]}\n'
+    ),
+    "w2 repeated-point": (
+        '{"distance":"1.445899374092","plan":['
+        '{"mass":"0.150000000000","source":{"vertex":"a"},"target":{"vertex":"c"}},'
+        '{"mass":"0.250000000000","source":{"vertex":"a"},"target":{"edge":"ea","offset":"0.250000000000"}},'
+        '{"mass":"0.600000000000","source":{"edge":"eb","offset":"0.500000000000"},"target":{"vertex":"c"}}]}\n'
+    ),
+    "w-infinity": (
+        '{"distance":"2.680951323691","plan":['
+        '{"from":{"end":"r1","speed":"1.000000000000"},"mass":"0.500000000000",'
+        '"to":{"end":"r3","speed":"1.500000000000"}},'
+        '{"from":{"end":"r2","speed":"2.000000000000"},"mass":"0.250000000000",'
+        '"to":{"end":"r3","speed":"1.500000000000"}},'
+        '{"from":{"end":"r2","speed":"2.000000000000"},"mass":"0.250000000000",'
+        '"to":{"end":"apex","speed":"0.000000000000"}}]}\n'
+    ),
+    "w-infinity repeated-key": (
+        '{"distance":"2.046338192968","plan":['
+        '{"from":{"end":"r1","speed":"1.000000000000"},"mass":"0.500000000000",'
+        '"to":{"end":"r1","speed":"1.500000000000"}},'
+        '{"from":{"end":"r2","speed":"2.000000000000"},"mass":"0.250000000000",'
+        '"to":{"end":"r1","speed":"1.500000000000"}},'
+        '{"from":{"end":"r2","speed":"2.000000000000"},"mass":"0.250000000000",'
+        '"to":{"end":"apex","speed":"0.000000000000"}}]}\n'
+    ),
+    "flows repeated-end": PINNED_GEODESIC_OUTPUTS["flows edge-basepoint"],
+    "build-geodesic repeated-end": PINNED_GEODESIC_OUTPUTS["build-geodesic"],
+    "radon": (
+        '{"data":[{"edges":["euv","r1"],"value":"2","vertex":"u"},{"edges":["euv","r2"],"value":"2","vertex":"u"},'
+        '{"edges":["r1","r2"],"value":"7","vertex":"u"},{"edges":["euv","r3"],"value":"5","vertex":"v"},'
+        '{"edges":["euv","r4"],"value":"5","vertex":"v"},{"edges":["r3","r4"],"value":"7","vertex":"v"}],'
+        '"total":"7"}\n'
+    ),
+    "radon-invert": '{"u":"2","v":"5"}\n',
+    "comb": (
+        '{"depth":64,"depths":[1,2,4,8,16,32,64,128,256,512,1024,2048,4096],"mass_exponent":"3.000000000000",'
+        '"partial_sums":["0.000000000000","0.000000000000","0.142857142857","0.363665739043","0.635352331074",'
+        '"0.935304855482","1.249934624530","1.571992516523","1.897775393960","2.225420708354","2.553996542451",'
+        '"2.883037292066","3.212310371146"],"value":"1.249934624530","verdict":"DIVERGES"}\n'
+    ),
+}
+
+
+def test_cli_measure_outputs_are_pinned_bytes(files):
+    for name, args in _measure_runs(files).items():
+        out = cli(name.split()[0], *args)
+        assert (out.returncode, out.stderr) == (0, ""), name
+        assert out.stdout == PINNED_MEASURE_OUTPUTS[name], name
+
+
 def test_cli_exit_codes(files, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -11,7 +11,9 @@ import pytest
 import treeot as T
 from treeot.errors import MarginalMismatch, NonFiniteValue
 from treeot.metric_tree import TOL
-from treeot.transport import certify_costs, certify_duals, min_improvement_cycle, transportation_simplex
+from treeot.transport import (
+    _sums_by_key, certify_costs, certify_duals, min_improvement_cycle, transportation_simplex,
+)
 
 import helpers
 
@@ -842,6 +844,22 @@ def test_transport_sums_add_in_order():
     assert math.fsum(tenths) != helpers.add_in_order(tenths)
     with pytest.raises(MarginalMismatch, match=f"masses sum to {helpers.add_in_order(tenths)}, "):
         T.DiscreteMeasure.from_atoms(tree, zip(pts, tenths))
+
+
+def test_sums_by_key_adds_left_to_right_in_first_seen_order():
+    sums = _sums_by_key([("b", 1e16), ("a", 0.25), ("b", 1.0), ("c", 0.5), ("b", -1e16), ("a", 0.5)])
+    assert list(sums) == ["b", "a", "c"]
+    # left to right 1e16 + 1.0 rounds back to 1e16; a compensated sum gives 1.0
+    assert sums["b"] == helpers.add_in_order([1e16, 1.0, -1e16]) == 0.0
+    assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+    assert sums["a"] == 0.75 and sums["c"] == 0.5
+
+    # a negated mass gives the bits of the subtraction
+    rng = np.random.default_rng(106)
+    for x, y in rng.standard_normal((200, 2)) * 10.0 ** rng.integers(-20, 20, (200, 2)):
+        x, y = float(x), float(y)
+        assert _sums_by_key([(0, x), (0, -y)])[0].hex() == (x - y).hex()
+    assert _sums_by_key([(0, 0.1), (0, -0.3)])[0].hex() == (0.1 - 0.3).hex()
 
 
 # -- marginal checks -------------------------------------------------------------------
