@@ -35,8 +35,7 @@ from .transport import _add_in_order, _merge_atoms, _sums_by_key, w2_from_distan
 ConeAtomKey = tuple[TreeEnd | None, float]  # (end, speed); apex is (None, 0)
 
 
-@dataclass(frozen=True)
-class ConeMeasure:
+class ConeMeasure(NamedTuple):
     """Finitely supported measure on the cone over the boundary.
 
     Atoms are (end, speed, mass); speeds in [0, DUST] collapse to the apex,
@@ -152,6 +151,8 @@ def ray_from_asymptotic_measure(
 DEFAULT_T_GRID = (1.0, 10.0, 100.0, 1e3, 1e4, 1e6)
 
 
+# A dataclass, not a NamedTuple like the other records: bench/selftest.py
+# builds its wrong outputs with dataclasses.replace.
 @dataclass(frozen=True)
 class ConvergenceReport:
     rows: tuple[tuple[float, float], ...]  # (t, W(mu_t, sigma_t) / t)

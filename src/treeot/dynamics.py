@@ -26,8 +26,7 @@ since an overlap crossed in opposite directions can be paid for outside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     LeafyTree,
@@ -49,8 +48,7 @@ from .transport import (
 )
 
 
-@dataclass(frozen=True)
-class DynamicalPlan:
+class DynamicalPlan(NamedTuple):
     """Finitely supported measure on geodesics over a common interval."""
 
     atoms: tuple[tuple[TreeGeodesic, float], ...]
@@ -107,7 +105,7 @@ def interpolate(
     if plan is None:
         plan = wasserstein2(tree, mu0, mu1).plan
     else:
-        plan = replace(plan, entries=tuple(
+        plan = plan._replace(entries=tuple(
             (_snap(x, mu0.atoms), _snap(y, mu1.atoms), m) for x, y, m in plan.entries
         ))
         plan.check_marginals(mu0, mu1)
@@ -134,8 +132,7 @@ def _snap(p: TreePoint, atoms) -> TreePoint:
 # -- lifting -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiftedCoupling:
+class LiftedCoupling(NamedTuple):
     """Most independent lift of a time-t plan to a coupling of two
     dynamical plans, as (mu index, sigma index, mass) triples."""
 
@@ -215,8 +212,7 @@ def antagonist_pairs(plan: DynamicalPlan) -> list[tuple[int, int, str]]:
     return out
 
 
-@dataclass(frozen=True)
-class OptimalityCertificate:
+class OptimalityCertificate(NamedTuple):
     passed: bool
     witnesses: tuple[tuple[int, int, str], ...]
 
@@ -378,8 +374,7 @@ def dirac_interpolation(
     return DiscreteMeasure.from_atoms(tree, atoms)
 
 
-@dataclass(frozen=True)
-class SupportTestResult:
+class SupportTestResult(NamedTuple):
     supported: bool
     witness: tuple[TreePoint, TreePoint] | None
     lhs: float | None  # W(x^1/2 mu, x^1/2 delta_g) at the witness
@@ -423,8 +418,9 @@ def supported_on_geodesic_test(
 
 
 def _require_maximal(tree: MetricTree, gamma: TreeGeodesic) -> None:
-    if gamma.is_constant:
-        raise ValueError("constant geodesic is not maximal")
+    """OutOfInterval when a side of gamma stops at a point it could be
+    extended from: neither at an end nor at a leaf.  A constant geodesic at
+    a leaf passes here; project_to_geodesic then raises ConstantGeodesic."""
     for side_end, node in (
         (gamma.neg_end, gamma.nodes[0][1]),
         (gamma.pos_end, gamma.nodes[-1][1]),
@@ -432,14 +428,13 @@ def _require_maximal(tree: MetricTree, gamma: TreeGeodesic) -> None:
         if side_end is not None:
             continue
         if not (node.is_vertex() and tree.valency(node.vertex) == 1):
-            raise ValueError("geodesic is not maximal (endpoint is extendable)")
+            raise OutOfInterval("geodesic is not maximal (endpoint is extendable)")
 
 
 # -- complete plans ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpeedCertificate:
+class SpeedCertificate(NamedTuple):
     passed: bool
     speeds: tuple[float, ...]
     witness: tuple[int, int] | None  # a pair of atoms with different speeds

@@ -49,8 +49,7 @@ VERDICT_DOUBLINGS = 3
 SAMPLED_DOUBLINGS = 12
 
 
-@dataclass(frozen=True)
-class BoundaryMeasure:
+class BoundaryMeasure(NamedTuple):
     """Probability measure on the ends (the unit-speed slice of the cone)."""
 
     atoms: tuple[tuple[TreeEnd, float], ...]
@@ -72,8 +71,7 @@ class BoundaryMeasure:
         return ConeMeasure.from_atoms(tree, [(e, 1.0, m) for e, m in self.atoms])
 
 
-@dataclass(frozen=True)
-class AntipodalityResult:
+class AntipodalityResult(NamedTuple):
     antipodal: bool
     uniformly_antipodal: bool
     common_ends: tuple[TreeEnd, ...]
@@ -96,8 +94,7 @@ def is_antipodal(
 # -- flows -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowTable:
+class FlowTable(NamedTuple):
     """Flows of nu = nu+ - nu- through oriented edges and vertices.
 
     edge_flow stores the flow along each edge's canonical orientation
@@ -166,6 +163,8 @@ def flow_table(
 # -- realizability -------------------------------------------------------------
 
 
+# A dataclass, not a NamedTuple like the other records: bench/selftest.py
+# builds its wrong outputs with dataclasses.replace.
 @dataclass(frozen=True)
 class RealizabilityResult:
     value: float
@@ -316,8 +315,7 @@ def plan_traversal_masses(tree: MetricTree, plan: DynamicalPlan) -> TraversalMas
 # -- generated combs ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CombFamily:
+class CombFamily(NamedTuple):
     """Infinite comb: unit base edges v1, v2, ..., an infinite tooth at each
     vertex, nu- on odd teeth and nu+ on even teeth with masses proportional
     to n^(-mass_exponent) (normalized per parity); base point v1."""

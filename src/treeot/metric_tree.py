@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ConstantGeodesic,
@@ -56,8 +55,7 @@ TOL = 1e-9
 DUST = 1e-12
 
 
-@dataclass(frozen=True)
-class TreePoint:
+class TreePoint(NamedTuple):
     """A location on the tree: a vertex, or an interior point of an edge.
 
     Interior points store the offset from the edge's first stored endpoint.
@@ -78,8 +76,7 @@ class TreePoint:
         return f"TreePoint({self.edge!r}@{self.offset:g})"
 
 
-@dataclass(frozen=True)
-class TreeEnd:
+class TreeEnd(NamedTuple):
     """A boundary point at infinity, identified with its infinite edge."""
 
     edge: str
@@ -88,8 +85,7 @@ class TreeEnd:
         return f"TreeEnd({self.edge!r})"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     ends: tuple[str, ...]
     length: float
@@ -99,8 +95,7 @@ class Edge:
         return math.isinf(self.length)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Structural report of a built tree (``MetricTree.report``).
 
     Construction itself rejects cycles, disconnection, nonpositive lengths
@@ -331,7 +326,7 @@ class MetricTree:
         inside its edge's snapped interval) is returned as it is."""
         if isinstance(p, str):
             return self.vertex_point(p)
-        v, eid, off = p.vertex, p.edge, p.offset
+        v, eid, off = p
         if v is not None:
             bare = eid is None and type(off) is float and off == 0.0 and math.copysign(1.0, off) == 1.0
             return p if bare and v in self._vset else self.vertex_point(v)
@@ -392,13 +387,14 @@ class MetricTree:
         deeper one's subtree.  A vertex, or a point on an infinite edge, has
         one exit (itself, or the attachment), given twice with an empty
         slice at its position."""
-        e = self._edges.get(p.edge)
+        v, eid, off = p
+        e = self._edges.get(eid)
         if e is None or len(e.ends) == 1:
-            v, c = (p.vertex, 0.0) if e is None else (e.ends[0], p.offset)
+            v, c = (v, 0.0) if e is None else (e.ends[0], off)
             i = self._pre[v]
             return v, c, v, c, i, i
-        (u, d), cu, cd = e.ends, p.offset, e.length - p.offset
-        if self._deeper[p.edge] == u:
+        (u, d), cu, cd = e.ends, off, e.length - off
+        if self._deeper[eid] == u:
             u, cu, d, cd = d, cd, u, cu
         i = self._pre[d]
         return u, cu, d, cd, i, i + self._size[d]
@@ -435,22 +431,22 @@ class MetricTree:
         """``distance(x, y)`` for every x in xs (rows) and y in ys (columns),
         bit for bit.
 
-        Each point is canonicalised and its ``_side`` read once; every entry
-        then takes its exits from ``_route`` and makes one LCA query, summed
-        as ``vertex_distance`` and ``distance`` sum.  A distance that
-        overflows raises NonFiniteValue, as in ``distance``."""
+        Each point is canonicalised and its ``_side``, edge and offset read
+        once; every entry then takes its exits from ``_route`` and makes one
+        LCA query, summed as ``vertex_distance`` and ``distance`` sum.  A
+        distance that overflows raises NonFiniteValue, as in ``distance``."""
         px = [self.canonical_point(p) for p in xs]
         py = [self.canonical_point(q) for q in ys]
-        sy = [self._side(q) for q in py]
+        cols = [(q.edge, q.offset, self._side(q)) for q in py]
         pre, order, dist = self._pre, self._order, self._dist_root
         route, lca = self._route, self._lca_position
         out = []
         for p in px:
-            sp = self._side(p)
+            sp, pe, po = self._side(p), p.edge, p.offset
             line = []
-            for q, sq in zip(py, sy):
-                if p.edge is not None and p.edge == q.edge:
-                    line.append(abs(p.offset - q.offset))
+            for qe, qo, sq in cols:
+                if pe is not None and pe == qe:
+                    line.append(abs(po - qo))
                     continue
                 a, ca, b, cb = route(sp, sq)
                 line.append(

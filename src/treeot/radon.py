@@ -29,9 +29,8 @@ operation total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     ConstantGeodesic, FlagInvalid, InconsistentData, MalformedForRadon, NonFiniteValue,
@@ -40,8 +39,7 @@ from .metric_tree import DUST, TOL, MetricTree, TreeGeodesic, TreePoint, project
 from .transport import DUAL_TOL, DiscreteMeasure, _add_in_order, _sums_by_key
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(NamedTuple):
     """A vertex together with an unordered pair of distinct incident edges."""
 
     vertex: str
@@ -57,8 +55,7 @@ class Flag:
         return Flag(x, (e, f) if e < f else (f, e))
 
 
-@dataclass(frozen=True)
-class VertexFunction:
+class VertexFunction(NamedTuple):
     """Real-valued function on the vertices with its total cached."""
 
     values: tuple[tuple[str, float], ...]
@@ -236,8 +233,7 @@ def geodesic_through_edge(tree: MetricTree, eid: str) -> TreeGeodesic:
 # -- full measure reconstruction ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoundtripReport:
+class RoundtripReport(NamedTuple):
     interior_atoms: tuple[tuple[TreePoint, float], ...]
     vertex_function: VertexFunction
     reconstructed: DiscreteMeasure

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, sub
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
@@ -123,8 +122,7 @@ def squares_in_range(what: str):
         raise NonFiniteValue(f"a squared {what} exceeds the float range") from None
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(NamedTuple):
     """Finitely supported probability measure on tree points."""
 
     atoms: tuple[tuple[TreePoint, float], ...]
@@ -152,8 +150,7 @@ class DiscreteMeasure:
         return _add_in_order(m * tree.distance(tree.basepoint, p) ** 2 for p, m in self.atoms)
 
 
-@dataclass(frozen=True)
-class TransportPlan:
+class TransportPlan(NamedTuple):
     """Coupling given by its support entries (source, target, mass).
 
     Row sums are the source masses and column sums the target masses; the
@@ -408,8 +405,7 @@ def certify_duals(cost, sol: SimplexSolution) -> None:
 # -- cyclical monotonicity ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonotonicityCertificate:
+class MonotonicityCertificate(NamedTuple):
     passed: bool
     max_cycle: int
     witness: tuple[int, ...] | None  # indices into the plan's entries
@@ -535,7 +531,8 @@ def certify_costs(
     certificate carries a simple witness cycle of entry indices: shifting
     each listed entry's target to the next one changes the cost by
     `improvement` < 0, summed from `cost`.  The cost scale is the largest
-    |c|; an infinite one raises NonFiniteValue.
+    |c|, with a NaN counted as infinite, as in the simplex; an infinite one
+    raises NonFiniteValue.
 
     The certificate is a pair of potentials phi (sources) and psi (targets)
     with phi + psi = c on the support and c - phi - psi >= 0 everywhere,
@@ -551,7 +548,7 @@ def certify_costs(
     a negative cycle there is closed through the walk's arcs of every
     component it passes.
     """
-    scale = max(max(map(abs, row)) for row in cost)
+    scale = max(abs(c) if c == c else math.inf for row in cost for c in row)
     if not scale < math.inf:
         raise NonFiniteValue(f"cost scale {scale} is not finite")
     k = len(si)

@@ -427,10 +427,21 @@ def test_supported_on_leaf_to_leaf_geodesic(tripod):
 def test_supported_rejects_non_maximal(tripod_completed):
     tc = tripod_completed
     gamma = tc.geodesic_segment(tc.vertex_point("a"), tc.vertex_point("b"), 0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(T.OutOfInterval, match="not maximal"):
         T.supported_on_geodesic_test(
             tc, T.DiscreteMeasure.dirac(tc, tc.vertex_point("c")), gamma
         )
+
+
+@pytest.mark.parametrize("where, error", [
+    ("a", T.ConstantGeodesic),  # a leaf: no side extends, the projection refuses
+    ("o", T.OutOfInterval),  # the centre: both sides extend
+])
+def test_supported_rejects_constant_geodesic(tripod, where, error):
+    gamma = tripod.constant_geodesic(tripod.vertex_point(where))
+    mu = T.DiscreteMeasure.dirac(tripod, tripod.vertex_point("c"))
+    with pytest.raises(error):
+        T.supported_on_geodesic_test(tripod, mu, gamma)
 
 
 def test_supported_dirac_on_locus(tripod_completed):

@@ -393,6 +393,21 @@ def test_cli_comb(files):
     assert len(doc["partial_sums"]) == 13
 
 
+def test_cli_comb_emitted_tree_reads_back():
+    # The emitted masses carry 12 decimals and each rounding is weighted by
+    # a squared base distance, so the depth stays small (at depth 64 the
+    # read-back value is 1.7e-9 off).
+    out = cli("comb", "--depth", "8", "--exponent", "3", "--emit-tree")
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    tree = io.tree_from_json(doc["tree"])
+    minus = io.boundary_measure_from_json(tree, doc["nu_minus"])
+    plus = io.boundary_measure_from_json(tree, doc["nu_plus"])
+    res = T.realizability_sum(tree, T.flow_table(tree, minus, plus))
+    assert res.verdict == "FINITE"
+    assert abs(res.value - float(doc["value"])) <= 1e-9
+
+
 def test_cli_deep_comb_sheds_dust_and_diverges():
     # the deepest teeth carry less than 1e-12 each; together they hold more
     # than the 1e-9 mass tolerance, so the total is checked before they go
@@ -1406,8 +1421,8 @@ FOOTPRINTS = {
 
 
 # Runs treeot.cli as __main__, the way `python -m treeot.cli` does, and
-# writes the treeot modules it loaded, and which of the standard `fractions`
-# and `decimal` it loaded, to stderr as it exits.
+# writes the treeot modules it loaded, and which of the standard `fractions`,
+# `decimal`, `dataclasses` and `inspect` it loaded, to stderr as it exits.
 RUN_AS_MAIN = """
 import json, runpy, sys
 try:
@@ -1415,7 +1430,7 @@ try:
 finally:
     sys.stderr.write(json.dumps(
         [sorted(m for m in sys.modules if m.startswith("treeot.")),
-         sorted(m for m in ("fractions", "decimal") if m in sys.modules)]
+         sorted(m for m in ("fractions", "decimal", "dataclasses", "inspect") if m in sys.modules)]
     ))
 """
 
@@ -1439,6 +1454,7 @@ def test_cli_subcommand_loads_only_its_modules(files, case):
     # treeot.cli itself is __main__ here, so it is counted apart.
     loaded = {name.split(".", 1)[1] for name in modules} | {"cli"}
     assert loaded == {"errors", "metric_tree", "serialization", "cli"} | extra
-    # No subcommand needs them: the Radon inverse is exact in integers, and
-    # numbers are read by float().
-    assert standard == []
+    # No subcommand needs fractions or decimal: the Radon inverse is exact
+    # in integers, and numbers are read by float().  Records are NamedTuples;
+    # only boundary and ends declare a dataclass, which loads inspect.
+    assert set(standard) <= ({"dataclasses", "inspect"} if extra & {"boundary", "ends"} else set())

@@ -335,6 +335,17 @@ def test_simplex_rejects_non_finite_cost(bad):
         transportation_simplex([0.5, 0.5], [0.5, 0.5], cost)
 
 
+@pytest.mark.parametrize("cost, si, ti", [
+    ([[0.0, 5.0], [math.nan, 0.0]], [0, 0, 1], [0, 1, 1]),
+    ([[0.0, math.nan], [1.0, 0.0]], [0, 1], [0, 1]),
+])
+def test_certificate_rejects_a_nan_cost_anywhere(cost, si, ti):
+    # Neither NaN is the first cost of its row, where max() would see it:
+    # the first support passed, the second failed the cycle search re-check.
+    with pytest.raises(NonFiniteValue, match="cost scale inf"):
+        certify_costs(cost, si, ti)
+
+
 def test_overflowing_squared_distance_is_a_domain_error():
     # 1e308 is a finite length, but its square is not a float.
     path = T.MetricTree(["a", "b"], [("e", ("a", "b"), 1e308)], "a")
