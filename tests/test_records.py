@@ -167,3 +167,44 @@ def test_record_repr_is_pinned(name, tripod, star3, barbell):
     assert repr(record) == want
     sample = record[0] if name == "TreePoint" else record
     assert type(sample).__name__ == name
+
+
+def test_certificate_truth_values(tripod, star3, barbell):
+    # A NamedTuple with fields is always true; each verdict record defines
+    # __bool__ so that `if certificate:` reads its verdict.  One passing and
+    # one failing instance of each, from the library call that returns it.
+    o, a, b, c = (tripod.vertex_point(v) for v in "oabc")
+    ab, ba = (tripod.geodesic_segment(p, q, 0.0, 1.0) for p, q in ((a, b), (b, a)))
+    r1, r2, r3 = star3.ends()
+
+    def monotone(*entries):
+        return T.is_cyclically_monotone(tripod, T.TransportPlan(entries))
+
+    def optimal(*atoms):
+        return T.is_optimal_dynamical(tripod, T.DynamicalPlan.from_atoms(tripod, atoms))
+
+    def supported(p):
+        return T.supported_on_geodesic_test(tripod, T.DiscreteMeasure.dirac(tripod, p), ab)
+
+    def speeds(speed):
+        return T.validate_complete_plan(T.DynamicalPlan.from_atoms(star3, [
+            (star3.geodesic_between_ends(r1, r2), 0.5),
+            (star3.geodesic_between_ends(r1, r3, speed=speed), 0.5),
+        ]))
+
+    def antipodal(end):
+        minus = T.BoundaryMeasure.from_atoms(barbell, [(barbell.end("r1"), 0.5), (barbell.end("r2"), 0.5)])
+        plus = T.BoundaryMeasure.from_atoms(barbell, [(barbell.end(end), 0.75), (barbell.end("r4"), 0.25)])
+        return T.is_antipodal(barbell, minus, plus)
+
+    cases = {
+        "MonotonicityCertificate": (monotone((a, a, 0.5), (o, b, 0.5)), monotone((a, b, 0.5), (o, o, 0.5))),
+        "OptimalityCertificate": (optimal((ab, 1.0)), optimal((ab, 0.5), (ba, 0.5))),
+        "SupportTestResult": (supported(tripod.edge_point("ea", 0.5)), supported(c)),
+        "SpeedCertificate": (speeds(1.0), speeds(2.0)),
+        "AntipodalityResult": (antipodal("r3"), antipodal("r1")),
+    }
+    for name, (good, bad) in cases.items():
+        assert type(good).__name__ == type(bad).__name__ == name
+        # the verdict is the first field of each
+        assert (bool(good), bool(bad), good[0], bad[0]) == (True, False, True, False), name

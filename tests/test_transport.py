@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import treeot as T
+from treeot import transport
 from treeot.errors import MarginalMismatch, NonFiniteValue
 from treeot.metric_tree import TOL
 from treeot.transport import (
@@ -589,7 +590,7 @@ def test_tripod_non_uniqueness_witness(tripod):
     nu = T.DiscreteMeasure.from_atoms(tripod, [(y, 0.5), (z, 0.5)])
     solved = T.wasserstein2(tripod, mu, nu)
     assert solved.distance**2 == pytest.approx(p1.cost(d2), abs=1e-12)
-    assert solved.plan.entries == p1.entries  # pinned tie-break
+    assert solved.plan.entries == p2.entries  # pinned tie-break: c precedes b in preorder
 
 
 def _per_entry_weights(tree, plan):
@@ -819,6 +820,87 @@ def test_certificate_passes_solved_plans_at_large_distances():
             failed += 1
     assert passed == 24 and failed > 8
     assert 5 < split < 19
+
+
+# -- tree order ------------------------------------------------------------------
+
+
+def test_wasserstein2_does_not_depend_on_the_order_of_the_atoms():
+    # The solve runs in the tree's preorder, so listing the atoms in another
+    # order gives the same distance bit for bit, the same plan entries and
+    # the same potential at every atom.  Spread masses make sums taken in
+    # another order round differently.
+    rng = np.random.default_rng(83)
+    kinds = set()
+    for _ in range(24):
+        tree = helpers.random_tree(rng, int(rng.integers(2, 30)), int(rng.integers(1, 4)))
+        sides = []
+        for k in rng.integers(2, 13, 2):
+            atoms = list(zip(helpers.distinct_points(rng, tree, int(k)), helpers.spread_masses(rng, int(k))))
+            kinds.update(
+                "vertex" if p.is_vertex() else "ray" if tree.edges[p.edge].infinite else "edge"
+                for p, _ in atoms
+            )
+            sides.append(atoms)
+        want = T.wasserstein2(tree, *(T.DiscreteMeasure.from_atoms(tree, a) for a in sides))
+        for _ in range(3):
+            shuffled = [[a[i] for i in rng.permutation(len(a))] for a in sides]
+            mu, nu = (T.DiscreteMeasure.from_atoms(tree, a) for a in shuffled)
+            got = T.wasserstein2(tree, mu, nu)
+            assert got.distance.hex() == want.distance.hex()
+            assert set(got.plan.entries) == set(want.plan.entries)
+            for measure, atoms, pot, old in zip((mu, nu), sides, got.plan.potentials, want.plan.potentials):
+                assert dict(zip(measure.points(), pot)) == dict(zip((p for p, _ in atoms), old))
+    assert kinds == {"vertex", "edge", "ray"}
+
+
+def test_path_solve_starts_at_the_monotone_coupling(monkeypatch):
+    # On a path from the base point the northwest corner in preorder is the
+    # monotone coupling, which is W2-optimal (Villani 2003, Thm 2.18): the
+    # simplex makes no pivot.  Edges are stored in both orientations, and a
+    # ray at the far end carries atoms too.
+    real, pivots = transport.transportation_simplex, []
+
+    def spy(*args):
+        sol = real(*args)
+        pivots.append(sol.pivots)
+        return sol
+
+    monkeypatch.setattr(transport, "transportation_simplex", spy)
+    rng = np.random.default_rng(89)
+    for _ in range(20):
+        n = int(rng.integers(2, 12))
+        names = [f"v{i:02d}" for i in range(n)]
+        edges = [
+            (f"e{i:02d}", (a, b) if rng.random() < 0.5 else (b, a), float(rng.uniform(0.2, 2.0)))
+            for i, (a, b) in enumerate(zip(names, names[1:]))
+        ]
+        tree = T.MetricTree(names, edges + [("ray", (names[-1],), math.inf)], names[0])
+        mu, nu = (
+            T.DiscreteMeasure.from_atoms(
+                tree, zip(helpers.distinct_points(rng, tree, int(k)), helpers.spread_masses(rng, int(k)))
+            )
+            for k in rng.integers(1, 10, 2)
+        )
+        plan = T.wasserstein2(tree, mu, nu).plan
+
+        # the monotone coupling: the overlaps of the atoms' quantile intervals,
+        # the atoms placed by breadth-first-search distance from the base point
+        def quantiles(measure):
+            atoms = sorted(measure.atoms, key=lambda a: helpers.bfs_distance(tree, tree.basepoint, a[0]))
+            cuts = np.cumsum([0.0] + [m for _, m in atoms])
+            return [(p, lo, hi) for (p, _), lo, hi in zip(atoms, cuts, cuts[1:])]
+
+        want = {
+            (x, y): min(xh, yh) - max(xl, yl)
+            for x, xl, xh in quantiles(mu)
+            for y, yl, yh in quantiles(nu)
+            if min(xh, yh) - max(xl, yl) > 1e-9
+        }
+        got = {(x, y): q for x, y, q in plan.entries}
+        assert got.keys() == want.keys()
+        assert all(got[k] == pytest.approx(want[k], abs=1e-12) for k in want)
+    assert pivots == [0] * 20
 
 
 # -- fixed-order sums ------------------------------------------------------------
