@@ -6,15 +6,14 @@ infinite ones and each of them carries exactly one boundary end.  All
 operations are pure functions over an immutable, validated tree:
 
 - path metric: a sparse table of range minima over the rooted preorder,
-  built on the first query together with the root distances by preorder
-  position, answers every LCA in O(1).  Geodesics are unique: a path leaves
-  a point inside an edge by the deeper endpoint exactly when it heads into
-  that endpoint's preorder slice.  ``distance``, the batched
-  ``distance_matrix`` and ``path_nodes`` (one walk up the parent pointers
-  for every locus) share this exit rule.  The batched kernel reads each
-  point's exits once as preorder positions and applies the rule, the
-  table minimum and the root distances inline in its entry loop, with the
-  sums of ``distance`` in the same order, so its entries are bit for bit
+  built on the first query, answers every LCA in O(1).  Geodesics are
+  unique: a path leaves a point inside an edge by the deeper endpoint
+  exactly when it heads into that endpoint's preorder slice.  ``distance``,
+  the batched ``distance_matrix`` and ``path_nodes`` (one walk up the parent
+  positions for every locus) share this exit rule.  The batched kernel
+  reads each point's exits once and applies the rule, the table minimum and
+  the root distances inline in its entry loop, with the sums of
+  ``distance`` in the same order, so its entries are bit for bit
   ``distance``'s,
 - geodesic segments (finite t0 < t1), rays to an end (finite t0, t1 = inf)
   and bi-infinite geodesics between ends, all checked by ``TreeGeodesic``,
@@ -25,13 +24,13 @@ operations are pure functions over an immutable, validated tree:
 
 The constructor walks the finite edges once, depth first from the root (the
 base point, or the first endpoint of its edge), and every structure query
-reads that rooted copy: parent pointers and depths for paths, depths along
-the preorder for the LCA table, the deeper endpoint of every finite edge
-for the exits of a point inside it, root distances for base-point distances
-(the base point's own exits say which side of its edge is the far one), a
-preorder with subtree sizes for the components of X minus a vertex, and
-reverse-preorder subtree sums for the mass beyond every edge (flows, the
-Radon transform).
+reads that rooted copy, lists indexed by preorder position (``_pre`` maps
+a vertex to its position): parent positions and edges for paths, root
+distances for every distance, and subtree sizes, which make every rooted
+subtree a slice of the preorder.  A finite edge's deeper endpoint is the
+one later in the preorder; it gives the exits of a point inside the edge,
+the components of X minus a vertex, and the mass beyond every edge by
+reverse-preorder subtree sums (flows, the Radon transform).
 
 Numeric conventions: 64-bit floats; ``TOL`` (1e-9, comparisons) and ``DUST``
 (1e-12, snapped arc arithmetic; a mass, flow or overlap below it is zero)
@@ -182,12 +181,11 @@ class MetricTree:
         self.report = ValidationReport(True, True, leaves, val2, infs)
 
         self.basepoint = self.canonical_point(basepoint)
-        self._root = (
+        self._build_rooted(
             self.basepoint.vertex
             if self.basepoint.is_vertex()
             else self._edges[self.basepoint.edge].ends[0]
         )
-        self._build_rooted()
         # Finite edges must form a spanning tree of the vertices.
         acyclic = n_finite == len(self._vertices) - 1
         connected = len(self._order) == len(self._vertices)
@@ -237,65 +235,65 @@ class MetricTree:
     def end_attachment(self, end: TreeEnd) -> str:
         return self.edge(end.edge).ends[0]
 
-    def _build_rooted(self) -> None:
+    def _build_rooted(self, root: str) -> None:
         """The one traversal of the finite edges: an iterative depth-first
         pass from the root (comb truncations are paths tens of thousands of
-        vertices deep, too deep for recursion).  It records each vertex's
-        parent (vertex, edge), depth and distance to the root, each finite
-        edge's deeper endpoint (the one farther from the root), a preorder
-        in which every rooted subtree is one contiguous slice, and the
-        subtree sizes.  Vertices it does not reach are missing from the
-        preorder, which is how the constructor sees a disconnected graph."""
-        root, incident, edges = self._root, self._incident, self._edges
-        parent: dict[str, tuple[str, str] | None] = {root: None}
-        depth = {root: 0}
-        dist = {root: 0.0}
-        deeper: dict[str, str] = {}
-        order: list[str] = []
-        stack = [root]
+        vertices deep, too deep for recursion).  It records the preorder
+        (``_order``, and ``_pre`` from vertex to position), in which every
+        rooted subtree is one contiguous slice, and lists by position: the
+        parent's position (``_up``; -1 at the root, position 0), the edge to
+        the parent (``_up_edge``), the distance to the root (``_dist``) and
+        the subtree size (``_size``).  A vertex popped twice (only a graph
+        with a cycle has one) is skipped; vertices the pass does not reach
+        are missing from the preorder, which is how the constructor sees a
+        disconnected graph."""
+        incident, edges = self._incident, self._edges
+        pre: dict[str, int] = {}
+        order, up, up_edge, dist = [], [], [], []
+        stack = [(root, -1, None, 0.0)]
         while stack:
-            v = stack.pop()
+            v, parent, came_by, d = stack.pop()
+            if v in pre:
+                continue
+            i = pre[v] = len(order)
             order.append(v)
+            up.append(parent)
+            up_edge.append(came_by)
+            dist.append(d)
             for eid in incident[v]:
                 e = edges[eid]
                 ends = e.ends
-                if len(ends) == 1:
+                if len(ends) == 1 or eid == came_by:
                     continue
-                w = ends[1] if ends[0] == v else ends[0]
-                if w not in parent:
-                    parent[w] = (v, eid)
-                    deeper[eid] = w
-                    depth[w] = depth[v] + 1
-                    dist[w] = dist[v] + e.length
-                    stack.append(w)
-        size = dict.fromkeys(order, 1)
-        for v in reversed(order):
-            p = parent[v]
-            if p is not None:
-                size[p[0]] += size[v]
-        self._parent = parent
-        self._depth = depth
-        self._dist_root = dist
-        self._deeper = deeper
+                stack.append((ends[1] if ends[0] == v else ends[0], i, eid, d + e.length))
+        size = [1] * len(order)
+        for i in range(len(order) - 1, 0, -1):
+            size[up[i]] += size[i]
         self._order = order
-        self._pre = {v: i for i, v in enumerate(order)}
+        self._pre = pre
+        self._up = up
+        self._up_edge = up_edge
+        self._dist = dist
         self._size = size
         self._lca_table: list[list[int]] | None = None
 
     def _build_lca_table(self) -> list[list[int]]:
         """Sparse table of range minima over the preorder (Bender and
         Farach-Colton, "The LCA problem revisited"), built on the first LCA
-        query so that trees never queried do not pay for it, together with
-        the root distances by preorder position that ``distance_matrix``
-        reads.
+        query so that trees never queried do not pay for it.
 
         Position i holds depth * n + (preorder position of its parent), and
         row k the minimum over positions i .. i + 2^k - 1.  For vertices at
         positions i < j, the shallowest vertices at positions i+1 .. j are
         children of the LCA (the one leading to j, or any sibling of it), so
-        the minimum's remainder mod n is the LCA's position."""
-        n, pre, depth, parent = len(self._order), self._pre, self._depth, self._parent
-        row = [0] + [depth[v] * n + pre[parent[v][0]] for v in self._order[1:]]
+        the minimum's remainder mod n is the LCA's position.  A parent comes
+        before its children, so one pass in preorder finds the depths."""
+        up = self._up
+        n = len(up)
+        depth, row = [0] * n, [0] * n
+        for i in range(1, n):
+            depth[i] = depth[up[i]] + 1
+            row[i] = depth[i] * n + up[i]
         table = [row]
         half = 1
         while 2 * half <= n:
@@ -303,7 +301,6 @@ class MetricTree:
             table.append(row)
             half *= 2
         self._lca_table = table
-        self._dist_pre = [self._dist_root[v] for v in self._order]
         return table
 
     # -- points -------------------------------------------------------------
@@ -357,55 +354,63 @@ class MetricTree:
         a, b = row[i + 1], row[j + 1 - (1 << k)]
         return (a if a < b else b) % len(self._order)
 
-    def lca(self, u: str, v: str) -> str:
+    def _gap(self, i: int, j: int) -> float:
+        """Distance between the vertices at preorder positions i and j."""
+        dist = self._dist
+        return dist[i] + dist[j] - 2.0 * dist[self._lca_position(i, j)]
+
+    def _position(self, v: str) -> int:
+        """Preorder position of vertex v; MalformedTree if v is unknown."""
         try:
-            i, j = self._pre[u], self._pre[v]
-        except KeyError as exc:
-            raise MalformedTree(f"unknown vertex {exc.args[0]!r}") from None
-        return self._order[self._lca_position(i, j)]
+            return self._pre[v]
+        except KeyError:
+            raise MalformedTree(f"unknown vertex {v!r}") from None
+
+    def lca(self, u: str, v: str) -> str:
+        return self._order[self._lca_position(self._position(u), self._position(v))]
 
     def vertex_distance(self, u: str, v: str) -> float:
-        a = self.lca(u, v)
-        return self._dist_root[u] + self._dist_root[v] - 2.0 * self._dist_root[a]
+        return self._gap(self._position(u), self._position(v))
 
     def basepoint_distances(self) -> dict[str, float]:
         """Distance from every vertex to the base point, read off the root
         distances: the root is the base point or the root-side exit of its
         edge, so the base point's cost to that exit is taken away inside the
         deeper exit's slice and added everywhere else (the slice is empty,
-        and the cost 0.0, at a vertex)."""
-        _, off, _, _, lo, hi = self._side(self.basepoint)
-        pre = self._pre
-        return {v: d - off if lo <= pre[v] < hi else d + off for v, d in self._dist_root.items()}
+        and the cost 0.0, at a vertex).  Keys in preorder."""
+        _, off, _, lo, hi = self._side(self.basepoint)
+        rows = enumerate(zip(self._order, self._dist))
+        return {v: d - off if lo <= i < hi else d + off for i, (v, d) in rows}
 
     def parent_edge(self, v: str) -> str | None:
         """Edge from v toward the root (None at the root)."""
-        p = self._parent[v]
-        return None if p is None else p[1]
+        return self._up_edge[self._position(v)]
 
     def toward_basepoint(self, v: str) -> str | None:
         """First edge on the path from vertex v to the base point (None when
         v is the base point itself)."""
-        return self.basepoint.edge if v == self._root else self.parent_edge(v)
+        i = self._position(v)
+        return self.basepoint.edge if i == 0 else self._up_edge[i]
 
-    def _side(self, p: TreePoint) -> tuple[str, float, str, float, int, int]:
-        """Exits of a canonical point, ``(up, cost, down, cost, lo, hi)``:
-        the root-side and the deeper endpoint of its finite edge, each with
-        its cost along the edge, and the preorder slice ``[lo, hi)`` of the
-        deeper one's subtree.  A vertex, or a point on an infinite edge, has
-        one exit (itself, or the attachment), given twice with an empty
-        slice at its position."""
+    def _side(self, p: TreePoint) -> tuple[int, float, float, int, int]:
+        """Exits of a canonical point, ``(up, cost, cost down, lo, hi)``: the
+        preorder positions of the root-side exit ``up`` and of the deeper
+        exit ``lo`` of its finite edge (the endpoint later in the preorder),
+        each exit's cost along the edge, and the deeper exit's subtree, the
+        preorder slice ``[lo, hi)``.  A vertex, or a point on an infinite
+        edge, has one exit (itself, or the attachment), given twice with an
+        empty slice at its position."""
         v, eid, off = p
         e = self._edges.get(eid)
         if e is None or len(e.ends) == 1:
             v, c = (v, 0.0) if e is None else (e.ends[0], off)
             i = self._pre[v]
-            return v, c, v, c, i, i
+            return i, c, c, i, i
         (u, d), cu, cd = e.ends, off, e.length - off
-        if self._deeper[eid] == u:
-            u, cu, d, cd = d, cd, u, cu
-        i = self._pre[d]
-        return u, cu, d, cd, i, i + self._size[d]
+        i, j = self._pre[u], self._pre[d]
+        if i > j:
+            i, j, cu, cd = j, i, cd, cu
+        return i, cu, cd, j, j + self._size[j]
 
     def _preorder(self, points: Sequence[TreePoint]) -> list[int]:
         """Indices of the points in the rooted preorder, by keys read off
@@ -418,7 +423,7 @@ class MetricTree:
         not depend on the order of the points."""
         keys = []
         for p in map(self.canonical_point, points):
-            _, cu, _, _, lo, hi = self._side(p)
+            _, cu, _, lo, hi = self._side(p)
             if p.edge is None:
                 keys.append((lo, 0))
             elif lo < hi:
@@ -428,28 +433,30 @@ class MetricTree:
         return sorted(range(len(keys)), key=keys.__getitem__)
 
     @staticmethod
-    def _route(sp, sq) -> tuple[str, float, str, float]:
+    def _route(sp, sq) -> tuple[int, float, int, float]:
         """Exits ``(a, ca, b, cb)`` of the unique geodesic between points on
-        different edges, from their sides: p leaves by its deeper exit
-        exactly when q's deeper exit (q itself, or the attachment of q's
-        infinite edge) lies in p's slice, and q likewise toward p."""
-        a, ca, a_down, ca_down, lo_p, hi_p = sp
-        b, cb, b_down, cb_down, lo_q, hi_q = sq
+        different edges, as preorder positions, from their sides: p leaves
+        by its deeper exit exactly when q's deeper exit (q itself, or the
+        attachment of q's infinite edge) lies in p's slice, and q likewise
+        toward p."""
+        a, ca, ca_down, lo_p, hi_p = sp
+        b, cb, cb_down, lo_q, hi_q = sq
         if lo_p <= lo_q < hi_p:
-            a, ca = a_down, ca_down
+            a, ca = lo_p, ca_down
         if lo_q <= lo_p < hi_q:
-            b, cb = b_down, cb_down
+            b, cb = lo_q, cb_down
         return a, ca, b, cb
 
     def distance(self, p: TreePoint, q: TreePoint) -> float:
-        # A scalar path: distance_matrix([p], [q]) measured 1.66x slower per
-        # call (median of 7 runs, CPython 3.11.7 on a 2-core VM).
+        # A scalar path: distance_matrix([p], [q]) measured 2.0x slower per
+        # call (median of 7 runs over 2,500 point pairs of a 200-vertex tree,
+        # CPython 3.11.7 on a 2-core VM).
         p = self.canonical_point(p)
         q = self.canonical_point(q)
         if p.edge is not None and p.edge == q.edge:
             return abs(p.offset - q.offset)
         a, ca, b, cb = self._route(self._side(p), self._side(q))
-        d = ca + self.vertex_distance(a, b) + cb
+        d = ca + self._gap(a, b) + cb
         if not math.isfinite(d):
             raise NonFiniteValue(f"distance from {p} to {q} overflows the float range")
         return d
@@ -460,24 +467,21 @@ class MetricTree:
         """``distance(x, y)`` for every x in xs (rows) and y in ys (columns),
         bit for bit.
 
-        Each point is canonicalised and its exits read once, as preorder
-        positions: ``(edge, offset, up, cost, cost down, lo, hi)``, where the
-        deeper exit's position is ``lo``, the start of its slice.  Every entry
-        then takes ``_route``'s exits, a sparse-table minimum for their LCA
-        and the root distances by position, inline, and sums them as
-        ``distance`` does.  A distance that overflows raises NonFiniteValue,
-        as in ``distance``."""
+        Each point is canonicalised and its exits read once:
+        ``(edge, offset, *_side(p))``, whose positions are preorder
+        positions.  Every entry then takes ``_route``'s exits, a sparse-table
+        minimum for their LCA and the root distances by position, inline, and
+        sums them as ``distance`` does.  A distance that overflows raises
+        NonFiniteValue, as in ``distance``."""
         px = [self.canonical_point(p) for p in xs]
         py = [self.canonical_point(q) for q in ys]
-        pre = self._pre
 
         def exits(p: TreePoint) -> tuple:
-            u, cu, _, cd, lo, hi = self._side(p)
-            return p.edge, p.offset, pre[u], cu, cd, lo, hi
+            return (p.edge, p.offset, *self._side(p))
 
         cols = list(map(exits, py))
         table = self._lca_table or self._build_lca_table()
-        dist, n = self._dist_pre, len(self._order)
+        dist, n = self._dist, len(self._order)
         out = []
         for p in px:
             pe, po, up_p, cu_p, cd_p, lo_p, hi_p = exits(p)
@@ -520,9 +524,10 @@ class MetricTree:
         two endpoints, with arc-length coordinates, 0 at p) and the edge of
         each step between consecutive nodes.
 
-        ``_route`` gives the exit vertices; one walk up the parent pointers,
-        stepping the deeper side until both sides meet at their LCA, gives
-        the vertices and the edges between them.  Vertex coordinates add up
+        ``_route`` gives the exits; one walk up the parent positions gives
+        the vertices and the edges between them.  It steps whichever side
+        comes later in the preorder, which can never be an ancestor of the
+        other, until both sides meet at their LCA.  Vertex coordinates add up
         the steps; an endpoint q off the vertices sits at ``distance(p, q)``,
         summed from the LCA the walk ends at."""
         p = self.canonical_point(p)
@@ -532,17 +537,15 @@ class MetricTree:
         if p.edge is not None and p.edge == q.edge:
             return [(0.0, p), (abs(p.offset - q.offset), q)], [p.edge]
         a, ca, b, cb = self._route(self._side(p), self._side(q))
-        depth, parent, dist = self._depth, self._parent, self._dist_root
+        order, parent, parent_edge, dist = self._order, self._up, self._up_edge, self._dist
         up, up_edges, down, down_edges = [a], [], [b], []
         while up[-1] != down[-1]:
-            if depth[up[-1]] >= depth[down[-1]]:
-                w, eid = parent[up[-1]]
-                up.append(w)
-                up_edges.append(eid)
+            if up[-1] > down[-1]:
+                up_edges.append(parent_edge[up[-1]])
+                up.append(parent[up[-1]])
             else:
-                w, eid = parent[down[-1]]
-                down.append(w)
-                down_edges.append(eid)
+                down_edges.append(parent_edge[down[-1]])
+                down.append(parent[down[-1]])
         path = up + down[-2::-1]
         spans = up_edges + down_edges[::-1]
         nodes: list[tuple[float, TreePoint]] = []
@@ -550,11 +553,10 @@ class MetricTree:
             nodes.append((0.0, p))
             spans.insert(0, p.edge)
         s = ca
-        nodes.append((s, TreePoint(vertex=a)))
+        nodes.append((s, TreePoint(vertex=order[a])))
         for prev, w in zip(path, path[1:]):
-            upper = w if depth[w] < depth[prev] else prev
-            s += dist[prev] + dist[w] - 2.0 * dist[upper]
-            nodes.append((s, TreePoint(vertex=w)))
+            s += dist[prev] + dist[w] - 2.0 * dist[min(prev, w)]
+            nodes.append((s, TreePoint(vertex=order[w])))
         if not q.is_vertex():
             nodes.append((ca + (dist[a] + dist[b] - 2.0 * dist[up[-1]]) + cb, q))
             spans.append(q.edge)
@@ -571,11 +573,11 @@ class MetricTree:
             raise MalformedTree(f"edge {via_edge!r} is not incident to {x!r}")
         if e.infinite:
             return frozenset()
-        child = self._deeper[via_edge]
-        i, n = self._pre[child], self._size[child]
-        if child != x:
-            return frozenset(self._order[i:i + n])
-        return frozenset(self._order[:i] + self._order[i + n:])
+        child = max(map(self._pre.__getitem__, e.ends))
+        n = self._size[child]
+        if self._order[child] != x:
+            return frozenset(self._order[child:child + n])
+        return frozenset(self._order[:child] + self._order[child + n:])
 
     def mass_beyond(
         self, vertex_mass: Mapping[str, float], edge_mass: Mapping[str, float]
@@ -588,27 +590,24 @@ class MetricTree:
         mass counts inside every component containing that edge's interior).
         One pass over the vertices in reverse preorder sums the rooted
         subtrees; an edge pointing toward the root gets the total minus the
-        subtree behind it.
-        """
-        parent, deeper = self._parent, self._deeper
-        below = {v: float(vertex_mass.get(v, 0.0)) for v in self._order}
+        subtree behind it.  An unknown vertex or edge raises MalformedTree."""
+        pre, parent = self._pre, self._up
+        below = [0.0] * len(parent)
+        for v, m in vertex_mass.items():
+            below[self._position(v)] = float(m)
         for eid, m in edge_mass.items():
-            e = self.edge(eid)
-            below[e.ends[0] if len(e.ends) == 1 else deeper[eid]] += m
-        for v in reversed(self._order):
-            p = parent[v]
-            if p is not None:
-                below[p[0]] += below[v]
-        total = below[self._root]
+            below[max(map(pre.__getitem__, self.edge(eid).ends))] += m
+        for i in range(len(below) - 1, 0, -1):
+            below[parent[i]] += below[i]
+        total = below[0]
         out: dict[str, float] = {}
         for eid, e in self._edges.items():
             own = float(edge_mass.get(eid, 0.0))
             if len(e.ends) == 1:
                 out[eid] = own
-            elif deeper[eid] == e.ends[1]:
-                out[eid] = below[e.ends[1]]
-            else:
-                out[eid] = total - below[e.ends[0]] + own
+                continue
+            i, j = pre[e.ends[0]], pre[e.ends[1]]
+            out[eid] = below[j] if j > i else total - below[i] + own
         return out
 
     def onward_edge(self, v: str, came_by: str) -> str:

@@ -42,7 +42,7 @@ import math
 from contextlib import contextmanager
 from functools import reduce
 from operator import add, sub
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import MarginalMismatch, NonFiniteValue, SolverFailure
 from .metric_tree import DUST, TOL, MetricTree, TreePoint
@@ -161,9 +161,6 @@ class TransportPlan(NamedTuple):
 
     entries: tuple[tuple[TreePoint, TreePoint, float], ...]
     potentials: tuple[tuple[float, ...], tuple[float, ...]] | None = None
-
-    def cost(self, cost_fn: Callable[[TreePoint, TreePoint], float]) -> float:
-        return _add_in_order(m * cost_fn(x, y) for x, y, m in self.entries)
 
     def check_marginals(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
         row = _sums_by_key((x, m) for x, _, m in self.entries)

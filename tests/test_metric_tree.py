@@ -801,6 +801,10 @@ def _forked():
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda t: t.incident_edges("x"), MalformedTree, "unknown vertex 'x'"),
+    (lambda t: t.parent_edge("zz"), MalformedTree, "unknown vertex 'zz'"),
+    (lambda t: t.toward_basepoint("zz"), MalformedTree, "unknown vertex 'zz'"),
+    (lambda t: t.mass_beyond({"zz": 1.0}, {}), MalformedTree, "unknown vertex 'zz'"),
+    (lambda t: t.mass_beyond({}, {"zz": 1.0}), MalformedTree, "unknown edge 'zz'"),
     (lambda t: t.end("ea"), MalformedTree, "edge 'ea' is not infinite, carries no end"),
     (lambda t: t.onward_edge("c", "ec"), LeafyTree, "extension stuck at leaf 'c'"),
     (lambda t: t.geodesic_segment(t.vertex_point("a"), t.vertex_point("b"), 1.0, 1.0),
