@@ -40,7 +40,8 @@ class ConeMeasure(NamedTuple):
 
     Atoms are (end, speed, mass); speeds in [0, DUST] collapse to the apex,
     whose end label is dropped (the choice does not matter there).  A
-    negative speed raises OutOfInterval, a non-finite one MarginalMismatch.
+    negative speed raises OutOfInterval, a non-finite one MarginalMismatch;
+    a label that is not an end of the tree raises MalformedTree at any speed.
     """
 
     atoms: tuple[tuple[TreeEnd | None, float, float], ...]
@@ -54,13 +55,11 @@ class ConeMeasure(NamedTuple):
                 raise MarginalMismatch(f"non-finite cone speed {speed}")
             if speed < 0.0:
                 raise OutOfInterval(f"negative cone speed {speed}")
-            if speed <= DUST:
-                key: ConeAtomKey = (None, 0.0)
-            else:
-                if end is None:
-                    raise MarginalMismatch("moving cone atom needs an end")
+            if end is not None:
                 tree.end(end.edge)  # validates
-                key = (end, speed)
+            elif speed > DUST:
+                raise MarginalMismatch("moving cone atom needs an end")
+            key: ConeAtomKey = (None, 0.0) if speed <= DUST else (end, speed)
             keyed.append((key, mass))
         kept = _merge_atoms(keyed, "cone masses")
         return ConeMeasure(tuple((e, s, m) for (e, s), m in kept))

@@ -31,8 +31,8 @@ from .transport import (
     _add_in_order,
     _merge_atoms,
     _sums_by_key,
+    _squares,
     solve_transport,
-    squares_in_range,
 )
 
 if TYPE_CHECKING:
@@ -91,6 +91,12 @@ def is_antipodal(
     return AntipodalityResult(disjoint, disjoint, common)
 
 
+def _require_antipodal(tree, nu_minus, nu_plus) -> None:
+    anti = is_antipodal(tree, nu_minus, nu_plus)
+    if not anti.antipodal:
+        raise NotAntipodal(f"supports share ends {anti.common_ends}")
+
+
 # -- flows -------------------------------------------------------------------
 
 
@@ -129,9 +135,7 @@ def flow_table(
     end mass of nu = nu+ - nu- in the far component; the tree's one pass of
     rooted subtree sums yields all of them (linear in the tree size).
     """
-    anti = is_antipodal(tree, nu_minus, nu_plus)
-    if not anti.antipodal:
-        raise NotAntipodal(f"supports share ends {anti.common_ends}")
+    _require_antipodal(tree, nu_minus, nu_plus)
     nu = _sums_by_key(chain(
         ((e.edge, m) for e, m in nu_plus.atoms), ((e.edge, -m) for e, m in nu_minus.atoms)
     ))
@@ -185,10 +189,8 @@ def realizability_sum(tree: MetricTree, flow: FlowTable) -> RealizabilityResult:
     is a statement about the truncations up to the sampled depth only.
     """
     bp_dist = tree.basepoint_distances()
-    with squares_in_range("base-point distance"):
-        value = _add_in_order(
-            flow.specific_flow[x] * bp_dist[x] ** 2 for x in tree.vertices
-        )
+    (sq,) = _squares([[bp_dist[x] for x in tree.vertices]], "base-point distance")
+    value = _add_in_order(flow.specific_flow[x] * s for x, s in zip(tree.vertices, sq))
     family = tree.generated_by
     if family is None:
         return RealizabilityResult(value, "FINITE")
@@ -224,17 +226,14 @@ def d0_transport(
 ) -> D0Result:
     """Minimize the integral of -D0^2 over couplings of the two boundary
     measures; the transportation simplex handles the negative costs as is."""
-    anti = is_antipodal(tree, nu_minus, nu_plus)
-    if not anti.antipodal:
-        raise NotAntipodal(f"supports share ends {anti.common_ends}")
+    _require_antipodal(tree, nu_minus, nu_plus)
     xs = [e for e, _ in nu_minus.atoms]
     ys = [e for e, _ in nu_plus.atoms]
     d0 = [[gromov_product(tree, xi, zeta) for zeta in ys] for xi in xs]
-    with squares_in_range("D0"):
-        cost = [[-(v ** 2) for v in row] for row in d0]
-        value, idx_entries, _ = solve_transport(
-            cost, [m for _, m in nu_minus.atoms], [m for _, m in nu_plus.atoms]
-        )
+    cost = [[-s for s in row] for row in _squares(d0, "D0")]
+    value, idx_entries, _ = solve_transport(
+        cost, [m for _, m in nu_minus.atoms], [m for _, m in nu_plus.atoms]
+    )
     return D0Result(value, tuple((xs[i], ys[j], q) for i, j, q in idx_entries))
 
 

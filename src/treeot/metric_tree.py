@@ -136,10 +136,10 @@ class MetricTree:
         names = list(vertices)
         if not names:
             raise MalformedTree("tree needs at least one vertex")
-        if len(set(names)) != len(names):
+        vset = set(names)
+        if len(vset) != len(names):
             raise MalformedTree("duplicate vertex names")
         self._vertices = tuple(sorted(names))
-        self._vset = vset = set(self._vertices)
 
         self._edges: dict[str, Edge] = {}
         incident: dict[str, list[str]] = {v: [] for v in self._vertices}
@@ -233,7 +233,8 @@ class MetricTree:
         return TreeEnd(eid)
 
     def end_attachment(self, end: TreeEnd) -> str:
-        return self.edge(end.edge).ends[0]
+        """The vertex an end's ray hangs from; checked by ``end``."""
+        return self._edges[self.end(end.edge).edge].ends[0]
 
     def _build_rooted(self, root: str) -> None:
         """The one traversal of the finite edges: an iterative depth-first
@@ -306,8 +307,7 @@ class MetricTree:
     # -- points -------------------------------------------------------------
 
     def vertex_point(self, v: str) -> TreePoint:
-        if v not in self._vset:
-            raise MalformedTree(f"unknown vertex {v!r}")
+        self.incident_edges(v)  # validates
         return TreePoint(vertex=v)
 
     def edge_point(self, eid: str, offset: float) -> TreePoint:
@@ -334,7 +334,7 @@ class MetricTree:
         v, eid, off = p
         if v is not None:
             bare = eid is None and type(off) is float and off == 0.0 and math.copysign(1.0, off) == 1.0
-            return p if bare and v in self._vset else self.vertex_point(v)
+            return p if bare and v in self._incident else self.vertex_point(v)
         e = self._edges.get(eid)
         if e is not None and type(off) is float and DUST < off < e.length - DUST:
             return p
@@ -564,13 +564,27 @@ class MetricTree:
 
     # -- component bookkeeping (perpendiculars, Radon, flows) -----------------
 
+    def _edge_at(self, x: str, eid: str) -> Edge:
+        """Edge eid, which must have x as an endpoint (MalformedTree)."""
+        e = self.edge(eid)
+        if x not in e.ends:
+            raise MalformedTree(f"edge {eid!r} is not incident to {x!r}")
+        return e
+
+    def _flag_edges(self, x: str, e: str, f: str) -> tuple[str, ...]:
+        """The edges at x, if e and f are two of them (else FlagInvalid)."""
+        if e == f:
+            raise FlagInvalid(f"flag at {x!r} needs two distinct edges")
+        inc = self.incident_edges(x)
+        if e not in inc or f not in inc:
+            raise FlagInvalid(f"edges {e!r}, {f!r} not both incident to {x!r}")
+        return inc
+
     def subtree_vertices(self, x: str, via_edge: str) -> frozenset[str]:
         """Vertices of the component of X minus x entered through via_edge:
         a slice of the preorder when via_edge leads away from the root, the
         complement of x's rooted subtree when it leads toward it."""
-        e = self.edge(via_edge)
-        if x not in e.ends:
-            raise MalformedTree(f"edge {via_edge!r} is not incident to {x!r}")
+        e = self._edge_at(x, via_edge)
         if e.infinite:
             return frozenset()
         child = max(map(self._pre.__getitem__, e.ends))
@@ -612,21 +626,23 @@ class MetricTree:
 
     def onward_edge(self, v: str, came_by: str) -> str:
         """The edge by which a path entering vertex v through came_by is
-        continued: the lowest-id other edge at v.  A leaf raises LeafyTree."""
-        for eid in self.incident_edges(v):
+        continued: the lowest-id other edge at v.  came_by must end at v
+        (MalformedTree); a leaf raises LeafyTree."""
+        self._edge_at(v, came_by)
+        for eid in self._incident[v]:
             if eid != came_by:
                 return eid
         raise LeafyTree(f"extension stuck at leaf {v!r}")
 
     def extension_walk(self, start: str, via_edge: str) -> TreeEnd:
         """The end reached by leaving `start` through `via_edge` and going
-        on at every vertex along its onward edge, until an infinite edge."""
-        eid, v = via_edge, start
-        while not self.edge(eid).infinite:
-            e = self._edges[eid]
+        on at every vertex along its onward edge, until an infinite edge.
+        via_edge must end at `start` (MalformedTree)."""
+        e, v = self._edge_at(start, via_edge), start
+        while not e.infinite:
             v = e.ends[1] if e.ends[0] == v else e.ends[0]
-            eid = self.onward_edge(v, eid)
-        return TreeEnd(eid)
+            e = self._edges[self.onward_edge(v, e.id)]
+        return TreeEnd(e.id)
 
     # -- geodesic constructors ------------------------------------------------
 
@@ -654,15 +670,13 @@ class MetricTree:
     def ray_to_end(self, p: TreePoint, end: TreeEnd, speed: float) -> "TreeGeodesic":
         speed = float(speed)
         p = self.canonical_point(p)
-        e = self.edge(end.edge)
-        if not e.infinite:
-            raise MalformedTree(f"edge {end.edge!r} carries no end")
+        u = self.end_attachment(end)
         if speed == 0.0:
             return self.constant_geodesic(p, 0.0, math.inf)
         if p.edge == end.edge:
             nodes, spans = [(0.0, p)], []
         else:
-            nodes, spans = self.path_nodes(p, self.vertex_point(e.ends[0]))
+            nodes, spans = self.path_nodes(p, self.vertex_point(u))
         return TreeGeodesic(self, speed, 0.0, math.inf, 0.0, nodes, spans, None, end)
 
     def geodesic_between_ends(
@@ -906,8 +920,10 @@ class TreeGeodesic:
 
 def gromov_product(tree: MetricTree, xi: TreeEnd, zeta: TreeEnd) -> float:
     """Distance from the base point to the geodesic joining two ends;
-    +infinity on the diagonal."""
+    +infinity on the diagonal.  An unknown or finite edge raises
+    MalformedTree, on the diagonal too."""
     if xi == zeta:
+        tree.end(xi.edge)
         return math.inf
     gamma = tree.geodesic_between_ends(xi, zeta)
     return tree.distance(tree.basepoint, gamma.point_at_arc(0.0))
@@ -933,14 +949,10 @@ def project_to_geodesic(tree: MetricTree, y: TreePoint, gamma: TreeGeodesic) -> 
 
 def perpendicular(tree: MetricTree, x: str, e: str, f: str) -> frozenset[str]:
     """Vertex set of the perpendicular of the flag (x, ef): x together with
-    the components off x that meet neither e nor f."""
-    if e == f:
-        raise FlagInvalid(f"flag needs two distinct edges, got {e!r} twice")
-    inc = tree.incident_edges(x)
-    if e not in inc or f not in inc:
-        raise FlagInvalid(f"edges {e!r}, {f!r} not both incident to {x!r}")
+    the components off x that meet neither e nor f.  A flag that is not
+    two distinct edges at x raises FlagInvalid, as ``radon.Flag.make``."""
     out = {x}
-    for g in inc:
+    for g in tree._flag_edges(x, e, f):
         if g not in (e, f):
             out |= tree.subtree_vertices(x, g)
     return frozenset(out)

@@ -33,7 +33,7 @@ from itertools import chain, islice
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
-    ConstantGeodesic, FlagInvalid, InconsistentData, MalformedForRadon, NonFiniteValue,
+    ConstantGeodesic, InconsistentData, MalformedForRadon, NonFiniteValue,
 )
 from .metric_tree import DUST, TOL, MetricTree, TreeGeodesic, TreePoint, project_to_geodesic
 from .transport import DUAL_TOL, DiscreteMeasure, _add_in_order, _sums_by_key
@@ -47,11 +47,7 @@ class Flag(NamedTuple):
 
     @staticmethod
     def make(tree: MetricTree, x: str, e: str, f: str) -> "Flag":
-        if e == f:
-            raise FlagInvalid(f"flag at {x!r} needs two distinct edges")
-        inc = tree.incident_edges(x)
-        if e not in inc or f not in inc:
-            raise FlagInvalid(f"edges {e!r}, {f!r} not both incident to {x!r}")
+        tree._flag_edges(x, e, f)
         return Flag(x, (e, f) if e < f else (f, e))
 
 

@@ -39,7 +39,6 @@ the keys in first-seen order, so that equal inputs give equal bits.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from functools import reduce
 from operator import add, sub
 from typing import Hashable, Iterable, NamedTuple, Sequence
@@ -112,12 +111,11 @@ def _merge_atoms(
     return kept
 
 
-@contextmanager
-def squares_in_range(what: str):
-    """Turn the OverflowError of squaring a float beyond about 1.3e154 into
-    NonFiniteValue; the squares themselves stay `x ** 2`."""
+def _squares(rows: Iterable[Iterable[float]], what: str) -> list[list[float]]:
+    """The squares `x ** 2` of a matrix's entries; one beyond the float range
+    (about 1.3e154) raises NonFiniteValue naming `what`, not OverflowError."""
     try:
-        yield
+        return [[x ** 2 for x in row] for row in rows]
     except OverflowError:
         raise NonFiniteValue(f"a squared {what} exceeds the float range") from None
 
@@ -395,9 +393,7 @@ def w2_from_distances(
     """Transport for the squared entries of a distance matrix: the square
     root of the optimal value, then solve_transport's entries and solution.
     A square beyond the float range raises NonFiniteValue naming `what`."""
-    with squares_in_range(what):
-        cost = [[d ** 2 for d in row] for row in distances]
-    value, entries, sol = solve_transport(cost, supply, demand)
+    value, entries, sol = solve_transport(_squares(distances, what), supply, demand)
     return math.sqrt(max(0.0, value)), entries, sol
 
 
@@ -528,9 +524,7 @@ def is_cyclically_monotone(
     ys: dict = {}
     si = [xs.setdefault(x, len(xs)) for x, _, _ in plan.entries]
     ti = [ys.setdefault(y, len(ys)) for _, y, _ in plan.entries]
-    with squares_in_range("distance"):
-        sq = [[v ** 2 for v in row] for row in tree.distance_matrix(list(xs), list(ys))]
-    return certify_costs(sq, si, ti)
+    return certify_costs(_squares(tree.distance_matrix(list(xs), list(ys)), "distance"), si, ti)
 
 
 def certify_costs(

@@ -807,9 +807,23 @@ def _forked():
     (lambda t: t.mass_beyond({}, {"zz": 1.0}), MalformedTree, "unknown edge 'zz'"),
     (lambda t: t.end("ea"), MalformedTree, "edge 'ea' is not infinite, carries no end"),
     (lambda t: t.onward_edge("c", "ec"), LeafyTree, "extension stuck at leaf 'c'"),
+    # every name is checked where it is read, by one check per kind of name
+    (lambda t: t.onward_edge("a", "eb"), MalformedTree, "edge 'eb' is not incident to 'a'"),
+    (lambda t: t.extension_walk("zz", "ea"), MalformedTree, "edge 'ea' is not incident to 'zz'"),
+    (lambda t: t.extension_walk("b", "ea"), MalformedTree, "edge 'ea' is not incident to 'b'"),
+    (lambda t: t.end_attachment(T.TreeEnd("ec")), MalformedTree, "edge 'ec' is not infinite, carries no end"),
+    (lambda t: t.geodesic_between_ends(T.TreeEnd("ec"), t.end("rb")), MalformedTree,
+     "edge 'ec' is not infinite, carries no end"),
+    (lambda t: T.gromov_product(t, T.TreeEnd("ec"), t.end("rb")), MalformedTree,
+     "edge 'ec' is not infinite, carries no end"),
+    (lambda t: T.gromov_product(t, T.TreeEnd("zz"), T.TreeEnd("zz")), MalformedTree, "unknown edge 'zz'"),
+    (lambda t: T.ConeMeasure.from_atoms(t, [(T.TreeEnd("ec"), 0.0, 1.0)]), MalformedTree,
+     "edge 'ec' is not infinite, carries no end"),
+    (lambda t: T.perpendicular(t, "o", "ea", "ea"), FlagInvalid, "flag at 'o' needs two distinct edges"),
     (lambda t: t.geodesic_segment(t.vertex_point("a"), t.vertex_point("b"), 1.0, 1.0),
      OutOfInterval, "need finite t0 < t1, got [1.0, 1.0]"),
-    (lambda t: t.ray_to_end(t.vertex_point("a"), T.TreeEnd("ea"), 1.0), MalformedTree, "edge 'ea' carries no end"),
+    (lambda t: t.ray_to_end(t.vertex_point("a"), T.TreeEnd("ea"), 1.0), MalformedTree,
+     "edge 'ea' is not infinite, carries no end"),
     (lambda t: t.geodesic_between_ends(t.end("ra"), t.end("rb"), anchor=t.vertex_point("c")),
      MalformedTree, "anchor does not lie on the geodesic locus"),
     (lambda t: t.geodesic_segment(t.vertex_point("a"), t.vertex_point("b"), 0.0, 1.0).restrict(0.5, 2.0),

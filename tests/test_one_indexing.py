@@ -1,7 +1,8 @@
 """One indexing of the rooted tree: every structure a MetricTree keeps of
 its rooted copy is a list by preorder position, so the only maps keyed by
-vertex name are the name-to-position map ``_pre`` and the incident edges
-(README, metric trees)."""
+vertex name are the name-to-position map ``_pre`` and the incident edges,
+and no set of vertex names is kept beside them: membership of a name is a
+lookup in one of the two (README, metric trees)."""
 
 import math
 
@@ -23,6 +24,6 @@ def test_only_pre_and_incident_are_keyed_by_vertex():
     vertices = set(tree.vertices)
     keyed = sorted(
         name for name, value in vars(tree).items()
-        if isinstance(value, dict) and vertices & set(value)
+        if isinstance(value, (dict, set, frozenset)) and vertices & set(value)
     )
     assert keyed == ["_incident", "_pre"]
