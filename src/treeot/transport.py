@@ -26,9 +26,9 @@ sets the potentials, and one pass over the reduced costs c - phi - psi
 decides a connected support, or finds a failing pair whose cycle through the
 walk is a simple violating witness.  Only a support of several components
 needs more: a Bellman-Ford search over the components
-(min_improvement_cycle).  That search and the matrix handed to it are the
-only numpy code in the package, and numpy is imported where they run:
-importing treeot, and certifying a connected support, never load numpy.
+(min_improvement_cycle, Ahuja, Magnanti & Orlin 1993, ch. 5), in pure
+Python like the rest of the package, which imports nothing outside the
+standard library.
 
 Every sum of masses by key in the package (the atoms of a measure, a
 plan's marginals, the signed end masses of the flows, the gaps between two
@@ -39,8 +39,10 @@ the keys in first-seen order, so that equal inputs give equal bits.
 from __future__ import annotations
 
 import math
+from array import array
 from functools import reduce
-from operator import add, sub
+from itertools import chain
+from operator import add, ge, sub
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import MarginalMismatch, NonFiniteValue, SolverFailure
@@ -112,12 +114,16 @@ def _merge_atoms(
 
 
 def _squares(rows: Iterable[Iterable[float]], what: str) -> list[list[float]]:
-    """The squares `x ** 2` of a matrix's entries; one beyond the float range
-    (about 1.3e154) raises NonFiniteValue naming `what`, not OverflowError."""
+    """The squares `x ** 2` of a matrix's entries (rows not empty).  One
+    beyond the float range (about 1.3e154), which raises OverflowError, or
+    infinite, whose square is inf, raises NonFiniteValue naming `what`."""
     try:
-        return [[x ** 2 for x in row] for row in rows]
+        squares = [[x ** 2 for x in row] for row in rows]
+        if math.inf not in map(max, squares):
+            return squares
     except OverflowError:
-        raise NonFiniteValue(f"a squared {what} exceeds the float range") from None
+        pass
+    raise NonFiniteValue(f"a squared {what} exceeds the float range")
 
 
 class DiscreteMeasure(NamedTuple):
@@ -440,62 +446,67 @@ def _predecessor_cycle(pred: list[int], starts: list[int], seen: list[int], stam
     return -1
 
 
-def min_improvement_cycle(
-    weights: np.ndarray, max_cycle: int
-) -> tuple[float, tuple[int, ...] | None]:
-    """Negative cycle of the complete digraph with arc weights w[e, f]:
+def min_improvement_cycle(weights, max_cycle: int) -> tuple[float, tuple[int, ...] | None]:
+    """Negative cycle of the complete digraph with arc weights w[e][f]:
     (0.0, None) when there is none, else (its weight, a simple witness).
 
-    w[e, f] is the cost change of redirecting entry e's mass to entry f's
+    w[e][f] is the cost change of redirecting entry e's mass to entry f's
     target.  With the slack s = TOL / k (more at large |w|, see
     _arc_slack), Bellman-Ford from a virtual source relaxes a node only when
-    it gains more than s, for at most k rounds.  "None" is returned only
-    after the potentials re-check w[e, f] >= phi_f - phi_e - s on every
-    pair, so no cycle weighs less than -k s.  After each round the
-    predecessor graph is walked from the nodes that round relaxed, and the
-    search stops at the first cycle found there: each of its arcs was set by
-    a relaxation gaining more than s, so it weighs less than -s.  It is
-    given in shift order from its lowest index, with its weight recomputed
+    it gains more than s, for at most k rounds; every node of a round is
+    relaxed from the previous round's potentials, the lowest e winning ties.
+    "None" is returned only after the potentials re-check w[e][f] >= phi_f -
+    phi_e - s on every pair, so no cycle weighs less than -k s.  After each
+    round the predecessor graph is walked from the nodes that round relaxed,
+    and the search stops at the first cycle found there: each of its arcs was
+    set by a relaxation gaining more than s, so it weighs less than -s.  It
+    is given in shift order from its lowest index, with its weight recomputed
     from w.  max_cycle < 2 means no cycle; otherwise every length is
     searched.
-    """
-    import numpy as np
 
+    `weights` is any k x k matrix with `.shape` and `.tolist()`, its entries
+    read as floats: a numpy array, or the 2-D memoryview of doubles that
+    certify_costs passes.  The view rather than a list of lists keeps the
+    `.shape` that callers wrapping this function read (the benchmark's
+    tracer counts the search's work by it).
+    """
     k = weights.shape[0]
     if k == 0 or max_cycle < 2:
         return 0.0, None
-    slack = _arc_slack(k, float(np.abs(weights).max()))
-    nodes = np.arange(k)
-    into = np.ascontiguousarray(weights.T)  # into[f, e] = w[e, f]: minima along rows
-    phi = np.zeros(k)
-    pred = np.full(k, k)  # k is the virtual source
+    flat = list(map(float, chain.from_iterable(weights.tolist())))
+    w = [flat[i : i + k] for i in range(0, k * k, k)]
+    # A NaN counts as infinite: with an infinite slack nothing relaxes, and
+    # the re-check fails on the NaN.
+    slack = _arc_slack(k, math.inf if any(map(math.isnan, flat)) else max(map(abs, flat)))
+    into = list(zip(*w))  # into[f][e] = w[e][f]
+    phi = [0.0] * k
+    pred = [k] * k  # k is the virtual source
     seen = [0] * k + [k * k + 1]  # walk stamps; the source's is above all of them
     for r in range(k):
-        cand = into + phi
-        arg = cand.argmin(axis=1)
-        best = cand[nodes, arg]
-        relaxed = best < phi - slack
-        moved = np.flatnonzero(relaxed)
-        if not moved.size:
-            if np.all(weights >= phi[None, :] - phi[:, None] - slack):
+        moved, nxt = [], phi[:]
+        for f, col in enumerate(into):
+            best = min(map(add, col, phi))
+            if best < phi[f] - slack:
+                nxt[f], pred[f] = best, list(map(add, col, phi)).index(best)
+                moved.append(f)
+        if not moved:
+            if all(all(map(ge, row, [(pf - pe) - slack for pf in phi])) for row, pe in zip(w, phi)):
                 return 0.0, None
             raise SolverFailure("cycle search potentials fail their re-check")
-        phi = np.where(relaxed, best, phi)
-        pred = np.where(relaxed, arg, pred)
-        links = pred.tolist()
-        e = _predecessor_cycle(links, moved.tolist(), seen, r * k + 1)
+        phi = nxt
+        e = _predecessor_cycle(pred, moved, seen, r * k + 1)
         if e >= 0:
             break
     else:
         raise SolverFailure("cycle search still relaxing without a cycle")
 
     cycle = [e]
-    while links[cycle[-1]] != e:
-        cycle.append(links[cycle[-1]])
+    while pred[cycle[-1]] != e:
+        cycle.append(pred[cycle[-1]])
     cycle.reverse()  # predecessors run against the shift order
     low = cycle.index(min(cycle))
     cycle = cycle[low:] + cycle[:low]
-    weight = _add_in_order(float(weights[a, b]) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    weight = _add_in_order(w[a][b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
     if weight >= 0.0:
         raise SolverFailure("cycle search returned a non-negative cycle")
     return weight, tuple(cycle)
@@ -644,11 +655,10 @@ def certify_costs(
     if K == 1:
         return MonotonicityCertificate(True, k, None, 0.0)
 
-    import numpy as np
-
     # Scaled by 2k / K, the search's slack of TOL / K per arc is the
     # TOL / (2k) of every other arc (at desk-scale distances).
-    _, components = min_improvement_cycle(np.array(least) * (2 * k / K), K)
+    scaled = array("d", [x * (2 * k / K) for row in least for x in row])
+    _, components = min_improvement_cycle(memoryview(scaled).cast("B").cast("d", (K, K)), K)
     if components is None:
         return MonotonicityCertificate(True, k, None, 0.0)
     hops = [at[p][q] for p, q in zip(components, components[1:] + components[:1])]

@@ -312,6 +312,55 @@ def cycle_weight(w, cycle) -> float:
     return add_in_order(float(w[a, b]) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
+def reference_min_improvement_cycle(weights, max_cycle: int):
+    """``transport.min_improvement_cycle`` as it was written in numpy, the
+    reference for the pure-Python search: each round relaxes every node at
+    once from the previous round's potentials (argmin, lowest e on ties),
+    then walks the predecessors from each node relaxed, in index order, and
+    stops at the first walk that comes back on itself.  Same slack, same
+    re-check, same rotation and left-to-right weight, so the two agree bit
+    for bit."""
+    w = np.asarray(weights, dtype=float)
+    k = w.shape[0]
+    if k == 0 or max_cycle < 2:
+        return 0.0, None
+    slack = T.transport._arc_slack(k, float(np.abs(w).max()))
+    nodes = np.arange(k)
+    into = np.ascontiguousarray(w.T)  # into[f, e] = w[e, f]
+    phi = np.zeros(k)
+    pred = np.full(k, k)  # k is the virtual source
+    for _ in range(k):
+        cand = into + phi
+        arg = cand.argmin(axis=1)
+        best = cand[nodes, arg]
+        relaxed = best < phi - slack
+        if not relaxed.any():
+            if np.all(w >= phi[None, :] - phi[:, None] - slack):
+                return 0.0, None
+            raise T.SolverFailure("re-check failed")
+        phi = np.where(relaxed, best, phi)
+        pred = np.where(relaxed, arg, pred)
+        links, e = pred.tolist(), k
+        for start in np.flatnonzero(relaxed).tolist():
+            path, e = set(), start
+            while e != k and e not in path:
+                path.add(e)
+                e = links[e]
+            if e != k:
+                break
+        if e != k:
+            break
+    else:
+        raise T.SolverFailure("still relaxing")
+    cycle = [e]
+    while links[cycle[-1]] != e:
+        cycle.append(links[cycle[-1]])
+    cycle.reverse()
+    low = cycle.index(min(cycle))
+    cycle = cycle[low:] + cycle[:low]
+    return cycle_weight(w, cycle), tuple(cycle)
+
+
 def dense_projection(tree, y, gamma, step: float = 1e-3) -> float:
     """Distance from y to a dense sample of the locus (projection oracle)."""
     lo, hi = gamma.arc_bounds()

@@ -1043,14 +1043,15 @@ def test_cli_radon_invert_repeated_flag_is_an_input_error(files):
     assert "Traceback" not in out.stderr
 
 
-def test_cli_infinite_cost_is_a_solver_failure(files):
+def test_cli_infinite_cone_distance_is_a_domain_error(files):
     # 1e308 + 1e308 is an infinite cone distance, whose square is inf: the
-    # solver rejects the cost rather than return a plan for it.
+    # squares are checked before the solver sees them, as for a finite
+    # distance whose square overflows.
     tree = files("t.json", STAR3_JSON)
     nu1 = files("nu1.json", _cone(("r1", "1e308", "1")))
     nu2 = files("nu2.json", _cone(("r2", "1e308", "1")))
     err = _domain_error(cli("w-infinity", "--tree", tree, "--nu1", nu1, "--nu2", nu2))
-    assert err == {"error": "SolverFailure", "message": "non-finite cost"}
+    assert err == {"error": "NonFiniteValue", "message": "a squared cone distance exceeds the float range"}
 
 
 def test_cli_w2_overflowing_square_is_a_domain_error(files):
@@ -1306,8 +1307,8 @@ def test_import_loads_no_logging():
 
 
 def test_import_loads_no_numpy():
-    # numpy is loaded by the cyclical-monotonicity search only; this process
-    # has numpy already, so the import is checked in a fresh interpreter.
+    # No module imports numpy; this process has numpy already, so the import
+    # is checked in a fresh interpreter.
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run(
         [sys.executable, "-c", f"{IMPORT_ALL}; assert 'numpy' not in sys.modules"],
@@ -1321,8 +1322,10 @@ def test_import_loads_no_numpy():
 def test_connected_plan_is_certified_without_numpy(files, capsys):
     # With numpy unimportable in a fresh interpreter, certify-plan and
     # interpolate --plan still run on a solved plan whose support is
-    # connected, and certify-plan on a ray plan from one point, and print
-    # what they print here.
+    # connected, certify-plan on a ray plan from one point, and the cycle
+    # search over several components: a ray plan from two start points, and
+    # a diagonal plan with one component per entry.  Each prints what it
+    # prints here.
     from treeot import cli as treeot_cli
 
     rng = np.random.default_rng(97)
@@ -1339,6 +1342,10 @@ def test_connected_plan_is_certified_without_numpy(files, capsys):
         tree, [(tree.ray_to_end(x, end, speed), 0.5) for end, speed in zip(tree.ends(), (1.0, 2.0))]
     )
     ray_plan = files("rays.json", io.dynamical_plan_to_json(rays))
+    diagonal = T.TransportPlan(tuple((x, y, q) for (x, q), (y, _) in zip(mu.atoms, nu.atoms)))
+    assert helpers.support_components(diagonal) == len(diagonal.entries) == 6
+    diagonal_plan = files("diagonal.json", io.plan_to_json(diagonal))
+    star3, two_starts = files("star3.json", STAR3_JSON), files("two_starts.json", TWO_START_RAY_PLAN)
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = "import sys; sys.modules['numpy'] = None; from treeot import cli; sys.exit(cli.run(sys.argv[1:]))"
     outputs = []
@@ -1346,6 +1353,8 @@ def test_connected_plan_is_certified_without_numpy(files, capsys):
         ["certify-plan", "--tree", t, "--plan", plan],
         ["interpolate", "--tree", t, "--mu", m, "--nu", n, "--plan", plan],
         ["certify-plan", "--tree", t, "--plan", ray_plan],
+        ["certify-plan", "--tree", star3, "--plan", two_starts],
+        ["certify-plan", "--tree", t, "--plan", diagonal_plan],
     ):
         assert treeot_cli.run(argv) == 0
         want = capsys.readouterr().out
@@ -1361,6 +1370,8 @@ def test_connected_plan_is_certified_without_numpy(files, capsys):
     assert outputs[0]["cyclically_monotone"] is True
     assert outputs[1]["atoms"]
     assert outputs[2]["optimal"] is True
+    assert outputs[3]["optimal"] is True
+    assert outputs[4]["cyclically_monotone"] is False
 
 
 # -- import footprint ----------------------------------------------------------------
@@ -1370,6 +1381,13 @@ RAY_PLAN = {
     "interval": {"kind": "ray", "t0": "0", "t1": "inf"},
     "atoms": [{"geodesic": {**RAY, "end": "r1"}, "mass": "0.5"},
               {"geodesic": {**RAY, "end": "r2"}, "mass": "0.5"}],
+}
+# A ray plan from two start points: two support components, so its verdict
+# runs the cycle search over the components.
+TWO_START_RAY_PLAN = {
+    "interval": {"kind": "ray", "t0": "0", "t1": "inf"},
+    "atoms": [{"geodesic": {**RAY, "end": "r1"}, "mass": "0.5"},
+              {"geodesic": {**RAY, "start": {"edge": "r2", "offset": "1"}, "end": "r2"}, "mass": "0.5"}],
 }
 SEGMENT_PLAN = {
     "interval": {"kind": "segment", "t0": "0", "t1": "1"},
@@ -1403,6 +1421,7 @@ FOOTPRINTS = {
         {"transport"},
     ),
     "certify-plan dynamical": ([("--tree", TRIPOD_JSON), ("--plan", SEGMENT_PLAN)], {"transport", "dynamics"}),
+    "certify-plan rays": ([("--tree", STAR3_JSON), ("--plan", TWO_START_RAY_PLAN)], {"transport", "dynamics"}),
     "asymptotic": ([("--tree", STAR3_JSON), ("--mu", RAY_PLAN), ("--sigma", RAY_PLAN)],
                    {"transport", "dynamics", "boundary"}),
     "w-infinity": ([("--tree", STAR3_JSON), ("--nu1", CONE), ("--nu2", CONE)],
@@ -1421,8 +1440,9 @@ FOOTPRINTS = {
 
 
 # Runs treeot.cli as __main__, the way `python -m treeot.cli` does, and
-# writes the treeot modules it loaded, and which of the standard `fractions`,
-# `decimal`, `dataclasses` and `inspect` it loaded, to stderr as it exits.
+# writes the treeot modules it loaded, and which of `numpy` and the standard
+# `fractions`, `decimal`, `dataclasses` and `inspect` it loaded, to stderr as
+# it exits.
 RUN_AS_MAIN = """
 import json, runpy, sys
 try:
@@ -1430,7 +1450,7 @@ try:
 finally:
     sys.stderr.write(json.dumps(
         [sorted(m for m in sys.modules if m.startswith("treeot.")),
-         sorted(m for m in ("fractions", "decimal", "dataclasses", "inspect") if m in sys.modules)]
+         sorted(m for m in ("numpy", "fractions", "decimal", "dataclasses", "inspect") if m in sys.modules)]
     ))
 """
 
@@ -1454,6 +1474,7 @@ def test_cli_subcommand_loads_only_its_modules(files, case):
     # treeot.cli itself is __main__ here, so it is counted apart.
     loaded = {name.split(".", 1)[1] for name in modules} | {"cli"}
     assert loaded == {"errors", "metric_tree", "serialization", "cli"} | extra
+    assert "numpy" not in standard
     # No subcommand needs fractions or decimal: the Radon inverse is exact
     # in integers, and numbers are read by float().  Records are NamedTuples;
     # only boundary and ends declare a dataclass, which loads inspect.

@@ -4,6 +4,7 @@ metric axioms at desk scale, cyclical monotonicity certificates."""
 import itertools
 import math
 import re
+from array import array
 
 import numpy as np
 import pytest
@@ -554,6 +555,42 @@ def test_cycle_search_matches_floyd_warshall_at_real_sizes():
     assert sum(verdicts) > 20 and len(verdicts) - sum(verdicts) > 20
 
 
+def _random_weights(rng, k):
+    """A k x k matrix of one of three kinds: small integers (ties
+    everywhere), normal floats shifted up by U(0, 4), or those floats scaled
+    by 10^U(-3, 8); the diagonal is 0 in half of them."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        w = rng.integers(-2, 4, size=(k, k))
+    else:
+        w = rng.normal(size=(k, k)) + rng.uniform(0.0, 4.0)
+        if kind == 2:
+            w *= 10.0 ** rng.uniform(-3.0, 8.0)
+    if rng.integers(2):
+        np.fill_diagonal(w, 0.0)
+    return w
+
+
+def test_cycle_search_matches_the_numpy_reference_bit_for_bit():
+    # The pure-Python search repeats the numpy one's arithmetic step by
+    # step: same relaxations, same ties, same walk, same summation order.
+    # It reads the numpy array and the 2-D view of doubles that
+    # certify_costs passes alike.
+    rng = np.random.default_rng(229)
+    found = 0
+    for _ in range(240):
+        k = int(rng.integers(1, 61))
+        w = _random_weights(rng, k)
+        view = memoryview(array("d", w.ravel().tolist())).cast("B").cast("d", (k, k))
+        for max_cycle in (1, k):
+            want = helpers.reference_min_improvement_cycle(w, max_cycle)
+            for weights in (w, view):
+                got = min_improvement_cycle(weights, max_cycle)
+                assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), (k, max_cycle)
+            found += want[1] is not None
+    assert 40 < found < 200
+
+
 def test_corrupted_plans_fail():
     rng = np.random.default_rng(53)
     made = 0
@@ -604,11 +641,13 @@ def _per_entry_weights(tree, plan):
 
 
 def _matches_per_entry(tree, plan) -> bool:
-    # A passing certificate is the search's exactly.  A failing one has the
-    # search's verdict, but its witness may be another cycle: it must be
-    # simple and weigh, on the per-entry matrix, its improvement below 0.
+    # The reference is the numpy search over the per-entry matrix, not the
+    # search the certificate runs.  A passing certificate is the search's
+    # exactly.  A failing one has the search's verdict, but its witness may
+    # be another cycle: it must be simple and weigh, on the per-entry
+    # matrix, its improvement below 0.
     w = _per_entry_weights(tree, plan)
-    best, witness = min_improvement_cycle(w, len(w))
+    best, witness = helpers.reference_min_improvement_cycle(w, len(w))
     cert = T.is_cyclically_monotone(tree, plan)
     assert cert.passed == (witness is None)
     assert cert.max_cycle == len(plan.entries)
