@@ -412,25 +412,29 @@ class MetricTree:
             i, j, cu, cd = j, i, cd, cu
         return i, cu, cd, j, j + self._size[j]
 
-    def _preorder(self, points: Sequence[TreePoint]) -> list[int]:
-        """Indices of the points in the rooted preorder, by keys read off
-        their canonical ``_side``: a vertex ``(pre, 0)``; a point inside a
-        finite edge ``(pre of the deeper endpoint, -1, cost from the upper
-        exit, offset)``, just before that endpoint and in order down the
-        edge; a point on a ray ``(pre of the attachment, 1, offset, edge)``,
-        just after the attachment.  Distinct canonical points get distinct
-        keys (the offset settles a cost rounded to a tie), so the order does
-        not depend on the order of the points."""
-        keys = []
+    def _preorder(self, points: Sequence[TreePoint]) -> tuple[list[int], list[tuple]]:
+        """Indices of the points in the rooted preorder, and their canonical
+        ``_side`` in that order.  The keys are read off the sides: a vertex
+        ``(pre, 0)``; a point inside a finite edge ``(pre of the deeper
+        endpoint, -1, cost from the upper exit, offset)``, just before that
+        endpoint and in order down the edge; a point on a ray ``(pre of the
+        attachment, 1, offset, edge)``, just after the attachment.  Distinct
+        canonical points get distinct keys (the offset settles a cost
+        rounded to a tie), so the order does not depend on the order of the
+        points."""
+        keys, sides = [], []
         for p in map(self.canonical_point, points):
-            _, cu, _, lo, hi = self._side(p)
+            side = self._side(p)
+            _, cu, _, lo, hi = side
             if p.edge is None:
                 keys.append((lo, 0))
             elif lo < hi:
                 keys.append((lo, -1, cu, p.offset))
             else:
                 keys.append((lo, 1, p.offset, p.edge))
-        return sorted(range(len(keys)), key=keys.__getitem__)
+            sides.append(side)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        return order, [sides[i] for i in order]
 
     @staticmethod
     def _route(sp, sq) -> tuple[int, float, int, float]:

@@ -892,8 +892,8 @@ def test_cli_solver_failure_is_typed(files, monkeypatch, capsys):
 
     real = transport.transportation_simplex
 
-    def bad_duals(*args):
-        sol = real(*args)
+    def bad_duals(*args, **kwargs):
+        sol = real(*args, **kwargs)
         return sol._replace(u=[ui + 1.0 for ui in sol.u])
 
     monkeypatch.setattr(transport, "transportation_simplex", bad_duals)

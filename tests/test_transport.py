@@ -895,14 +895,14 @@ def test_wasserstein2_does_not_depend_on_the_order_of_the_atoms():
 
 
 def test_path_solve_starts_at_the_monotone_coupling(monkeypatch):
-    # On a path from the base point the northwest corner in preorder is the
-    # monotone coupling, which is W2-optimal (Villani 2003, Thm 2.18): the
-    # simplex makes no pivot.  Edges are stored in both orientations, and a
+    # On a path from the base point the tree start is the monotone coupling,
+    # which is W2-optimal (Villani 2003, Thm 2.18): the simplex makes no
+    # pivot.  Edges are stored in both orientations, and a
     # ray at the far end carries atoms too.
     real, pivots = transport.transportation_simplex, []
 
-    def spy(*args):
-        sol = real(*args)
+    def spy(*args, **kwargs):
+        sol = real(*args, **kwargs)
         pivots.append(sol.pivots)
         return sol
 
@@ -941,6 +941,185 @@ def test_path_solve_starts_at_the_monotone_coupling(monkeypatch):
         assert got.keys() == want.keys()
         assert all(got[k] == pytest.approx(want[k], abs=1e-12) for k in want)
     assert pivots == [0] * 20
+
+
+
+def test_line_solve_needs_no_pivot_wherever_the_base_point(monkeypatch):
+    # A path with a ray at each end is a line.  Rooted anywhere on it, at a
+    # vertex or inside an edge, the tree start is the monotone coupling:
+    # where the two sides of the root meet, the heavier kind matched deepest
+    # first against the other kind shallowest first pairs them in line
+    # order.  The northwest corner in preorder does not.
+    real, pivots = transport.transportation_simplex, []
+
+    def spy(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        pivots.append(sol.pivots)
+        return sol
+
+    monkeypatch.setattr(transport, "transportation_simplex", spy)
+    rng = np.random.default_rng(131)
+    for trial in range(40):
+        n = int(rng.integers(2, 12))
+        names = [f"v{i:02d}" for i in range(n)]
+        edges = [
+            (f"e{i:02d}", (a, b) if rng.random() < 0.5 else (b, a), float(rng.uniform(0.2, 2.0)))
+            for i, (a, b) in enumerate(zip(names, names[1:]))
+        ] + [("r0", (names[0],), math.inf), ("r1", (names[-1],), math.inf)]
+        e = edges[int(rng.integers(0, n - 1))]
+        base = names[int(rng.integers(0, n))] if trial % 2 else T.TreePoint(edge=e[0], offset=e[2] * 0.4)
+        tree = T.MetricTree(names, edges, base)
+        mu, nu = (
+            T.DiscreteMeasure.from_atoms(
+                tree, zip(helpers.distinct_points(rng, tree, int(k)), helpers.spread_masses(rng, int(k)))
+            )
+            for k in rng.integers(1, 10, 2)
+        )
+        T.wasserstein2(tree, mu, nu)
+    assert pivots == [0] * 40
+
+def _strongly_feasible(cells, m, n):
+    """Independent check of a basis (i, j) -> mass: m + n - 1 cells, every
+    row and column reached from column 0, masses finite and >= 0, and a zero
+    mass only on a cell hanging a row from its column."""
+    near = {}
+    for (i, j), q in cells.items():
+        near.setdefault(("row", i), []).append((("col", j), q))
+        near.setdefault(("col", j), []).append((("row", i), q))
+    reached, todo = {("col", 0)}, [("col", 0)]
+    while todo:
+        node = todo.pop()
+        for other, q in near.get(node, []):
+            if other in reached:
+                continue
+            if not (0.0 < q < math.inf or (other[0] == "row" and q == 0.0)):
+                return False
+            reached.add(other)
+            todo.append(other)
+    return len(cells) == m + n - 1 and len(reached) == m + n
+
+
+def _start_instances(rng):
+    """Random trees with atoms at vertices, inside edges and on rays, three
+    on one edge and three on one ray, atoms shared by both measures, and
+    every second base point inside an edge; masses uniform (degenerate),
+    random, random at the 12 decimals the CLI prints, and pushforwards of an
+    interpolation."""
+    for k in range(30):
+        tree = helpers.random_tree(rng, int(rng.integers(2, 12)), int(rng.integers(1, 3)))
+        edges = [(e.id, e.ends, e.length) for e in tree.edges.values()]
+        finite = sorted(e.id for e in tree.edges.values() if not e.infinite)
+        if k % 2:
+            e = tree.edges[finite[int(rng.integers(0, len(finite)))]]
+            tree = T.MetricTree(tree.vertices, edges, tree.edge_point(e.id, e.length * rng.uniform(0.1, 0.9)))
+        edge = tree.edges[finite[int(rng.integers(0, len(finite)))]]
+        ray = tree.ends()[int(rng.integers(0, len(tree.ends())))].edge
+        pool = helpers.distinct_points(rng, tree, int(rng.integers(4, 14)))
+        pool += [tree.edge_point(edge.id, edge.length * f) for f in (0.2, 0.5, 0.7)]
+        pool += [tree.edge_point(ray, f) for f in (0.5, 1.5, 4.0)]
+        sides = []
+        for _ in range(2):
+            pts = [pool[i] for i in rng.permutation(len(pool))[: int(rng.integers(2, len(pool) + 1))]]
+            masses = helpers.spread_masses(rng, len(pts)) if k % 3 else [1.0 / len(pts)] * len(pts)
+            if k % 3 == 2:
+                masses = [round(q, 12) for q in masses]
+            sides.append(T.DiscreteMeasure.from_atoms(tree, zip(pts, masses)))
+        yield tree, *sides
+        dyn = T.interpolate(tree, *sides)
+        for s, t in [(0.0, 0.25), (0.25, 0.75), (0.5, 1.0)]:
+            yield tree, T.pushforward_at(dyn, s), T.pushforward_at(dyn, t)
+
+
+def test_tree_start_is_strongly_feasible_and_exact(monkeypatch):
+    # The tree start is a strongly feasible spanning tree whose marginals are
+    # the masses within a few ulps, the columns' scaled to the rows' total as
+    # in the northwest corner, and the solve from it reaches the value of the
+    # solve from the northwest corner.
+    real, starts = transport._tree_start, []
+
+    def spy(tree, points, sides, m, masses):
+        cells = real(tree, points, sides, m, masses)
+        starts.append((m, len(points) - m, masses, cells))
+        return cells
+
+    monkeypatch.setattr(transport, "_tree_start", spy)
+    rng = np.random.default_rng(113)
+    worst, instances, shared, unequal, kinds = 0.0, 0, 0, 0, set()
+    for tree, mu, nu in _start_instances(rng):
+        instances += 1
+        shared += bool(set(mu.points()) & set(nu.points()))
+        unequal += helpers.add_in_order(mu.masses()) != helpers.add_in_order(nu.masses())
+        kinds.update(
+            "vertex" if p.is_vertex() else "ray" if tree.edges[p.edge].infinite else "edge"
+            for p in mu.points() + nu.points()
+        )
+        got = T.wasserstein2(tree, mu, nu).distance
+        m, n, masses, cells = starts[-1]
+        assert _strongly_feasible(cells, m, n)
+        rows = _sums_by_key((i, q) for (i, _), q in cells.items())
+        cols = _sums_by_key((m + j, q) for (_, j), q in cells.items())
+        scale = helpers.add_in_order(masses[:m]) / helpers.add_in_order(masses[m:])
+        want = masses[:m] + [q * scale for q in masses[m:]]
+        gaps = [abs({**rows, **cols}[t] - q) for t, q in enumerate(want)]
+        worst = max(worst, *gaps)
+        xs, ys = mu.points(), nu.points()
+        rows, cols = tree._preorder(xs)[0], tree._preorder(ys)[0]
+        want = transport.w2_from_distances(
+            tree.distance_matrix([xs[i] for i in rows], [ys[j] for j in cols]),
+            [mu.atoms[i][1] for i in rows], [nu.atoms[j][1] for j in cols],
+        )[0]
+        assert abs(got - want) <= 1e-12 * want
+    assert instances == 120 and shared > 60 and unequal > 40
+    assert kinds == {"vertex", "edge", "ray"}
+    assert worst <= 4 * math.ulp(1.0)
+
+
+def test_start_pivot_totals_are_pinned(monkeypatch):
+    # Pivot totals over seeded 25 x 25 instances on 200-vertex trees with
+    # three rays: the tree start leaves about a third of the pivots of the
+    # northwest corner in preorder.
+    real, pivots = transport.transportation_simplex, []
+
+    def spy(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        pivots.append(sol.pivots)
+        return sol
+
+    monkeypatch.setattr(transport, "transportation_simplex", spy)
+    rng = np.random.default_rng(127)
+    tree_start = northwest = 0
+    for _ in range(6):
+        tree = helpers.random_tree(rng, 200, 3)
+        mu, nu = (helpers.random_measure(rng, tree, 25) for _ in range(2))
+        T.wasserstein2(tree, mu, nu)
+        tree_start += pivots[-1]
+        xs, ys = mu.points(), nu.points()
+        rows, cols = tree._preorder(xs)[0], tree._preorder(ys)[0]
+        transport.w2_from_distances(
+            tree.distance_matrix([xs[i] for i in rows], [ys[j] for j in cols]),
+            [mu.atoms[i][1] for i in rows], [nu.atoms[j][1] for j in cols],
+        )
+        northwest += pivots[-1]
+    assert (tree_start, northwest) == (182, 694)
+
+
+def test_simplex_rejects_a_start_that_is_not_strongly_feasible():
+    cost = [[0.0, 1.0, 4.0], [1.0, 0.0, 1.0]]
+    supply, demand = [0.5, 0.5], [0.25, 0.5, 0.25]
+    good = {(0, 0): 0.25, (0, 1): 0.25, (1, 1): 0.25, (1, 2): 0.25}
+    sol = transportation_simplex(supply, demand, cost, start=good)
+    assert sol.value == transportation_simplex(supply, demand, cost).value
+    bad = [
+        # a cycle through rows 0, 1 and columns 0, 1; column 2 is not reached
+        {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.0, (1, 1): 0.25},
+        # a missing cell
+        {(0, 0): 0.25, (0, 1): 0.25, (1, 2): 0.25},
+        # column 1 hangs from row 0 by a cell without mass
+        {(0, 0): 0.25, (0, 1): 0.0, (0, 2): 0.25, (1, 1): 0.5},
+    ]
+    for start in bad:
+        with pytest.raises(T.SolverFailure, match="^start is not a strongly feasible spanning tree$"):
+            transportation_simplex(supply, demand, cost, start=start)
 
 
 # -- fixed-order sums ------------------------------------------------------------
