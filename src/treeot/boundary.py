@@ -15,7 +15,11 @@ the pairwise distances beyond the branch-exit time and solve one more
 transport problem with those slopes as the cost.  The asymptotic formula
 says this limit equals the cone Wasserstein distance of the two asymptotic
 measures.  The sampled rows and the slopes come from one cost builder, which
-evaluates the plans' atoms as given at a time t.  W stays bounded exactly
+evaluates the plans' atoms as given at a time t.  All of these problems
+share the plans' masses as supply and demand, so they are solved as one
+chain: each row, in grid order, and then the slope problem start from the
+basis the previous solve ended on, which is strongly feasible for the next
+cost too and usually a few pivots from its optimum.  W stays bounded exactly
 when the limit is 0, that is when an optimal coupling of the slopes moves
 mass only along zero slopes.
 """
@@ -184,6 +188,10 @@ def asymptotic_formula_check(
 
     Every row, and both matrices beyond the branch exit, come from one cost
     builder: the plans' atoms as given, evaluated at t, with their masses.
+    The rows are solved in increasing t, each from the final basis of the
+    one before, and the slope problem from the last row's (cold when the
+    grid is empty); the cone solve of the target starts at the northwest
+    corner, since its merged atoms need not match the plans' atoms.
     Grid times must be finite and positive (OutOfInterval otherwise).
     Beyond the certified branch-exit time every pairwise distance grows
     exactly affinely, so the limit of the ratio is the value of the same
@@ -204,14 +212,17 @@ def asymptotic_formula_check(
     ).distance
     supply, demand = [m for _, m in mu.atoms], [m for _, m in sigma.atoms]
     gs, hs = [g for g, _ in mu.atoms], [h for h, _ in sigma.atoms]
-    rows = [
-        (t, w2_from_distances(_distances_at(tree, gs, hs, t), supply, demand)[0] / t)
-        for t in grid
-    ]
+    # One supply and one demand throughout: each solve starts from the
+    # basis the previous one ended on.
+    rows, start = [], None
+    for t in grid:
+        value, _, sol = w2_from_distances(_distances_at(tree, gs, hs, t), supply, demand, start=start)
+        rows.append((t, value / t))
+        start = sol.cells
     t_exit = beyond_exit(tree, gs, hs)
     near, far = _distances_at(tree, gs, hs, t_exit), _distances_at(tree, gs, hs, t_exit + 1.0)
     slopes = [[a - b for a, b in zip(fr, nr)] for fr, nr in zip(far, near)]
-    certified, coupling, _ = w2_from_distances(slopes, supply, demand, "slope")
+    certified, coupling, _ = w2_from_distances(slopes, supply, demand, "slope", start=start)
     # W is bounded iff an optimal coupling of the slopes moves no mass along
     # a positive slope.  Each slope is the difference of two distances of at
     # most the largest far distance, so a zero slope rounds to a few ulps of

@@ -105,8 +105,9 @@ def interpolate(
     if plan is None:
         plan = wasserstein2(tree, mu0, mu1).plan
     else:
+        atoms0, atoms1 = dict(mu0.atoms), dict(mu1.atoms)
         plan = plan._replace(entries=tuple(
-            (_snap(x, mu0.atoms), _snap(y, mu1.atoms), m) for x, y, m in plan.entries
+            (_snap(x, atoms0), _snap(y, atoms1), m) for x, y, m in plan.entries
         ))
         plan.check_marginals(mu0, mu1)
         cert = is_cyclically_monotone(tree, plan)
@@ -120,12 +121,14 @@ def interpolate(
     )
 
 
-def _snap(p: TreePoint, atoms) -> TreePoint:
+def _snap(p: TreePoint, atoms: dict) -> TreePoint:
     """The atom on p's edge nearest to p within DUST, or p itself when
-    there is none (check_marginals then rejects it)."""
-    if p.edge is None:
+    there is none (check_marginals then rejects it).  `atoms` maps the
+    measure's points to their masses; a vertex or an atom is found by
+    lookup, and only another point scans the atoms."""
+    if p.edge is None or p in atoms:
         return p
-    near = [q for q, _ in atoms if q.edge == p.edge and abs(q.offset - p.offset) <= DUST]
+    near = [q for q in atoms if q.edge == p.edge and abs(q.offset - p.offset) <= DUST]
     return min(near, key=lambda q: abs(q.offset - p.offset), default=p)
 
 

@@ -6,18 +6,19 @@ costs (the boundary problem of the ends module uses cost -D0^2), keep dual
 variables for an optimality certificate, and pivot deterministically so that
 outputs are byte-stable.  The basis is a spanning tree over rows and columns
 with parent and depth arrays.  Matrix-level callers start it at the
-northwest corner; wasserstein2 starts it from _tree_start, a strongly
-feasible basis matched bottom-up in the tree, which is exact, W1-optimal
-and on a path W2-optimal, and leaves about a third of the northwest
-corner's pivots on branching trees.  The entering cell's cycle is found by
-walking up to the lowest common ancestor, and after a pivot only the
-potentials of the re-hung subtree are updated.  Pricing is block search (as
-in LEMON and Bonneel et al. 2011): each pass prices blocks of about
-sqrt(m n) cells, whole rows at a time from a cursor that persists across
-pivots, and the most negative cell of the first block holding an improving
-one enters.  The leaving cell is the last blocking cell met from the
-cycle's apex, which keeps the basis strongly feasible (Cunningham 1976) and
-rules out cycling without any random choice.
+northwest corner or from an earlier solve's final basis over the same
+supply and demand (the asymptotic check chains its solves so); wasserstein2
+starts it from _tree_start, a strongly feasible basis matched bottom-up in
+the tree, which is exact, W1-optimal and on a path W2-optimal, and leaves
+about a third of the northwest corner's pivots on branching trees.  The
+entering cell's cycle is found by walking up to the lowest common ancestor,
+and after a pivot only the potentials of the re-hung subtree are updated.
+Pricing is block search (as in LEMON and Bonneel et al. 2011): each pass
+prices blocks of about sqrt(m n) cells, whole rows at a time from a cursor
+that persists across pivots, and the most negative cell of the first block
+holding an improving one enters.  The leaving cell is the last blocking cell
+met from the cycle's apex, which keeps the basis strongly feasible
+(Cunningham 1976) and rules out cycling without any random choice.
 
 Cyclical monotonicity is certified by potentials: a plan is optimal for a
 cost c iff no finite family of its pairs can lower the total cost by
@@ -219,12 +220,14 @@ def transportation_simplex(
     `priced` counts the cells the pricing passes read.
 
     The starting basis is the northwest corner, or `start`, a dict (i, j)
-    -> mass of basic cells (as wasserstein2's tree start gives): its
-    marginals are then the problem's, and supply and demand give only m and
-    n.  It is checked before any pivot: exactly m + n - 1 cells, every row
-    and column reached from column 0, every mass finite and >= 0, and a zero
-    mass only on a cell hanging a row from its column.  Any other start
-    raises SolverFailure("start is not a strongly feasible spanning tree").
+    -> mass of basic cells: wasserstein2's tree start, or the `cells` of an
+    earlier solve with the same supply and demand, whose final basis is
+    strongly feasible from column 0.  The start's marginals are then the
+    problem's, and supply and demand give only m and n.  It is checked
+    before any pivot: exactly m + n - 1 cells, every row and column reached
+    from column 0, every mass finite and >= 0, and a zero mass only on a
+    cell hanging a row from its column.  Any other start raises
+    SolverFailure("start is not a strongly feasible spanning tree").
     """
     m, n = len(supply), len(demand)
     # The pricing tolerance scales with the largest |cost|; the same pass

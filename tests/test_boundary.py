@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import treeot as T
+from treeot import boundary
 from treeot.errors import MarginalMismatch, NonFiniteValue, NonUnitMeasure, OutOfInterval
 
 import helpers
@@ -366,6 +367,55 @@ def test_sampled_ratio_near_target_small_trees():
         report = T.asymptotic_formula_check(tree, mu, sigma)
         assert report.max_error_at_largest_t <= 1e-6 * (1.0 + report.target)
         helpers.assert_classified_by_target(report)
+
+
+def test_chained_solves_match_cold_solves(monkeypatch):
+    # The grid rows and the slope problem share one supply and one demand,
+    # so each solve starts from the basis the previous one ended on.  A spy
+    # that drops `start` gives the cold reference; the cone solve of the
+    # target starts cold either way and is not counted.  The 112 chained
+    # solves take about 2.9 pivots each, the cold ones about 11.
+    real, pivots = boundary.w2_from_distances, {True: 0, False: 0}
+    warm = True
+
+    def spy(distances, supply, demand, what="distance", *, start=None):
+        out = real(distances, supply, demand, what, start=start if warm else None)
+        if what != "cone distance":
+            pivots[warm] += out[2].pivots
+        return out
+
+    monkeypatch.setattr(boundary, "w2_from_distances", spy)
+    rng = np.random.default_rng(227)
+    classes = set()
+    for k in range(16):
+        tree = helpers.random_tree(rng, int(rng.integers(10, 40)), 3)
+        ends = tree.ends()
+
+        def cone():
+            speeds = rng.uniform(0.5, 1.5, size=6)
+            return T.ConeMeasure.from_atoms(tree, [
+                (ends[int(rng.integers(0, len(ends)))], float(s), m)
+                for s, m in zip(speeds, helpers.spread_masses(rng, 6))
+            ])
+
+        x1, x2 = helpers.random_point(rng, tree), helpers.random_point(rng, tree)
+        c1 = cone()
+        c2 = c1 if k % 4 == 0 else cone()
+        mu = T.ray_from_asymptotic_measure(tree, x1, c1)
+        sigma = T.ray_from_asymptotic_measure(tree, x1 if k % 2 else x2, c2)
+        assert len(mu.atoms) == len(sigma.atoms) == 6
+        warm = True
+        chained = T.asymptotic_formula_check(tree, mu, sigma)
+        warm = False
+        cold = T.asymptotic_formula_check(tree, mu, sigma)
+        assert (chained.classification, chained.monotone) == (cold.classification, cold.monotone)
+        assert chained.csv() == cold.csv()
+        assert chained.certified_limit == pytest.approx(cold.certified_limit, rel=1e-12, abs=0.0)
+        for (t, r), (s, q) in zip(chained.rows, cold.rows):
+            assert t == s and r == pytest.approx(q, rel=1e-12, abs=0.0)
+        classes.add(chained.classification)
+    assert classes == {"asymptotic", "linear"}
+    assert (pivots[True], pivots[False]) == (327, 1231)
 
 
 def test_csv_shape(star3):

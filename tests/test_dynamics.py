@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import treeot as T
+from treeot import dynamics
 from treeot.dynamics import OptimalityCertificate, beyond_exit, projection_monotone
 from treeot.errors import LeafyTree, MarginalMismatch, NotDiracBased, OutOfInterval, PlanNotOptimal
+from treeot.metric_tree import DUST
 
 import helpers
 
@@ -121,6 +123,50 @@ def test_interpolate_rejects_suboptimal_plan():
             break
     with pytest.raises(PlanNotOptimal):
         T.interpolate(tree, mu0, mu1, bad)
+
+
+def _scan_snap(p, atoms):
+    # the full scan over every atom, as _snap read a plan point before lookup
+    if p.edge is None:
+        return p
+    near = [q for q, _ in atoms if q.edge == p.edge and abs(q.offset - p.offset) <= DUST]
+    return min(near, key=lambda q: abs(q.offset - p.offset), default=p)
+
+
+def test_snap_by_lookup_matches_the_scan():
+    rng = np.random.default_rng(211)
+    kinds = dict.fromkeys(("vertex", "atom", "one near", "two near", "none near"), 0)
+    for _ in range(30):
+        tree = helpers.random_tree(rng, 6, 2)
+        mu = helpers.random_measure(rng, tree, 8)
+        inner = [p for p in mu.points() if p.edge is not None]
+        if not inner:
+            continue
+        # a second atom 1.5 DUST past an inner atom: a point between them
+        # is within DUST of both
+        q = inner[int(rng.integers(0, len(inner)))]
+        twin = T.TreePoint(edge=q.edge, offset=q.offset + 1.5 * DUST)
+        atoms = mu.atoms + ((twin, 0.0),)
+        lookup = dict(atoms)
+        cases = [
+            ("vertex", tree.vertex_point(tree.vertices[int(rng.integers(0, len(tree.vertices)))]), None),
+            ("atom", inner[int(rng.integers(0, len(inner)))], None),
+            ("two near", T.TreePoint(edge=q.edge, offset=q.offset + 0.6 * DUST), q),
+            ("two near", T.TreePoint(edge=q.edge, offset=q.offset + 0.9 * DUST), twin),
+        ]
+        for a in inner:
+            if a != q:
+                p = T.TreePoint(edge=a.edge, offset=a.offset + float(rng.uniform(-0.9, 0.9)) * DUST)
+                cases.append(("one near", p, a))
+        far = helpers.random_point(rng, tree)
+        if far.edge is not None and all(abs(a.offset - far.offset) > 1e-6 for a in lookup if a.edge == far.edge):
+            cases.append(("none near", far, far))
+        for kind, p, want in cases:
+            got = dynamics._snap(p, lookup)
+            assert got == _scan_snap(p, atoms)
+            assert got == (p if want is None else want)
+            kinds[kind] += 1
+    assert min(kinds.values()) > 5, kinds
 
 
 def test_restriction_stays_optimal():

@@ -1103,6 +1103,35 @@ def test_start_pivot_totals_are_pinned(monkeypatch):
     assert (tree_start, northwest) == (182, 694)
 
 
+def test_warm_start_chains_over_one_supply_and_demand():
+    # An earlier solve's final basis is a strongly feasible start for any
+    # cost over the same supply and demand: chains of 5 cost matrices, each
+    # solved from the cells the previous solve ended on, with signed and
+    # tied costs and degenerate (uniform) masses.
+    rng = np.random.default_rng(223)
+    for chain in range(40):
+        m, n = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+        if chain % 2:
+            supply, demand = [1.0 / m] * m, [1.0 / n] * n
+        else:
+            supply, demand = helpers.spread_masses(rng, m), helpers.spread_masses(rng, n)
+        start = None
+        for _ in range(5):
+            if rng.random() < 0.5:
+                cost = rng.integers(-3, 4, size=(m, n)).astype(float).tolist()
+            else:
+                cost = rng.normal(0.0, 5.0, size=(m, n)).tolist()
+            cold = transportation_simplex(supply, demand, cost)
+            warm = transportation_simplex(supply, demand, cost, start=start)
+            certify_duals(cost, warm)
+            assert abs(warm.value - cold.value) <= 1e-12 * max(1.0, abs(cold.value))
+            rows = _sums_by_key((i, q) for (i, _), q in warm.cells.items())
+            cols = _sums_by_key((j, q) for (_, j), q in warm.cells.items())
+            assert all(abs(rows[i] - s) <= 4 * math.ulp(1.0) for i, s in enumerate(supply))
+            assert all(abs(cols[j] - d) <= 4 * math.ulp(1.0) for j, d in enumerate(demand))
+            start = warm.cells
+
+
 def test_simplex_rejects_a_start_that_is_not_strongly_feasible():
     cost = [[0.0, 1.0, 4.0], [1.0, 0.0, 1.0]]
     supply, demand = [0.5, 0.5], [0.25, 0.5, 0.25]
