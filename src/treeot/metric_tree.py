@@ -412,18 +412,21 @@ class MetricTree:
             i, j, cu, cd = j, i, cd, cu
         return i, cu, cd, j, j + self._size[j]
 
-    def _preorder(self, points: Sequence[TreePoint]) -> tuple[list[int], list[tuple]]:
-        """Indices of the points in the rooted preorder, and their canonical
-        ``_side`` in that order.  The keys are read off the sides: a vertex
-        ``(pre, 0)``; a point inside a finite edge ``(pre of the deeper
+    def _preorder(
+        self, points: Sequence[TreePoint]
+    ) -> tuple[list[int], list[tuple], list[TreePoint]]:
+        """Indices of the points in the rooted preorder, and their ``_side``
+        and canonical form in that order.  The keys are read off the sides:
+        a vertex ``(pre, 0)``; a point inside a finite edge ``(pre of the deeper
         endpoint, -1, cost from the upper exit, offset)``, just before that
         endpoint and in order down the edge; a point on a ray ``(pre of the
         attachment, 1, offset, edge)``, just after the attachment.  Distinct
         canonical points get distinct keys (the offset settles a cost
         rounded to a tie), so the order does not depend on the order of the
         points."""
+        canon = list(map(self.canonical_point, points))
         keys, sides = [], []
-        for p in map(self.canonical_point, points):
+        for p in canon:
             side = self._side(p)
             _, cu, _, lo, hi = side
             if p.edge is None:
@@ -434,7 +437,7 @@ class MetricTree:
                 keys.append((lo, 1, p.offset, p.edge))
             sides.append(side)
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        return order, [sides[i] for i in order]
+        return order, [sides[i] for i in order], [canon[i] for i in order]
 
     @staticmethod
     def _route(sp, sq) -> tuple[int, float, int, float]:
@@ -471,24 +474,33 @@ class MetricTree:
         """``distance(x, y)`` for every x in xs (rows) and y in ys (columns),
         bit for bit.
 
-        Each point is canonicalised and its exits read once:
-        ``(edge, offset, *_side(p))``, whose positions are preorder
-        positions.  Every entry then takes ``_route``'s exits, a sparse-table
-        minimum for their LCA and the root distances by position, inline, and
-        sums them as ``distance`` does.  A distance that overflows raises
+        Each point is canonicalised and its ``_side`` read once, and
+        ``_distance_rows`` does the rest.  A distance that overflows raises
         NonFiniteValue, as in ``distance``."""
         px = [self.canonical_point(p) for p in xs]
         py = [self.canonical_point(q) for q in ys]
+        return self._distance_rows(
+            px, list(map(self._side, px)), py, list(map(self._side, py))
+        )
 
-        def exits(p: TreePoint) -> tuple:
-            return (p.edge, p.offset, *self._side(p))
-
-        cols = list(map(exits, py))
+    def _distance_rows(
+        self,
+        px: Sequence[TreePoint],
+        x_sides: Sequence[tuple],
+        py: Sequence[TreePoint],
+        y_sides: Sequence[tuple],
+    ) -> list[list[float]]:
+        """The kernel of ``distance_matrix``, for canonical points and their
+        ``_side``: each point's exits are ``(edge, offset, *side)``, whose
+        positions are preorder positions.  Every entry takes ``_route``'s
+        exits, a sparse-table minimum for their LCA and the root distances by
+        position, inline, and sums them as ``distance`` does."""
+        cols = [(q.edge, q.offset, *side) for q, side in zip(py, y_sides)]
         table = self._lca_table or self._build_lca_table()
         dist, n = self._dist, len(self._order)
         out = []
-        for p in px:
-            pe, po, up_p, cu_p, cd_p, lo_p, hi_p = exits(p)
+        for p, (up_p, cu_p, cd_p, lo_p, hi_p) in zip(px, x_sides):
+            pe, po = p.edge, p.offset
             line = []
             for qe, qo, up_q, cu_q, cd_q, lo_q, hi_q in cols:
                 if pe is not None and pe == qe:
@@ -925,12 +937,23 @@ class TreeGeodesic:
 def gromov_product(tree: MetricTree, xi: TreeEnd, zeta: TreeEnd) -> float:
     """Distance from the base point to the geodesic joining two ends;
     +infinity on the diagonal.  An unknown or finite edge raises
-    MalformedTree, on the diagonal too."""
+    MalformedTree, on the diagonal too.
+
+    With the tree rooted at the base point o, the point of the geodesic
+    nearest to o is the LCA of the two ends' attachments, so the product is
+    ``distance(o, LCA)``, in O(1).  It is 0 when o lies on the geodesic
+    inside an edge: on the ray of one of the two ends, or inside a finite
+    edge whose deeper endpoint's subtree holds exactly one attachment."""
     if xi == zeta:
         tree.end(xi.edge)
         return math.inf
-    gamma = tree.geodesic_between_ends(xi, zeta)
-    return tree.distance(tree.basepoint, gamma.point_at_arc(0.0))
+    i = tree._pre[tree.end_attachment(xi)]
+    j = tree._pre[tree.end_attachment(zeta)]
+    o = tree.basepoint
+    _, _, _, lo, hi = tree._side(o)
+    if o.edge in (xi.edge, zeta.edge) or (lo <= i < hi) != (lo <= j < hi):
+        return 0.0
+    return tree.distance(o, TreePoint(vertex=tree._order[tree._lca_position(i, j)]))
 
 
 def project_to_geodesic(tree: MetricTree, y: TreePoint, gamma: TreeGeodesic) -> TreePoint:

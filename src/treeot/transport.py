@@ -1,13 +1,13 @@
 """Exact discrete quadratic optimal transport on a metric tree.
 
 The solver is a network simplex on the bipartite transportation problem,
-written here rather than delegated to a library: it must handle negative
-costs (the boundary problem of the ends module uses cost -D0^2), keep dual
-variables for an optimality certificate, and pivot deterministically so that
-outputs are byte-stable.  The basis is a spanning tree over rows and columns
-with parent and depth arrays.  Matrix-level callers start it at the
-northwest corner or from an earlier solve's final basis over the same
-supply and demand (the asymptotic check chains its solves so); wasserstein2
+written here rather than delegated to a library: it must handle costs of
+either sign, keep dual variables for an optimality certificate, and pivot
+deterministically so that outputs are byte-stable.  The basis is a spanning
+tree over rows and columns with parent and depth arrays.  Matrix-level
+callers start it at the northwest corner or from an earlier solve's final
+basis over the same supply and demand (the asymptotic check chains its
+solves so); wasserstein2
 starts it from _tree_start, a strongly feasible basis matched bottom-up in
 the tree, which is exact, W1-optimal and on a path W2-optimal, and leaves
 about a third of the northwest corner's pivots on branching trees.  The
@@ -417,11 +417,11 @@ def wasserstein2(tree: MetricTree, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
     returned plan is deterministic but not mathematically canonical.
     """
     xs, ys = mu.points(), nu.points()
-    (rows, x_sides), (cols, y_sides) = tree._preorder(xs), tree._preorder(ys)
-    px, py = [xs[i] for i in rows], [ys[j] for j in cols]
+    (rows, x_sides, px), (cols, y_sides, py) = tree._preorder(xs), tree._preorder(ys)
     a, b = [mu.atoms[i][1] for i in rows], [nu.atoms[j][1] for j in cols]
     start = _tree_start(tree, px + py, x_sides + y_sides, len(px), a + b)
-    distance, entries, sol = w2_from_distances(tree.distance_matrix(px, py), a, b, start=start)
+    distances = tree._distance_rows(px, x_sides, py, y_sides)
+    distance, entries, sol = w2_from_distances(distances, a, b, start=start)
     entries = sorted((rows[i], cols[j], q) for i, j, q in entries)
     u, v = dict(zip(rows, sol.u)), dict(zip(cols, sol.v))
     plan = TransportPlan(
@@ -445,6 +445,22 @@ def w2_from_distances(
     `start` goes to the simplex (see transportation_simplex)."""
     value, entries, sol = solve_transport(_squares(distances, what), supply, demand, start=start)
     return math.sqrt(max(0.0, value)), entries, sol
+
+
+def _integer_masses(masses: Sequence[float], m: int) -> tuple[list[int], int]:
+    """The first m masses (rows) and the rest (columns) as integers over
+    2^shift, and shift: the columns' masses scaled to the rows' total, as
+    the northwest corner's are, 53 bits above the least mass's exponent,
+    and the largest item absorbing the imbalance that the rounding of
+    floats leaves, so that both kinds have the same integer total."""
+    scale = _add_in_order(masses[:m]) / _add_in_order(masses[m:])
+    masses = [*masses[:m], *(q * scale for q in masses[m:])]
+    shift = 53 - math.frexp(min(masses))[1]
+    amt = [int(math.ldexp(q, shift)) for q in masses]
+    gap = sum(amt[:m]) - sum(amt[m:])
+    top = max(range(len(amt)), key=amt.__getitem__)
+    amt[top] += gap if top >= m else -gap
+    return amt, shift
 
 
 def _tree_start(
@@ -500,16 +516,7 @@ def _tree_start(
     for r, t in enumerate(deep):
         rank[t] = r
 
-    # The columns' masses scaled to the rows' total, as the northwest
-    # corner's are; every mass is then an integer over 2^shift, 53 bits
-    # above the least mass's exponent.
-    scale = _add_in_order(masses[:m]) / _add_in_order(masses[m:])
-    masses = [*masses[:m], *(q * scale for q in masses[m:])]
-    shift = 53 - math.frexp(min(masses))[1]
-    amt = [int(math.ldexp(q, shift)) for q in masses]
-    gap = sum(amt[:m]) - sum(amt[m:])
-    top = max(range(k), key=amt.__getitem__)
-    amt[top] += gap if top >= m else -gap
+    amt, shift = _integer_masses(masses, m)
     M = 2 * k + 2
     amt = [M * q + 1 for q in amt[:m]] + [M * q for q in amt[m:]]
     amt[m] += m

@@ -468,6 +468,31 @@ def add_in_order(values) -> float:
     return total
 
 
+def d0_simplex(tree: T.MetricTree, nu_minus, nu_plus):
+    """The -D0^2 problem as a matrix: the k x k Gromov products, squared and
+    negated, solved by the transportation simplex from the northwest
+    corner.  Returns the optimal value and the entries (end, end, mass)."""
+    from treeot.transport import solve_transport
+
+    xs = [e for e, _ in nu_minus.atoms]
+    ys = [e for e, _ in nu_plus.atoms]
+    cost = [[-T.gromov_product(tree, a, b) ** 2 for b in ys] for a in xs]
+    value, entries, _ = solve_transport(
+        cost, [m for _, m in nu_minus.atoms], [m for _, m in nu_plus.atoms]
+    )
+    return value, [(xs[i], ys[j], q) for i, j, q in entries]
+
+
+def random_basepoint(rng, tree: T.MetricTree, kind: str):
+    """A vertex, a point inside a finite edge, or a point on a ray."""
+    if kind == "vertex":
+        return tree.vertices[int(rng.integers(0, len(tree.vertices)))]
+    eids = sorted(e.id for e in tree.edges.values() if e.infinite == (kind == "ray"))
+    e = tree.edges[eids[int(rng.integers(0, len(eids)))]]
+    top = 5.0 if e.infinite else e.length
+    return tree.edge_point(e.id, float(rng.uniform(0.05, 0.95)) * top)
+
+
 def reference_tooth_masses(exponent: float, depth: int) -> list[float]:
     """``CombFamily.tooth_masses``: n^(-exponent) for the teeth 1..depth,
     each parity divided by its normaliser added left to right."""

@@ -4,6 +4,7 @@ explicit construction of complete geodesics, comb truncations."""
 import itertools
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -146,14 +147,7 @@ def test_flow_table_equals_reference_bit_for_bit():
     for _ in range(30):
         base = helpers.random_tree(rng, int(rng.integers(3, 25)), int(rng.integers(4, 12)))
         kind = ["vertex", "finite", "ray"][int(rng.integers(0, 3))]
-        if kind == "vertex":
-            bp = base.vertices[int(rng.integers(0, len(base.vertices)))]
-        else:
-            eids = sorted(e.id for e in base.edges.values() if e.infinite == (kind == "ray"))
-            e = base.edges[eids[int(rng.integers(0, len(eids)))]]
-            top = 5.0 if e.infinite else e.length
-            bp = base.edge_point(e.id, float(rng.uniform(0.05, 0.95)) * top)
-        tree = _rebuilt(rng, base, bp)
+        tree = _rebuilt(rng, base, helpers.random_basepoint(rng, base, kind))
         kinds.add(kind)
         _assert_flows_match_reference(tree, *_split_ends(rng, tree))
     assert kinds == {"vertex", "finite", "ray"}
@@ -174,6 +168,23 @@ def test_comb_partial_sum_equals_reference_bit_for_bit(depth, exponent):
     family = T.CombFamily(exponent, depth)
     assert family.tooth_masses(depth) == helpers.reference_tooth_masses(exponent, depth)
     assert family.partial_sum(depth) == helpers.reference_partial_sum(family, depth)
+
+
+@pytest.mark.parametrize("exponent", [3.0, 1.5, 4.0, 0.5, 0.0, -50.0, 400.0, -100.0, 1100.0])
+def test_comb_doubling_sums_are_the_partial_sums_bit_for_bit(exponent):
+    # -100 overflows n^100 below depth 4096 and 1100 underflows 2^-1100 to
+    # zero: both raise, at the same depth with the same message.
+    family = T.CombFamily(exponent, 8)
+    depths = tuple(2**k for k in range(13))
+    try:
+        want = [family.partial_sum(d).hex() for d in depths]
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            family.doubling_sums()
+        return
+    got_depths, sums = family.doubling_sums()
+    assert got_depths == depths
+    assert [s.hex() for s in sums] == want
 
 
 def test_flows_require_antipodal(star4):
@@ -350,6 +361,97 @@ def test_d0_matches_enumeration_oracle():
             for p in itertools.permutations(range(k))
         )
         assert res.value == pytest.approx(oracle, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["vertex", "finite", "ray"])
+def test_d0_transport_matches_the_simplex_on_the_gromov_matrix(kind):
+    # The greedy plan is a coupling whose -D0^2 total is its value, and the
+    # value is the simplex optimum, with the base point at a vertex, inside
+    # a finite edge and on a ray.
+    rng = np.random.default_rng({"vertex": 401, "finite": 409, "ray": 419}[kind])
+    for _ in range(25):
+        base = helpers.random_tree(rng, int(rng.integers(2, 20)), int(rng.integers(4, 14)))
+        tree = _rebuilt(rng, base, helpers.random_basepoint(rng, base, kind))
+        minus, plus = _split_ends(rng, tree)
+        res = T.d0_transport(tree, minus, plus)
+        want, _ = helpers.d0_simplex(tree, minus, plus)
+        assert res.value == pytest.approx(want, rel=1e-12, abs=1e-15)
+        total = -math.fsum(q * T.gromov_product(tree, a, b) ** 2 for a, b, q in res.entries)
+        assert res.value == pytest.approx(total, rel=1e-12, abs=1e-15)
+        for measure, side in ((minus, 0), (plus, 1)):
+            got = {}
+            for entry in res.entries:
+                got[entry[side]] = got.get(entry[side], 0.0) + entry[2]
+            assert got == pytest.approx(dict(measure.atoms), abs=1e-12)
+        rows = {e: i for i, (e, _) in enumerate(minus.atoms)}
+        cols = {e: j for j, (e, _) in enumerate(plus.atoms)}
+        keys = [(rows[a], cols[b]) for a, b, _ in res.entries]
+        assert keys == sorted(set(keys))
+
+
+def test_d0_transport_runs_no_simplex_and_no_gromov_product(monkeypatch, barbell):
+    from treeot import ends, metric_tree, transport
+
+    def banned(*args, **kwargs):
+        raise AssertionError("called")
+
+    # treeot.gromov_product is looked up in metric_tree on each access
+    for module, name in [
+        (transport, "transportation_simplex"), (transport, "solve_transport"),
+        (metric_tree, "gromov_product"),
+    ]:
+        monkeypatch.setattr(module, name, banned)
+    minus = _bm(barbell, ("r1", 0.5), ("r3", 0.5))
+    plus = _bm(barbell, ("r2", 0.5), ("r4", 0.5))
+    assert T.d0_transport(barbell, minus, plus).value == -0.5
+    assert len(T.construct_geodesic(barbell, minus, plus).atoms) == 2
+    assert not hasattr(ends, "solve_transport") and not hasattr(ends, "gromov_product")
+
+
+@pytest.mark.parametrize("depth", [8, 32, 128, 512, 2048])
+def test_comb_d0_value_is_minus_the_realizability_sum(depth):
+    # Exact masses times D0^2, added by math.fsum: within a few ulps of -R
+    # at every depth, in well under a second.  (The simplex on the Gromov
+    # matrix was off by 9.8e-15 at depth 8 and about 1.8e-9 at depth 1024,
+    # and cubic in the depth.)
+    inst = T.comb_generator(depth, 3.0)
+    table = T.flow_table(inst.tree, inst.nu_minus, inst.nu_plus)
+    rsum = T.realizability_sum(inst.tree, table).value
+    start = time.perf_counter()
+    d0 = T.d0_transport(inst.tree, inst.nu_minus, inst.nu_plus)
+    assert time.perf_counter() - start < 1.0
+    assert abs(d0.value + rsum) <= 2e-15 * abs(rsum)
+
+
+def _barbell_cells(barbell, pairs):
+    """A stand-in for the greedy that returns `pairs` (row, column, node
+    name or None for the base point) with the full integer masses."""
+
+    def greedy(up, lo, hi, anchors, amt, m):
+        o = len(up)
+        return [(i, j, amt[i], o if v is None else barbell._pre[v]) for i, j, v in pairs]
+
+    return greedy
+
+
+@pytest.mark.parametrize("pairs, message", [
+    # r1 -> r4 and r3 -> r2 both meet at u: both ends beyond euv carry 0, not 0.5
+    ([(0, 1, "u"), (1, 0, "u")], "D0 plan fails the edge certificate above 'v'"),
+    # the optimal pairs, one said to meet at u though its LCA is v
+    ([(0, 0, "u"), (1, 1, "u")], "D0 plan has a cell without mass or off its LCA"),
+    # r1 -> r2 twice: r3 and r4 keep their mass
+    ([(0, 0, "u"), (0, 0, "u")], "D0 plan's marginals are not the boundary measures"),
+])
+def test_corrupted_d0_plans_fail_the_certificate(monkeypatch, barbell, pairs, message):
+    from treeot import ends
+
+    minus = _bm(barbell, ("r1", 0.5), ("r3", 0.5))
+    plus = _bm(barbell, ("r2", 0.5), ("r4", 0.5))
+    monkeypatch.setattr(ends, "_d0_greedy", _barbell_cells(barbell, [(0, 0, "u"), (1, 1, "v")]))
+    assert T.d0_transport(barbell, minus, plus).value == -0.5
+    monkeypatch.setattr(ends, "_d0_greedy", _barbell_cells(barbell, pairs))
+    with pytest.raises(SolverFailure, match=f"^{re.escape(message)}$"):
+        T.d0_transport(barbell, minus, plus)
 
 
 def test_d0_plan_lifts_without_antagonism():

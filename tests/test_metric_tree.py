@@ -4,6 +4,7 @@ Oracles: breadth-first path search for distances, dense locus sampling for
 projections, direct definition checks for the small named trees.
 """
 
+import itertools
 import math
 import re
 
@@ -514,6 +515,33 @@ def test_gromov_product_interior_basepoint():
     assert T.gromov_product(tree, tree.end("r2"), tree.end("r3")) == pytest.approx(
         1.0, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("kind", ["vertex", "finite", "ray"])
+def test_gromov_product_is_the_distance_to_the_anchor_between_the_ends(kind):
+    # The product, read as the distance from the base point to the LCA of
+    # the attachments, has the bits of the distance to the anchor of the
+    # geodesic between the ends (the point nearest to the base point).  Only
+    # where the base point lies on that geodesic inside an edge does the
+    # anchor, found by arc arithmetic, sit up to about 1e-15 off it, where
+    # the product is 0 exactly.
+    rng = np.random.default_rng({"vertex": 503, "finite": 509, "ray": 521}[kind])
+    on_locus = 0
+    for _ in range(30):
+        base = helpers.random_tree(rng, int(rng.integers(2, 25)), int(rng.integers(2, 8)))
+        edges = [(e.id, e.ends, e.length) for e in base.edges.values()]
+        tree = T.MetricTree(base.vertices, edges, helpers.random_basepoint(rng, base, kind))
+        ends = tree.ends()
+        for xi, zeta in itertools.permutations(ends, 2):
+            g = tree.geodesic_between_ends(xi, zeta)
+            want = tree.distance(tree.basepoint, g.point_at_arc(0.0))
+            got = T.gromov_product(tree, xi, zeta)
+            if tree.basepoint.is_vertex() or g.arc_of_point(tree.basepoint) is None:
+                assert got == want
+            else:
+                on_locus += 1
+                assert got == 0.0 and want <= 1e-12
+    assert on_locus > 0 if kind != "vertex" else on_locus == 0
 
 
 def test_between_ends_star3(star3):
