@@ -4,6 +4,9 @@ A ray plan determines a measure on the cone over the boundary by recording
 each support ray's end and speed (constant rays land on the cone apex).
 Trees are visibility spaces, so the cone metric degenerates to two cases:
 rays to the same end differ by |s - t|, rays to distinct ends by s + t.
+The cone is then a star: its apex, and one ray per end, on which a cone
+atom sits at its speed.  d_infinity is the star's path metric, and
+w_infinity is wasserstein2 on the star.
 
 The asymptotic distance between two ray curves in Wasserstein space is
 W(mu_t, sigma_t) / t as t grows.  In a tree every pairwise distance between
@@ -15,13 +18,13 @@ the pairwise distances beyond the branch-exit time and solve one more
 transport problem with those slopes as the cost.  The asymptotic formula
 says this limit equals the cone Wasserstein distance of the two asymptotic
 measures.  The sampled rows and the slopes come from one cost builder, which
-evaluates the plans' atoms as given at a time t.  All of these problems
-share the plans' masses as supply and demand, so they are solved as one
-chain: each row, in grid order, and then the slope problem start from the
-basis the previous solve ended on, which is strongly feasible for the next
-cost too and usually a few pivots from its optimum.  W stays bounded exactly
-when the limit is 0, that is when an optimal coupling of the slopes moves
-mass only along zero slopes.
+evaluates the plans' atoms at a time t.  All of these problems, and the cone
+problem of the target, share the plans' masses, so they are solved as one
+chain, target last: the first row starts from the tree start of the atoms'
+positions, and every later problem from the basis the previous solve ended
+on, which is strongly feasible for the next cost too and usually a few
+pivots from its optimum.  W stays bounded exactly when the limit is 0, that
+is when an optimal coupling of the slopes moves mass only along zero slopes.
 """
 
 from __future__ import annotations
@@ -34,7 +37,10 @@ from typing import NamedTuple, Sequence
 from .errors import MarginalMismatch, NonUnitMeasure, OutOfInterval
 from .metric_tree import DUST, TOL, MetricTree, TreeEnd, TreePoint
 from .dynamics import DynamicalPlan, _distances_at, beyond_exit
-from .transport import _add_in_order, _merge_atoms, _sums_by_key, w2_from_distances
+from .transport import (
+    DiscreteMeasure, _add_in_order, _merge_atoms, _sums_by_key, _tree_start, w2_from_distances,
+    wasserstein2,
+)
 
 ConeAtomKey = tuple[TreeEnd | None, float]  # (end, speed); apex is (None, 0)
 
@@ -97,13 +103,24 @@ class WInfinityResult(NamedTuple):
 
 
 def w_infinity(tree: MetricTree, nu1: ConeMeasure, nu2: ConeMeasure) -> WInfinityResult:
-    """Exact transport between cone measures for the squared cone metric."""
-    ka, kb = nu1.keys(), nu2.keys()
-    distance, entries, _ = w2_from_distances(
-        [[d_infinity(tree, p, q) for q in kb] for p in ka],
-        nu1.masses(), nu2.masses(), "cone distance",
-    )
-    return WInfinityResult(distance, tuple((ka[i], kb[j], q) for i, j, q in entries))
+    """Exact transport between cone measures for the squared cone metric:
+    wasserstein2 on the star of the apex (its base point) and one ray per
+    end of either support, with each atom at its speed along its end's ray
+    and the apex atom (speed <= DUST) at the apex.  The entries come back
+    in the order of the atoms' indices."""
+    ends = sorted({e.edge for e, _, _ in chain(nu1.atoms, nu2.atoms) if e is not None})
+    star = MetricTree(["apex"], [(e, ["apex"], math.inf) for e in ends], "apex")
+
+    def on_star(nu: ConeMeasure) -> DiscreteMeasure:
+        return DiscreteMeasure(tuple(
+            (TreePoint("apex") if e is None else TreePoint(edge=e.edge, offset=s), m)
+            for e, s, m in nu.atoms
+        ))
+
+    mu, nu = on_star(nu1), on_star(nu2)
+    ka, kb = dict(zip(mu.points(), nu1.keys())), dict(zip(nu.points(), nu2.keys()))
+    distance, plan = wasserstein2(star, mu, nu)
+    return WInfinityResult(distance, tuple((ka[x], kb[y], q) for x, y, q in plan.entries))
 
 
 def total_variation(nu1: ConeMeasure, nu2: ConeMeasure) -> float:
@@ -187,12 +204,15 @@ def asymptotic_formula_check(
     the asymptotic measures.
 
     Every row, and both matrices beyond the branch exit, come from one cost
-    builder: the plans' atoms as given, evaluated at t, with their masses.
-    The rows are solved in increasing t, each from the final basis of the
-    one before, and the slope problem from the last row's (cold when the
-    grid is empty); the cone solve of the target starts at the northwest
-    corner, since its merged atoms need not match the plans' atoms.
-    Grid times must be finite and positive (OutOfInterval otherwise).
+    builder: the plans' atoms, evaluated at t, with their masses, in the
+    preorder of their positions at the first solve time (the first grid
+    time, or the branch exit when the grid is empty).  The solves make one
+    chain, target last: the first row starts from the tree start of those
+    positions, and each later row, the slope problem and then the cone
+    problem of the target (each atom's cone key, end and speed, or the apex
+    at speed <= DUST, under d_infinity) from the final basis of the solve
+    before.  Grid times must be finite and positive (OutOfInterval
+    otherwise).
     Beyond the certified branch-exit time every pairwise distance grows
     exactly affinely, so the limit of the ratio is the value of the same
     transport problem on the squared affine slopes.  W stays bounded
@@ -207,22 +227,23 @@ def asymptotic_formula_check(
     for t in grid:
         if not 0.0 < t < math.inf:
             raise OutOfInterval(f"grid time {t} is not finite and positive")
-    target = w_infinity(
-        tree, asymptotic_measure(mu), asymptotic_measure(sigma)
-    ).distance
-    supply, demand = [m for _, m in mu.atoms], [m for _, m in sigma.atoms]
     gs, hs = [g for g, _ in mu.atoms], [h for h, _ in sigma.atoms]
-    # One supply and one demand throughout: each solve starts from the
-    # basis the previous one ended on.
-    rows, start = [], None
-    for t in grid:
-        value, _, sol = w2_from_distances(_distances_at(tree, gs, hs, t), supply, demand, start=start)
-        rows.append((t, value / t))
-        start = sol.cells
     t_exit = beyond_exit(tree, gs, hs)
+    t0 = grid[0] if grid else t_exit
+    (rows, x_sides, px), (cols, y_sides, py) = (
+        tree._preorder([g.evaluate(t0) for g in side]) for side in (gs, hs)
+    )
+    masses = [mu.atoms[i][1] for i in rows] + [sigma.atoms[j][1] for j in cols]
+    start = _tree_start(tree, px + py, x_sides + y_sides, len(px), masses)
+    gs, hs = [gs[i] for i in rows], [hs[j] for j in cols]
+    ratios = []
+    for t in grid:
+        value, _, sol = w2_from_distances(_distances_at(tree, gs, hs, t), start=start)
+        ratios.append((t, value / t))
+        start = sol.cells
     near, far = _distances_at(tree, gs, hs, t_exit), _distances_at(tree, gs, hs, t_exit + 1.0)
     slopes = [[a - b for a, b in zip(fr, nr)] for fr, nr in zip(far, near)]
-    certified, coupling, _ = w2_from_distances(slopes, supply, demand, "slope", start=start)
+    certified, coupling, sol = w2_from_distances(slopes, "slope", start=start)
     # W is bounded iff an optimal coupling of the slopes moves no mass along
     # a positive slope.  Each slope is the difference of two distances of at
     # most the largest far distance, so a zero slope rounds to a few ulps of
@@ -231,13 +252,17 @@ def asymptotic_formula_check(
     zero = TOL * (1.0 + max((d for row in far for d in row), default=0.0))
     bounded = all(slopes[i][j] <= zero for i, j, _ in coupling)
 
-    monotone = all(rows[k + 1][1] >= rows[k][1] - DUST for k in range(len(rows) - 1))
+    keys = [[(None, 0.0) if g.speed <= DUST else (g.pos_end, g.speed) for g in side] for side in (gs, hs)]
+    cone = [[d_infinity(tree, a, b) for b in keys[1]] for a in keys[0]]
+    target = w2_from_distances(cone, "cone distance", start=sol.cells)[0]
+
+    monotone = all(ratios[k + 1][1] >= ratios[k][1] - DUST for k in range(len(ratios) - 1))
     return ConvergenceReport(
-        rows=tuple(rows),
+        rows=tuple(ratios),
         target=target,
         branch_exit=t_exit,
         certified_limit=certified,
         monotone=monotone,
         classification="asymptotic" if bounded else "linear",
-        max_error_at_largest_t=abs(rows[-1][1] - target) if rows else math.nan,
+        max_error_at_largest_t=abs(ratios[-1][1] - target) if ratios else math.nan,
     )

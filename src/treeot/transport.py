@@ -4,13 +4,12 @@ The solver is a network simplex on the bipartite transportation problem,
 written here rather than delegated to a library: it must handle costs of
 either sign, keep dual variables for an optimality certificate, and pivot
 deterministically so that outputs are byte-stable.  The basis is a spanning
-tree over rows and columns with parent and depth arrays.  Matrix-level
-callers start it at the northwest corner or from an earlier solve's final
-basis over the same supply and demand (the asymptotic check chains its
-solves so); wasserstein2
-starts it from _tree_start, a strongly feasible basis matched bottom-up in
-the tree, which is exact, W1-optimal and on a path W2-optimal, and leaves
-about a third of the northwest corner's pivots on branching trees.  The
+tree over rows and columns with parent and depth arrays.  Every solve
+starts from a basis its caller gives, which carries the masses and which
+the simplex checks: _tree_start, a strongly feasible basis matched
+bottom-up in the tree, which is exact, W1-optimal and on a path
+W2-optimal, or the final basis of an earlier solve over the same masses
+(the asymptotic check chains its solves so, from one tree start).  The
 entering cell's cycle is found by walking up to the lowest common ancestor,
 and after a pivot only the potentials of the re-hung subtree are updated.
 Pricing is block search (as in LEMON and Bonneel et al. 2011): each pass
@@ -195,13 +194,7 @@ class SimplexSolution(NamedTuple):
     priced: int = 0  # cells read by the pricing passes
 
 
-def transportation_simplex(
-    supply: Sequence[float],
-    demand: Sequence[float],
-    cost: Sequence[Sequence[float]],
-    *,
-    start: dict | None = None,
-) -> SimplexSolution:
+def transportation_simplex(cost: Sequence[Sequence[float]], *, start: dict) -> SimplexSolution:
     """Minimize sum x_ij c_ij over the transportation polytope.
 
     Network simplex on a spanning tree whose nodes are the rows 0..m-1 and
@@ -216,20 +209,19 @@ def transportation_simplex(
     cell met when the cycle is traversed from its apex along the entering
     cell, which keeps the basis strongly feasible (Cunningham 1976) and so
     rules out cycling.  The returned duals satisfy u_i + v_j = c_ij on the
-    basis; demands must be positive for the anti-cycling guarantee.
+    basis; column masses must be positive for the anti-cycling guarantee.
     `priced` counts the cells the pricing passes read.
 
-    The starting basis is the northwest corner, or `start`, a dict (i, j)
-    -> mass of basic cells: wasserstein2's tree start, or the `cells` of an
-    earlier solve with the same supply and demand, whose final basis is
-    strongly feasible from column 0.  The start's marginals are then the
-    problem's, and supply and demand give only m and n.  It is checked
-    before any pivot: exactly m + n - 1 cells, every row and column reached
-    from column 0, every mass finite and >= 0, and a zero mass only on a
-    cell hanging a row from its column.  Any other start raises
+    The m x n problem is read off `cost`, and its masses off `start`, the
+    starting basis as a dict (i, j) -> mass of basic cells: _tree_start's,
+    or the `cells` of an earlier solve over the same masses, whose final
+    basis is strongly feasible from column 0.  The start is checked before
+    any pivot: exactly m + n - 1 cells, every row and column reached from
+    column 0, every mass finite and >= 0, and a zero mass only on a cell
+    hanging a row from its column.  Any other start raises
     SolverFailure("start is not a strongly feasible spanning tree").
     """
-    m, n = len(supply), len(demand)
+    m, n = len(cost), len(cost[0])
     # The pricing tolerance scales with the largest |cost|; the same pass
     # rejects NaN (which fails c == c) and infinite costs.
     big = max((abs(c) if c == c else math.inf for row in cost for c in row), default=0.0)
@@ -240,53 +232,28 @@ def transportation_simplex(
     # Node k != root hangs from parent[k] by the basic cell joining them,
     # which carries flow[k]; pot holds u (rows) then v (columns).
     root = m
-    parent = [root] + [-1] * (m + n - 1)
+    parent = [-1] * (m + n)
     flow = [0.0] * (m + n)
     depth = [0] * (m + n)
     pot = [0.0] * (m + n)
 
-    if start is None:
-        # Northwest-corner basis.  A column is entered only from a row with
-        # mass left (the last row takes what the columns still need), so
-        # every column's cell carries positive flow and zero-flow cells hang
-        # a row from its parent column: the basis is strongly feasible.
-        a = [float(s) for s in supply]
-        scale = _add_in_order(a) / _add_in_order(demand)
-        b = [float(d) * scale for d in demand]
-        i = j = node = 0
-        while True:
-            q = b[j] if i == m - 1 else a[i] if j == n - 1 else min(a[i], b[j])
-            flow[node] = q = max(0.0, q)
-            a[i] -= q
-            b[j] -= q
-            if i == m - 1 and j == n - 1:
-                break
-            if j == n - 1 or (i < m - 1 and a[i] <= b[j]):
-                i += 1
-                parent[i] = m + j
-                node = i
-            else:
-                j += 1
-                node = m + j
-                parent[node] = i
-    else:
-        # The given basis, hung from the root breadth first (a node is
-        # reached once its parent is set; the root's is never read).
-        parent[0], parent[root] = -1, root
-        near: list[list] = [[] for _ in range(m + n)]
-        for (i, j), q in start.items():
-            if 0 <= i < m and 0 <= j < n:
-                near[i].append((m + j, q))
-                near[m + j].append((i, q))
-        order = [root]
-        for k in order:
-            for l, q in near[k]:
-                if parent[l] < 0:
-                    parent[l], flow[l] = k, q
-                    order.append(l)
-        strong = all(0.0 < flow[k] < math.inf or (k < m and flow[k] == 0.0) for k in order[1:])
-        if len(start) != m + n - 1 or len(order) != m + n or not strong:
-            raise SolverFailure("start is not a strongly feasible spanning tree")
+    # The start, hung from the root breadth first (a node is reached once
+    # its parent is set; the root's is never read).
+    parent[root] = root
+    near: list[list] = [[] for _ in range(m + n)]
+    for (i, j), q in start.items():
+        if 0 <= i < m and 0 <= j < n:
+            near[i].append((m + j, q))
+            near[m + j].append((i, q))
+    order = [root]
+    for k in order:
+        for l, q in near[k]:
+            if parent[l] < 0:
+                parent[l], flow[l] = k, q
+                order.append(l)
+    strong = all(0.0 < flow[k] < math.inf or (k < m and flow[k] == 0.0) for k in order[1:])
+    if len(start) != m + n - 1 or len(order) != m + n or not strong:
+        raise SolverFailure("start is not a strongly feasible spanning tree")
     children = [[] for _ in range(m + n)]
     for k in range(m + n):
         if k != root:
@@ -377,19 +344,15 @@ class W2Result(NamedTuple):
 
 
 def solve_transport(
-    cost: Sequence[Sequence[float]],
-    supply: Sequence[float],
-    demand: Sequence[float],
-    *,
-    start: dict | None = None,
+    cost: Sequence[Sequence[float]], *, start: dict
 ) -> tuple[float, list[tuple[int, int, float]], SimplexSolution]:
-    """Exact transport for a cost matrix (rows: supply, columns: demand);
-    returns the optimal value, index-level entries and the raw simplex
-    solution.  `start` goes to the simplex (see transportation_simplex).
+    """Exact transport for a cost matrix from a starting basis that carries
+    the masses (see transportation_simplex); returns the optimal value,
+    index-level entries and the raw simplex solution.
 
     Optimality is certified on the same cost matrix before returning (see
     certify_duals)."""
-    sol = transportation_simplex(supply, demand, cost, start=start)
+    sol = transportation_simplex(cost, start=start)
     certify_duals(cost, sol)
     entries = [
         (i, j, q) for (i, j), q in sorted(sol.cells.items()) if q > DUST
@@ -421,7 +384,7 @@ def wasserstein2(tree: MetricTree, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
     a, b = [mu.atoms[i][1] for i in rows], [nu.atoms[j][1] for j in cols]
     start = _tree_start(tree, px + py, x_sides + y_sides, len(px), a + b)
     distances = tree._distance_rows(px, x_sides, py, y_sides)
-    distance, entries, sol = w2_from_distances(distances, a, b, start=start)
+    distance, entries, sol = w2_from_distances(distances, start=start)
     entries = sorted((rows[i], cols[j], q) for i, j, q in entries)
     u, v = dict(zip(rows, sol.u)), dict(zip(cols, sol.v))
     plan = TransportPlan(
@@ -432,25 +395,20 @@ def wasserstein2(tree: MetricTree, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
 
 
 def w2_from_distances(
-    distances: Sequence[Sequence[float]],
-    supply: Sequence[float],
-    demand: Sequence[float],
-    what: str = "distance",
-    *,
-    start: dict | None = None,
+    distances: Sequence[Sequence[float]], what: str = "distance", *, start: dict
 ) -> tuple[float, list[tuple[int, int, float]], SimplexSolution]:
     """Transport for the squared entries of a distance matrix: the square
     root of the optimal value, then solve_transport's entries and solution.
     A square beyond the float range raises NonFiniteValue naming `what`.
     `start` goes to the simplex (see transportation_simplex)."""
-    value, entries, sol = solve_transport(_squares(distances, what), supply, demand, start=start)
+    value, entries, sol = solve_transport(_squares(distances, what), start=start)
     return math.sqrt(max(0.0, value)), entries, sol
 
 
 def _integer_masses(masses: Sequence[float], m: int) -> tuple[list[int], int]:
     """The first m masses (rows) and the rest (columns) as integers over
-    2^shift, and shift: the columns' masses scaled to the rows' total, as
-    the northwest corner's are, 53 bits above the least mass's exponent,
+    2^shift, and shift: the columns' masses scaled to the rows' total, 53
+    bits above the least mass's exponent,
     and the largest item absorbing the imbalance that the rounding of
     floats leaves, so that both kinds have the same integer total."""
     scale = _add_in_order(masses[:m]) / _add_in_order(masses[m:])
@@ -489,8 +447,7 @@ def _tree_start(
     is W1-optimal (Evans & Matsen 2012).
 
     The matching is exact: the masses are taken as integers over one power
-    of two (the columns' scaled to the rows' total, as in the northwest
-    corner), the largest item absorbs the imbalance that the rounding of
+    of two (the columns' scaled to the rows' total), the largest item absorbs the imbalance that the rounding of
     floats leaves, and Orden's perturbation (every mass times M = 2(m + n)
     + 2, plus 1 at each row and m at column 0) leaves no set of items but
     all of them balanced.

@@ -468,6 +468,32 @@ def add_in_order(values) -> float:
     return total
 
 
+def northwest_corner(supply, demand) -> dict:
+    """The northwest-corner basis of a transportation problem, as a start for
+    the simplex: its m + n - 1 cells, (i, j) -> mass, the demand scaled to
+    the supply's total (sums added left to right).  A column is entered only
+    from a row with mass left, and the last row takes what the columns still
+    need, so every cell entering a column carries positive mass and a zero
+    mass hangs a row from its column: the basis is strongly feasible."""
+    a = [float(s) for s in supply]
+    scale = add_in_order(a) / add_in_order(demand)
+    b = [float(d) * scale for d in demand]
+    m, n = len(a), len(b)
+    cells = {}
+    i = j = 0
+    while True:
+        q = b[j] if i == m - 1 else a[i] if j == n - 1 else min(a[i], b[j])
+        cells[i, j] = q = max(0.0, q)
+        a[i] -= q
+        b[j] -= q
+        if i == m - 1 and j == n - 1:
+            return cells
+        if j == n - 1 or (i < m - 1 and a[i] <= b[j]):
+            i += 1
+        else:
+            j += 1
+
+
 def d0_simplex(tree: T.MetricTree, nu_minus, nu_plus):
     """The -D0^2 problem as a matrix: the k x k Gromov products, squared and
     negated, solved by the transportation simplex from the northwest
@@ -477,9 +503,8 @@ def d0_simplex(tree: T.MetricTree, nu_minus, nu_plus):
     xs = [e for e, _ in nu_minus.atoms]
     ys = [e for e, _ in nu_plus.atoms]
     cost = [[-T.gromov_product(tree, a, b) ** 2 for b in ys] for a in xs]
-    value, entries, _ = solve_transport(
-        cost, [m for _, m in nu_minus.atoms], [m for _, m in nu_plus.atoms]
-    )
+    start = northwest_corner([m for _, m in nu_minus.atoms], [m for _, m in nu_plus.atoms])
+    value, entries, _ = solve_transport(cost, start=start)
     return value, [(xs[i], ys[j], q) for i, j, q in entries]
 
 

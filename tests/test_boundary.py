@@ -10,6 +10,7 @@ import pytest
 import treeot as T
 from treeot import boundary
 from treeot.errors import MarginalMismatch, NonFiniteValue, NonUnitMeasure, OutOfInterval
+from treeot.transport import _sums_by_key
 
 import helpers
 
@@ -98,6 +99,80 @@ def test_w_infinity_identical_zero(star3):
         star3, [(star3.end("r1"), 1.0, 0.3), (star3.end("r2"), 2.0, 0.7)]
     )
     assert T.w_infinity(star3, nu, nu).distance == pytest.approx(0.0, abs=1e-12)
+
+
+def _cone_measure_cases(rng):
+    """Random pairs of cone measures over 2-5 ends, with the kind of the
+    first: apex atoms, speeds within DUST of 0 (the apex) and just above it,
+    all mass on one end, all mass at the apex, and all mass at the apex on
+    both sides, where the star has no rays."""
+    for k in range(40):
+        tree = helpers.random_tree(rng, int(rng.integers(2, 8)), int(rng.integers(2, 6)))
+        ends = tree.ends()
+
+        def atoms(n, where):
+            speeds = [1e-13, 5e-13, 1e-12, 2e-12, 0.5, 1.0, 1.0, 2.5]
+            out = []
+            for m in helpers.spread_masses(rng, n):
+                s = 0.0 if where == "apex" else speeds[int(rng.integers(0, len(speeds)))]
+                e = ends[0] if where == "one end" else ends[int(rng.integers(0, len(ends)))]
+                out.append((None if s == 0.0 else e, s, m))
+            return T.ConeMeasure.from_atoms(tree, out)
+
+        where = ["mixed", "one end", "apex", "mixed"][k % 4]
+        both = "apex" if k % 8 == 2 else "mixed"
+        kind = "both at the apex" if both == "apex" else where
+        yield kind, tree, atoms(int(rng.integers(1, 9)), where), atoms(int(rng.integers(1, 9)), both)
+
+
+def test_w_infinity_on_the_star_matches_the_cone_matrix(monkeypatch):
+    # w_infinity solves on the star of the ends; the reference solves the
+    # d_infinity matrix between the atoms' keys from the northwest corner.
+    # The distances agree within a few ulps, the plan carries the measures'
+    # masses, and the star's tree start leaves fewer pivots than the corner.
+    # A speed of 2e-12, just above DUST, is the exception: its reduced costs
+    # fall under the simplex's pricing tolerance DUST * (1 + the largest
+    # cost), so the two solves may stop on different bases, each within that
+    # tolerance of the optimum; there the squares agree within it.
+    from treeot import transport
+
+    real, pivots = transport.transportation_simplex, []
+
+    def spy(cost, *, start):
+        sol = real(cost, start=start)
+        pivots.append(sol.pivots)
+        return sol
+
+    monkeypatch.setattr(transport, "transportation_simplex", spy)
+    rng = np.random.default_rng(233)
+    star = corner = worst = near_apex = 0
+    kinds = set()
+    for kind, tree, nu1, nu2 in _cone_measure_cases(rng):
+        kinds.add(kind)
+        keys = nu1.keys() + nu2.keys()
+        got = T.w_infinity(tree, nu1, nu2)
+        star += pivots[-1]
+        want = transport.w2_from_distances(
+            [[T.d_infinity(tree, a, b) for b in nu2.keys()] for a in nu1.keys()],
+            start=helpers.northwest_corner(nu1.masses(), nu2.masses()),
+        )[0]
+        corner += pivots[-1]
+        if any(e is not None and s < 1e-11 for e, s in keys):
+            big = max(s for _, s in keys) ** 2 * 4
+            assert abs(got.distance ** 2 - want ** 2) <= 1e-12 * (1.0 + big) + 8 * math.ulp(want ** 2)
+            near_apex += 1
+        else:
+            worst = max(worst, abs(got.distance - want) / math.ulp(want) if want else got.distance)
+        rows = _sums_by_key((a, q) for a, _, q in got.entries)
+        cols = _sums_by_key((b, q) for _, b, q in got.entries)
+        scale = helpers.add_in_order(nu1.masses()) / helpers.add_in_order(nu2.masses())
+        assert rows.keys() <= set(nu1.keys()) and cols.keys() <= set(nu2.keys())
+        assert all(abs(rows.get(k, 0.0) - m) <= 4 * math.ulp(1.0) for k, m in zip(nu1.keys(), nu1.masses()))
+        assert all(abs(cols.get(k, 0.0) - m * scale) <= 4 * math.ulp(1.0) for k, m in zip(nu2.keys(), nu2.masses()))
+    assert kinds == {"mixed", "one end", "apex", "both at the apex"} and near_apex > 5
+    assert worst <= 4
+    # On the star every tree start is already optimal here.
+    assert (star, corner) == (0, 67)
 
 
 def test_visibility_identity_random():
@@ -370,18 +445,24 @@ def test_sampled_ratio_near_target_small_trees():
 
 
 def test_chained_solves_match_cold_solves(monkeypatch):
-    # The grid rows and the slope problem share one supply and one demand,
-    # so each solve starts from the basis the previous one ended on.  A spy
-    # that drops `start` gives the cold reference; the cone solve of the
-    # target starts cold either way and is not counted.  The 112 chained
-    # solves take about 2.9 pivots each, the cold ones about 11.
+    # The grid rows, the slope problem and the cone problem of the target
+    # share the plans' masses, so the first row starts from the tree start
+    # and each later solve from the basis the previous one ended on.  A spy
+    # that swaps every start for the northwest corner over the start's
+    # marginals gives the cold reference.  The 128 chained solves take
+    # about 1.4 pivots each, the cold ones about 11.
     real, pivots = boundary.w2_from_distances, {True: 0, False: 0}
     warm = True
 
-    def spy(distances, supply, demand, what="distance", *, start=None):
-        out = real(distances, supply, demand, what, start=start if warm else None)
-        if what != "cone distance":
-            pivots[warm] += out[2].pivots
+    def spy(distances, what="distance", *, start):
+        if not warm:
+            rows = _sums_by_key((i, q) for (i, _), q in start.items())
+            cols = _sums_by_key((j, q) for (_, j), q in start.items())
+            start = helpers.northwest_corner(
+                [rows[i] for i in range(len(distances))], [cols[j] for j in range(len(distances[0]))]
+            )
+        out = real(distances, what, start=start)
+        pivots[warm] += out[2].pivots
         return out
 
     monkeypatch.setattr(boundary, "w2_from_distances", spy)
@@ -415,7 +496,72 @@ def test_chained_solves_match_cold_solves(monkeypatch):
             assert t == s and r == pytest.approx(q, rel=1e-12, abs=0.0)
         classes.add(chained.classification)
     assert classes == {"asymptotic", "linear"}
-    assert (pivots[True], pivots[False]) == (327, 1231)
+    assert (pivots[True], pivots[False]) == (173, 1404)
+
+
+def _chain_cases(rng):
+    """Ray plans on random trees from few start points, with few speeds and
+    constant atoms, so that atoms merge under their cone keys; and on a
+    tree whose two ends part 5 away from the start, where one start, two
+    ends and one speed give atoms that coincide at the first grid time.
+    Grids: the default, one starting at 0.25, and none."""
+    grids = [None, (0.25, 3.0, 50.0), ()]
+    for k in range(24):
+        tree = helpers.random_tree(rng, int(rng.integers(3, 12)), int(rng.integers(2, 5)))
+        ends = tree.ends()
+        starts = [helpers.random_point(rng, tree) for _ in range(2)]
+
+        def plan():
+            atoms = []
+            for m in helpers.spread_masses(rng, int(rng.integers(2, 7))):
+                x = starts[int(rng.integers(0, 2))]
+                s = [0.0, 5e-13, 1.0, 1.0, 2.0][int(rng.integers(0, 5))]
+                atoms.append((tree.ray_to_end(x, ends[int(rng.integers(0, len(ends)))], s), m))
+            return T.DynamicalPlan.from_atoms(tree, atoms)
+
+        yield tree, plan(), plan(), grids[k % 3]
+    fork = T.MetricTree(
+        ["o", "a"],
+        [("e", ("o", "a"), 5.0), ("r1", ("a",), math.inf), ("r2", ("a",), math.inf), ("r3", ("o",), math.inf)],
+        "o",
+    )
+    o, (r1, r2, r3) = fork.vertex_point("o"), fork.ends()
+    mu = T.DynamicalPlan.from_atoms(fork, [(fork.ray_to_end(o, r1, 1.0), 0.3), (fork.ray_to_end(o, r2, 1.0), 0.7)])
+    sigma = T.DynamicalPlan.from_atoms(fork, [
+        (fork.ray_to_end(o, r2, 1.0), 0.4), (fork.ray_to_end(o, r3, 1.0), 0.2),
+        (fork.constant_geodesic(o, 0.0, math.inf), 0.4),
+    ])
+    for grid in grids:
+        yield fork, mu, sigma, grid
+
+
+def test_chained_target_is_w_infinity_of_the_asymptotic_measures(monkeypatch):
+    # The target is the chain's last solve, over the plans' atoms keyed by
+    # (end, speed), the apex at speed <= DUST, under d_infinity.  It is the
+    # cone distance of the merged asymptotic measures within a few ulps, and
+    # the check calls neither w_infinity nor asymptotic_measure.
+    w_inf, asymptotic = boundary.w_infinity, boundary.asymptotic_measure
+
+    def banned(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(boundary, "w_infinity", banned)
+    monkeypatch.setattr(boundary, "asymptotic_measure", banned)
+    rng = np.random.default_rng(239)
+    worst, merged, constant, coincide, empty = 0.0, 0, 0, 0, 0
+    for tree, mu, sigma, grid in _chain_cases(rng):
+        am, asig = asymptotic(mu), asymptotic(sigma)
+        want = w_inf(tree, am, asig).distance
+        report = T.asymptotic_formula_check(tree, mu, sigma, t_grid=grid)
+        worst = max(worst, abs(report.target - want) / math.ulp(want) if want else report.target)
+        merged += len(am.atoms) < len(mu.atoms) or len(asig.atoms) < len(sigma.atoms)
+        constant += any(g.speed <= 1e-12 for g, _ in mu.atoms + sigma.atoms)
+        t0 = sorted(grid if grid is not None else boundary.DEFAULT_T_GRID)[:1] or [report.branch_exit]
+        at = [g.evaluate(t0[0]) for g, _ in mu.atoms]
+        coincide += len(set(at)) < len(at)
+        empty += grid == ()
+    assert worst <= 4
+    assert merged > 5 and constant > 5 and coincide >= 3 and empty > 5
 
 
 def test_csv_shape(star3):

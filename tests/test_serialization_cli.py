@@ -1044,14 +1044,17 @@ def test_cli_radon_invert_repeated_flag_is_an_input_error(files):
 
 
 def test_cli_infinite_cone_distance_is_a_domain_error(files):
-    # 1e308 + 1e308 is an infinite cone distance, whose square is inf: the
-    # squares are checked before the solver sees them, as for a finite
-    # distance whose square overflows.
+    # 1e308 + 1e308 is an infinite cone distance.  w_infinity solves on the
+    # star of the ends, where the atoms sit at their speeds along their
+    # rays, so the star's distance overflows, as any tree's would.
     tree = files("t.json", STAR3_JSON)
     nu1 = files("nu1.json", _cone(("r1", "1e308", "1")))
     nu2 = files("nu2.json", _cone(("r2", "1e308", "1")))
     err = _domain_error(cli("w-infinity", "--tree", tree, "--nu1", nu1, "--nu2", nu2))
-    assert err == {"error": "NonFiniteValue", "message": "a squared cone distance exceeds the float range"}
+    assert err == {
+        "error": "NonFiniteValue",
+        "message": "distance from TreePoint('r1'@1e+308) to TreePoint('r2'@1e+308) overflows the float range",
+    }
 
 
 def test_cli_w2_overflowing_square_is_a_domain_error(files):

@@ -135,13 +135,18 @@ def test_coincident_atoms_merge(tripod):
     assert mu.atoms == ((tripod.vertex_point("a"), 1.0),)
 
 
+def _from_corner(supply, demand, cost):
+    """The simplex on a bare matrix, started at the northwest corner."""
+    return transportation_simplex(cost, start=helpers.northwest_corner(supply, demand))
+
+
 def test_simplex_negative_costs():
     # brute force over permutations, uniform marginals, signed costs
     rng = np.random.default_rng(43)
     for _ in range(10):
         n = int(rng.integers(2, 6))
         cost = rng.uniform(-5.0, 5.0, size=(n, n))
-        sol = transportation_simplex([1.0 / n] * n, [1.0 / n] * n, cost.tolist())
+        sol = _from_corner([1.0 / n] * n, [1.0 / n] * n, cost.tolist())
         best = min(
             sum(cost[i][p[i]] for i in range(n)) / n
             for p in itertools.permutations(range(n))
@@ -153,7 +158,7 @@ def _solve_checked(supply, demand, cost):
     """Solve and check the result: a spanning-tree basis of nonnegative cells
     with the right marginals, the certified duals and the stated value."""
     m, n = len(supply), len(demand)
-    sol = transportation_simplex(supply, demand, cost)
+    sol = _from_corner(supply, demand, cost)
     assert len(sol.cells) == m + n - 1
     assert all(q >= 0.0 for q in sol.cells.values())
     rows, cols = [0.0] * m, [0.0] * n
@@ -305,10 +310,10 @@ def test_simplex_pinned_tie_breaks():
         return sorted((c, round(q, 12)) for c, q in sol.cells.items() if q > 1e-12)
 
     diag = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
-    sol = transportation_simplex([0.25] * 4, [0.25] * 4, diag)
+    sol = _from_corner([0.25] * 4, [0.25] * 4, diag)
     assert support(sol) == [((0, 3), 0.25), ((1, 0), 0.25), ((2, 1), 0.25), ((3, 2), 0.25)]
     cyclic = [[0.0, 1.0, 0.0], [2.0, 1.0, 0.0], [0.0, 2.0, 1.0]]
-    sol = transportation_simplex([1 / 3] * 3, [1 / 3] * 3, cyclic)
+    sol = _from_corner([1 / 3] * 3, [1 / 3] * 3, cyclic)
     third = round(1 / 3, 12)
     # Both (0,1),(1,2),(2,0) and (0,2),(1,1),(2,0) cost 1/3.  A 3x3 block is
     # one row, so the first improving row after the cursor enters rather than
@@ -317,13 +322,13 @@ def test_simplex_pinned_tie_breaks():
     assert support(sol) == [((0, 2), third), ((1, 1), third), ((2, 0), third)]
     # From the northwest corner, row 0 prices -1 at columns 2 and 3; the
     # lower column enters.
-    sol = transportation_simplex([0.5] * 2, [0.25] * 4, [[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 1.0, 1.0]])
+    sol = _from_corner([0.5] * 2, [0.25] * 4, [[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 1.0, 1.0]])
     assert sol.pivots == 1
     assert support(sol) == [((0, 0), 0.25), ((0, 2), 0.25), ((1, 1), 0.25), ((1, 3), 0.25)]
     # An 8x2 block is two rows.  From the northwest corner, rows 0 and 1 of
     # the first block both price -2 at column 1; the first row scanned enters.
     rows = [[2.0, 2.0], [0.0, 0.0], [0.0, 2.0], [0.0, 1.0], [0.0, 2.0], [1.0, 0.0], [2.0, 2.0], [2.0, 2.0]]
-    sol = transportation_simplex([0.125] * 8, [0.5] * 2, rows)
+    sol = _from_corner([0.125] * 8, [0.5] * 2, rows)
     assert sol.pivots == 1
     assert support(sol) == [((0, 1), 0.125), ((1, 0), 0.125), ((2, 0), 0.125), ((3, 0), 0.125),
                             ((4, 0), 0.125), ((5, 1), 0.125), ((6, 1), 0.125), ((7, 1), 0.125)]
@@ -334,7 +339,7 @@ def test_simplex_rejects_non_finite_cost(bad):
     # The NaN is not the first cost, where max() would ignore it.
     cost = [[0.0, 1.0], [1.0, bad]]
     with pytest.raises(T.SolverFailure, match="non-finite cost"):
-        transportation_simplex([0.5, 0.5], [0.5, 0.5], cost)
+        _from_corner([0.5, 0.5], [0.5, 0.5], cost)
 
 
 @pytest.mark.parametrize("cost, si, ti", [
@@ -362,7 +367,7 @@ def test_overflowing_squared_distance_is_a_domain_error():
 
 def test_certify_duals_rejects_bad_duals():
     cost = [[0.0, 1.0], [1.0, 0.0]]
-    sol = transportation_simplex([0.5, 0.5], [0.5, 0.5], cost)
+    sol = _from_corner([0.5, 0.5], [0.5, 0.5], cost)
     certify_duals(cost, sol)
     with pytest.raises(T.SolverFailure):
         certify_duals(cost, sol._replace(u=[ui + 1.0 for ui in sol.u]))
@@ -1066,7 +1071,7 @@ def test_tree_start_is_strongly_feasible_and_exact(monkeypatch):
         rows, cols = tree._preorder(xs)[0], tree._preorder(ys)[0]
         want = transport.w2_from_distances(
             tree.distance_matrix([xs[i] for i in rows], [ys[j] for j in cols]),
-            [mu.atoms[i][1] for i in rows], [nu.atoms[j][1] for j in cols],
+            start=helpers.northwest_corner([mu.atoms[i][1] for i in rows], [nu.atoms[j][1] for j in cols]),
         )[0]
         assert abs(got - want) <= 1e-12 * want
     assert instances == 120 and shared > 60 and unequal > 40
@@ -1097,7 +1102,7 @@ def test_start_pivot_totals_are_pinned(monkeypatch):
         rows, cols = tree._preorder(xs)[0], tree._preorder(ys)[0]
         transport.w2_from_distances(
             tree.distance_matrix([xs[i] for i in rows], [ys[j] for j in cols]),
-            [mu.atoms[i][1] for i in rows], [nu.atoms[j][1] for j in cols],
+            start=helpers.northwest_corner([mu.atoms[i][1] for i in rows], [nu.atoms[j][1] for j in cols]),
         )
         northwest += pivots[-1]
     assert (tree_start, northwest) == (182, 694)
@@ -1115,14 +1120,14 @@ def test_warm_start_chains_over_one_supply_and_demand():
             supply, demand = [1.0 / m] * m, [1.0 / n] * n
         else:
             supply, demand = helpers.spread_masses(rng, m), helpers.spread_masses(rng, n)
-        start = None
+        start = helpers.northwest_corner(supply, demand)
         for _ in range(5):
             if rng.random() < 0.5:
                 cost = rng.integers(-3, 4, size=(m, n)).astype(float).tolist()
             else:
                 cost = rng.normal(0.0, 5.0, size=(m, n)).tolist()
-            cold = transportation_simplex(supply, demand, cost)
-            warm = transportation_simplex(supply, demand, cost, start=start)
+            cold = _from_corner(supply, demand, cost)
+            warm = transportation_simplex(cost, start=start)
             certify_duals(cost, warm)
             assert abs(warm.value - cold.value) <= 1e-12 * max(1.0, abs(cold.value))
             rows = _sums_by_key((i, q) for (i, _), q in warm.cells.items())
@@ -1136,8 +1141,8 @@ def test_simplex_rejects_a_start_that_is_not_strongly_feasible():
     cost = [[0.0, 1.0, 4.0], [1.0, 0.0, 1.0]]
     supply, demand = [0.5, 0.5], [0.25, 0.5, 0.25]
     good = {(0, 0): 0.25, (0, 1): 0.25, (1, 1): 0.25, (1, 2): 0.25}
-    sol = transportation_simplex(supply, demand, cost, start=good)
-    assert sol.value == transportation_simplex(supply, demand, cost).value
+    sol = transportation_simplex(cost, start=good)
+    assert sol.value == _from_corner(supply, demand, cost).value
     bad = [
         # a cycle through rows 0, 1 and columns 0, 1; column 2 is not reached
         {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.0, (1, 1): 0.25},
@@ -1148,7 +1153,7 @@ def test_simplex_rejects_a_start_that_is_not_strongly_feasible():
     ]
     for start in bad:
         with pytest.raises(T.SolverFailure, match="^start is not a strongly feasible spanning tree$"):
-            transportation_simplex(supply, demand, cost, start=start)
+            transportation_simplex(cost, start=start)
 
 
 # -- fixed-order sums ------------------------------------------------------------
@@ -1172,12 +1177,12 @@ def test_transport_sums_add_in_order():
     # The orders are told apart on the terms of the solve whose value is
     # checked, not on another solve's plan, whose masses may move by ulps.
     cost = [[d2(x, y) for y in nu.points()] for x in mu.points()]
-    sol = transportation_simplex(mu.masses(), nu.masses(), cost)
+    sol = _from_corner(mu.masses(), nu.masses(), cost)
     terms = [q * cost[i][j] for (i, j), q in sol.cells.items()]
     assert math.fsum(terms) != helpers.add_in_order(terms)
     assert sol.value == helpers.add_in_order(terms)
     # one row carries every demand, rescaled to the supply
-    row = transportation_simplex([0.5], ns, cost[:1])
+    row = _from_corner([0.5], ns, cost[:1])
     scale = 0.5 / helpers.add_in_order(ns)
     assert [row.cells[0, j] for j in range(30)] == [d * scale for d in ns]
 
