@@ -235,13 +235,16 @@ def asymptotic_formula_check(
     )
     masses = [mu.atoms[i][1] for i in rows] + [sigma.atoms[j][1] for j in cols]
     start = _tree_start(tree, px + py, x_sides + y_sides, len(px), masses)
+    first = tree._distance_rows(px, x_sides, py, y_sides)  # the distances at t0
     gs, hs = [gs[i] for i in rows], [hs[j] for j in cols]
     ratios = []
-    for t in grid:
-        value, _, sol = w2_from_distances(_distances_at(tree, gs, hs, t), start=start)
+    for k, t in enumerate(grid):
+        dists = _distances_at(tree, gs, hs, t) if k else first
+        value, _, sol = w2_from_distances(dists, start=start)
         ratios.append((t, value / t))
         start = sol.cells
-    near, far = _distances_at(tree, gs, hs, t_exit), _distances_at(tree, gs, hs, t_exit + 1.0)
+    near = _distances_at(tree, gs, hs, t_exit) if grid else first
+    far = _distances_at(tree, gs, hs, t_exit + 1.0)
     slopes = [[a - b for a, b in zip(fr, nr)] for fr, nr in zip(far, near)]
     certified, coupling, sol = w2_from_distances(slopes, "slope", start=start)
     # W is bounded iff an optimal coupling of the slopes moves no mass along

@@ -249,13 +249,10 @@ def d0_transport(
     xs = [e for e, _ in nu_minus.atoms]
     ys = [e for e, _ in nu_plus.atoms]
     amt, shift = _integer_masses([m for _, m in (*nu_minus.atoms, *nu_plus.atoms)], len(xs))
-    o = len(tree._order)  # the base point's node, after the tree's positions
-    _, _, _, lo, hi = tree._side(tree.basepoint)
-    on = tree.basepoint.edge  # an end on whose ray the base point lies hangs at o
-    anchors = [o if e.edge == on else tree._pre[tree.end_attachment(e)] for e in xs + ys]
-    cells = _d0_greedy(tree._up, lo, hi, anchors, amt, len(xs))
-    _certify_d0(tree, lo, hi, anchors, amt, len(xs), cells)
-    dist = [*tree.basepoint_distances().values(), 0.0]
+    anchors = [tree._end_node(e) for e in xs + ys]
+    cells = _d0_greedy(tree, anchors, amt, len(xs))
+    _certify_d0(tree, anchors, amt, len(xs), cells)
+    dist = [*tree.basepoint_distances().values(), 0.0]  # by node, o's last
     den = 1 << shift
     entries = sorted((i, j, q / den, v) for i, j, q, v in cells)
     (sq,) = _squares([[dist[v] for *_, v in entries]], "D0")
@@ -263,19 +260,20 @@ def d0_transport(
     return D0Result(value, tuple((xs[i], ys[j], q) for i, j, q, _ in entries if q > DUST))
 
 
-def _d0_greedy(up, lo, hi, anchors, amt, m) -> list[tuple[int, int, int, int]]:
+def _d0_greedy(tree, anchors, amt, m) -> list[tuple[int, int, int, int]]:
     """The bottom-up greedy plan of ``d0_transport``: cells (row i, column
     j, integer mass, node of the match).
 
-    Nodes are the tree's preorder positions, with parents `up`, and the
-    base point o after them; `anchors` gives each item's node (rows first,
-    then columns), and [lo, hi) is the slice below o when o lies inside a
-    finite edge.  In reverse preorder, each node matches the rows waiting
-    there against the columns, last in first, until one kind runs out, and
-    hands what is left, all of one kind, to its parent, or to o from the
-    root and from the top of that slice.  A list handed on is passed as it
-    is, or joined to the longer list waiting at the parent, so the pass is
-    linear up to the joins.  All the items balance, so o matches the rest."""
+    Nodes are those of the tree rooted at the base point o: the preorder
+    positions, and o's node after them; `anchors` gives each item's node
+    (rows first, then columns).  In reverse preorder, each node matches the
+    rows waiting there against the columns, last in first, until one kind
+    runs out, and hands what is left, all of one kind, to its parent in
+    that rooting (``MetricTree._o_parents``).  A list handed on is passed as
+    it is, or joined to the longer list waiting at the parent, so the pass
+    is linear up to the joins.  All the items balance, so o matches the
+    rest."""
+    up = tree._o_parents()
     o = len(up)
     rows: list = [None] * (o + 1)
     cols: list = [None] * (o + 1)
@@ -302,7 +300,7 @@ def _d0_greedy(up, lo, hi, anchors, amt, m) -> list[tuple[int, int, int, int]]:
         rest, lists = (a, rows) if a else (b, cols)
         if not rest or v == o:
             continue
-        w = o if v == 0 or (v == lo and lo < hi) else up[v]
+        w = up[v]
         have = lists[w]
         if not have:
             lists[w] = rest
@@ -314,30 +312,22 @@ def _d0_greedy(up, lo, hi, anchors, amt, m) -> list[tuple[int, int, int, int]]:
     return cells
 
 
-def _certify_d0(tree, lo, hi, anchors, amt, m, cells) -> None:
+def _certify_d0(tree, anchors, amt, m, cells) -> None:
     """The exact certificate of a -D0^2 plan in integer masses: its
     marginals are the items' masses, each cell's node is the LCA of its two
-    anchors, and for every finite edge e of the tree rooted at the base
-    point o, its mass with both ends beyond e is min(nu-(beyond e),
-    nu+(beyond e)).  The LCAs are found afresh (o for a pair that o
-    separates, or that includes the end of a ray holding o), and
-    reverse-preorder subtree sums give the three masses beyond every edge.
+    anchors, and for every edge e of the tree rooted at the base point o
+    (each node's link to its parent there, the root's link to o included),
+    its mass with both ends beyond e is min(nu-(beyond e), nu+(beyond e)).
+    The LCAs are found afresh (``MetricTree._o_lca``), and reverse-preorder
+    subtree sums up the parents of that rooting give the three masses
+    beyond every edge.
     Together the checks prove the plan optimal and its D0 values right (see
-    ``d0_transport``); any failure raises SolverFailure.
-
-    When o lies inside an edge, the piece from o up to the root is checked
-    by the piece on o's other side (the slice, or the ray): o joins just
-    these two sides, so with exact marginals the mass one side sends across
-    is what the other receives, and one side's minimum gives the other's."""
+    ``d0_transport``); any failure raises SolverFailure."""
     o = len(tree._order)
     got = [0] * len(amt)
     below = [[0, 0, 0] for _ in range(o + 1)]  # nu- mass, nu+ mass, both ends
     for i, j, q, v in cells:
-        a, b = anchors[i], anchors[m + j]
-        if o in (a, b) or (lo <= a < hi) != (lo <= b < hi):
-            lca = o
-        else:
-            lca = tree._lca_position(a, b)
+        lca = tree._o_lca(anchors[i], anchors[m + j])
         if q <= 0 or v != lca:
             raise SolverFailure("D0 plan has a cell without mass or off its LCA")
         got[i] += q
@@ -347,8 +337,8 @@ def _certify_d0(tree, lo, hi, anchors, amt, m, cells) -> None:
         raise SolverFailure("D0 plan's marginals are not the boundary measures")
     for t, v in enumerate(anchors):
         below[v][t >= m] += amt[t]
-    up = tree._up
-    for v in range(o - 1, 0, -1):
+    up = tree._o_parents()
+    for v in range(o - 1, -1, -1):
         minus, plus, both = below[v]
         if both != min(minus, plus):
             raise SolverFailure(f"D0 plan fails the edge certificate above {tree._order[v]!r}")

@@ -17,7 +17,9 @@ operations are pure functions over an immutable, validated tree:
   ``distance``'s,
 - geodesic segments (finite t0 < t1), rays to an end (finite t0, t1 = inf)
   and bi-infinite geodesics between ends, all checked by ``TreeGeodesic``,
-- the base-to-geodesic distance of two ends (Gromov product),
+- the anchor of two ends (the point of their geodesic nearest the base
+  point o) and its distance from o, the Gromov product, read off the tree
+  rooted at o, as the -D0^2 plan of ``ends.d0_transport`` is,
 - nearest-point projection onto a geodesic: a point off the locus goes
   to the node of the locus nearest to it, with no arc arithmetic,
 - perpendicular vertex sets of a flag (vertex with two incident edges).
@@ -30,7 +32,9 @@ distances for every distance, and subtree sizes, which make every rooted
 subtree a slice of the preorder.  A finite edge's deeper endpoint is the
 one later in the preorder; it gives the exits of a point inside the edge,
 the components of X minus a vertex, and the mass beyond every edge by
-reverse-preorder subtree sums (flows, the Radon transform).
+reverse-preorder subtree sums (flows, the Radon transform).  The tree
+rooted at the base point o adds o's node after every position, and o's
+slice, the subtree below o when o lies inside a finite edge.
 
 Numeric conventions: 64-bit floats; ``TOL`` (1e-9, comparisons) and ``DUST``
 (1e-12, snapped arc arithmetic; a mass, flow or overlap below it is zero)
@@ -186,6 +190,7 @@ class MetricTree:
             if self.basepoint.is_vertex()
             else self._edges[self.basepoint.edge].ends[0]
         )
+        self._o_slice = self._side(self.basepoint)[3:]
         # Finite edges must form a spanning tree of the vertices.
         acyclic = n_finite == len(self._vertices) - 1
         connected = len(self._order) == len(self._vertices)
@@ -391,6 +396,38 @@ class MetricTree:
         v is the base point itself)."""
         i = self._position(v)
         return self.basepoint.edge if i == 0 else self._up_edge[i]
+
+    # -- the tree rooted at the base point o ---------------------------------
+
+    def _end_node(self, end: TreeEnd) -> int:
+        """The node of an end: its attachment's position, or o's node when
+        o lies on the end's ray.  The end is checked first."""
+        i = self._pre[self.end_attachment(end)]
+        return len(self._order) if end.edge == self.basepoint.edge else i
+
+    def _o_parents(self) -> list[int]:
+        """The parent of every position in the tree rooted at o: o's node
+        for the root and for the top of o's slice."""
+        up, (lo, hi) = self._up.copy(), self._o_slice
+        up[0] = len(up)
+        if lo < hi:
+            up[lo] = len(up)
+        return up
+
+    def _o_lca(self, a: int, b: int) -> int:
+        """The LCA of nodes a and b in the tree rooted at o: o's node when
+        one of them is o's or o separates them."""
+        o = len(self._order)
+        lo, hi = self._o_slice
+        if o in (a, b) or (lo <= a < hi) != (lo <= b < hi):
+            return o
+        return self._lca_position(a, b)
+
+    def _anchor(self, xi: TreeEnd, zeta: TreeEnd) -> TreePoint:
+        """The point of the geodesic between two ends nearest o: the LCA of
+        their nodes in the tree rooted at o, o itself for o's node."""
+        w = self._o_lca(self._end_node(xi), self._end_node(zeta))
+        return self.basepoint if w == len(self._order) else TreePoint(vertex=self._order[w])
 
     def _side(self, p: TreePoint) -> tuple[int, float, float, int, int]:
         """Exits of a canonical point, ``(up, cost, cost down, lo, hi)``: the
@@ -706,7 +743,8 @@ class MetricTree:
         """Bi-infinite geodesic from xi (at -inf) to zeta (at +inf).
 
         ``anchor_time`` is the time at the anchor, a given point of the
-        locus or by default the point nearest to the base point.
+        locus or by default the point nearest to the base point, read off
+        the tree rooted there (``_anchor``).
         """
         if xi == zeta:
             raise EqualEnds(f"both ends are {xi!r}")
@@ -716,10 +754,7 @@ class MetricTree:
         prov = TreeGeodesic(
             self, speed, -math.inf, math.inf, 0.0, nodes, spans, xi, zeta
         )
-        if anchor is None:
-            anchor_pt = project_to_geodesic(self, self.basepoint, prov)
-        else:
-            anchor_pt = self.canonical_point(anchor)
+        anchor_pt = self._anchor(xi, zeta) if anchor is None else self.canonical_point(anchor)
         s_a = prov.arc_of_point(anchor_pt)
         if s_a is None:
             raise MalformedTree("anchor does not lie on the geodesic locus")
@@ -939,21 +974,14 @@ def gromov_product(tree: MetricTree, xi: TreeEnd, zeta: TreeEnd) -> float:
     +infinity on the diagonal.  An unknown or finite edge raises
     MalformedTree, on the diagonal too.
 
-    With the tree rooted at the base point o, the point of the geodesic
-    nearest to o is the LCA of the two ends' attachments, so the product is
-    ``distance(o, LCA)``, in O(1).  It is 0 when o lies on the geodesic
-    inside an edge: on the ray of one of the two ends, or inside a finite
-    edge whose deeper endpoint's subtree holds exactly one attachment."""
+    It is the base point's distance to the default anchor of
+    ``geodesic_between_ends``, the LCA of the ends' nodes with the tree
+    rooted at the base point, in O(1): 0 when the base point lies on the
+    geodesic inside an edge."""
     if xi == zeta:
         tree.end(xi.edge)
         return math.inf
-    i = tree._pre[tree.end_attachment(xi)]
-    j = tree._pre[tree.end_attachment(zeta)]
-    o = tree.basepoint
-    _, _, _, lo, hi = tree._side(o)
-    if o.edge in (xi.edge, zeta.edge) or (lo <= i < hi) != (lo <= j < hi):
-        return 0.0
-    return tree.distance(o, TreePoint(vertex=tree._order[tree._lca_position(i, j)]))
+    return tree.distance(tree.basepoint, tree._anchor(xi, zeta))
 
 
 def project_to_geodesic(tree: MetricTree, y: TreePoint, gamma: TreeGeodesic) -> TreePoint:

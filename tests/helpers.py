@@ -495,14 +495,23 @@ def northwest_corner(supply, demand) -> dict:
 
 
 def d0_simplex(tree: T.MetricTree, nu_minus, nu_plus):
-    """The -D0^2 problem as a matrix: the k x k Gromov products, squared and
-    negated, solved by the transportation simplex from the northwest
-    corner.  Returns the optimal value and the entries (end, end, mass)."""
+    """The -D0^2 problem as a matrix, solved by the transportation simplex
+    from the northwest corner.  Returns the optimal value and the entries
+    (end, end, mass).
+
+    Each D0 is the distance from the base point to its projection onto the
+    geodesic between the two ends, anchored at the first end's attachment:
+    neither ``gromov_product`` nor the tree rooted at the base point."""
     from treeot.transport import solve_transport
+
+    def d0(a, b):
+        anchor = tree.vertex_point(tree.end_attachment(a))
+        g = tree.geodesic_between_ends(a, b, anchor=anchor)
+        return tree.distance(tree.basepoint, T.project_to_geodesic(tree, tree.basepoint, g))
 
     xs = [e for e, _ in nu_minus.atoms]
     ys = [e for e, _ in nu_plus.atoms]
-    cost = [[-T.gromov_product(tree, a, b) ** 2 for b in ys] for a in xs]
+    cost = [[-d0(a, b) ** 2 for b in ys] for a in xs]
     start = northwest_corner([m for _, m in nu_minus.atoms], [m for _, m in nu_plus.atoms])
     value, entries, _ = solve_transport(cost, start=start)
     return value, [(xs[i], ys[j], q) for i, j, q in entries]

@@ -10,6 +10,7 @@ import pytest
 import treeot as T
 from treeot import boundary
 from treeot.errors import MarginalMismatch, NonFiniteValue, NonUnitMeasure, OutOfInterval
+from treeot.metric_tree import TreeGeodesic
 from treeot.transport import _sums_by_key
 
 import helpers
@@ -562,6 +563,25 @@ def test_chained_target_is_w_infinity_of_the_asymptotic_measures(monkeypatch):
         empty += grid == ()
     assert worst <= 4
     assert merged > 5 and constant > 5 and coincide >= 3 and empty > 5
+
+
+def test_asymptotic_check_evaluates_each_atom_once_per_time(monkeypatch):
+    # Each atom is evaluated once at every grid time, at the branch exit and
+    # one unit past it: the first row is built from the points and sides
+    # that put the atoms in preorder, and with an empty grid that row is the
+    # one at the branch exit.
+    real, calls = TreeGeodesic.evaluate, [0]
+
+    def spy(self, t):
+        calls[0] += 1
+        return real(self, t)
+
+    monkeypatch.setattr(TreeGeodesic, "evaluate", spy)
+    for tree, mu, sigma, grid in _chain_cases(np.random.default_rng(241)):
+        calls[0] = 0
+        T.asymptotic_formula_check(tree, mu, sigma, t_grid=grid)
+        times = len(grid if grid is not None else boundary.DEFAULT_T_GRID)
+        assert calls[0] == (len(mu.atoms) + len(sigma.atoms)) * (times + 2)
 
 
 def test_csv_shape(star3):

@@ -408,6 +408,27 @@ def test_d0_transport_runs_no_simplex_and_no_gromov_product(monkeypatch, barbell
     assert not hasattr(ends, "solve_transport") and not hasattr(ends, "gromov_product")
 
 
+@pytest.mark.parametrize("kind", ["vertex", "finite", "ray"])
+def test_construct_geodesic_projects_nothing(monkeypatch, kind):
+    # The default anchor between two ends is read off the tree rooted at the
+    # base point, as the -D0^2 plan is: no projection onto the locus, with
+    # the base point at a vertex, inside a finite edge and on a ray.
+    from treeot import metric_tree
+
+    def banned(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(metric_tree, "project_to_geodesic", banned)
+    rng = np.random.default_rng({"vertex": 431, "finite": 433, "ray": 439}[kind])
+    for _ in range(10):
+        base = helpers.random_tree(rng, int(rng.integers(2, 12)), int(rng.integers(4, 10)))
+        tree = _rebuilt(rng, base, helpers.random_basepoint(rng, base, kind))
+        minus, plus = _split_ends(rng, tree)
+        assert T.construct_geodesic(tree, minus, plus).atoms
+        for xi, zeta in itertools.permutations(tree.ends(), 2):
+            tree.geodesic_between_ends(xi, zeta)
+
+
 @pytest.mark.parametrize("depth", [8, 32, 128, 512, 2048])
 def test_comb_d0_value_is_minus_the_realizability_sum(depth):
     # Exact masses times D0^2, added by math.fsum: within a few ulps of -R
@@ -427,8 +448,8 @@ def _barbell_cells(barbell, pairs):
     """A stand-in for the greedy that returns `pairs` (row, column, node
     name or None for the base point) with the full integer masses."""
 
-    def greedy(up, lo, hi, anchors, amt, m):
-        o = len(up)
+    def greedy(tree, anchors, amt, m):
+        o = len(tree._order)
         return [(i, j, amt[i], o if v is None else barbell._pre[v]) for i, j, v in pairs]
 
     return greedy

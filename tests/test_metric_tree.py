@@ -521,10 +521,10 @@ def test_gromov_product_interior_basepoint():
 def test_gromov_product_is_the_distance_to_the_anchor_between_the_ends(kind):
     # The product, read as the distance from the base point to the LCA of
     # the attachments, has the bits of the distance to the anchor of the
-    # geodesic between the ends (the point nearest to the base point).  Only
-    # where the base point lies on that geodesic inside an edge does the
-    # anchor, found by arc arithmetic, sit up to about 1e-15 off it, where
-    # the product is 0 exactly.
+    # geodesic between the ends, and that anchor is the projection of the
+    # base point onto the locus.  Only where the base point lies on that
+    # geodesic inside an edge does the anchor, found by arc arithmetic, sit
+    # up to about 1e-15 off it, where the product is 0 exactly.
     rng = np.random.default_rng({"vertex": 503, "finite": 509, "ray": 521}[kind])
     on_locus = 0
     for _ in range(30):
@@ -536,11 +536,12 @@ def test_gromov_product_is_the_distance_to_the_anchor_between_the_ends(kind):
             g = tree.geodesic_between_ends(xi, zeta)
             want = tree.distance(tree.basepoint, g.point_at_arc(0.0))
             got = T.gromov_product(tree, xi, zeta)
+            proj = T.project_to_geodesic(tree, tree.basepoint, g)
             if tree.basepoint.is_vertex() or g.arc_of_point(tree.basepoint) is None:
-                assert got == want
+                assert got == want and g.point_at_arc(0.0) == proj
             else:
                 on_locus += 1
-                assert got == 0.0 and want <= 1e-12
+                assert got == 0.0 and want <= 1e-12 and proj == tree.basepoint
     assert on_locus > 0 if kind != "vertex" else on_locus == 0
 
 
@@ -827,6 +828,12 @@ def _forked():
     )
 
 
+def _on_ec(t):
+    """The same tree with its base point inside the finite edge ec."""
+    edges = [(e.id, e.ends, e.length) for e in t.edges.values()]
+    return T.MetricTree(t.vertices, edges, t.edge_point("ec", 0.5))
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda t: t.incident_edges("x"), MalformedTree, "unknown vertex 'x'"),
     (lambda t: t.parent_edge("zz"), MalformedTree, "unknown vertex 'zz'"),
@@ -845,6 +852,11 @@ def _forked():
     (lambda t: T.gromov_product(t, T.TreeEnd("ec"), t.end("rb")), MalformedTree,
      "edge 'ec' is not infinite, carries no end"),
     (lambda t: T.gromov_product(t, T.TreeEnd("zz"), T.TreeEnd("zz")), MalformedTree, "unknown edge 'zz'"),
+    # the end is checked before it is compared with the base point's edge
+    (lambda t: T.gromov_product(_on_ec(t), T.TreeEnd("ec"), t.end("rb")), MalformedTree,
+     "edge 'ec' is not infinite, carries no end"),
+    (lambda t: _on_ec(t).geodesic_between_ends(T.TreeEnd("ec"), t.end("rb")), MalformedTree,
+     "edge 'ec' is not infinite, carries no end"),
     (lambda t: T.ConeMeasure.from_atoms(t, [(T.TreeEnd("ec"), 0.0, 1.0)]), MalformedTree,
      "edge 'ec' is not infinite, carries no end"),
     (lambda t: T.perpendicular(t, "o", "ea", "ea"), FlagInvalid, "flag at 'o' needs two distinct edges"),
