@@ -144,25 +144,25 @@ def flow_table(
     edge_flow = tree.mass_beyond({}, nu)
 
     # Aggregation is exact; the neutral tolerance only affects sign labels.
-    # The outgoing flows at x are added in sorted edge order; the edge
-    # toward the base point is one of them.
-    edges = tree.edges
+    # The outgoing flows at x are added in sorted edge order.  The specific
+    # flow takes away the size of the flow on the edge toward the base
+    # point (``toward_basepoint``, read here off the rooted lists).
+    edges, pre, up_edge = tree.edges, tree._pre, tree._up_edge
     vertex_flow: dict[str, float] = {}
     specific: dict[str, float] = {}
-    for x in tree.vertices:
-        toward = tree.toward_basepoint(x)
-        phi = back = 0.0
-        for eid in tree.incident_edges(x):
+    for x, incident in tree._incident.items():
+        i = pre[x]
+        toward = up_edge[i] if i else tree.basepoint.edge
+        phi = 0.0
+        for eid in incident:
             ends = edges[eid].ends
             f = edge_flow[eid]
             if len(ends) == 2 and ends[0] != x:
                 f = -f
             if f > 0.0:
                 phi += f
-            if eid == toward:
-                back = f
         vertex_flow[x] = phi
-        specific[x] = phi if toward is None else phi - abs(back)
+        specific[x] = phi if toward is None else phi - abs(edge_flow[toward])
     return FlowTable(edge_flow, vertex_flow, specific)
 
 

@@ -70,6 +70,9 @@ def test_self_loop_rejected():
         T.MetricTree(["a"], [("e1", ("a", "a"), 1.0)], "a")
 
 
+_TRIANGLE = [("e1", ("a", "b"), 1.0), ("e2", ("b", "c"), 1.0), ("e3", ("c", "a"), 1.0)]
+
+
 @pytest.mark.parametrize("vertices, edges, message", [
     ([], [], "tree needs at least one vertex"),
     (["a", "b", "a"], [], "duplicate vertex names"),
@@ -78,10 +81,75 @@ def test_self_loop_rejected():
     (["a", "b"], [("e", ("a",), 1.0)], "finite edge 'e' must have two endpoints"),
     (["a", "b", "c"], [("e", ("a", "b", "c"), 1.0)], "finite edge 'e' must have two endpoints"),
     (["a", "b"], [("e", ("a", "b"), True)], "edge 'e' has length True, not a number"),
+    (["a", "b"], [("e", ("a", "b"), 0.0)], "edge 'e' has nonpositive length"),
+    (["a", "b"], [("e", ("a", "b"), -1.0)], "edge 'e' has nonpositive length"),
+    (["a", "b"], [("e", ("a", "b"), math.nan)], "edge 'e' has nonpositive length"),
+    (["a", "b"], [("e", ("a", "b"), math.inf)], "infinite edge 'e' must have exactly one endpoint"),
+    (["a", "b"], [("e", (), math.inf)], "infinite edge 'e' must have exactly one endpoint"),
+    (["a"], [("e", ("a", "a"), 1.0)], "edge 'e' is a self loop (cycle)"),
+    # two bad edges: the first in input order is named, not the first by id
+    (["a", "b", "c"], [("e1", ("a", "b"), 1.0), ("e3", ("b", "b"), 1.0), ("e2", ("b", "c"), -1.0)],
+     "edge 'e3' is a self loop (cycle)"),
+    (["a", "b", "c"], [("e1", ("a", "b"), 1.0), ("e3", ("b", "c"), -1.0), ("e2", ("b", "b"), 1.0)],
+     "edge 'e3' has nonpositive length"),
+    # the finite edges are counted apart from the rays
+    (["a", "b", "c"], _TRIANGLE + [("r", ("a",), math.inf)],
+     "graph is not a tree (connected=True, acyclic=False)"),
+    (["a", "b", "c", "d"], _TRIANGLE + [("r", ("d",), math.inf)],
+     "graph is not a tree (connected=False, acyclic=True)"),
 ])
 def test_constructor_rejects_malformed_lists(vertices, edges, message):
     with pytest.raises(MalformedTree, match=f"^{re.escape(message)}$"):
         T.MetricTree(vertices, edges, "a")
+
+
+def _rooted_copy(tree: T.MetricTree) -> tuple:
+    """What the constructor derives from the lists, in order, with the LCA
+    table; the edge map alone keeps the order of the input."""
+    tree.lca(tree.vertices[0], tree.vertices[-1])
+    return (tree._order, tree._up, tree._up_edge, tree._dist, tree._size,
+            list(tree._incident.items()), tree.report, tree._lca_table)
+
+
+def _shuffled_rebuilds(rng, tree: T.MetricTree, basepoint, times: int = 3):
+    vertices = list(tree.vertices)
+    edges = [(e.id, e.ends, e.length) for e in tree.edges.values()]
+    for _ in range(times):
+        rng.shuffle(vertices)
+        rng.shuffle(edges)
+        yield T.MetricTree(vertices, edges, basepoint)
+
+
+@pytest.mark.parametrize("kind", ["vertex", "edge", "ray"])
+def test_rooted_copy_does_not_depend_on_list_order(kind):
+    # the sorted incident edges fix the preorder, hence every tie order
+    rng = np.random.default_rng(47)
+    for _ in range(30):
+        tree = helpers.random_tree(rng, int(rng.integers(2, 40)), int(rng.integers(1, 6)))
+        tree = _rebased(tree, helpers.random_basepoint(rng, tree, kind))
+        want = _rooted_copy(tree)
+        for again in _shuffled_rebuilds(rng, tree, tree.basepoint):
+            assert _rooted_copy(again) == want
+
+
+def test_comb_rooted_copy_does_not_depend_on_list_order():
+    comb = T.comb_generator(2048, 3.0).tree
+    want = _rooted_copy(comb)
+    for again in _shuffled_rebuilds(np.random.default_rng(53), comb, comb.basepoint, 2):
+        assert _rooted_copy(again) == want
+
+
+def test_lca_table_rows_are_range_minima():
+    # the reference is the map(min, ...) construction the levels replaced
+    rng = np.random.default_rng(59)
+    trees = [helpers.random_tree(rng, n, 2) for n in (1, 2, 3, 7, 64, 200)]
+    for tree in trees + [T.comb_generator(2048, 3.0).tree]:
+        table = tree._build_lca_table()
+        want = [table[0]]
+        while 2 ** len(want) <= len(table[0]):
+            half = 2 ** (len(want) - 1)
+            want.append(list(map(min, want[-1], want[-1][half:])))
+        assert table == want
 
 
 @pytest.mark.parametrize("ends", [("b",), ("a", "b")])
