@@ -16,6 +16,8 @@ operations require a tree without leaves and without valency-2 vertices
 The forward transform costs O(#flags): a perpendicular sum is the total
 minus the masses of the two components of X minus x entered through e and
 f, and the tree's one pass of rooted subtree sums gives every such mass.
+Each vertex's through-masses, one per incident edge, are made once, and
+every flag at the vertex reads two of them.
 
 Inversion is exact in integers: every finite float is an integer over a
 power of two, so the flag values and the total go over one common power of
@@ -29,7 +31,7 @@ operation total.
 from __future__ import annotations
 
 import math
-from itertools import chain, islice
+from itertools import chain, combinations, islice
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -61,7 +63,7 @@ class VertexFunction(NamedTuple):
     def from_mapping(tree: MetricTree, values: Mapping[str, float]) -> "VertexFunction":
         items = tuple(sorted((v, float(h)) for v, h in values.items()))
         for v, h in items:
-            tree.vertex_point(v)  # validates
+            tree.incident_edges(v)  # validates
             if not math.isfinite(h):
                 raise NonFiniteValue(f"non-finite value {h} at vertex {v!r}")
         return VertexFunction(items, _add_in_order(h for _, h in items))
@@ -83,13 +85,11 @@ def require_radon_tree(tree: MetricTree) -> None:
 
 
 def all_flags(tree: MetricTree) -> list[Flag]:
-    flags = []
-    for x in tree.vertices:
-        inc = tree.incident_edges(x)
-        for a in range(len(inc)):
-            for b in range(a + 1, len(inc)):
-                flags.append(Flag(x, (inc[a], inc[b])))
-    return flags
+    """Every flag, vertex by vertex in vertex order, and at each vertex its
+    edge pairs in the order of its sorted edges.  A Flag is made by
+    tuple.__new__, not its NamedTuple's Python __new__."""
+    make = tuple.__new__
+    return [make(Flag, (x, ef)) for x, inc in tree._incident.items() for ef in combinations(inc, 2)]
 
 
 def radon_measure(
@@ -124,16 +124,22 @@ def _perpendicular_sums(
     it."""
     beyond = tree.mass_beyond(vertex_mass, edge_mass)
     total = _add_in_order(vertex_mass.values()) + _add_in_order(edge_mass.values())
-
-    def through(x: str, g: str) -> float:
-        if tree.edges[g].ends[0] == x:
-            return beyond[g]
-        return total - beyond[g] + edge_mass.get(g, 0.0)
-
-    return {
-        flag: total - through(flag.vertex, flag.edges[0]) - through(flag.vertex, flag.edges[1])
-        for flag in (all_flags(tree) if flags is None else flags)
+    # through[x][g]: the mass of the component of X minus x entered through
+    # g, one per vertex and incident edge; each flag at x reads two of them.
+    edge_of, own = tree.edges, edge_mass.get
+    through = {
+        x: {
+            g: beyond[g] if edge_of[g].ends[0] == x else total - beyond[g] + own(g, 0.0)
+            for g in inc
+        }
+        for x, inc in tree._incident.items()
     }
+    out = {}
+    for flag in all_flags(tree) if flags is None else flags:
+        at = through[flag[0]]
+        e, f = flag[1]
+        out[flag] = total - at[e] - at[f]
+    return out
 
 
 def radon_invert(
@@ -172,8 +178,8 @@ def radon_invert(
     values: dict[str, float] = {}
     # all_flags lists the k(k-1)/2 flags of each vertex together, in vertex order.
     pairs = zip(flags, ratios)
-    for x in tree.vertices:
-        k = tree.valency(x)
+    for x, inc in tree._incident.items():
+        k = len(inc)
         s = 0
         for flag, r in islice(pairs, k * (k - 1) // 2):
             if r is None:

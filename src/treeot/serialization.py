@@ -57,8 +57,14 @@ def _shaped(value: Any, kind: type, what: str) -> Any:
 
 
 def _field(doc: Any, key: str, kind: type) -> Any:
-    """doc[key] of a JSON object doc, checked to be a dict, list or str."""
-    return _shaped(_shaped(doc, dict, f"the parent of {key!r}")[key], kind, repr(key))
+    """doc[key] of a JSON object doc, checked to be a dict, list or str; a
+    missing key is named with the shape its value should have."""
+    parent = _shaped(doc, dict, f"the parent of {key!r}")
+    if key not in parent:
+        raise ValueError(
+            f"missing key {key!r}: expected {_SHAPES[kind]} under it, got {json.dumps(parent)[:40]}"
+        )
+    return _shaped(parent[key], kind, repr(key))
 
 
 def _names(doc: Any, key: str) -> list[str]:

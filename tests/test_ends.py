@@ -246,6 +246,27 @@ def test_comb_depth4_masses():
     assert inst.nu_plus.mass_at(inst.tree.end("t4")) == pytest.approx(raw[3] / zp)
 
 
+@pytest.mark.parametrize("depth", [2, 9, 10, 99, 100, 1000, 16384])
+def test_comb_names_are_zero_padded_to_the_depth(depth):
+    # Every width boundary: vertex vN, tooth tN and base edge bN (from vN to
+    # vN+1) carry N padded with zeros to the width of the depth; the base
+    # edges come first, then the teeth.
+    inst = T.comb_generator(depth, 3.0)
+    width = len(str(depth))
+    vertices = [f"v{n:0{width}d}" for n in range(1, depth + 1)]
+    teeth = [f"t{n:0{width}d}" for n in range(1, depth + 1)]
+    edges = [(f"b{n:0{width}d}", (vertices[n - 1], vertices[n]), 1.0) for n in range(1, depth)]
+    edges += [(t, (v,), math.inf) for t, v in zip(teeth, vertices)]
+    tree = inst.tree
+    assert tree.vertices == tuple(vertices)
+    assert [(eid, e.ends, e.length) for eid, e in tree.edges.items()] == edges
+    assert tree.report.infinite_edges == tuple(teeth)
+    atoms = list(zip(teeth, tree.generated_by.tooth_masses(depth)))
+    for measure, parity in ((inst.nu_minus, 0), (inst.nu_plus, 1)):
+        want = T.BoundaryMeasure.from_atoms(tree, [(tree.end(t), m) for t, m in atoms[parity::2]])
+        assert measure == want  # end ids, in order, and masses
+
+
 def test_comb_base_flows_positive_between_opposite_teeth():
     inst = T.comb_generator(6, 3.0)
     table = T.flow_table(inst.tree, inst.nu_minus, inst.nu_plus)

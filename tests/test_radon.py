@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import treeot as T
-from treeot.errors import ConstantGeodesic, FlagInvalid, InconsistentData, MalformedForRadon, NonFiniteValue
+from treeot.errors import (
+    ConstantGeodesic, FlagInvalid, InconsistentData, MalformedForRadon, MalformedTree, NonFiniteValue,
+)
 from treeot.radon import all_flags, geodesic_through_edge, geodesic_through_flag
 from treeot.transport import DUAL_TOL
 
@@ -86,6 +88,48 @@ def test_forward_matches_perpendicular_sums():
                     assert got == want
                 else:
                     assert abs(got - want) <= tol
+
+
+def test_perpendicular_sums_follow_the_through_masses_bit_for_bit():
+    """Each flag value is total - through(x, e) - through(x, f), subtracted
+    in this order, through(x, g) being the mass of the component of X minus
+    x entered through g; float vertex values and float edge masses, so a
+    reordered sum would show in the last bits."""
+    from treeot.radon import _perpendicular_sums
+
+    rng = np.random.default_rng(191)
+    for n in (1, 2, 5, 17, 60, 150):
+        tree = helpers.random_cubic_tree(rng, n)
+        vertex_mass = {v: float(rng.normal()) for v in tree.vertices}
+        edge_mass = {e: float(rng.normal()) for e in sorted(tree.edges) if rng.random() < 0.5}
+        beyond = tree.mass_beyond(vertex_mass, edge_mass)
+        total = helpers.add_in_order(vertex_mass.values()) + helpers.add_in_order(edge_mass.values())
+
+        def through(x, g):
+            if tree.edges[g].ends[0] == x:
+                return beyond[g]
+            return total - beyond[g] + edge_mass.get(g, 0.0)
+
+        got = _perpendicular_sums(tree, vertex_mass, edge_mass)
+        assert list(got) == all_flags(tree)
+        for flag, value in got.items():
+            want = total - through(flag.vertex, flag.edges[0]) - through(flag.vertex, flag.edges[1])
+            assert value.hex() == want.hex(), flag
+
+
+@pytest.mark.parametrize("make", [helpers.random_cubic_tree, helpers.random_radon_tree])
+def test_all_flags_come_vertex_by_vertex_in_edge_pair_order(make):
+    # valencies 3 to 6 on the padded random trees
+    tree = make(np.random.default_rng(53), 40)
+    want = []
+    for x in tree.vertices:
+        inc = tree.incident_edges(x)
+        for a in range(len(inc)):
+            for b in range(a + 1, len(inc)):
+                want.append(T.Flag(x, (inc[a], inc[b])))
+    got = all_flags(tree)
+    assert got == want
+    assert all(type(flag) is T.Flag for flag in got)
 
 
 # -- inversion ----------------------------------------------------------------------
@@ -461,6 +505,7 @@ def test_vertex_function_total_adds_in_order():
     (lambda t: T.radon_measure(t, T.DiscreteMeasure.dirac(t, t.vertex_point("v")),
                                t.constant_geodesic(t.vertex_point("u"))),
      ConstantGeodesic, "cannot project onto a constant geodesic"),
+    (lambda t: T.VertexFunction.from_mapping(t, {"zz": 1.0}), MalformedTree, "unknown vertex 'zz'"),
 ])
 def test_radon_rejects_what_it_cannot_answer(barbell, call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

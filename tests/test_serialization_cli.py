@@ -214,6 +214,23 @@ def test_cli_radon_then_invert(files):
     assert len(doc["data"]) == 6
 
 
+def test_cli_radon_invert_output_is_not_a_function_file(files, tmp_path):
+    # radon-invert prints the bare values; radon --function reads them under
+    # "values", and its input error names the missing key and its shape.
+    tree = files("t.json", BARBELL_JSON)
+    out = cli("radon-invert", "--tree", tree, "--data", files("r.json", RADON_DATA), "--total", "7")
+    assert out.returncode == 0, out.stderr
+    fn = tmp_path / "h.json"
+    fn.write_text(out.stdout)
+    again = cli("radon", "--tree", tree, "--function", str(fn))
+    assert again.returncode == 2
+    assert again.stdout == ""
+    assert again.stderr == (
+        "input error: missing key 'values': expected a JSON object under it, "
+        'got {"u": "2", "v": "5"}\n'
+    )
+
+
 def test_cli_radon_output_inverts_near_1e9(files, capsys):
     # radon-invert reads back what radon prints for 6-decimal values near
     # 1e9, in process through cli.run
