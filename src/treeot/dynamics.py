@@ -302,8 +302,12 @@ def beyond_exit(
 def _distances_at(
     tree: MetricTree, mu: Sequence[TreeGeodesic], sigma: Sequence[TreeGeodesic], t: float
 ) -> list[list[float]]:
-    """Distances between the points of the geodesics of mu and of sigma at t."""
-    return tree.distance_matrix([g.evaluate(t) for g in mu], [h.evaluate(t) for h in sigma])
+    """Distances between the points of the geodesics of mu and of sigma at t.
+    ``evaluate`` returns canonical points, so they go to the distance kernel
+    as they are, with their sides."""
+    px, py = [g.evaluate(t) for g in mu], [h.evaluate(t) for h in sigma]
+    side = tree._side
+    return tree._distance_rows(px, list(map(side, px)), py, list(map(side, py)))
 
 
 def projection_monotone(

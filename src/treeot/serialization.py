@@ -46,7 +46,7 @@ def fmt_exact(x: float) -> str:
     return fmt(x)
 
 
-_SHAPES = {dict: "a JSON object", list: "a JSON array", str: "a string"}
+_SHAPES = {dict: "a JSON object", list: "a JSON array", str: "a string", float: "a number"}
 
 
 def _shaped(value: Any, kind: type, what: str) -> Any:
@@ -57,13 +57,16 @@ def _shaped(value: Any, kind: type, what: str) -> Any:
 
 
 def _field(doc: Any, key: str, kind: type) -> Any:
-    """doc[key] of a JSON object doc, checked to be a dict, list or str; a
-    missing key is named with the shape its value should have."""
+    """doc[key] of a JSON object doc, checked to be a dict, list or str, or
+    read by ``parse_number`` for float; a missing key is named with the
+    shape its value should have."""
     parent = _shaped(doc, dict, f"the parent of {key!r}")
     if key not in parent:
         raise ValueError(
             f"missing key {key!r}: expected {_SHAPES[kind]} under it, got {json.dumps(parent)[:40]}"
         )
+    if kind is float:
+        return parse_number(parent[key])
     return _shaped(parent[key], kind, repr(key))
 
 
@@ -93,7 +96,7 @@ def parse_number(v: Any) -> float:
 
 def tree_from_json(doc: dict) -> MetricTree:
     edges = [
-        (_field(e, "id", str), tuple(_names(e, "ends")), parse_number(e["length"]))
+        (_field(e, "id", str), tuple(_names(e, "ends")), _field(e, "length", float))
         for e in _field(doc, "edges", list)
     ]
     return MetricTree(
@@ -104,7 +107,7 @@ def tree_from_json(doc: dict) -> MetricTree:
 def _point_placeholder(doc: dict) -> TreePoint:
     if "vertex" in _shaped(doc, dict, "a point"):
         return TreePoint(vertex=_field(doc, "vertex", str))
-    return TreePoint(edge=_field(doc, "edge", str), offset=parse_number(doc["offset"]))
+    return TreePoint(edge=_field(doc, "edge", str), offset=_field(doc, "offset", float))
 
 
 def point_from_json(tree: MetricTree, doc: dict) -> TreePoint:
@@ -141,7 +144,7 @@ def measure_from_json(tree: MetricTree, doc: dict) -> DiscreteMeasure:
     return DiscreteMeasure.from_atoms(
         tree,
         [
-            (point_from_json(tree, a["point"]), parse_number(a["mass"]))
+            (point_from_json(tree, _field(a, "point", dict)), _field(a, "mass", float))
             for a in _atoms(doc)
         ],
     )
@@ -168,9 +171,9 @@ def plan_from_json(tree: MetricTree, doc) -> TransportPlan:
     rows = doc if isinstance(doc, list) else _field(doc, "entries", list)
     entries = []
     for i, e in enumerate(rows):
-        x = point_from_json(tree, _shaped(e, dict, "a plan entry")["source"])
-        y = point_from_json(tree, e["target"])
-        m = parse_number(e["mass"])
+        x = point_from_json(tree, _field(_shaped(e, dict, "a plan entry"), "source", dict))
+        y = point_from_json(tree, _field(e, "target", dict))
+        m = _field(e, "mass", float)
         if not 0.0 < m < math.inf:
             raise MarginalMismatch(f"plan entry {i} has mass {m}, expected a finite mass above 0")
         entries.append((x, y, m))
@@ -228,30 +231,30 @@ def geodesic_from_json(tree: MetricTree, doc: dict) -> TreeGeodesic:
     kind = _field(doc, "kind", str)
     if kind == "constant":
         return tree.constant_geodesic(
-            point_from_json(tree, doc["point"]),
-            parse_number(doc["t0"]),
-            parse_number(doc["t1"]),
+            point_from_json(tree, _field(doc, "point", dict)),
+            _field(doc, "t0", float),
+            _field(doc, "t1", float),
         )
     if kind == "segment":
         return tree.geodesic_segment(
-            point_from_json(tree, doc["start"]),
-            point_from_json(tree, doc["stop"]),
-            parse_number(doc["t0"]),
-            parse_number(doc["t1"]),
+            point_from_json(tree, _field(doc, "start", dict)),
+            point_from_json(tree, _field(doc, "stop", dict)),
+            _field(doc, "t0", float),
+            _field(doc, "t1", float),
         )
     if kind == "ray":
         return tree.ray_to_end(
-            point_from_json(tree, doc["start"]),
+            point_from_json(tree, _field(doc, "start", dict)),
             tree.end(_field(doc, "end", str)),
-            parse_number(doc["speed"]),
+            _field(doc, "speed", float),
         )
     if kind == "complete":
         return tree.geodesic_between_ends(
             tree.end(_field(doc, "neg_end", str)),
             tree.end(_field(doc, "pos_end", str)),
-            speed=parse_number(doc["speed"]),
-            anchor=point_from_json(tree, doc["anchor"]),
-            anchor_time=parse_number(doc["anchor_time"]),
+            speed=_field(doc, "speed", float),
+            anchor=point_from_json(tree, _field(doc, "anchor", dict)),
+            anchor_time=_field(doc, "anchor_time", float),
         )
     raise MalformedTree(f"unknown geodesic kind {kind!r}")
 
@@ -272,11 +275,11 @@ def dynamical_plan_from_json(tree: MetricTree, doc: dict) -> DynamicalPlan:
     from .dynamics import DynamicalPlan
 
     interval = _field(doc, "interval", dict)
-    declared = (_field(interval, "kind", str), parse_number(interval["t0"]), parse_number(interval["t1"]))
+    declared = (_field(interval, "kind", str), _field(interval, "t0", float), _field(interval, "t1", float))
     plan = DynamicalPlan.from_atoms(
         tree,
         [
-            (geodesic_from_json(tree, a["geodesic"]), parse_number(a["mass"]))
+            (geodesic_from_json(tree, _field(a, "geodesic", dict)), _field(a, "mass", float))
             for a in _atoms(doc)
         ],
     )
@@ -294,7 +297,7 @@ def boundary_measure_from_json(tree: MetricTree, doc: dict) -> BoundaryMeasure:
 
     return BoundaryMeasure.from_atoms(
         tree,
-        [(tree.end(_field(a, "end", str)), parse_number(a["mass"])) for a in _atoms(doc)],
+        [(tree.end(_field(a, "end", str)), _field(a, "mass", float)) for a in _atoms(doc)],
     )
 
 
@@ -311,7 +314,7 @@ def cone_measure_from_json(tree: MetricTree, doc: dict) -> ConeMeasure:
     for a in _atoms(doc):
         end = a.get("end")
         end = None if end in (None, "apex") else tree.end(_shaped(end, str, "'end'"))
-        atoms.append((end, parse_number(a["speed"]), parse_number(a["mass"])))
+        atoms.append((end, _field(a, "speed", float), _field(a, "mass", float)))
     return ConeMeasure.from_atoms(tree, atoms)
 
 
@@ -364,7 +367,7 @@ def radon_data_from_json(tree: MetricTree, doc: list) -> dict[Flag, float]:
         flag = Flag.make(tree, _field(row, "vertex", str), e, f)
         if flag in data:
             raise ValueError(f"radon data repeats the flag at {flag.vertex!r} on edges {list(flag.edges)}")
-        data[flag] = parse_number(row["value"])
+        data[flag] = _field(row, "value", float)
     return data
 
 

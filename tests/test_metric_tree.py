@@ -21,6 +21,7 @@ from treeot.errors import (
     NonFiniteValue,
     OutOfInterval,
 )
+from treeot.metric_tree import DUST
 
 import helpers
 
@@ -497,6 +498,93 @@ def test_segment_speed_parametrization():
         assert tree.distance(g.evaluate(s), g.evaluate(t)) == pytest.approx(
             g.speed * abs(s - t), abs=1e-9
         )
+
+
+def _locus_points(rng, tree):
+    """Vertices, points inside finite edges and points on every ray."""
+    pts = [tree.vertex_point(tree.vertices[int(i)]) for i in rng.choice(len(tree.vertices), 8, replace=False)]
+    pts += [_spread_point(rng, tree) for _ in range(8)]
+    pts += [tree.edge_point(r, float(10.0 ** rng.uniform(-3, 3))) for r in tree.report.infinite_edges]
+    return list(dict.fromkeys(pts))
+
+
+def test_locus_coordinates_are_distances_from_the_start():
+    """Every node of a locus sits at ``distance`` from its start, bit for
+    bit, so a segment over [0, 1] has speed ``distance(p, q)``: the
+    certificate's costs and the geodesics cover the same distances.  Summing
+    the steps instead misses by ulps on about half the vertex pairs."""
+    rng = np.random.default_rng(229)
+    for trial in range(8):
+        tree = _spread_tree(rng, 40, 3) if trial % 2 else helpers.random_tree(rng, 40, 3)
+        pts = _locus_points(rng, tree)
+        for p, q in itertools.permutations(pts, 2):
+            g = tree.geodesic_segment(p, q, 0.0, 1.0)
+            assert g.speed == tree.distance(p, q)
+            arcs = [s for s, _ in g.nodes]
+            assert arcs == [tree.distance(p, x) for _, x in g.nodes]
+            assert arcs == sorted(arcs)
+        for p in pts:
+            for end in tree.ends():
+                ray = tree.ray_to_end(p, end, 1.0)
+                assert [s for s, _ in ray.nodes] == [tree.distance(p, x) for _, x in ray.nodes]
+
+
+def test_point_at_arc_stays_on_a_step_under_rounded_arcs():
+    # Root distances near 1e12 are rounded to 2^-13, so the step from b up
+    # to a spans 5.18017578125 of arc for its 5.18 of length.  The offset
+    # that arc implies just before a once overshot a by more than DUST and
+    # raised; it stops at a.
+    tree = T.MetricTree(["r", "a", "b"], [("e1", ("r", "a"), 1e12), ("e2", ("a", "b"), 5.18)], "r")
+    g = tree.geodesic_segment(T.TreePoint("b"), T.TreePoint("a"), 0.0, 1.0)
+    (_, b), (sa, a) = g.nodes
+    assert sa > 5.18 + 1e-4
+    assert g.point_at_arc(sa - 2 * DUST) == a
+    assert g.point_at_arc(1.0) == tree.edge_point("e2", 4.18)
+    assert g.point_at_arc(DUST / 2) == b
+
+
+def test_evaluate_returns_canonical_points():
+    """``evaluate`` gives canonical points, exact ``TreePoint``s that
+    ``canonical_point`` returns as they are: the distance kernel takes the
+    points of the asymptotic check and the ray certificate without
+    canonicalising them again."""
+    rng = np.random.default_rng(233)
+    for trial in range(6):
+        tree = _spread_tree(rng, 20, 3) if trial % 2 else helpers.random_tree(rng, 20, 3)
+        pts, ends = _locus_points(rng, tree), tree.ends()
+        geodesics = [tree.geodesic_segment(p, q, -1.0, 2.0) for p, q in zip(pts, pts[1:])]
+        geodesics += [tree.ray_to_end(p, ends[k % len(ends)], 0.5 + k) for k, p in enumerate(pts)]
+        geodesics += [tree.geodesic_between_ends(xi, zeta, 1.5) for xi, zeta in itertools.permutations(ends, 2)]
+        geodesics += [tree.constant_geodesic(p) for p in pts[:3]]
+        for g in geodesics:
+            lo = g.t0 if math.isfinite(g.t0) else -50.0
+            hi = g.t1 if math.isfinite(g.t1) else 50.0
+            times = [lo, hi] + [float(t) for t in rng.uniform(lo, hi, 12)]
+            times += [g.t_origin + s / g.speed for s, _ in g.nodes] if g.speed else []
+            for t in times:
+                if not g.t0 <= t <= g.t1:
+                    continue
+                q = g.evaluate(t)
+                assert type(q) is T.TreePoint
+                assert tree.canonical_point(q) is q
+
+
+def test_vertex_and_edge_points_are_exact_tree_points(tripod_completed):
+    tree = tripod_completed
+    for v in tree.vertices:
+        got = tree.vertex_point(v)
+        assert type(got) is T.TreePoint
+        _same_point(got, T.TreePoint(vertex=v))
+    for eid, offset, want in [
+        ("ea", 0.25, T.TreePoint(edge="ea", offset=0.25)),
+        ("ea", 0.0, T.TreePoint(vertex="o")),
+        ("ea", 1.0, T.TreePoint(vertex="a")),
+        ("ra", 7.5, T.TreePoint(edge="ra", offset=7.5)),
+        ("ra", 3, T.TreePoint(edge="ra", offset=3.0)),
+    ]:
+        got = tree.edge_point(eid, offset)
+        assert type(got) is T.TreePoint
+        _same_point(got, want)
 
 
 def test_along_geodesic_additivity():

@@ -969,6 +969,65 @@ def test_cli_wrong_json_shape_is_a_parse_error(files, case):
     assert "Traceback" not in out.stderr
 
 
+_NO_LENGTH = {**TRIPOD_JSON, "edges": [{"id": "ea", "ends": ["o", "a"]}] + TRIPOD_JSON["edges"][1:]}
+_RAY_NO_SPEED = {"kind": "ray", "start": {"vertex": "o"}, "end": "r1"}
+_RAY = {**_RAY_NO_SPEED, "speed": "1"}
+_RAY_PLAN = {"interval": {"kind": "ray", "t0": "0", "t1": "inf"}, "atoms": [{"geodesic": _RAY, "mass": "1"}]}
+
+# name: (subcommand, tree, options, the message after "input error: "), as
+# in WRONG_SHAPES; every required number is read by one helper that names
+# the missing key.
+MISSING_KEYS = {
+    "edge length": ("validate", _NO_LENGTH, {},
+                    'missing key \'length\': expected a number under it, got {"id": "ea", "ends": ["o", "a"]}'),
+    "atom mass": ("w2", TRIPOD_JSON, {"--mu": {"atoms": [{"point": {"vertex": "a"}}]}, "--nu": AT_B},
+                  'missing key \'mass\': expected a number under it, got {"point": {"vertex": "a"}}'),
+    "atom point": ("w2", TRIPOD_JSON, {"--mu": {"atoms": [{"mass": "1"}]}, "--nu": AT_B},
+                   'missing key \'point\': expected a JSON object under it, got {"mass": "1"}'),
+    "inline point offset": ("distance", TRIPOD_JSON, {"--p": '{"edge": "ea"}', "--q": '{"vertex": "a"}'},
+                            'missing key \'offset\': expected a number under it, got {"edge": "ea"}'),
+    "plan entry target": (
+        "certify-plan", TRIPOD_JSON, {"--plan": [{"source": {"vertex": "a"}, "mass": "1"}]},
+        'missing key \'target\': expected a JSON object under it, got {"source": {"vertex": "a"}, "mass": "1"}',
+    ),
+    "plan entry mass": (
+        "certify-plan", TRIPOD_JSON, {"--plan": [{"source": {"vertex": "a"}, "target": {"vertex": "b"}}]},
+        'missing key \'mass\': expected a number under it, got {"source": {"vertex": "a"}, "target": {"',
+    ),
+    "ray speed": (
+        "asymptotic", STAR3_JSON,
+        {"--mu": {**_RAY_PLAN, "atoms": [{"geodesic": _RAY_NO_SPEED, "mass": "1"}]}, "--sigma": _RAY_PLAN},
+        'missing key \'speed\': expected a number under it, got {"kind": "ray", "start": {"vertex": "o"}',
+    ),
+    "interval t1": ("asymptotic", STAR3_JSON, {"--mu": {**_RAY_PLAN, "interval": {"kind": "ray", "t0": "0"}},
+                                                "--sigma": _RAY_PLAN},
+                    'missing key \'t1\': expected a number under it, got {"kind": "ray", "t0": "0"}'),
+    "plan atom geodesic": ("asymptotic", STAR3_JSON, {"--mu": {**_RAY_PLAN, "atoms": [{"mass": "1"}]},
+                                                      "--sigma": _RAY_PLAN},
+                           'missing key \'geodesic\': expected a JSON object under it, got {"mass": "1"}'),
+    "boundary mass": ("flows", STAR3_JSON, {"--minus": {"atoms": [{"end": "r1"}]}, "--plus": ON_R1},
+                      'missing key \'mass\': expected a number under it, got {"end": "r1"}'),
+    "cone speed": ("w-infinity", STAR3_JSON, {"--nu1": {"atoms": [{"end": "r1", "mass": "1"}]},
+                                              "--nu2": {"atoms": [{"end": "r2", "speed": "1", "mass": "1"}]}},
+                   'missing key \'speed\': expected a number under it, got {"end": "r1", "mass": "1"}'),
+    "radon value": ("radon-invert", BARBELL_JSON, {"--data": [{"vertex": "u", "edges": ["r1", "r2"]}],
+                                                   "--total": "0"},
+                    'missing key \'value\': expected a number under it, got {"vertex": "u", "edges": ["r1", "r2"]}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_KEYS))
+def test_cli_missing_key_is_named(files, case):
+    command, tree, options, message = MISSING_KEYS[case]
+    argv = [command, "--tree", files("t.json", tree)]
+    for k, (flag, value) in enumerate(options.items()):
+        argv += [flag, value if isinstance(value, str) else files(f"in{k}.json", value)]
+    out = cli(*argv)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == f"input error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "mu", [{"atoms": [{"point": {"vertex": "a"}, "mass": "nan"}, {"point": {"vertex": "b"}, "mass": "1"}]},
            {"atoms": [{"point": {"vertex": "a"}, "mass": "nan"}]}],

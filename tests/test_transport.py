@@ -365,6 +365,26 @@ def test_overflowing_squared_distance_is_a_domain_error():
         T.is_cyclically_monotone(path, plan)
 
 
+def test_squares_are_correctly_rounded_products():
+    # x ** 2 goes through the C library's pow: glibc 2.36 gives ...46bp+9
+    # for the first entry, one ulp above the rounded square.
+    from fractions import Fraction
+
+    from treeot.transport import _squares
+
+    rng = np.random.default_rng(241)
+    xs = [float.fromhex("0x1.e31f25816fc1ep+4")] + [float(x) for x in rng.uniform(0.0, 100.0, 4000)]
+    rows = [xs[:1], xs[1:]]
+    want = [[float(Fraction(x) ** 2) for x in row] for row in rows]
+    assert [[y.hex() for y in row] for row in _squares(rows, "distance")] == [
+        [y.hex() for y in row] for row in want
+    ]
+    assert want[0] == [float.fromhex("0x1.c7df45a84346ap+9")]
+    for big in (1.4e154, math.inf):
+        with pytest.raises(NonFiniteValue, match="^a squared distance exceeds the float range$"):
+            _squares([[1.0], [2.0, big]], "distance")
+
+
 def test_certify_duals_rejects_bad_duals():
     cost = [[0.0, 1.0], [1.0, 0.0]]
     sol = _from_corner([0.5, 0.5], [0.5, 0.5], cost)
@@ -641,7 +661,8 @@ def _per_entry_weights(tree, plan):
     tree.distance: the cycle search's matrix and the reference for the
     certificate."""
     e = plan.entries
-    cost = np.array([[tree.distance(x, y) ** 2 for _, y, _ in e] for x, _, _ in e])
+    d = [[tree.distance(x, y) for _, y, _ in e] for x, _, _ in e]
+    cost = np.array([[c * c for c in row] for row in d])
     return cost - np.diagonal(cost)[:, None]
 
 
