@@ -10,7 +10,9 @@ every submodule (``treeot.transport``, ``treeot.cli``, ...), is loaded on
 first use, so a CLI subcommand loads only the modules it runs.  A name is
 looked up in its submodule on each access and never cached here, so a
 wrapper set on the submodule (``monkeypatch.setattr(treeot.transport,
-...)``) is what ``treeot.<name>`` returns.
+...)``) is what ``treeot.<name>`` returns.  An imported submodule is an
+attribute of the package, so the lookup reads it from there and imports only
+a submodule that is not loaded yet.
 """
 
 import importlib
@@ -63,7 +65,9 @@ __version__ = "0.1.0"
 
 def __getattr__(name: str):
     if name in _MODULE_OF:
-        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+        module = _MODULE_OF[name]
+        loaded = globals().get(module) or importlib.import_module(f".{module}", __name__)
+        return getattr(loaded, name)
     if name in _SUBMODULES:
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -68,7 +68,9 @@ class DynamicalPlan(NamedTuple):
 
     @property
     def speed(self) -> float:
-        return math.sqrt(_add_in_order(m * g.speed**2 for g, m in self.atoms))
+        """The root mean square of the atoms' speeds, each square the
+        correctly rounded `s * s` (see transport._squares)."""
+        return math.sqrt(_add_in_order(m * (g.speed * g.speed) for g, m in self.atoms))
 
     def is_unit(self) -> bool:
         return abs(self.speed - 1.0) <= TOL

@@ -191,7 +191,7 @@ def realizability_sum(tree: MetricTree, flow: FlowTable) -> RealizabilityResult:
     is a statement about the truncations up to the sampled depth only.
     """
     bp_dist = tree.basepoint_distances()
-    (sq,) = _squares([[bp_dist[x] for x in tree.vertices]], "base-point distance")
+    (sq,), _ = _squares([[bp_dist[x] for x in tree.vertices]], "base-point distance")
     value = _add_in_order(flow.specific_flow[x] * s for x, s in zip(tree.vertices, sq))
     family = tree.generated_by
     if family is None:
@@ -255,7 +255,7 @@ def d0_transport(
     dist = [*tree.basepoint_distances().values(), 0.0]  # by node, o's last
     den = 1 << shift
     entries = sorted((i, j, q / den, v) for i, j, q, v in cells)
-    (sq,) = _squares([[dist[v] for *_, v in entries]], "D0")
+    (sq,), _ = _squares([[dist[v] for *_, v in entries]], "D0")
     value = 0.0 - math.fsum(q * s for (_, _, q, _), s in zip(entries, sq))
     return D0Result(value, tuple((xs[i], ys[j], q) for i, j, q, _ in entries if q > DUST))
 

@@ -34,6 +34,16 @@ needs more: a Bellman-Ford search over the components
 Python like the rest of the package, which imports nothing outside the
 standard library.
 
+The tolerances of the simplex and of both certificates scale with the cost
+scale, the largest |c| of the cost matrix, or inf when any entry is NaN or
+infinite, which each of them rejects; _cost_scale is the one place that rule
+is written.  The scale is read once per matrix, where the costs are made:
+_squares returns the squared distances with their largest square, which
+w2_from_distances and is_cyclically_monotone hand on as the `scale` keyword
+of solve_transport (which gives it to transportation_simplex and
+certify_duals) and of certify_costs.  Called without it, each of these reads
+the scale itself, once.
+
 Every sum of masses by key in the package (the atoms of a measure, a
 plan's marginals, the signed end masses of the flows, the gaps between two
 mass assignments) goes through _sums_by_key, which adds left to right with
@@ -117,18 +127,45 @@ def _merge_atoms(
     return kept
 
 
-def _squares(rows: Iterable[Iterable[float]], what: str) -> list[list[float]]:
+def _squares(rows: Iterable[Iterable[float]], what: str) -> tuple[list[list[float]], float]:
     """The squares `x * x` of a matrix's entries (rows not empty), each the
-    correctly rounded product.  `x ** 2` would go through the C library's
-    `pow`, which is not correctly rounded on every platform (glibc 2.36
-    squares 152 of 200,000 uniform doubles on [0, 100) one ulp off), so
-    the bytes would depend on the platform.  A square beyond the float range (an entry
-    beyond about 1.3e154, or an infinite one) is inf, which raises
-    NonFiniteValue naming `what`."""
+    correctly rounded product, and their scale, the largest square (see
+    _cost_scale).  `x ** 2` would go through the C library's `pow`, which is
+    not correctly rounded on every platform (glibc 2.36 squares 152 of
+    200,000 uniform doubles on [0, 100) one ulp off), so the bytes would
+    depend on the platform.  A NaN square raises NonFiniteValue naming
+    `what`, and so does a square beyond the float range (an entry beyond
+    about 1.3e154, or an infinite one), so the scale is always finite and
+    the solver and the certificates take it as it is rather than read the
+    squares again."""
     squares = [[x * x for x in row] for row in rows]
-    if math.inf in map(max, squares):
+    # Squares are >= 0, so a row sum is NaN exactly when the row holds a NaN.
+    if math.isnan(sum(map(sum, squares))):
+        raise NonFiniteValue(f"a squared {what} is not a number")
+    scale = max(map(max, squares), default=0.0)
+    if scale == math.inf:
         raise NonFiniteValue(f"a squared {what} exceeds the float range")
-    return squares
+    return squares, scale
+
+
+def _cost_scale(cost: Sequence[Sequence[float]]) -> float:
+    """The scale of a cost matrix, which sets the tolerances of the simplex
+    and of both certificates: its largest |c|, or inf when any entry is NaN
+    or infinite (0.0 for no entries).  This is the one place the rule is
+    written; a caller that made the costs with _squares has the scale
+    already and hands it on as the `scale` keyword."""
+    return max((abs(c) if c == c else math.inf for row in cost for c in row), default=0.0)
+
+
+def _solver_scale(cost: Sequence[Sequence[float]], scale: float | None) -> float:
+    """The cost scale the simplex and certify_duals work to: `scale` when
+    the caller has it, else _cost_scale(cost).  One that is not finite,
+    from a NaN or infinite cost, raises SolverFailure("non-finite cost")."""
+    if scale is None:
+        scale = _cost_scale(cost)
+    if not scale < math.inf:
+        raise SolverFailure("non-finite cost")
+    return scale
 
 
 class DiscreteMeasure(NamedTuple):
@@ -155,8 +192,10 @@ class DiscreteMeasure(NamedTuple):
         return dict(self.atoms).get(p, 0.0)
 
     def second_moment(self, tree: MetricTree) -> float:
-        """Second moment about the tree's base point."""
-        return _add_in_order(m * tree.distance(tree.basepoint, p) ** 2 for p, m in self.atoms)
+        """Second moment about the tree's base point, each square the
+        correctly rounded `d * d` (see _squares)."""
+        distances = [tree.distance(tree.basepoint, p) for p, _ in self.atoms]
+        return _add_in_order(m * (d * d) for d, (_, m) in zip(distances, self.atoms))
 
 
 class TransportPlan(NamedTuple):
@@ -195,15 +234,17 @@ class SimplexSolution(NamedTuple):
     priced: int = 0  # cells read by the pricing passes
 
 
-def transportation_simplex(cost: Sequence[Sequence[float]], *, start: dict) -> SimplexSolution:
+def transportation_simplex(
+    cost: Sequence[Sequence[float]], *, start: dict, scale: float | None = None
+) -> SimplexSolution:
     """Minimize sum x_ij c_ij over the transportation polytope.
 
     Network simplex on a spanning tree whose nodes are the rows 0..m-1 and
-    the columns m..m+n-1, rooted at column 0.  Costs may be negative; a NaN
-    or infinite cost raises SolverFailure.  Entering cell, by block search:
-    a pass prices blocks of max(1, isqrt(m n) // n) whole rows, cyclically
-    from a row cursor that persists across pivots, and stops after the first
-    block holding a reduced cost below -DUST * (1 + the largest |cost|);
+    the columns m..m+n-1, rooted at column 0.  Costs may be negative.
+    Entering cell, by block search: a pass prices blocks of max(1, isqrt(m
+    n) // n) whole rows, cyclically from a row cursor that persists across
+    pivots, and stops after the first block holding a reduced cost below
+    -DUST * (1 + scale), with the cost scale (see below);
     the most negative cell priced in the pass enters, the first row priced
     and then the lowest j winning ties.  A pass that prices all m rows
     without a candidate proves optimality.  Leaving cell: the last blocking
@@ -221,14 +262,14 @@ def transportation_simplex(cost: Sequence[Sequence[float]], *, start: dict) -> S
     column 0, every mass finite and >= 0, and a zero mass only on a cell
     hanging a row from its column.  Any other start raises
     SolverFailure("start is not a strongly feasible spanning tree").
+
+    `scale` is the cost scale, _cost_scale(cost), handed on by a caller that
+    has it already (_squares returns it with the squares); without it the
+    costs are read here once.  A scale that is not finite, from a NaN or
+    infinite cost, raises SolverFailure("non-finite cost").
     """
     m, n = len(cost), len(cost[0])
-    # The pricing tolerance scales with the largest |cost|; the same pass
-    # rejects NaN (which fails c == c) and infinite costs.
-    big = max((abs(c) if c == c else math.inf for row in cost for c in row), default=0.0)
-    if big == math.inf:
-        raise SolverFailure("non-finite cost")
-    eps = DUST * (1.0 + big)
+    eps = DUST * (1.0 + _solver_scale(cost, scale))
 
     # Node k != root hangs from parent[k] by the basic cell joining them,
     # which carries flow[k]; pot holds u (rows) then v (columns).
@@ -345,16 +386,19 @@ class W2Result(NamedTuple):
 
 
 def solve_transport(
-    cost: Sequence[Sequence[float]], *, start: dict
+    cost: Sequence[Sequence[float]], *, start: dict, scale: float | None = None
 ) -> tuple[float, list[tuple[int, int, float]], SimplexSolution]:
     """Exact transport for a cost matrix from a starting basis that carries
     the masses (see transportation_simplex); returns the optimal value,
     index-level entries and the raw simplex solution.
 
     Optimality is certified on the same cost matrix before returning (see
-    certify_duals)."""
-    sol = transportation_simplex(cost, start=start)
-    certify_duals(cost, sol)
+    certify_duals).  The cost scale, `scale` when given (_squares returns
+    it) and else read here once with _cost_scale, goes to both."""
+    if scale is None:
+        scale = _cost_scale(cost)
+    sol = transportation_simplex(cost, start=start, scale=scale)
+    certify_duals(cost, sol, scale=scale)
     entries = [
         (i, j, q) for (i, j), q in sorted(sol.cells.items()) if q > DUST
     ]
@@ -400,9 +444,12 @@ def w2_from_distances(
 ) -> tuple[float, list[tuple[int, int, float]], SimplexSolution]:
     """Transport for the squared entries of a distance matrix: the square
     root of the optimal value, then solve_transport's entries and solution.
-    A square beyond the float range raises NonFiniteValue naming `what`.
-    `start` goes to the simplex (see transportation_simplex)."""
-    value, entries, sol = solve_transport(_squares(distances, what), start=start)
+    A NaN square or one beyond the float range raises NonFiniteValue
+    naming `what`.  `start` goes to the simplex (see
+    transportation_simplex), and the squares' scale, which _squares reads
+    as it makes them, to the simplex and the dual check."""
+    cost, scale = _squares(distances, what)
+    value, entries, sol = solve_transport(cost, start=start, scale=scale)
     return math.sqrt(max(0.0, value)), entries, sol
 
 
@@ -559,10 +606,14 @@ def _tree_start(
     return {c: ((q + half) // M) / den for c, q in cells.items()}
 
 
-def certify_duals(cost, sol: SimplexSolution) -> None:
-    """Dual feasibility and complementary slackness, within DUAL_TOL relative
-    to the cost scale."""
-    slack = DUAL_TOL * (1.0 + max((abs(c) for row in cost for c in row), default=0.0))
+def certify_duals(cost, sol: SimplexSolution, *, scale: float | None = None) -> None:
+    """Dual feasibility and complementary slackness, within DUAL_TOL * (1 +
+    scale).  `scale` is the cost scale, _cost_scale(cost), handed on by a
+    caller that has it already; without it the costs are read here once.  A
+    scale that is not finite, from a NaN or infinite cost, raises
+    SolverFailure("non-finite cost"), as in the simplex: the slack would be
+    NaN or inf, and no comparison would fail."""
+    slack = DUAL_TOL * (1.0 + _solver_scale(cost, scale))
     for i, ui in enumerate(sol.u):
         for j, vj in enumerate(sol.v):
             if ui + vj > cost[i][j] + slack:
@@ -682,7 +733,8 @@ def is_cyclically_monotone(
     Distances are computed once per distinct source and target, in
     first-seen order and keyed as given (points equal only after
     canonicalisation stay separate keys, with equal distances); their
-    squares go to certify_costs.
+    squares go to certify_costs with the scale _squares reads as it makes
+    them.
     """
     k = len(plan.entries)
     if k == 0:
@@ -691,11 +743,16 @@ def is_cyclically_monotone(
     ys: dict = {}
     si = [xs.setdefault(x, len(xs)) for x, _, _ in plan.entries]
     ti = [ys.setdefault(y, len(ys)) for _, y, _ in plan.entries]
-    return certify_costs(_squares(tree.distance_matrix(list(xs), list(ys)), "distance"), si, ti)
+    cost, scale = _squares(tree.distance_matrix(list(xs), list(ys)), "distance")
+    return certify_costs(cost, si, ti, scale=scale)
 
 
 def certify_costs(
-    cost: Sequence[Sequence[float]], si: Sequence[int], ti: Sequence[int]
+    cost: Sequence[Sequence[float]],
+    si: Sequence[int],
+    ti: Sequence[int],
+    *,
+    scale: float | None = None,
 ) -> MonotonicityCertificate:
     """Cyclical monotonicity of a support for a cost matrix of either sign.
 
@@ -703,9 +760,10 @@ def certify_costs(
     ti[e]), and every row and column carries at least one entry.  A failing
     certificate carries a simple witness cycle of entry indices: shifting
     each listed entry's target to the next one changes the cost by
-    `improvement` < 0, summed from `cost`.  The cost scale is the largest
-    |c|, with a NaN counted as infinite, as in the simplex; an infinite one
-    raises NonFiniteValue.
+    `improvement` < 0, summed from `cost`.  `scale` is the cost scale,
+    _cost_scale(cost), handed on by a caller that has it already; without
+    it the costs are read here once.  A scale that is not finite, from a NaN
+    or infinite cost, raises NonFiniteValue.
 
     The certificate is a pair of potentials phi (sources) and psi (targets)
     with phi + psi = c on the support and c - phi - psi >= 0 everywhere,
@@ -721,7 +779,8 @@ def certify_costs(
     a negative cycle there is closed through the walk's arcs of every
     component it passes.
     """
-    scale = max(abs(c) if c == c else math.inf for row in cost for c in row)
+    if scale is None:
+        scale = _cost_scale(cost)
     if not scale < math.inf:
         raise NonFiniteValue(f"cost scale {scale} is not finite")
     k = len(si)

@@ -139,8 +139,8 @@ def test_w_infinity_on_the_star_matches_the_cone_matrix(monkeypatch):
 
     real, pivots = transport.transportation_simplex, []
 
-    def spy(cost, *, start):
-        sol = real(cost, start=start)
+    def spy(cost, *, start, **kwargs):
+        sol = real(cost, start=start, **kwargs)
         pivots.append(sol.pivots)
         return sol
 

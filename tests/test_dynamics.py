@@ -672,6 +672,22 @@ def test_plan_speed_adds_in_order():
     assert dyn.speed == math.sqrt(helpers.add_in_order(terms))
 
 
+def test_plan_speed_squares_are_correctly_rounded(star3):
+    # `s ** 2` goes through pow: glibc 2.36 squares this speed one ulp
+    # above its rounded square, which moves the plan's speed by an ulp.
+    from fractions import Fraction
+
+    x = float.fromhex("0x1.e31f25816fc1ep+4")
+    o = star3.vertex_point("o")
+    plan = T.DynamicalPlan.from_atoms(star3, [
+        (star3.ray_to_end(o, star3.end("r1"), x), 0.5),
+        (star3.ray_to_end(o, star3.end("r2"), 1.0), 0.5),
+    ])
+    assert float(Fraction(x) ** 2) == float.fromhex("0x1.c7df45a84346ap+9")
+    assert plan.speed == math.sqrt(0.5 * float.fromhex("0x1.c7df45a84346ap+9") + 0.5)
+    assert plan.speed == float.fromhex("0x1.55ce4f5982dc9p+4")
+
+
 # -- rejections ----------------------------------------------------------------------
 
 

@@ -112,3 +112,20 @@ def test_patch_on_the_submodule_is_seen_and_undone(monkeypatch):
     monkeypatch.undo()
     assert T.wasserstein2 is original
     assert "wasserstein2" not in vars(T)
+
+
+def test_a_loaded_submodule_is_read_without_an_import(monkeypatch):
+    # Once imported, a submodule is an attribute of the package: a second
+    # access reads it from there, and only a missing one is imported.
+    T.wasserstein2, T.MetricTree
+    calls = []
+    real = importlib.import_module
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(importlib, "import_module", spy)
+    assert T.wasserstein2 is T.transport.wasserstein2
+    assert T.MetricTree is T.metric_tree.MetricTree
+    assert calls == []

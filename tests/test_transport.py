@@ -376,13 +376,31 @@ def test_squares_are_correctly_rounded_products():
     xs = [float.fromhex("0x1.e31f25816fc1ep+4")] + [float(x) for x in rng.uniform(0.0, 100.0, 4000)]
     rows = [xs[:1], xs[1:]]
     want = [[float(Fraction(x) ** 2) for x in row] for row in rows]
-    assert [[y.hex() for y in row] for row in _squares(rows, "distance")] == [
+    squares, scale = _squares(rows, "distance")
+    assert scale == max(map(max, want))
+    assert [[y.hex() for y in row] for row in squares] == [
         [y.hex() for y in row] for row in want
     ]
     assert want[0] == [float.fromhex("0x1.c7df45a84346ap+9")]
     for big in (1.4e154, math.inf):
         with pytest.raises(NonFiniteValue, match="^a squared distance exceeds the float range$"):
             _squares([[1.0], [2.0, big]], "distance")
+
+
+def test_second_moment_squares_are_correctly_rounded():
+    # `d ** 2` goes through pow: glibc 2.36 gives ...46bp+9 for this
+    # distance, one ulp above its rounded square.
+    from fractions import Fraction
+
+    x = float.fromhex("0x1.e31f25816fc1ep+4")
+    tree = T.MetricTree(["a", "b"], [("e", ("a", "b"), x), ("r", ("b",), math.inf)], "a")
+    mu = T.DiscreteMeasure.dirac(tree, tree.vertex_point("b"))
+    assert mu.second_moment(tree) == float.fromhex("0x1.c7df45a84346ap+9")
+    rng = np.random.default_rng(277)
+    pts = helpers.distinct_points(rng, tree, 40)
+    mu = T.DiscreteMeasure.from_atoms(tree, zip(pts, helpers.spread_masses(rng, 40)))
+    want = [m * float(Fraction(tree.distance(tree.basepoint, p)) ** 2) for p, m in mu.atoms]
+    assert mu.second_moment(tree) == helpers.add_in_order(want)
 
 
 def test_certify_duals_rejects_bad_duals():
@@ -393,6 +411,122 @@ def test_certify_duals_rejects_bad_duals():
         certify_duals(cost, sol._replace(u=[ui + 1.0 for ui in sol.u]))
     with pytest.raises(T.SolverFailure):
         certify_duals(cost, sol._replace(u=[ui - 1.0 for ui in sol.u]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cell", [(0, 0), (0, 1)])
+def test_certify_duals_rejects_a_non_finite_cost(bad, cell):
+    # (0, 0) carries mass in the optimal basis, (0, 1) is not basic.  With
+    # the slack DUAL_TOL * (1 + scale) NaN or inf, no comparison would fail.
+    cost = [[1.0, 2.0], [3.0, 1.0]]
+    sol = _from_corner([0.5, 0.5], [0.5, 0.5], cost)
+    assert sol.cells[0, 0] > 0.0 and (0, 1) not in sol.cells
+    cost[cell[0]][cell[1]] = bad
+    with pytest.raises(T.SolverFailure, match="^non-finite cost$"):
+        certify_duals(cost, sol)
+
+
+def _scale_matrices():
+    """Seeded matrices of either sign: with zeros and -0.0, at desk scale,
+    at the 1e18 costs of squared distances near 1e9, and near 1e154, whose
+    squares come close to the float range."""
+    rng = np.random.default_rng(263)
+    for size in (1.0, 1e9, 1e18, 1.3e154):
+        for _ in range(6):
+            m, n = (int(k) for k in rng.integers(1, 7, size=2))
+            a = rng.uniform(-size, size, size=(m, n))
+            a[rng.random((m, n)) < 0.2] = 0.0
+            a[rng.random((m, n)) < 0.2] = -0.0
+            yield a.tolist()
+
+
+def _outcome(call, *args, **kwargs):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call(*args, **kwargs)
+    except T.TreeOTError as err:
+        return type(err), str(err)
+
+
+def test_squares_hand_on_the_scale_of_the_squares():
+    from treeot.transport import _cost_scale, _squares
+
+    for rows in _scale_matrices():
+        squares, scale = _squares(rows, "distance")
+        assert scale == _cost_scale(squares)
+        assert scale == max(x * x for row in rows for x in row)
+
+
+def test_a_given_scale_changes_no_result_and_no_error():
+    # The simplex, the dual check and the certificate give the same result,
+    # or raise the same error, whether the scale is handed on or read.
+    from treeot.transport import _cost_scale
+
+    rng = np.random.default_rng(269)
+    matrices = list(_scale_matrices())
+    for k in (0, 7, 19):
+        bad = [row[:] for row in matrices[k]]
+        bad[-1][-1] = (math.nan, math.inf, -math.inf)[k % 3]
+        matrices.append(bad)
+    for cost in matrices:
+        m, n = len(cost), len(cost[0])
+        scale = _cost_scale(cost)
+        start = helpers.northwest_corner(helpers.spread_masses(rng, m), helpers.spread_masses(rng, n))
+        sol = _outcome(transportation_simplex, cost, start=start)
+        assert _outcome(transportation_simplex, cost, start=start, scale=scale) == sol
+        if isinstance(sol, transport.SimplexSolution):
+            bent = sol._replace(u=[ui + 1e-3 * (1.0 + scale) for ui in sol.u])
+            for duals in (sol, bent):
+                got = _outcome(certify_duals, cost, duals)
+                assert _outcome(certify_duals, cost, duals, scale=scale) == got
+        # one support of every row and column, in several components
+        # where the shape allows, and the basis of the start, in one
+        for si, ti in (
+            ([i % m for i in range(max(m, n))], [i % n for i in range(max(m, n))]),
+            tuple(zip(*sorted(start))),
+        ):
+            got = _outcome(certify_costs, cost, si, ti)
+            assert _outcome(certify_costs, cost, si, ti, scale=scale) == got
+
+
+def test_a_nan_distance_is_a_domain_error_naming_it():
+    # The NaN is not the first entry of its row, where max() would see it.
+    start = helpers.northwest_corner([0.5, 0.5], [0.5, 0.5])
+    for what in ("distance", "slope"):
+        with pytest.raises(NonFiniteValue, match=f"^a squared {what} is not a number$"):
+            transport.w2_from_distances([[1.0, 2.0], [3.0, math.nan]], what, start=start)
+
+
+def test_the_scale_is_read_once_where_the_squares_are_made(monkeypatch):
+    # W2, the monotonicity certificate and the asymptotic check take their
+    # cost scale from _squares: none of them reads a matrix again for it.
+    real, calls = transport._cost_scale, []
+
+    def spy(cost):
+        calls.append(len(cost))
+        return real(cost)
+
+    monkeypatch.setattr(transport, "_cost_scale", spy)
+    rng = np.random.default_rng(271)
+    tree = helpers.random_tree(rng, 40, 3)
+    pts = helpers.distinct_points(rng, tree, 16)
+    mu = T.DiscreteMeasure.from_atoms(tree, zip(pts[:8], helpers.spread_masses(rng, 8)))
+    nu = T.DiscreteMeasure.from_atoms(tree, zip(pts[8:], helpers.spread_masses(rng, 8)))
+    _, plan = T.wasserstein2(tree, mu, nu)
+    assert T.is_cyclically_monotone(tree, plan)
+    ends = tree.ends()
+    cones = [
+        T.ConeMeasure.from_atoms(tree, [
+            (ends[int(rng.integers(0, len(ends)))], float(s), m)
+            for s, m in zip(rng.uniform(0.5, 1.5, size=4), helpers.spread_masses(rng, 4))
+        ])
+        for _ in range(2)
+    ]
+    rays = [T.ray_from_asymptotic_measure(tree, pts[0], c) for c in cones]
+    T.asymptotic_formula_check(tree, *rays)
+    assert calls == []
+    transportation_simplex([[1.0]], start={(0, 0): 1.0})
+    assert calls == [1]
 
 
 # -- cyclical monotonicity -------------------------------------------------------
