@@ -28,7 +28,12 @@ is_cyclically_monotone hands it the squared distances over a plan's distinct
 sources and targets.  One walk per component of the bipartite support graph
 sets the potentials, and one pass over the reduced costs c - phi - psi
 decides a connected support, or finds a failing pair whose cycle through the
-walk is a simple violating witness.  Only a support of several components
+walk is a simple violating witness.  A support with a cycle is first checked
+on its own, before the whole matrix is made: its pairs against a bracket
+that must hold the whole matrix's slack, from a proven bound on every
+squared distance, so that a clear violation is decided there with the same
+witness (a float filter, Shewchuk 1997), and anything closer goes to the
+whole matrix.  Only a support of several components
 needs more: a Bellman-Ford search over the components
 (min_improvement_cycle, Ahuja, Magnanti & Orlin 1993, ch. 5), in pure
 Python like the rest of the package, which imports nothing outside the
@@ -732,9 +737,14 @@ def is_cyclically_monotone(
 
     Distances are computed once per distinct source and target, in
     first-seen order and keyed as given (points equal only after
-    canonicalisation stay separate keys, with equal distances); their
-    squares go to certify_costs with the scale _squares reads as it makes
-    them.
+    canonicalisation stay separate keys, with equal distances), and the
+    points are canonicalised once, sources first.  A support with a cycle
+    (more distinct pairs than sources plus targets less one) is checked on
+    its own first, by _support_failure, which reads only the support's
+    squared distances and a witness's; when that does not decide, and for
+    every forest support, the whole matrix of squares goes to certify_costs
+    with the scale _squares reads as it makes them.  The verdict, witness,
+    improvement and any error are certify_costs' on the whole matrix.
     """
     k = len(plan.entries)
     if k == 0:
@@ -743,8 +753,196 @@ def is_cyclically_monotone(
     ys: dict = {}
     si = [xs.setdefault(x, len(xs)) for x, _, _ in plan.entries]
     ti = [ys.setdefault(y, len(ys)) for _, y, _ in plan.entries]
-    cost, scale = _squares(tree.distance_matrix(list(xs), list(ys)), "distance")
+    px = [tree.canonical_point(x) for x in xs]
+    py = [tree.canonical_point(y) for y in ys]
+    x_sides, y_sides = list(map(tree._side, px)), list(map(tree._side, py))
+    pairs = dict.fromkeys(zip(si, ti))
+    if len(pairs) >= len(px) + len(py):
+        failed = _support_failure(tree, px, x_sides, py, y_sides, si, ti, pairs)
+        if failed is not None:
+            return failed
+    cost, scale = _squares(tree._distance_rows(px, x_sides, py, y_sides), "distance")
     return certify_costs(cost, si, ti, scale=scale)
+
+
+def _distance_bound(tree: MetricTree, x_sides: list[tuple], y_sides: list[tuple]) -> float:
+    """A bound, proven for the float kernel, on every entry of
+    ``tree._distance_rows`` over points with these ``_side``s (neither
+    empty).  An entry is ``ca + (dist[a] + dist[b] - 2 dist[lca]) + cb``,
+    at most ``reach(p) + reach(q)``, where ``reach`` is the larger of
+    ``cost + dist[exit]`` over a point's two exits; two points on one edge
+    are ``|po - qo|`` apart, which is no more.  The four roundings of an
+    entry and the three of the bound are covered by the factor 1 + 2^-40
+    many times over.  Inf when a reach overflows."""
+    dist = tree._dist
+
+    def reach(side: tuple) -> float:
+        up, cu, cd, lo, _ = side
+        return max(cu + dist[up], cd + dist[lo])
+
+    return (max(map(reach, x_sides)) + max(map(reach, y_sides))) * (1.0 + 2.0**-40)
+
+
+class _SquaresRow(dict):
+    """One source's squared distances `d * d` by target index, from the
+    one-row distance matrices `read(targets)` returns: the given targets'
+    read up front, any other on its first use."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read, targets: list[int]):
+        (line,) = read(targets)
+        super().__init__(zip(targets, [d * d for d in line]))
+        self.read = read
+
+    def __missing__(self, j: int) -> float:
+        ((d,),) = self.read([j])
+        self[j] = square = d * d
+        return square
+
+
+def _support_failure(
+    tree: MetricTree,
+    px: list[TreePoint],
+    x_sides: list[tuple],
+    py: list[TreePoint],
+    y_sides: list[tuple],
+    si: list[int],
+    ti: list[int],
+    pairs: dict,
+) -> MonotonicityCertificate | None:
+    """The failing certificate that certify_costs would give on the whole
+    matrix of squared distances, decided on the support alone; None when
+    the support does not decide.
+
+    Only the support's squares are made, one distance row per source, and
+    the walks set the potentials from them.  The whole matrix's slack lies
+    in the bracket [lo, hi]: lo is _arc_slack at the largest support
+    square, hi at `upper`, a proven bound on every square (see
+    _distance_bound; the factor 1 + 2^-40 covers the rounding of
+    the square and of the product).  certify_costs fails at the first
+    support pair whose |r| exceeds the slack.  So when the first pair with
+    |r| > lo has |r| > hi, that pair fails there too, and its witness, with
+    the weight summed from the same squares (a witness's cells off the
+    support are made on their first read), is the certificate.  `upper`
+    is checked before any distance is made: finite, no distance or square
+    of the whole matrix is NaN or overflows, so nothing it would raise is
+    lost; not finite, the whole matrix raises as before, where a support
+    row could overflow at another cell first."""
+    bound = _distance_bound(tree, x_sides, y_sides)
+    upper = bound * bound * (1.0 + 2.0**-40)
+    if not upper < math.inf:
+        return None
+    targets: list[list[int]] = [[] for _ in px]
+    for i, j in pairs:
+        targets[i].append(j)
+    cost = [
+        _SquaresRow(
+            lambda cols, p=p, side=side: tree._distance_rows(
+                [p], [side], [py[j] for j in cols], [y_sides[j] for j in cols]
+            ),
+            js,
+        )
+        for p, side, js in zip(px, x_sides, targets)
+    ]
+    k = len(si)
+    lo = _arc_slack(2 * k, max(max(row.values()) for row in cost))
+    hi = _arc_slack(2 * k, upper)
+    walks = _Walks(cost, len(px), len(py), si, ti)
+    off = walks.first_off(lo)
+    if off is None or not abs(off[3]) > hi:
+        return None
+    return walks.across(*off)
+
+
+class _Walks:
+    """The walks of a monotonicity certificate over the bipartite support
+    graph of the entries (si[e], ti[e]): nx sources, then ny targets.  One
+    breadth-first walk per component, from its first source, sets the
+    potentials along its arcs, and a witness is a cycle closed through
+    them.  Costs are read only as cost[i][j], on the support and on a
+    witness's cells, so that `cost` may be any rows indexable by target."""
+
+    def __init__(self, cost, nx: int, ny: int, si: Sequence[int], ti: Sequence[int]):
+        self.cost, self.si, self.ti, self.nx = cost, si, ti, nx
+        # The support graph: one arc per distinct pair, named by its first entry.
+        support: dict = {}
+        adj: list[list] = [[] for _ in range(nx + ny)]
+        for e, pair in enumerate(zip(si, ti)):
+            if pair not in support:
+                support[pair] = e
+                adj[pair[0]].append((nx + pair[1], e))
+                adj[nx + pair[1]].append((pair[0], e))
+        # The walks: every target has a source, so the sources root them all.
+        pot = [0.0] * len(adj)
+        comp = [-1] * len(adj)
+        up = [(-1, -1)] * len(adj)  # (parent, entry of the arc to it)
+        depth = [0] * len(adj)
+        K = 0
+        for root in range(nx):
+            if comp[root] >= 0:
+                continue
+            comp[root], order = K, [root]
+            for a in order:  # breadth first, so that witnesses are short
+                for b, e in adj[a]:
+                    if comp[b] < 0:
+                        comp[b], up[b], depth[b] = K, (a, e), depth[a] + 1
+                        pot[b] = cost[si[e]][ti[e]] - pot[a]
+                        order.append(b)
+            K += 1
+        self.support, self.pot, self.comp, self.K = support, pot, comp, K
+        self.up, self.depth = up, depth
+
+    def first_off(self, bound: float) -> tuple[int, int, int, float] | None:
+        """The first support pair (i, j), in the order of its first entry e,
+        whose reduced cost r = c - phi - psi is off 0 by more than `bound`:
+        (i, j, e, r), or None.  r is exactly 0 on a walk arc into a target;
+        on an arc into a source it is off 0 by the rounding of phi = c - psi
+        and of c - phi, at most an ulp of a potential, and no potential
+        exceeds 2k times the largest |cost|: within _arc_slack(2k, scale)."""
+        cost, pot, nx = self.cost, self.pot, self.nx
+        for (i, j), e in self.support.items():
+            r = cost[i][j] - pot[i] - pot[nx + j]
+            if r > bound or r < -bound:
+                return i, j, e, r
+        return None
+
+    def across(self, i: int, j: int, e: int, r: float) -> MonotonicityCertificate:
+        """The failing certificate of support pair (i, j), entry e, whose
+        reduced cost r is off 0 by more than the slack."""
+        if r > 0.0:  # shift e's target round the walks' path from i to j
+            return self.failed([e] + self.shifted(i, self.nx + j))
+        return self.failed(self.shifted(self.nx + j, i))  # send i to j, the rest back
+
+    def shifted(self, a: int, b: int) -> list[int]:
+        """The entries the walks' path from node a to node b leaves a target
+        by: on a cycle of alternate shifted and kept pairs, those whose
+        targets shift (each source takes the target of the next)."""
+        up, depth = self.up, self.depth
+        head, tail = [], []  # (node the arc leaves, its entry)
+        while a != b:
+            if depth[a] >= depth[b]:
+                parent, e = up[a]
+                head.append((a, e))
+                a = parent
+            else:
+                parent, e = up[b]
+                tail.append((parent, e))
+                b = parent
+        return [e for node, e in head + tail[::-1] if node >= self.nx]
+
+    def failed(self, cycle: list[int]) -> MonotonicityCertificate:
+        """The failing certificate of a witness cycle: in shift order from
+        its lowest entry, with its weight added from the costs in order."""
+        cost, si, ti = self.cost, self.si, self.ti
+        low = cycle.index(min(cycle))
+        cycle = cycle[low:] + cycle[:low]
+        weight = _add_in_order(
+            cost[si[a]][ti[b]] - cost[si[a]][ti[a]] for a, b in zip(cycle, cycle[1:] + cycle[:1])
+        )
+        if weight >= 0.0:
+            raise SolverFailure("certificate witness does not lower the cost")
+        return MonotonicityCertificate(False, len(si), tuple(cycle), weight)
 
 
 def certify_costs(
@@ -770,14 +968,18 @@ def certify_costs(
     each within TOL / (2k) for k entries: any cycle of shifts then weighs at
     least -TOL.  (At a large cost scale the slack is 2k ulps of it instead,
     see _arc_slack.)  One walk per component of the bipartite support graph,
-    from its first source, sets the potentials along the walk's arcs.  A
-    support pair off its potentials, or a negative reduced cost inside a
-    component, fails at once, with the cycle it closes through the walk's
-    arcs as witness.  With K > 1 components the potentials are still free by
-    a constant per component: the K x K matrix of the least reduced cost
-    from each component to each other one goes to min_improvement_cycle, and
-    a negative cycle there is closed through the walk's arcs of every
-    component it passes.
+    from its first source, sets the potentials along the walk's arcs
+    (_Walks).  The support is checked first: a support pair off its
+    potentials fails at once, with the cycle it closes through the walk's
+    arcs as witness.  Then the whole matrix: a negative reduced cost inside
+    a component fails alike.  With K > 1 components the potentials are
+    still free by a constant per component: the K x K matrix of the least
+    reduced cost from each component to each other one goes to
+    min_improvement_cycle, and a negative cycle there is closed through the
+    walk's arcs of every component it passes.  is_cyclically_monotone runs
+    the support check on a cyclic support before it makes the whole matrix,
+    against a bracket of this slack, and comes here when that does not
+    decide.
     """
     if scale is None:
         scale = _cost_scale(cost)
@@ -785,71 +987,12 @@ def certify_costs(
         raise NonFiniteValue(f"cost scale {scale} is not finite")
     k = len(si)
     slack = _arc_slack(2 * k, scale)
-
-    # The support graph: sources 0..nx-1, then the targets; one arc per
-    # distinct pair, named by its first entry.
     nx = len(cost)
-    support: dict = {}
-    adj: list[list] = [[] for _ in range(nx + len(cost[0]))]
-    for e, pair in enumerate(zip(si, ti)):
-        if pair not in support:
-            support[pair] = e
-            adj[pair[0]].append((nx + pair[1], e))
-            adj[nx + pair[1]].append((pair[0], e))
-    # The walks: every target has a source, so the sources root them all.
-    pot = [0.0] * len(adj)
-    comp = [-1] * len(adj)
-    up = [(-1, -1)] * len(adj)  # (parent, entry of the arc to it)
-    depth = [0] * len(adj)
-    K = 0
-    for root in range(nx):
-        if comp[root] >= 0:
-            continue
-        comp[root], order = K, [root]
-        for a in order:  # breadth first, so that witnesses are short
-            for b, e in adj[a]:
-                if comp[b] < 0:
-                    comp[b], up[b], depth[b] = K, (a, e), depth[a] + 1
-                    pot[b] = cost[si[e]][ti[e]] - pot[a]
-                    order.append(b)
-        K += 1
-
-    def shifted(a: int, b: int) -> list[int]:
-        """The entries the walks' path from node a to node b leaves a target
-        by: on a cycle of alternate shifted and kept pairs, those whose
-        targets shift (each source takes the target of the next)."""
-        head, tail = [], []  # (node the arc leaves, its entry)
-        while a != b:
-            if depth[a] >= depth[b]:
-                parent, e = up[a]
-                head.append((a, e))
-                a = parent
-            else:
-                parent, e = up[b]
-                tail.append((parent, e))
-                b = parent
-        return [e for node, e in head + tail[::-1] if node >= nx]
-
-    def failed(cycle: list[int]) -> MonotonicityCertificate:
-        low = cycle.index(min(cycle))
-        cycle = cycle[low:] + cycle[:low]
-        weight = _add_in_order(
-            cost[si[a]][ti[b]] - cost[si[a]][ti[a]] for a, b in zip(cycle, cycle[1:] + cycle[:1])
-        )
-        if weight >= 0.0:
-            raise SolverFailure("certificate witness does not lower the cost")
-        return MonotonicityCertificate(False, k, tuple(cycle), weight)
-
-    # Reduced costs are (c - phi) - psi, which is exactly 0 on a walk arc
-    # into a target.  On an arc into a source it is off 0 by the rounding of
-    # phi = c - psi and of c - phi, at most an ulp of a potential, and no
-    # potential exceeds 2k times the largest |cost|: within the slack.
-    for (i, j), e in support.items():
-        r = cost[i][j] - pot[i] - pot[nx + j]
-        if r > slack:  # shift e's target round the walks' path from i to j
-            return failed([e] + shifted(i, nx + j))
-        if r < -slack:  # send i to j, and the rest round the path back
-            return failed(shifted(nx + j, i))
+    walks = _Walks(cost, nx, len(cost[0]), si, ti)
+    off = walks.first_off(slack)
+    if off is not None:
+        return walks.across(*off)
+    pot, comp, K, failed, shifted = walks.pot, walks.comp, walks.K, walks.failed, walks.shifted
     psi = pot[nx:]
     members: list[list[int]] = [[] for _ in range(K)]
     for j, q in enumerate(comp[nx:]):

@@ -286,11 +286,18 @@ def assert_spans(tree: T.MetricTree, gamma: T.TreeGeodesic) -> None:
         assert abs((sb - sa) - bfs_distance(tree, pa, pb)) <= 1e-12
 
 
+def squared_distance(tree: T.MetricTree, p: T.TreePoint, q: T.TreePoint) -> float:
+    """``d * d`` for the distance d from p to q, correctly rounded as the
+    library squares it (``d ** 2`` goes through the C library's ``pow``)."""
+    d = tree.distance(p, q)
+    return d * d
+
+
 def permutation_cost(tree, xs, ys) -> float:
     """Minimal quadratic cost over permutation couplings of two uniform
     n-point configurations."""
     n = len(xs)
-    d2 = [[tree.distance(x, y) ** 2 for y in ys] for x in xs]
+    d2 = [[squared_distance(tree, x, y) for y in ys] for x in xs]
     best = min(
         sum(d2[i][perm[i]] for i in range(n))
         for perm in itertools.permutations(range(n))
@@ -414,7 +421,7 @@ def swap_entries(plan: T.TransportPlan, i: int, j: int) -> T.TransportPlan:
 
 def corrupt_transport_plan(rng, tree, plan, min_gain=1e-6):
     """A strictly more expensive plan with the same marginals, or None."""
-    d2 = lambda p, q: tree.distance(p, q) ** 2
+    d2 = lambda p, q: squared_distance(tree, p, q)
     entries = plan.entries
     candidates = []
     for i in range(len(entries)):
@@ -435,7 +442,7 @@ def corrupt_dynamical_plan(rng, tree, mu0, mu1):
     interpolation but strictly suboptimal and carrying an antagonist pair;
     None when no swap of the optimal plan produces both."""
     plan = T.wasserstein2(tree, mu0, mu1).plan
-    d2 = lambda p, q: tree.distance(p, q) ** 2
+    d2 = lambda p, q: squared_distance(tree, p, q)
     entries = plan.entries
     pairs = [(i, j) for i in range(len(entries)) for j in range(i + 1, len(entries))]
     order = rng.permutation(len(pairs))
@@ -511,7 +518,7 @@ def d0_simplex(tree: T.MetricTree, nu_minus, nu_plus):
 
     xs = [e for e, _ in nu_minus.atoms]
     ys = [e for e, _ in nu_plus.atoms]
-    cost = [[-d0(a, b) ** 2 for b in ys] for a in xs]
+    cost = [[-(d * d) for d in (d0(a, b) for b in ys)] for a in xs]
     start = northwest_corner([m for _, m in nu_minus.atoms], [m for _, m in nu_plus.atoms])
     value, entries, _ = solve_transport(cost, start=start)
     return value, [(xs[i], ys[j], q) for i, j, q in entries]
@@ -539,7 +546,7 @@ def reference_realizability(tree: T.MetricTree, specific) -> float:
     """The realizability sum of the specific flows, added left to right over
     the tree's vertices."""
     bp_dist = tree.basepoint_distances()
-    return add_in_order(specific[x] * bp_dist[x] ** 2 for x in tree.vertices)
+    return add_in_order(specific[x] * (bp_dist[x] * bp_dist[x]) for x in tree.vertices)
 
 
 def reference_partial_sum(family, depth: int) -> float:

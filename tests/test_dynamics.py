@@ -667,7 +667,7 @@ def test_plan_speed_adds_in_order():
     mu0 = T.DiscreteMeasure.from_atoms(tree, zip(pts[:20], helpers.spread_masses(rng, 20)))
     mu1 = T.DiscreteMeasure.from_atoms(tree, zip(pts[20:], helpers.spread_masses(rng, 20)))
     dyn = T.interpolate(tree, mu0, mu1)
-    terms = [m * g.speed**2 for g, m in dyn.atoms]
+    terms = [m * (g.speed * g.speed) for g, m in dyn.atoms]
     assert math.fsum(terms) != helpers.add_in_order(terms)
     assert dyn.speed == math.sqrt(helpers.add_in_order(terms))
 

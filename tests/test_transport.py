@@ -1022,6 +1022,219 @@ def test_certificate_passes_solved_plans_at_large_distances():
     assert 5 < split < 19
 
 
+# -- the support check before the whole matrix -----------------------------------
+
+
+def _dense_certificate(tree, plan):
+    """certify_costs on the whole matrix of squared distances, with the
+    sources and targets keyed as is_cyclically_monotone keys them."""
+    xs: dict = {}
+    ys: dict = {}
+    si = [xs.setdefault(x, len(xs)) for x, _, _ in plan.entries]
+    ti = [ys.setdefault(y, len(ys)) for _, y, _ in plan.entries]
+    cost, scale = transport._squares(tree.distance_matrix(list(xs), list(ys)), "distance")
+    return certify_costs(cost, si, ti, scale=scale)
+
+
+def _verdict(check, tree, plan):
+    """A certificate's fields, with the improvement's bits, or the type and
+    message of what the check raises."""
+    cert = _outcome(check, tree, plan)
+    if isinstance(cert, tuple) and not isinstance(cert, T.MonotonicityCertificate):
+        return cert
+    return cert.passed, cert.max_cycle, cert.witness, cert.improvement.hex()
+
+
+def _cyclic(plan) -> bool:
+    """More distinct support pairs than sources plus targets less one."""
+    pairs = {(x, y) for x, y, _ in plan.entries}
+    return len(pairs) >= len({x for x, _ in pairs}) + len({y for _, y in pairs})
+
+
+def _forest_plan(mu, nu):
+    """The northwest-corner plan of the atoms as listed: a support forest,
+    and in general not optimal."""
+    corner = helpers.northwest_corner(mu.masses(), nu.masses())
+    xs, ys = mu.points(), nu.points()
+    return T.TransportPlan(tuple((xs[i], ys[j], q) for (i, j), q in corner.items() if q > 0.0))
+
+
+def _equal_reach_plan(rng, tree):
+    """Four entries, x and x2 to y and z, where x and x2 lie at the same
+    distance from a vertex v on two of its edges and y, z on a third: every
+    pairing costs the same up to rounding, so the support's 4-cycle gains
+    nothing and the plan is optimal.  None when no vertex has three finite
+    edges."""
+    for v in tree.vertices:
+        eids = [e for e in tree.incident_edges(v) if not tree.edge(e).infinite]
+        if len(eids) >= 3:
+            break
+    else:
+        return None
+    e1, e2, e3 = (tree.edge(e) for e in eids[:3])
+    t = float(rng.uniform(0.1, 0.9)) * min(e1.length, e2.length)
+    at = lambda e, s: tree.edge_point(e.id, s if e.ends[0] == v else e.length - s)
+    x, x2 = at(e1, t), at(e2, t)
+    y, z = (at(e3, s * e3.length) for s in sorted(rng.uniform(0.1, 0.9, 2)))
+    return T.TransportPlan(((x, y, 0.25), (x, z, 0.25), (x2, y, 0.25), (x2, z, 0.25)))
+
+
+def _support_cases(rng, scale):
+    """(kind, tree, plan) on random trees with lengths times `scale`."""
+    for _ in range(12):
+        tree = helpers.random_tree(rng, 30, 2, min_len=0.2 * scale, max_len=2.0 * scale)
+        mu = helpers.random_measure(rng, tree, int(rng.integers(6, 16)))
+        nu = helpers.random_measure(rng, tree, int(rng.integers(6, 16)))
+        plan = T.wasserstein2(tree, mu, nu).plan
+        yield "optimal", tree, plan
+        yield "forest", tree, _forest_plan(mu, nu)
+        crossed = helpers.corrupt_transport_plan(rng, tree, plan)
+        if crossed is not None:
+            yield "crossed", tree, crossed
+        equal = _equal_reach_plan(rng, tree)
+        if equal is not None:
+            yield "zero-gain", tree, equal
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_support_check_matches_the_dense_certificate(monkeypatch, scale):
+    # Crossed optimal plans (mostly cyclic supports, decided there), forest
+    # plans (the dense path), and optimal plans with a zero-gain support
+    # cycle (the support passes, so the whole matrix decides), at desk scale
+    # and with every length times 10^6, where the cost scale rather than TOL
+    # sets the slack.
+    decided = []
+    check = transport._support_failure
+    monkeypatch.setattr(
+        transport, "_support_failure", lambda *a: decided.append(check(*a)) or decided[-1]
+    )
+    rng = np.random.default_rng(131)
+    seen = []
+    for kind, tree, plan in _support_cases(rng, scale):
+        want = _verdict(_dense_certificate, tree, plan)
+        decided.clear()
+        assert _verdict(T.is_cyclically_monotone, tree, plan) == want
+        # The support check runs exactly on cyclic supports, and decides
+        # only failures.
+        assert len(decided) == _cyclic(plan)
+        assert decided in ([], [None]) or not want[0]
+        seen.append((kind, want[0], [c is not None for c in decided]))
+    assert {(k, p, tuple(d)) for k, p, d in seen if k in ("optimal", "forest")} == {
+        ("optimal", True, ()), ("forest", False, ())
+    }
+    assert {(p, tuple(d)) for k, p, d in seen if k == "zero-gain"} == {(True, (False,))}
+    crossed = [d for k, p, d in seen if k == "crossed" and d]
+    assert len(crossed) > 6 and all(d == [True] for d in crossed)
+    assert sum(k == "zero-gain" for k, _, _ in seen) > 6
+
+
+def test_a_violation_inside_the_slack_bracket_takes_the_dense_path(monkeypatch):
+    # Points a unit edge past a 10^6 edge: the bound on every square is
+    # about 4e12, so the bracket's top is about 1.4e-2 for 8 entries, while
+    # the support's squares (below 1) put its bottom at TOL / 16.  The first
+    # crossing gains 2 * 0.01 * 0.005 = 1e-4, inside: the support cannot
+    # decide, though the second crossing, listed after it, gains 0.48, above
+    # the top.  The whole matrix, whose squares are below 1, fails the plan
+    # on the first crossing.
+    tree = T.MetricTree(["o", "a", "b"], [("oa", ("o", "a"), 1e6), ("ab", ("a", "b"), 1.0)], "o")
+    entries = []
+    for x1, x2, y1, y2 in ((0.1, 0.11, 0.5, 0.505), (0.2, 0.6, 0.3, 0.9)):
+        x1, x2, y1, y2 = (tree.edge_point("ab", s) for s in (x1, x2, y1, y2))
+        entries += [(x1, y1, 0.125), (x1, y2, 0.125), (x2, y1, 0.125), (x2, y2, 0.125)]
+    plan = T.TransportPlan(tuple(entries))
+    decided = []
+    check = transport._support_failure
+    monkeypatch.setattr(
+        transport, "_support_failure", lambda *a: decided.append(check(*a)) or decided[-1]
+    )
+    cert = T.is_cyclically_monotone(tree, plan)
+    assert decided == [None]
+    assert not cert.passed and max(cert.witness) < 4
+    assert cert.improvement == pytest.approx(-1e-4, rel=1e-6)
+    assert _verdict(T.is_cyclically_monotone, tree, plan) == _verdict(_dense_certificate, tree, plan)
+
+
+def test_support_check_raises_what_the_dense_matrix_raises():
+    # A cyclic support with a point off the tree names the first source
+    # or target canonicalised, sources first; lengths of 1e154 overflow a
+    # square, and lengths of 1e308 a distance.  At 5e153 the squares fit
+    # but their bound does not, and the whole matrix decides.
+    tree, p = _path(4)
+    cycle = lambda a, b, c, d: T.TransportPlan(((a, c, 0.25), (a, d, 0.25), (b, c, 0.25), (b, d, 0.25)))
+    plans = [
+        (tree, cycle(p[0], p[1], T.TreePoint(None, "nowhere", 0.5), p[3])),
+        (tree, cycle(p[0], T.TreePoint("nowhere"), T.TreePoint(None, "gone", 0.5), p[3])),
+    ]
+    for length in (1e154, 1e308, 5e153):
+        big = T.MetricTree(
+            ["a", "b", "c"], [("ab", ("a", "b"), length), ("bc", ("b", "c"), length)], "a"
+        )
+        a, b, c = (big.vertex_point(v) for v in "abc")
+        plans.append((big, cycle(a, big.edge_point("ab", length / 2), b, c)))
+    # Source a's first overflowing distance in the whole matrix is to c,
+    # its first one on the support to d: the bound is checked before any
+    # support distance is made.
+    far = T.MetricTree(
+        ["a", "b", "c", "d"],
+        [("ab", ("a", "b"), 1e308), ("bc", ("b", "c"), 1e308), ("cd", ("c", "d"), 1e308)],
+        "a",
+    )
+    a, b, c, d = (far.vertex_point(v) for v in "abcd")
+    y = far.edge_point("ab", 1.0)
+    entries = ((a, y, 0.2), (b, c, 0.2), (a, d, 0.2), (b, d, 0.2), (a, c, 0.2))
+    plans.insert(4, (far, T.TransportPlan(entries)))
+    raised = []
+    for tree, plan in plans:
+        assert _cyclic(plan)
+        want = _verdict(_dense_certificate, tree, plan)
+        assert _verdict(T.is_cyclically_monotone, tree, plan) == want
+        raised.append(want[0] if isinstance(want[0], type) else None)
+    assert raised == [T.MalformedTree] * 2 + [NonFiniteValue] * 3 + [None]
+
+
+def _read_entries(monkeypatch):
+    """Spy on the distance kernel: the entries each call returns."""
+    reads: list[int] = []
+    kernel = T.MetricTree._distance_rows
+
+    def counted(self, *args):
+        rows = kernel(self, *args)
+        reads.append(sum(map(len, rows)))
+        return rows
+
+    monkeypatch.setattr(T.MetricTree, "_distance_rows", counted)
+    return reads
+
+
+def test_a_crossed_plan_reads_its_support_and_witness_only(monkeypatch):
+    # A crossing decided on its support reads at most 2k distances (the
+    # support's, one row per source, and the witness's cells off it); an
+    # optimal plan, whose support is a forest, reads the whole matrix in
+    # one call.
+    rng = np.random.default_rng(137)
+    reads = _read_entries(monkeypatch)
+    crossed = 0
+    for _ in range(10):
+        tree = helpers.random_tree(rng, 40, 2)
+        mu = helpers.random_measure(rng, tree, int(rng.integers(15, 31)))
+        nu = helpers.random_measure(rng, tree, int(rng.integers(15, 31)))
+        plan = T.wasserstein2(tree, mu, nu).plan
+        bad = helpers.corrupt_transport_plan(rng, tree, plan)
+        reads.clear()
+        assert T.is_cyclically_monotone(tree, plan).passed
+        assert reads == [len(mu.atoms) * len(nu.atoms)]
+        if bad is None or not _cyclic(bad):
+            continue
+        reads.clear()
+        cert = T.is_cyclically_monotone(tree, bad)
+        assert not cert.passed
+        nx = len({x for x, _, _ in bad.entries})
+        assert sum(reads) <= 2 * len(bad.entries) and len(reads) <= nx + len(cert.witness)
+        assert sum(reads) < len(mu.atoms) * len(nu.atoms) / 4
+        crossed += 1
+    assert crossed > 5
+
+
 # -- tree order ------------------------------------------------------------------
 
 
@@ -1323,7 +1536,7 @@ def test_transport_sums_add_in_order():
     ms, ns = helpers.spread_masses(rng, 30), helpers.spread_masses(rng, 30)
     mu = T.DiscreteMeasure.from_atoms(tree, zip(pts[:30], ms))
     nu = T.DiscreteMeasure.from_atoms(tree, zip(pts[30:], ns))
-    d2 = lambda p, q: tree.distance(p, q) ** 2
+    d2 = lambda p, q: helpers.squared_distance(tree, p, q)
 
     terms = [m * d2(tree.basepoint, p) for p, m in mu.atoms]
     assert math.fsum(terms) != helpers.add_in_order(terms)
