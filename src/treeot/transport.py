@@ -28,13 +28,14 @@ is_cyclically_monotone hands it the squared distances over a plan's distinct
 sources and targets.  One walk per component of the bipartite support graph
 sets the potentials, and one pass over the reduced costs c - phi - psi
 decides a connected support, or finds a failing pair whose cycle through the
-walk is a simple violating witness.  A support with a cycle is first checked
-on its own, before the whole matrix is made: its pairs against a bracket
-that must hold the whole matrix's slack, from a proven bound on every
-squared distance, so that a clear violation is decided there with the same
-witness (a float filter, Shewchuk 1997), and anything closer goes to the
-whole matrix.  Only a support of several components
-needs more: a Bellman-Ford search over the components
+walk is a simple violating witness.  Every certificate walks once, in
+_Walks.  On a support with a cycle the walk first runs on the support's own
+squared distances, before the whole matrix is made: its pairs against a
+bracket that must hold the whole matrix's slack, from a proven bound on
+every squared distance, so that a clear violation is decided there with the
+same witness (a float filter, Shewchuk 1997); anything closer hands the
+same walk the whole matrix.  Only a support of several components needs
+more: a Bellman-Ford search over the components
 (min_improvement_cycle, Ahuja, Magnanti & Orlin 1993, ch. 5), in pure
 Python like the rest of the package, which imports nothing outside the
 standard library.
@@ -738,13 +739,25 @@ def is_cyclically_monotone(
     Distances are computed once per distinct source and target, in
     first-seen order and keyed as given (points equal only after
     canonicalisation stay separate keys, with equal distances), and the
-    points are canonicalised once, sources first.  A support with a cycle
-    (more distinct pairs than sources plus targets less one) is checked on
-    its own first, by _support_failure, which reads only the support's
-    squared distances and a witness's; when that does not decide, and for
-    every forest support, the whole matrix of squares goes to certify_costs
-    with the scale _squares reads as it makes them.  The verdict, witness,
-    improvement and any error are certify_costs' on the whole matrix.
+    points are canonicalised once, sources first.  Each call walks the
+    support once (_Walks).  A support with a cycle (more distinct pairs than
+    sources plus targets less one) is walked first on its own squares, one
+    distance row per source, and its pairs are checked against [lo, hi], a
+    bracket of the whole matrix's slack: lo is _arc_slack at the largest
+    support square, hi at a proven bound on every square (_distance_bound,
+    times 1 + 2^-40 for the roundings of the square and of the product).
+    certify_costs fails at the first support pair whose |r| exceeds the
+    slack, so when the first pair with |r| > lo has |r| > hi, its witness,
+    weighed from the same squares (cells off the support made on their first
+    read), is the certificate.  The bound is checked before any distance is
+    made: finite, no entry of the whole matrix is NaN or overflows, so no
+    error is lost; not finite, the support is not walked on its own, as a
+    support row could overflow at another cell first.  Otherwise the whole
+    matrix of squares is made, with the scale _squares reads as it makes
+    them; the support's walk, whose squares are its entries bit for bit,
+    decides on it, and a support not yet walked goes to certify_costs.  The
+    verdict, witness, improvement and any error are certify_costs' on the
+    whole matrix.
     """
     k = len(plan.entries)
     if k == 0:
@@ -757,12 +770,32 @@ def is_cyclically_monotone(
     py = [tree.canonical_point(y) for y in ys]
     x_sides, y_sides = list(map(tree._side, px)), list(map(tree._side, py))
     pairs = dict.fromkeys(zip(si, ti))
+    walks = None
     if len(pairs) >= len(px) + len(py):
-        failed = _support_failure(tree, px, x_sides, py, y_sides, si, ti, pairs)
-        if failed is not None:
-            return failed
+        bound = _distance_bound(tree, x_sides, y_sides)
+        upper = bound * bound * (1.0 + 2.0**-40)
+        if upper < math.inf:
+            targets: list[list[int]] = [[] for _ in px]
+            for i, j in pairs:
+                targets[i].append(j)
+            support = [
+                _SquaresRow(
+                    lambda cols, p=p, side=side: tree._distance_rows(
+                        [p], [side], [py[j] for j in cols], [y_sides[j] for j in cols]
+                    ),
+                    js,
+                )
+                for p, side, js in zip(px, x_sides, targets)
+            ]
+            walks = _Walks(support, len(px), len(py), si, ti)
+            off = walks.first_off(_arc_slack(2 * k, max(max(row.values()) for row in support)))
+            if off is not None and abs(off[3]) > _arc_slack(2 * k, upper):
+                return walks.across(*off)
     cost, scale = _squares(tree._distance_rows(px, x_sides, py, y_sides), "distance")
-    return certify_costs(cost, si, ti, scale=scale)
+    if walks is None:
+        return certify_costs(cost, si, ti, scale=scale)
+    walks.cost = cost  # the support's squares are its entries, bit for bit
+    return walks.verdict(_arc_slack(2 * k, scale))
 
 
 def _distance_bound(tree: MetricTree, x_sides: list[tuple], y_sides: list[tuple]) -> float:
@@ -801,67 +834,15 @@ class _SquaresRow(dict):
         return square
 
 
-def _support_failure(
-    tree: MetricTree,
-    px: list[TreePoint],
-    x_sides: list[tuple],
-    py: list[TreePoint],
-    y_sides: list[tuple],
-    si: list[int],
-    ti: list[int],
-    pairs: dict,
-) -> MonotonicityCertificate | None:
-    """The failing certificate that certify_costs would give on the whole
-    matrix of squared distances, decided on the support alone; None when
-    the support does not decide.
-
-    Only the support's squares are made, one distance row per source, and
-    the walks set the potentials from them.  The whole matrix's slack lies
-    in the bracket [lo, hi]: lo is _arc_slack at the largest support
-    square, hi at `upper`, a proven bound on every square (see
-    _distance_bound; the factor 1 + 2^-40 covers the rounding of
-    the square and of the product).  certify_costs fails at the first
-    support pair whose |r| exceeds the slack.  So when the first pair with
-    |r| > lo has |r| > hi, that pair fails there too, and its witness, with
-    the weight summed from the same squares (a witness's cells off the
-    support are made on their first read), is the certificate.  `upper`
-    is checked before any distance is made: finite, no distance or square
-    of the whole matrix is NaN or overflows, so nothing it would raise is
-    lost; not finite, the whole matrix raises as before, where a support
-    row could overflow at another cell first."""
-    bound = _distance_bound(tree, x_sides, y_sides)
-    upper = bound * bound * (1.0 + 2.0**-40)
-    if not upper < math.inf:
-        return None
-    targets: list[list[int]] = [[] for _ in px]
-    for i, j in pairs:
-        targets[i].append(j)
-    cost = [
-        _SquaresRow(
-            lambda cols, p=p, side=side: tree._distance_rows(
-                [p], [side], [py[j] for j in cols], [y_sides[j] for j in cols]
-            ),
-            js,
-        )
-        for p, side, js in zip(px, x_sides, targets)
-    ]
-    k = len(si)
-    lo = _arc_slack(2 * k, max(max(row.values()) for row in cost))
-    hi = _arc_slack(2 * k, upper)
-    walks = _Walks(cost, len(px), len(py), si, ti)
-    off = walks.first_off(lo)
-    if off is None or not abs(off[3]) > hi:
-        return None
-    return walks.across(*off)
-
-
 class _Walks:
     """The walks of a monotonicity certificate over the bipartite support
     graph of the entries (si[e], ti[e]): nx sources, then ny targets.  One
     breadth-first walk per component, from its first source, sets the
     potentials along its arcs, and a witness is a cycle closed through
-    them.  Costs are read only as cost[i][j], on the support and on a
-    witness's cells, so that `cost` may be any rows indexable by target."""
+    them.  Until verdict, which reads `cost` as the whole matrix, costs are
+    read only as cost[i][j], on the support and on a witness's cells, so
+    that `cost` may be any rows indexable by target, and then be replaced by
+    the whole matrix with the same support entries."""
 
     def __init__(self, cost, nx: int, ny: int, si: Sequence[int], ti: Sequence[int]):
         self.cost, self.si, self.ti, self.nx = cost, si, ti, nx
@@ -944,6 +925,47 @@ class _Walks:
             raise SolverFailure("certificate witness does not lower the cost")
         return MonotonicityCertificate(False, len(si), tuple(cycle), weight)
 
+    def verdict(self, slack: float) -> MonotonicityCertificate:
+        """The certificate at `slack` per arc, with `cost` the whole matrix
+        (see certify_costs): the support pairs, then the reduced costs inside
+        each component, then, with K > 1 components, the search over them."""
+        off = self.first_off(slack)
+        if off is not None:
+            return self.across(*off)
+        cost, pot, comp, K, nx = self.cost, self.pot, self.comp, self.K, self.nx
+        failed, shifted, k = self.failed, self.shifted, len(self.si)
+        psi = pot[nx:]
+        members: list[list[int]] = [[] for _ in range(K)]
+        for j, q in enumerate(comp[nx:]):
+            members[q].append(j)
+        least = [[0.0] * K for _ in range(K)]
+        at: list[list] = [[None] * K for _ in range(K)]
+        for i, row in enumerate(cost):
+            p, ui = comp[i], pot[i]
+            reduced = [c - ui - v for c, v in zip(row, psi)]
+            for q, js in enumerate(members):
+                j = min(js, key=reduced.__getitem__)
+                r = reduced[j]
+                if q == p:
+                    if r < -slack:
+                        return failed(shifted(nx + j, i))
+                elif at[p][q] is None or r < least[p][q]:
+                    least[p][q], at[p][q] = r, (i, j)
+        if K == 1:
+            return MonotonicityCertificate(True, k, None, 0.0)
+
+        # Scaled by 2k / K, the search's slack of TOL / K per arc is the
+        # TOL / (2k) of every other arc (at desk-scale distances).
+        scaled = array("d", [x * (2 * k / K) for row in least for x in row])
+        _, components = min_improvement_cycle(memoryview(scaled).cast("B").cast("d", (K, K)), K)
+        if components is None:
+            return MonotonicityCertificate(True, k, None, 0.0)
+        hops = [at[p][q] for p, q in zip(components, components[1:] + components[:1])]
+        cycle = []
+        for (_, j), (i, _) in zip(hops, hops[1:] + hops[:1]):
+            cycle += shifted(nx + j, i)
+        return failed(cycle)
+
 
 def certify_costs(
     cost: Sequence[Sequence[float]],
@@ -976,51 +998,13 @@ def certify_costs(
     still free by a constant per component: the K x K matrix of the least
     reduced cost from each component to each other one goes to
     min_improvement_cycle, and a negative cycle there is closed through the
-    walk's arcs of every component it passes.  is_cyclically_monotone runs
-    the support check on a cyclic support before it makes the whole matrix,
-    against a bracket of this slack, and comes here when that does not
-    decide.
+    walk's arcs of every component it passes.  This is _Walks.verdict on
+    one walk of `cost`; is_cyclically_monotone checks a cyclic support's
+    walk against a bracket of this slack before it makes the whole matrix,
+    and hands the same walk the matrix when that does not decide.
     """
     if scale is None:
         scale = _cost_scale(cost)
     if not scale < math.inf:
         raise NonFiniteValue(f"cost scale {scale} is not finite")
-    k = len(si)
-    slack = _arc_slack(2 * k, scale)
-    nx = len(cost)
-    walks = _Walks(cost, nx, len(cost[0]), si, ti)
-    off = walks.first_off(slack)
-    if off is not None:
-        return walks.across(*off)
-    pot, comp, K, failed, shifted = walks.pot, walks.comp, walks.K, walks.failed, walks.shifted
-    psi = pot[nx:]
-    members: list[list[int]] = [[] for _ in range(K)]
-    for j, q in enumerate(comp[nx:]):
-        members[q].append(j)
-    least = [[0.0] * K for _ in range(K)]
-    at: list[list] = [[None] * K for _ in range(K)]
-    for i, row in enumerate(cost):
-        p, ui = comp[i], pot[i]
-        reduced = [c - ui - v for c, v in zip(row, psi)]
-        for q, js in enumerate(members):
-            j = min(js, key=reduced.__getitem__)
-            r = reduced[j]
-            if q == p:
-                if r < -slack:
-                    return failed(shifted(nx + j, i))
-            elif at[p][q] is None or r < least[p][q]:
-                least[p][q], at[p][q] = r, (i, j)
-    if K == 1:
-        return MonotonicityCertificate(True, k, None, 0.0)
-
-    # Scaled by 2k / K, the search's slack of TOL / K per arc is the
-    # TOL / (2k) of every other arc (at desk-scale distances).
-    scaled = array("d", [x * (2 * k / K) for row in least for x in row])
-    _, components = min_improvement_cycle(memoryview(scaled).cast("B").cast("d", (K, K)), K)
-    if components is None:
-        return MonotonicityCertificate(True, k, None, 0.0)
-    hops = [at[p][q] for p, q in zip(components, components[1:] + components[:1])]
-    cycle = []
-    for (_, j), (i, _) in zip(hops, hops[1:] + hops[:1]):
-        cycle += shifted(nx + j, i)
-    return failed(cycle)
+    return _Walks(cost, len(cost), len(cost[0]), si, ti).verdict(_arc_slack(2 * len(si), scale))

@@ -15,6 +15,7 @@ from collections import deque
 import numpy as np
 
 import treeot as T
+from treeot.transport import _arc_slack
 
 
 # -- random instances -----------------------------------------------------------
@@ -420,16 +421,24 @@ def swap_entries(plan: T.TransportPlan, i: int, j: int) -> T.TransportPlan:
 
 
 def corrupt_transport_plan(rng, tree, plan, min_gain=1e-6):
-    """A strictly more expensive plan with the same marginals, or None."""
+    """A strictly more expensive plan with the same marginals, or None.
+
+    The crossing gains more than `min_gain` and more than 64 times the
+    certificate's slack per arc at the largest square between the plan's
+    points, so that the plan fails the certificate at any length scale (at
+    desk-scale lengths the slack is far below `min_gain`)."""
     d2 = lambda p, q: squared_distance(tree, p, q)
     entries = plan.entries
+    xs, ys = {x for x, _, _ in entries}, {y for _, y, _ in entries}
+    scale = max(d2(x, y) for x in xs for y in ys)
+    floor = max(min_gain, 64 * _arc_slack(2 * len(entries), scale))
     candidates = []
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             x1, y1, _ = entries[i]
             x2, y2, _ = entries[j]
             gain = d2(x1, y2) + d2(x2, y1) - d2(x1, y1) - d2(x2, y2)
-            if gain > min_gain:
+            if gain > floor:
                 candidates.append((i, j))
     if not candidates:
         return None

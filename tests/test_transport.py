@@ -1096,6 +1096,28 @@ def _support_cases(rng, scale):
             yield "zero-gain", tree, equal
 
 
+def _spy_walks(monkeypatch):
+    """Spy on the certificate's engine: each _Walks built, with whether
+    its rows were the support's squares (a _SquaresRow each) rather than
+    the whole matrix."""
+    built: list = []
+    engine = transport._Walks
+
+    def spy(cost, *args):
+        walks = engine(cost, *args)
+        built.append((walks, isinstance(cost[0], transport._SquaresRow)))
+        return walks
+
+    monkeypatch.setattr(transport, "_Walks", spy)
+    return built
+
+
+def _support_stage(built) -> list[bool]:
+    """For each walk built on the support, whether it decided there: the
+    whole matrix never replaced its rows."""
+    return [isinstance(w.cost[0], transport._SquaresRow) for w, on_support in built if on_support]
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e6])
 def test_support_check_matches_the_dense_certificate(monkeypatch, scale):
     # Crossed optimal plans (mostly cyclic supports, decided there), forest
@@ -1103,22 +1125,20 @@ def test_support_check_matches_the_dense_certificate(monkeypatch, scale):
     # cycle (the support passes, so the whole matrix decides), at desk scale
     # and with every length times 10^6, where the cost scale rather than TOL
     # sets the slack.
-    decided = []
-    check = transport._support_failure
-    monkeypatch.setattr(
-        transport, "_support_failure", lambda *a: decided.append(check(*a)) or decided[-1]
-    )
+    built = _spy_walks(monkeypatch)
     rng = np.random.default_rng(131)
     seen = []
     for kind, tree, plan in _support_cases(rng, scale):
         want = _verdict(_dense_certificate, tree, plan)
-        decided.clear()
+        built.clear()
         assert _verdict(T.is_cyclically_monotone, tree, plan) == want
-        # The support check runs exactly on cyclic supports, and decides
-        # only failures.
+        # One walk per call.  The support check runs exactly on cyclic
+        # supports, and decides only failures.
+        assert len(built) == 1
+        decided = _support_stage(built)
         assert len(decided) == _cyclic(plan)
-        assert decided in ([], [None]) or not want[0]
-        seen.append((kind, want[0], [c is not None for c in decided]))
+        assert decided in ([], [False]) or not want[0]
+        seen.append((kind, want[0], decided))
     assert {(k, p, tuple(d)) for k, p, d in seen if k in ("optimal", "forest")} == {
         ("optimal", True, ()), ("forest", False, ())
     }
@@ -1142,13 +1162,9 @@ def test_a_violation_inside_the_slack_bracket_takes_the_dense_path(monkeypatch):
         x1, x2, y1, y2 = (tree.edge_point("ab", s) for s in (x1, x2, y1, y2))
         entries += [(x1, y1, 0.125), (x1, y2, 0.125), (x2, y1, 0.125), (x2, y2, 0.125)]
     plan = T.TransportPlan(tuple(entries))
-    decided = []
-    check = transport._support_failure
-    monkeypatch.setattr(
-        transport, "_support_failure", lambda *a: decided.append(check(*a)) or decided[-1]
-    )
+    built = _spy_walks(monkeypatch)
     cert = T.is_cyclically_monotone(tree, plan)
-    assert decided == [None]
+    assert len(built) == 1 and _support_stage(built) == [False]
     assert not cert.passed and max(cert.witness) < 4
     assert cert.improvement == pytest.approx(-1e-4, rel=1e-6)
     assert _verdict(T.is_cyclically_monotone, tree, plan) == _verdict(_dense_certificate, tree, plan)
@@ -1233,6 +1249,143 @@ def test_a_crossed_plan_reads_its_support_and_witness_only(monkeypatch):
         assert sum(reads) < len(mu.atoms) * len(nu.atoms) / 4
         crossed += 1
     assert crossed > 5
+
+
+def _spy_cycle_search(monkeypatch):
+    """Spy on the search over components: what each call returns."""
+    found: list = []
+    search = transport.min_improvement_cycle
+
+    def spy(weights, max_cycle):
+        found.append(search(weights, max_cycle))
+        return found[-1]
+
+    monkeypatch.setattr(transport, "min_improvement_cycle", spy)
+    return found
+
+
+def _equal_reach_pair():
+    """Two zero-gain 4-entry plans (see _equal_reach_plan) at v and at w,
+    100 apart, alone and together: the pair's support has two components,
+    and moving mass between them costs far more than it gains."""
+    tree = T.MetricTree(
+        ["v", "a", "b", "c", "w", "d", "e", "f"],
+        [
+            ("va", ("v", "a"), 2.0), ("vb", ("v", "b"), 2.0), ("vc", ("v", "c"), 3.0),
+            ("cw", ("c", "w"), 100.0),
+            ("wd", ("w", "d"), 2.0), ("we", ("w", "e"), 2.0), ("wf", ("w", "f"), 3.0),
+        ],
+        "v",
+    )
+    one = lambda s1, s2, t: (
+        (tree.edge_point(s1, 0.7), tree.edge_point(t, 1.0), 0.25),
+        (tree.edge_point(s1, 0.7), tree.edge_point(t, 2.0), 0.25),
+        (tree.edge_point(s2, 0.7), tree.edge_point(t, 1.0), 0.25),
+        (tree.edge_point(s2, 0.7), tree.edge_point(t, 2.0), 0.25),
+    )
+    both = [(x, y, q / 2) for x, y, q in one("va", "vb", "vc") + one("wd", "we", "wf")]
+    return tree, T.TransportPlan(one("va", "vb", "vc")), T.TransportPlan(tuple(both))
+
+
+def test_an_undecided_cyclic_support_is_walked_once(monkeypatch):
+    # A zero-gain support cycle passes the support check, so the whole
+    # matrix decides, on the walk the support check made: one walk, the
+    # support's cells read one row per source and the whole matrix read
+    # once.  The two-component plan passes through the search over
+    # components too.
+    rng = np.random.default_rng(139)
+    tree, single, double = _equal_reach_pair()
+    cases = [(tree, single, 0), (tree, double, 1)]
+    for _ in range(6):
+        random_tree = helpers.random_tree(rng, 12, 1)
+        plan = _equal_reach_plan(rng, random_tree)
+        if plan is not None:
+            cases.append((random_tree, plan, 0))
+    assert len(cases) > 4
+    built = _spy_walks(monkeypatch)
+    found = _spy_cycle_search(monkeypatch)
+    reads = _read_entries(monkeypatch)
+    for tree, plan, searches in cases:
+        for spy in (built, found, reads):
+            spy.clear()
+        cert = T.is_cyclically_monotone(tree, plan)
+        assert cert.passed
+        assert len(built) == 1 and _support_stage(built) == [False]
+        assert len(found) == searches and all(c is None for _, c in found)
+        nx = len({x for x, _, _ in plan.entries})
+        ny = len({y for _, y, _ in plan.entries})
+        assert reads == [len(plan.entries) // nx] * nx + [nx * ny]
+        assert _verdict(T.is_cyclically_monotone, tree, plan) == _verdict(_dense_certificate, tree, plan)
+
+
+def _bracket_cases(rng):
+    """Plans that the support check cannot decide, past a 10^6 edge, with
+    their kind.  Component c of K (2 or 3) has two sources at reach t_c
+    from vertex a on two unit edges of its own and two targets at reach in
+    the c-th of K bins on a third, every pairing in the support: its 4-cycle
+    gains nothing.  Between components the cost is (t + s)^2, whose cross
+    term 2 t s makes the counter-monotone order of reaches optimal: bins in
+    reverse order of t pass ("passed"), in the same order some cycle through
+    the components gains ("failed").  "inside" plans are passing ones with a
+    source moved by up to 10^-3, a gain round its component's cycle of up to
+    about 10^-3, inside the bracket."""
+    edges = [f"a{n}" for n in range(9)]
+    tree = T.MetricTree(
+        ["o", "a", *(f"v{n}" for n in range(9))],
+        [("oa", ("o", "a"), 1e6)] + [(e, ("a", "v" + e[1]), 1.0) for e in edges],
+        "o",
+    )
+    for n in range(150):
+        kind = ("passed", "failed", "inside")[n % 3]
+        K = int(rng.integers(2, 4))
+        reach = np.sort(rng.uniform(0.1, 0.9, K))
+        bins = range(K) if kind == "failed" else range(K - 1, -1, -1)
+        entries = []
+        for c, (t, b) in enumerate(zip(reach, bins)):
+            s1, s2, s3 = edges[3 * c : 3 * c + 3]
+            moved = float(rng.uniform(1e-4, 1e-3)) if kind == "inside" and c == 0 else 0.0
+            x1, x2 = tree.edge_point(s1, float(t)), tree.edge_point(s2, float(t) + moved)
+            y1, y2 = (tree.edge_point(s3, float(s)) for s in (b + rng.uniform(0.05, 0.95, 2)) * 0.9 / K)
+            entries += [(x, y, 0.25 / K) for x in (x1, x2) for y in (y1, y2)]
+        yield kind, tree, T.TransportPlan(tuple(entries))
+
+
+def test_the_bracket_fallback_matches_the_dense_certificate(monkeypatch):
+    # Cyclic supports of several components that the bracket cannot
+    # decide: the walk made on the support's squares takes the whole
+    # matrix and gives the dense certificate bit for bit, whether a pair
+    # inside a component fails, or the search over the components fails
+    # or passes.
+    built = _spy_walks(monkeypatch)
+    found = _spy_cycle_search(monkeypatch)
+    rng = np.random.default_rng(149)
+    for kind, tree, plan in _bracket_cases(rng):
+        assert _cyclic(plan) and helpers.support_components(plan) > 1
+        want = _verdict(_dense_certificate, tree, plan)
+        built.clear()
+        found.clear()
+        assert _verdict(T.is_cyclically_monotone, tree, plan) == want
+        assert len(built) == 1 and _support_stage(built) == [False]
+        # The search over components runs unless a pair inside one fails.
+        assert kind == ("inside" if not found else "failed" if found[0][1] else "passed")
+        assert want[0] == (kind == "passed")
+
+
+def test_every_crossed_plan_fails_at_large_lengths():
+    # With every length times 10^6 the costs reach about 1e13 and the
+    # certificate's slack is 2k ulps of them: a crossing must gain more
+    # than that slack to be drawn, so every drawn plan fails.
+    rng = np.random.default_rng(131)
+    drawn = 0
+    for _ in range(200):
+        tree = helpers.random_tree(rng, 30, 2, min_len=0.2e6, max_len=2.0e6)
+        mu = helpers.random_measure(rng, tree, int(rng.integers(6, 16)))
+        nu = helpers.random_measure(rng, tree, int(rng.integers(6, 16)))
+        bad = helpers.corrupt_transport_plan(rng, tree, T.wasserstein2(tree, mu, nu).plan)
+        if bad is not None:
+            assert not T.is_cyclically_monotone(tree, bad).passed
+            drawn += 1
+    assert drawn > 150
 
 
 # -- tree order ------------------------------------------------------------------
