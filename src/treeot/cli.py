@@ -22,9 +22,18 @@ from . import serialization as io
 from .errors import TreeOTError
 
 
+def _decode(text: str):
+    """A JSON document; one nested too deep for the decoder is an input
+    error like any other malformed document, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document nested too deep") from None
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _decode(fh.read())
 
 
 def _load_tree(path: str):
@@ -148,7 +157,7 @@ def run(argv=None) -> int:
             io.dumps({"error": type(err).__name__, "message": str(err)})
         )
         return 1
-    except (json.JSONDecodeError, KeyError, OSError, ValueError) as err:
+    except (KeyError, OSError, ValueError) as err:
         sys.stderr.write(f"input error: {err}\n")
         return 2
     return 0
@@ -192,8 +201,8 @@ def _dispatch(args) -> str:
         )
 
     if cmd == "distance":
-        p = io.point_from_json(tree, json.loads(args.p))
-        q = io.point_from_json(tree, json.loads(args.q))
+        p = io.point_from_json(tree, _decode(args.p))
+        q = io.point_from_json(tree, _decode(args.q))
         return io.dumps({"distance": io.fmt(tree.distance(p, q))})
 
     if cmd == "w2":

@@ -23,32 +23,32 @@ Cyclical monotonicity is certified by potentials: a plan is optimal for a
 cost c iff no finite family of its pairs can lower the total cost by
 shifting targets along a cycle, iff potentials exist with phi(x) + psi(y) <=
 c(x, y) everywhere and equality on the support (Villani 2009, Thm 5.10).
-certify_costs decides this for any cost matrix, of either sign;
-is_cyclically_monotone hands it the squared distances over a plan's distinct
+certify_costs decides this for any cost matrix, of either sign, and
+is_cyclically_monotone for the squared distances over a plan's distinct
 sources and targets.  One walk per component of the bipartite support graph
 sets the potentials, and one pass over the reduced costs c - phi - psi
 decides a connected support, or finds a failing pair whose cycle through the
 walk is a simple violating witness.  Every certificate walks once, in
 _Walks.  On a support with a cycle the walk first runs on the support's own
-squared distances, before the whole matrix is made: its pairs against a
-bracket that must hold the whole matrix's slack, from a proven bound on
-every squared distance, so that a clear violation is decided there with the
-same witness (a float filter, Shewchuk 1997); anything closer hands the
-same walk the whole matrix.  Only a support of several components needs
-more: a Bellman-Ford search over the components
-(min_improvement_cycle, Ahuja, Magnanti & Orlin 1993, ch. 5), in pure
-Python like the rest of the package, which imports nothing outside the
-standard library.
+squared distances, each read with the scalar distance, before the whole
+matrix is made: its pairs against a bracket that must hold the whole
+matrix's slack, from a proven bound on every squared distance, so that a
+clear violation is decided there with the same witness (a float filter,
+Shewchuk 1997); anything closer hands the same walk the whole matrix.
+Only a support of several components needs more: a Bellman-Ford search over
+the components (min_improvement_cycle, Ahuja, Magnanti & Orlin 1993, ch. 5),
+in pure Python like the rest of the package, which imports nothing outside
+the standard library.
 
 The tolerances of the simplex and of both certificates scale with the cost
 scale, the largest |c| of the cost matrix, or inf when any entry is NaN or
 infinite, which each of them rejects; _cost_scale is the one place that rule
 is written.  The scale is read once per matrix, where the costs are made:
 _squares returns the squared distances with their largest square, which
-w2_from_distances and is_cyclically_monotone hand on as the `scale` keyword
-of solve_transport (which gives it to transportation_simplex and
-certify_duals) and of certify_costs.  Called without it, each of these reads
-the scale itself, once.
+w2_from_distances hands on as the `scale` keyword of solve_transport (which
+gives it to transportation_simplex and certify_duals), and from which
+is_cyclically_monotone sets its walk's slack.  Called without it, each of
+these reads the scale itself, once, as certify_costs always does.
 
 Every sum of masses by key in the package (the atoms of a measure, a
 plan's marginals, the signed end masses of the flows, the gaps between two
@@ -679,7 +679,7 @@ def min_improvement_cycle(weights, max_cycle: int) -> tuple[float, tuple[int, ..
 
     `weights` is any k x k matrix with `.shape` and `.tolist()`, its entries
     read as floats: a numpy array, or the 2-D memoryview of doubles that
-    certify_costs passes.  The view rather than a list of lists keeps the
+    _Walks.verdict passes.  The view rather than a list of lists keeps the
     `.shape` that callers wrapping this function read (the benchmark's
     tracer counts the search's work by it).
     """
@@ -741,21 +741,22 @@ def is_cyclically_monotone(
     canonicalisation stay separate keys, with equal distances), and the
     points are canonicalised once, sources first.  Each call walks the
     support once (_Walks).  A support with a cycle (more distinct pairs than
-    sources plus targets less one) is walked first on its own squares, one
-    distance row per source, and its pairs are checked against [lo, hi], a
-    bracket of the whole matrix's slack: lo is _arc_slack at the largest
-    support square, hi at a proven bound on every square (_distance_bound,
-    times 1 + 2^-40 for the roundings of the square and of the product).
-    certify_costs fails at the first support pair whose |r| exceeds the
-    slack, so when the first pair with |r| > lo has |r| > hi, its witness,
-    weighed from the same squares (cells off the support made on their first
-    read), is the certificate.  The bound is checked before any distance is
-    made: finite, no entry of the whole matrix is NaN or overflows, so no
-    error is lost; not finite, the support is not walked on its own, as a
-    support row could overflow at another cell first.  Otherwise the whole
-    matrix of squares is made, with the scale _squares reads as it makes
-    them; the support's walk, whose squares are its entries bit for bit,
-    decides on it, and a support not yet walked goes to certify_costs.  The
+    sources plus targets less one) is walked first on its own squares, each
+    made on its first read with the scalar distance (_SquaresRow), and its
+    pairs are checked against [lo, hi], a bracket of the whole matrix's
+    slack: lo is _arc_slack at the largest support square, hi at a proven
+    bound on every square (_distance_bound, times 1 + 2^-40 for the
+    roundings of the square and of the product).  The verdict fails at the
+    first support pair whose |r| exceeds the slack, so when the first pair
+    with |r| > lo has |r| > hi, its witness, weighed from the same squares
+    (cells off the support read alike), is the certificate.  The bound is
+    checked before any distance is made: finite, no entry of the whole
+    matrix is NaN or overflows, so no error is lost; not finite, the support
+    is not walked on its own, as a support cell could overflow before the
+    whole matrix's first overflowing entry, whose error is the one raised.
+    Otherwise the whole matrix of squares is made, with the scale _squares
+    reads as it makes them, and one walk decides on it: the support's, whose
+    squares are its entries bit for bit, or else one made there.  The
     verdict, witness, improvement and any error are certify_costs' on the
     whole matrix.
     """
@@ -775,26 +776,16 @@ def is_cyclically_monotone(
         bound = _distance_bound(tree, x_sides, y_sides)
         upper = bound * bound * (1.0 + 2.0**-40)
         if upper < math.inf:
-            targets: list[list[int]] = [[] for _ in px]
-            for i, j in pairs:
-                targets[i].append(j)
-            support = [
-                _SquaresRow(
-                    lambda cols, p=p, side=side: tree._distance_rows(
-                        [p], [side], [py[j] for j in cols], [y_sides[j] for j in cols]
-                    ),
-                    js,
-                )
-                for p, side, js in zip(px, x_sides, targets)
-            ]
+            support = [_SquaresRow(tree, p, py) for p in px]
             walks = _Walks(support, len(px), len(py), si, ti)
-            off = walks.first_off(_arc_slack(2 * k, max(max(row.values()) for row in support)))
+            off = walks.first_off(_arc_slack(2 * k, max(support[i][j] for i, j in pairs)))
             if off is not None and abs(off[3]) > _arc_slack(2 * k, upper):
                 return walks.across(*off)
     cost, scale = _squares(tree._distance_rows(px, x_sides, py, y_sides), "distance")
     if walks is None:
-        return certify_costs(cost, si, ti, scale=scale)
-    walks.cost = cost  # the support's squares are its entries, bit for bit
+        walks = _Walks(cost, len(px), len(py), si, ti)
+    else:
+        walks.cost = cost  # the support's squares are its entries, bit for bit
     return walks.verdict(_arc_slack(2 * k, scale))
 
 
@@ -817,19 +808,17 @@ def _distance_bound(tree: MetricTree, x_sides: list[tuple], y_sides: list[tuple]
 
 
 class _SquaresRow(dict):
-    """One source's squared distances `d * d` by target index, from the
-    one-row distance matrices `read(targets)` returns: the given targets'
-    read up front, any other on its first use."""
+    """One source's squared distances `d * d` by target index, each made on
+    its first read: d = tree.distance(p, py[j]), the kernel's entry bit for
+    bit."""
 
-    __slots__ = ("read",)
+    __slots__ = ("tree", "p", "py")
 
-    def __init__(self, read, targets: list[int]):
-        (line,) = read(targets)
-        super().__init__(zip(targets, [d * d for d in line]))
-        self.read = read
+    def __init__(self, tree: MetricTree, p: TreePoint, py: list[TreePoint]):
+        self.tree, self.p, self.py = tree, p, py
 
     def __missing__(self, j: int) -> float:
-        ((d,),) = self.read([j])
+        d = self.tree.distance(self.p, self.py[j])
         self[j] = square = d * d
         return square
 
@@ -968,11 +957,7 @@ class _Walks:
 
 
 def certify_costs(
-    cost: Sequence[Sequence[float]],
-    si: Sequence[int],
-    ti: Sequence[int],
-    *,
-    scale: float | None = None,
+    cost: Sequence[Sequence[float]], si: Sequence[int], ti: Sequence[int]
 ) -> MonotonicityCertificate:
     """Cyclical monotonicity of a support for a cost matrix of either sign.
 
@@ -980,10 +965,9 @@ def certify_costs(
     ti[e]), and every row and column carries at least one entry.  A failing
     certificate carries a simple witness cycle of entry indices: shifting
     each listed entry's target to the next one changes the cost by
-    `improvement` < 0, summed from `cost`.  `scale` is the cost scale,
-    _cost_scale(cost), handed on by a caller that has it already; without
-    it the costs are read here once.  A scale that is not finite, from a NaN
-    or infinite cost, raises NonFiniteValue.
+    `improvement` < 0, summed from `cost`.  The cost scale, _cost_scale(cost),
+    is read here once; one that is not finite, from a NaN or infinite cost,
+    raises NonFiniteValue.
 
     The certificate is a pair of potentials phi (sources) and psi (targets)
     with phi + psi = c on the support and c - phi - psi >= 0 everywhere,
@@ -999,12 +983,10 @@ def certify_costs(
     reduced cost from each component to each other one goes to
     min_improvement_cycle, and a negative cycle there is closed through the
     walk's arcs of every component it passes.  This is _Walks.verdict on
-    one walk of `cost`; is_cyclically_monotone checks a cyclic support's
-    walk against a bracket of this slack before it makes the whole matrix,
-    and hands the same walk the matrix when that does not decide.
+    one walk of `cost`, which is_cyclically_monotone runs on its own squared
+    distances (see there).
     """
-    if scale is None:
-        scale = _cost_scale(cost)
+    scale = _cost_scale(cost)
     if not scale < math.inf:
         raise NonFiniteValue(f"cost scale {scale} is not finite")
     return _Walks(cost, len(cost), len(cost[0]), si, ti).verdict(_arc_slack(2 * len(si), scale))

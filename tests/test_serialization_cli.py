@@ -969,6 +969,26 @@ def test_cli_wrong_json_shape_is_a_parse_error(files, case):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("where", ["tree file", "inline point"])
+def test_cli_deeply_nested_json_is_an_input_error(files, tmp_path, where):
+    # Nesting past the decoder's recursion limit ends like any malformed
+    # document: exit 2 and one "input error" line, not a traceback.  50,000
+    # levels pass the C recursion limit of newer Pythons too, and as one
+    # inline argument stay below the kernel's 128 KiB per argument.
+    nested = "[" * 50000 + "]" * 50000
+    if where == "tree file":
+        path = tmp_path / "deep.json"
+        path.write_text(nested)
+        out = cli("validate", "--tree", str(path))
+    else:
+        tree = files("t.json", TRIPOD_JSON)
+        out = cli("distance", "--tree", tree, "--p", nested, "--q", '{"vertex":"a"}')
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("input error: ") and out.stderr.count("\n") == 1
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
+
+
 _NO_LENGTH = {**TRIPOD_JSON, "edges": [{"id": "ea", "ends": ["o", "a"]}] + TRIPOD_JSON["edges"][1:]}
 _RAY_NO_SPEED = {"kind": "ray", "start": {"vertex": "o"}, "end": "r1"}
 _RAY = {**_RAY_NO_SPEED, "speed": "1"}

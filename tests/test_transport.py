@@ -458,8 +458,8 @@ def test_squares_hand_on_the_scale_of_the_squares():
 
 
 def test_a_given_scale_changes_no_result_and_no_error():
-    # The simplex, the dual check and the certificate give the same result,
-    # or raise the same error, whether the scale is handed on or read.
+    # The simplex and the dual check give the same result, or raise the
+    # same error, whether the scale is handed on or read.
     from treeot.transport import _cost_scale
 
     rng = np.random.default_rng(269)
@@ -479,14 +479,6 @@ def test_a_given_scale_changes_no_result_and_no_error():
             for duals in (sol, bent):
                 got = _outcome(certify_duals, cost, duals)
                 assert _outcome(certify_duals, cost, duals, scale=scale) == got
-        # one support of every row and column, in several components
-        # where the shape allows, and the basis of the start, in one
-        for si, ti in (
-            ([i % m for i in range(max(m, n))], [i % n for i in range(max(m, n))]),
-            tuple(zip(*sorted(start))),
-        ):
-            got = _outcome(certify_costs, cost, si, ti)
-            assert _outcome(certify_costs, cost, si, ti, scale=scale) == got
 
 
 def test_a_nan_distance_is_a_domain_error_naming_it():
@@ -500,6 +492,7 @@ def test_a_nan_distance_is_a_domain_error_naming_it():
 def test_the_scale_is_read_once_where_the_squares_are_made(monkeypatch):
     # W2, the monotonicity certificate and the asymptotic check take their
     # cost scale from _squares: none of them reads a matrix again for it.
+    # certify_costs, handed its costs, reads their scale once.
     real, calls = transport._cost_scale, []
 
     def spy(cost):
@@ -527,6 +520,8 @@ def test_the_scale_is_read_once_where_the_squares_are_made(monkeypatch):
     assert calls == []
     transportation_simplex([[1.0]], start={(0, 0): 1.0})
     assert calls == [1]
+    certify_costs([[1.0, 2.0], [3.0, 4.0]], [0, 1], [0, 1])
+    assert calls == [1, 2]
 
 
 # -- cyclical monotonicity -------------------------------------------------------
@@ -1032,8 +1027,8 @@ def _dense_certificate(tree, plan):
     ys: dict = {}
     si = [xs.setdefault(x, len(xs)) for x, _, _ in plan.entries]
     ti = [ys.setdefault(y, len(ys)) for _, y, _ in plan.entries]
-    cost, scale = transport._squares(tree.distance_matrix(list(xs), list(ys)), "distance")
-    return certify_costs(cost, si, ti, scale=scale)
+    cost, _ = transport._squares(tree.distance_matrix(list(xs), list(ys)), "distance")
+    return certify_costs(cost, si, ti)
 
 
 def _verdict(check, tree, plan):
@@ -1118,13 +1113,13 @@ def _support_stage(built) -> list[bool]:
     return [isinstance(w.cost[0], transport._SquaresRow) for w, on_support in built if on_support]
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e6])
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e-3])
 def test_support_check_matches_the_dense_certificate(monkeypatch, scale):
     # Crossed optimal plans (mostly cyclic supports, decided there), forest
     # plans (the dense path), and optimal plans with a zero-gain support
-    # cycle (the support passes, so the whole matrix decides), at desk scale
-    # and with every length times 10^6, where the cost scale rather than TOL
-    # sets the slack.
+    # cycle (the support passes, so the whole matrix decides), at desk scale,
+    # with every length times 10^6, where the cost scale rather than TOL
+    # sets the slack, and times 10^-3.
     built = _spy_walks(monkeypatch)
     rng = np.random.default_rng(131)
     seen = []
@@ -1209,22 +1204,29 @@ def test_support_check_raises_what_the_dense_matrix_raises():
 
 
 def _read_entries(monkeypatch):
-    """Spy on the distance kernel: the entries each call returns."""
+    """Spy on the distance kernel and on the scalar distance: the entries
+    each call returns, one for a scalar read."""
     reads: list[int] = []
-    kernel = T.MetricTree._distance_rows
+    kernel, scalar = T.MetricTree._distance_rows, T.MetricTree.distance
 
     def counted(self, *args):
         rows = kernel(self, *args)
         reads.append(sum(map(len, rows)))
         return rows
 
+    def one(self, p, q):
+        d = scalar(self, p, q)
+        reads.append(1)
+        return d
+
     monkeypatch.setattr(T.MetricTree, "_distance_rows", counted)
+    monkeypatch.setattr(T.MetricTree, "distance", one)
     return reads
 
 
 def test_a_crossed_plan_reads_its_support_and_witness_only(monkeypatch):
-    # A crossing decided on its support reads at most 2k distances (the
-    # support's, one row per source, and the witness's cells off it); an
+    # A crossing decided on its support reads each of its distinct pairs'
+    # distances and the witness's cells off it, one cell per read; an
     # optimal plan, whose support is a forest, reads the whole matrix in
     # one call.
     rng = np.random.default_rng(137)
@@ -1244,8 +1246,8 @@ def test_a_crossed_plan_reads_its_support_and_witness_only(monkeypatch):
         reads.clear()
         cert = T.is_cyclically_monotone(tree, bad)
         assert not cert.passed
-        nx = len({x for x, _, _ in bad.entries})
-        assert sum(reads) <= 2 * len(bad.entries) and len(reads) <= nx + len(cert.witness)
+        pairs = len({(x, y) for x, y, _ in bad.entries})
+        assert set(reads) == {1} and len(reads) <= pairs + len(cert.witness)
         assert sum(reads) < len(mu.atoms) * len(nu.atoms) / 4
         crossed += 1
     assert crossed > 5
@@ -1289,10 +1291,9 @@ def _equal_reach_pair():
 
 def test_an_undecided_cyclic_support_is_walked_once(monkeypatch):
     # A zero-gain support cycle passes the support check, so the whole
-    # matrix decides, on the walk the support check made: one walk, the
-    # support's cells read one row per source and the whole matrix read
-    # once.  The two-component plan passes through the search over
-    # components too.
+    # matrix decides, on the walk the support check made: one walk, each
+    # distinct pair's cell read once and the whole matrix read once.  The
+    # two-component plan passes through the search over components too.
     rng = np.random.default_rng(139)
     tree, single, double = _equal_reach_pair()
     cases = [(tree, single, 0), (tree, double, 1)]
@@ -1314,7 +1315,8 @@ def test_an_undecided_cyclic_support_is_walked_once(monkeypatch):
         assert len(found) == searches and all(c is None for _, c in found)
         nx = len({x for x, _, _ in plan.entries})
         ny = len({y for _, y, _ in plan.entries})
-        assert reads == [len(plan.entries) // nx] * nx + [nx * ny]
+        pairs = len({(x, y) for x, y, _ in plan.entries})
+        assert reads == [1] * pairs + [nx * ny]
         assert _verdict(T.is_cyclically_monotone, tree, plan) == _verdict(_dense_certificate, tree, plan)
 
 
